@@ -28,9 +28,14 @@ the scalar engines (see ``BENCH_routing.json``).
 Routing proceeds frontier-at-a-time: each iteration advances every
 still-active route by one hop, and finished routes are compacted out.
 Under an ``alive`` filter the binary-search shortcut no longer applies (the
-scalar engines scan), so the kernels expand the active frontier's neighbor
-lists flat and reduce per segment with ``np.maximum.reduceat`` /
-``np.minimum.reduceat`` — still one vectorized pass per hop.
+scalar engines scan), so the whole-route kernels expand the active
+frontier's neighbor lists flat and reduce per segment with
+``np.maximum.reduceat`` / ``np.minimum.reduceat`` — still one vectorized
+pass per hop.  The single ring step behind serving does not scan: liveness
+belongs to a view, so :meth:`CompiledNetwork.bind_alive` drops dead
+neighbors from the distance matrix once per view and every hop under it is
+the unfiltered gather / compare / ``argmax``, with the scan kept as its
+independent reference.
 
 Every branch replicates the corresponding scalar branch exactly, so batch
 results are hop-for-hop identical to :func:`~repro.core.routing.route_ring`
@@ -195,6 +200,9 @@ class CompiledNetwork:
             self.nbr_pos = np.zeros(0, dtype=idx_dt)
         self._aug_cache: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
         self._ring_tables: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+        self._live_table: Optional[
+            Tuple[np.ndarray, Tuple[np.ndarray, np.ndarray]]
+        ] = None
 
     def _build_augmented(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Build the sentinel-padded augmented search arrays (lazy).
@@ -267,8 +275,10 @@ class CompiledNetwork:
             self._aug_cache = self._build_augmented()
         return self._aug_cache[2]
 
-    def _ring_matrix(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-node clockwise distances as a padded sorted matrix (lazy).
+    def _build_ring_table(
+        self, keep: Optional[np.ndarray] = None
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-node clockwise distances as a padded sorted matrix.
 
         Row ``i`` holds node ``i``'s neighbor distances sorted *descending*
         and left-aligned; the trailing padding slots (at least one per row)
@@ -280,37 +290,81 @@ class CompiledNetwork:
         zero-distance self-step, which doubles as the finished/stuck
         signal.
 
-        Returns ``(dist2d, posflat, ids_small)`` where the distance dtype
-        is ``uint32`` when the id space fits (half the memory traffic of
-        the hot loop) and ``uint64`` otherwise, and ``posflat`` is the
+        ``keep`` (one bool per CSR edge) leaves neighbors out of the table;
+        a row keeps whatever survives, its owner's own liveness aside.
+
+        Returns ``(dist2d, posflat)`` where the distance dtype is
+        ``uint32`` when the id space fits (half the memory traffic of the
+        hot loop) and ``uint64`` otherwise, and ``posflat`` is the
         row-major flattened position matrix — ``int32`` below 2**31 nodes
         (the largest ring table by far; position values always fit), with
         the hot-loop position buffers following its dtype.
         """
-        if self._ring_tables is not None:
-            return self._ring_tables
-        n, E = self.n, int(self.neighbors.size)
+        n = self.n
         dt = np.uint32 if self.bits <= 32 else _U64
         pos_dt = np.int32 if n < 2**31 else np.intp
         counts = np.diff(self.indptr).astype(np.int64)
+        rows = np.repeat(np.arange(n, dtype=np.int64), counts)
+        neighbors, nbr_pos = self.neighbors, self.nbr_pos
+        if keep is not None:
+            rows, neighbors, nbr_pos = rows[keep], neighbors[keep], nbr_pos[keep]
+            counts = np.bincount(rows, minlength=n)
+        E = int(rows.size)
         width = int(counts.max()) + 1 if E else 1
         dist2d = np.zeros((n, width), dtype=dt)
         pos2d = np.repeat(np.arange(n, dtype=pos_dt)[:, None], width, axis=1)
         if E:
-            seg = np.repeat(np.arange(n, dtype=_U64), counts)
-            dists = (self.neighbors - self.ids[seg.astype(np.int64)]) & self.mask
-            order = np.argsort((seg << self.shift) | dists, kind="stable")
+            dists = (neighbors - self.ids[rows]) & self.mask
+            order = np.argsort(
+                (rows.astype(_U64) << self.shift) | dists, kind="stable"
+            )
             # The sorted layout keeps CSR segment boundaries, so target
             # slots enumerate each segment right-to-left from its last
             # column; only the values are permuted by ``order``.
-            rows = seg.astype(np.int64)
-            rank = np.arange(E, dtype=np.int64) - np.repeat(self.indptr[:-1], counts)
+            rank = np.arange(E, dtype=np.int64) - np.repeat(
+                np.cumsum(counts) - counts, counts
+            )
             cols = np.repeat(counts, counts) - 1 - rank
             dist2d[rows, cols] = dists[order].astype(dt)
-            pos2d[rows, cols] = self.nbr_pos[order]
-        ids_small = self.ids.astype(dt)
-        self._ring_tables = (dist2d, pos2d.ravel(), ids_small)
+            pos2d[rows, cols] = nbr_pos[order]
+        return dist2d, pos2d.ravel()
+
+    def _ring_matrix(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(dist2d, posflat, ids_small)`` over every link (lazy).
+
+        The :meth:`_build_ring_table` layout plus the node ids in the
+        distance dtype, which the whole-route loop subtracts per hop.
+        """
+        if self._ring_tables is None:
+            dist2d, posflat = self._build_ring_table()
+            self._ring_tables = (dist2d, posflat, self.ids.astype(dist2d.dtype))
         return self._ring_tables
+
+    def bind_alive(self, alive_arr: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Build and hold the ring table of the view ``alive_arr`` defines.
+
+        ``alive_arr`` is a strictly increasing uint64 id array.  Liveness
+        is a property of a view, not of a hop: dead neighbors are dropped
+        from the table once (one binary search per link), so every hop
+        under the view is the same gather / compare / ``argmax`` as the
+        unfiltered step.  One table is held at a time, keyed by the
+        array's *identity*; call this again after changing the live set,
+        with a new array or the same one.
+        """
+        table = self._build_ring_table(_in_sorted(alive_arr, self.neighbors))
+        self._live_table = (alive_arr, table)
+        return table
+
+    def _step_table(
+        self, alive_arr: Optional[np.ndarray]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The ``(dist2d, posflat)`` a single ring step gathers from."""
+        if alive_arr is None:
+            return self._ring_matrix()[:2]
+        held = self._live_table
+        if held is not None and held[0] is alive_arr:
+            return held[1]
+        return self.bind_alive(alive_arr)
 
     # ------------------------------------------------------ arenas / arrays
 
@@ -356,6 +410,7 @@ class CompiledNetwork:
             (aug, cand_ids, cand_aug) if aug is not None else None
         )
         self._ring_tables = tuple(ring_tables) if ring_tables is not None else None
+        self._live_table = None
         return self
 
     def to_arena(
@@ -483,7 +538,12 @@ class CompiledNetwork:
         remaining: np.ndarray,
         alive_arr: np.ndarray,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Filtered ring step: max live non-overshooting progress (scan)."""
+        """Filtered ring step: max live non-overshooting progress (scan).
+
+        Only the whole-route :meth:`_route_ring_alive` runs it; it shares
+        nothing with the per-view table :meth:`frontier_step` gathers
+        from, which is what makes it that step's reference in the tests.
+        """
         nxt = np.zeros(c.shape, dtype=np.int64)
         ok = np.zeros(c.shape, dtype=bool)
         nz, seg_starts, flat, cnz = self._flat_frontier(c)
@@ -998,10 +1058,12 @@ class CompiledNetwork:
         """Advance every lookup exactly one greedy hop (pure, resumable).
 
         The single-step entry point behind the serving runtime: one call
-        is one frontier tick.  Branch-for-branch it replicates one
-        iteration of the batch routing loops — same candidate selection,
-        same terminal resolution — so repeatedly stepping until nothing
-        moves yields outcomes identical to :meth:`route`.
+        is one frontier tick.  It makes the decision of one iteration of
+        the batch routing loops — same candidate, same terminal
+        resolution — so repeatedly stepping until nothing moves yields
+        outcomes identical to :meth:`route`.  The ring step is the
+        whole-route loop's gather / compare / ``argmax`` with or without
+        ``alive_arr``; only the table differs (:meth:`bind_alive`).
 
         Returns ``(next_ids, moved, success, hop_ms)`` aligned with the
         inputs.  Where ``moved`` is False the lookup terminated this step
@@ -1013,22 +1075,12 @@ class CompiledNetwork:
         if self.metric == "ring":
             remaining = (dest - cur_ids) & self.mask
             at_dest = remaining == _ZERO
-            if alive_arr is None:
-                dist2d, posflat, ids_small = self._ring_matrix()
-                dt = dist2d.dtype.type
-                width = dist2d.shape[1]
-                c = self._positions(cur_ids)
-                rows = dist2d[c]
-                le = rows <= remaining.astype(dt)[:, None]
-                p = le.argmax(axis=1)
-                idx = c * np.intp(width) + p
-                nxtp = posflat[idx].astype(np.int64)
-                moved = nxtp != c
-            else:
-                c = self._positions(cur_ids)
-                nxt, ok = self._ring_step_alive(c, cur_ids, remaining, alive_arr)
-                nxtp = np.where(ok, nxt, c)
-                moved = ok
+            dist2d, posflat = self._step_table(alive_arr)
+            c = self._positions(cur_ids)
+            le = dist2d[c] <= remaining.astype(dist2d.dtype)[:, None]
+            idx = c * np.intp(dist2d.shape[1]) + le.argmax(axis=1)
+            nxtp = posflat[idx].astype(np.int64)
+            moved = nxtp != c
             stuck = ~moved & ~at_dest
             success = at_dest.copy()
             if np.any(stuck):
@@ -1084,11 +1136,13 @@ class CompiledNetwork:
     ) -> int:
         """One hop for every not-done row of ``state``; returns moved count.
 
-        ``alive`` is a *sorted uint64 id array* (use :meth:`_alive_array`
-        or a live view) — the serving runtime holds one per view epoch, so
-        this entry point skips the per-call set conversion of
-        :meth:`route`.  Latency accumulates into ``state.latency_ms`` one
-        addition per hop, preserving the scalar left-fold contract.
+        ``alive`` is a *strictly increasing uint64 id array* (use
+        :meth:`_alive_array` or a live view) — the serving runtime holds
+        one per view epoch, so this entry point skips the per-call set
+        conversion of :meth:`route`, and ring steps reuse the table
+        :meth:`bind_alive` holds for as long as the same array comes back.
+        Latency accumulates into ``state.latency_ms`` one addition per
+        hop, preserving the scalar left-fold contract.
         """
         act = np.flatnonzero(~state.done)
         if act.size == 0:

@@ -47,7 +47,6 @@ class FrontierBatcher:
         #: Slot index of the hedge sibling (-1 when unhedged).
         self.twin = np.full(capacity, -1, dtype=np.int64)
         self.is_hedge = np.zeros(capacity, dtype=bool)
-        self.domain = np.zeros(capacity, dtype=np.int32)
         self.state = np.zeros(capacity, dtype=np.uint8)
         self._free = list(range(capacity - 1, -1, -1))
 
@@ -65,8 +64,7 @@ class FrontierBatcher:
         new = max(old * _GROW, old + need)
         for name in (
             "ticket", "src", "cur", "dest", "hops", "elapsed_ms",
-            "deadline_ms", "attempt", "wait", "twin", "is_hedge",
-            "domain", "state",
+            "deadline_ms", "attempt", "wait", "twin", "is_hedge", "state",
         ):
             arr = getattr(self, name)
             grown = np.zeros(new, dtype=arr.dtype)
@@ -80,7 +78,10 @@ class FrontierBatcher:
         """Claim ``n`` free slots (grows the buffer as needed)."""
         if len(self._free) < n:
             self._grow(n - len(self._free))
-        slots = np.asarray([self._free.pop() for _ in range(n)], dtype=np.int64)
+        # The free list is a stack: the last-freed slot goes out first.
+        cut = len(self._free) - n
+        slots = np.asarray(self._free[cut:][::-1], dtype=np.int64)
+        del self._free[cut:]
         return slots
 
     def release(self, slots: np.ndarray) -> None:
@@ -88,7 +89,7 @@ class FrontierBatcher:
         self.state[slots] = FREE
         self.ticket[slots] = -1
         self.twin[slots] = -1
-        self._free.extend(int(s) for s in slots)
+        self._free.extend(slots.tolist())
 
     def slots_in(self, state: int) -> np.ndarray:
         """Indices of every slot currently in ``state`` (ascending)."""

@@ -95,6 +95,16 @@ class DomainBuckets:
             self.tokens = np.append(self.tokens, self.burst)
         return code
 
+    def codes(self, domains: Sequence[str]) -> np.ndarray:
+        """Codes of a batch of labels, new buckets in first-seen order."""
+        for domain in dict.fromkeys(domains):
+            self.code(domain)
+        return np.fromiter(
+            map(self._codes.__getitem__, domains),
+            dtype=np.int64,
+            count=len(domains),
+        )
+
     @property
     def domains(self) -> Sequence[str]:
         return tuple(self._codes)

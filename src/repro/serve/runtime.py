@@ -137,6 +137,26 @@ class ServeReport:
         )
 
 
+def _check_alive(compiled: CompiledNetwork, alive: np.ndarray) -> None:
+    """Reject a live-id array the kernels would silently misread."""
+    if not (
+        isinstance(alive, np.ndarray)
+        and alive.dtype == np.uint64
+        and alive.ndim == 1
+    ):
+        raise ValueError("alive must be a one-dimensional uint64 id array")
+    disorder = np.flatnonzero(alive[1:] <= alive[:-1])
+    if disorder.size:
+        i = int(disorder[0])
+        raise ValueError(
+            f"alive must be strictly increasing: id {int(alive[i + 1])} "
+            f"follows {int(alive[i])} at index {i + 1}"
+        )
+    unknown = alive[~_in_sorted(compiled.ids, alive)]
+    if unknown.size:
+        raise ValueError(f"alive id {int(unknown[0])} is not in the compiled view")
+
+
 class ServeRuntime:
     """Batched lookup serving over one compiled network view."""
 
@@ -150,11 +170,9 @@ class ServeRuntime:
         middlewares: Sequence[Middleware] = (),
         domain_of: Optional[Callable[[int], str]] = None,
     ) -> None:
-        self.compiled = compiled
-        self.alive = alive
         self.policy = policy if policy is not None else NO_POLICY
         self.latency = latency
-        self._lat_state = compiled._latency_state(latency)
+        self.set_view(compiled, alive)
         self.middlewares = list(middlewares)
         self.domain_of = domain_of
         self._domain_cache: Dict[int, str] = {}
@@ -188,7 +206,17 @@ class ServeRuntime:
     def set_view(
         self, compiled: CompiledNetwork, alive: Optional[np.ndarray] = None
     ) -> None:
-        """Swap the network snapshot (after churn); in-flight state survives."""
+        """Swap the network snapshot (after churn); in-flight state survives.
+
+        ``alive`` must be a strictly increasing uint64 array of ids the
+        view knows (``ValueError`` otherwise).  On a ring view its dead
+        neighbors are folded into the step table here, once, so no tick
+        under the view filters anything.
+        """
+        if alive is not None:
+            _check_alive(compiled, alive)
+            if compiled.metric == "ring":
+                compiled.bind_alive(alive)
         self.compiled = compiled
         self.alive = alive
         self._lat_state = compiled._latency_state(self.latency)
@@ -205,12 +233,12 @@ class ServeRuntime:
 
     # ------------------------------------------------------------ submit
 
-    def _domain(self, node_id: int) -> str:
-        label = self._domain_cache.get(node_id)
-        if label is None:
-            label = self.domain_of(node_id) if self.domain_of else ""
-            self._domain_cache[node_id] = label
-        return label
+    def _domains(self, sources: List[int]) -> List[str]:
+        """Top-level domain label per source (``domain_of`` once per node)."""
+        cache = self._domain_cache
+        for node_id in set(sources).difference(cache):
+            cache[node_id] = self.domain_of(node_id) if self.domain_of else ""
+        return list(map(cache.__getitem__, sources))
 
     def submit_many(
         self,
@@ -235,13 +263,16 @@ class ServeRuntime:
         self._next_ticket += n
         self.counters["submitted"] += n
         self._inc_obs("serve.submitted", n)
-        domains = [self._domain(s) for s in src.tolist()]
-        batch = SubmitBatch(sources=src, keys=dst, domains=domains)
         deny = np.zeros(n, dtype=bool)
-        for mw in self.middlewares:
-            mask = mw.before_submit(batch)
-            if mask is not None:
-                deny |= mask
+        domains: List[str] = []
+        if self.middlewares or self.buckets is not None:
+            domains = self._domains(src.tolist())
+        if self.middlewares:
+            batch = SubmitBatch(sources=src, keys=dst, domains=domains)
+            for mw in self.middlewares:
+                mask = mw.before_submit(batch)
+                if mask is not None:
+                    deny |= mask
         stage = _CompletionStage()
         denied_idx = np.flatnonzero(deny)
         if denied_idx.size:
@@ -250,11 +281,9 @@ class ServeRuntime:
             stage.add_immediate(tickets, src, dst, denied_idx, STATUS_DENIED)
         passed = np.flatnonzero(~deny)
         if self.buckets is not None and passed.size:
-            codes = np.asarray(
-                [self.buckets.code(domains[i]) for i in passed.tolist()],
-                dtype=np.int64,
-            )
-            admitted = self.buckets.admit(codes)
+            if passed.size < n:
+                domains = [domains[i] for i in passed.tolist()]
+            admitted = self.buckets.admit(self.buckets.codes(domains))
             shed_idx = passed[~admitted]
             if shed_idx.size:
                 self.counters["shed"] += int(shed_idx.size)
@@ -422,18 +451,34 @@ class ServeRuntime:
             }[status]
             self.counters[key] += count
 
-    def _drop_if_twin_alive(self, slots: np.ndarray) -> np.ndarray:
+    def _live_twins(self, slots: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(twin, linked)``: each slot's hedge sibling and whether that
+        sibling is still in flight on the same ticket."""
         b = self.batcher
-        keep: List[int] = []
-        for s in slots.tolist():
-            t = int(b.twin[s])
-            if t >= 0 and b.state[t] != FREE and b.ticket[t] == b.ticket[s]:
-                self.counters["hedge_cancelled"] += 1
-                b.twin[t] = -1
-                b.release(np.asarray([s], dtype=np.int64))
-            else:
-                keep.append(s)
-        return np.asarray(keep, dtype=np.int64)
+        twin = b.twin[slots]
+        linked = twin >= 0
+        t = twin[linked]
+        linked[linked] = (b.state[t] != FREE) & (
+            b.ticket[t] == b.ticket[slots[linked]]
+        )
+        return twin, linked
+
+    def _drop_if_twin_alive(self, slots: np.ndarray) -> np.ndarray:
+        """Release failing runners (``slots`` ascending) whose twin races on.
+
+        When both runners of a ticket fail in one pass the lower slot is
+        dropped and the higher one, its link cleared, is kept to carry the
+        failure.  Returns the kept slots, still ascending.
+        """
+        b = self.batcher
+        twin, linked = self._live_twins(slots)
+        if not linked.any():
+            return slots
+        drop = linked & ~(_in_sorted(slots, twin) & (twin < slots))
+        self.counters["hedge_cancelled"] += int(np.count_nonzero(drop))
+        b.twin[twin[drop]] = -1
+        b.release(slots[drop])
+        return slots[~drop]
 
     def _alternate_contacts(
         self, srcs: np.ndarray, attempts: np.ndarray
@@ -502,24 +547,32 @@ class ServeRuntime:
         stage: "_CompletionStage",
         slots: np.ndarray,
         status: int,
-        success,
+        success: bool,
     ) -> int:
-        """Complete tickets (first runner wins; hedge siblings cancelled)."""
+        """Complete tickets (first runner wins; hedge siblings cancelled).
+
+        ``slots`` is ascending.  A slot already FREE lost to its sibling in
+        an earlier pass; a ticket whose two runners both finish in this
+        pass goes to the lower slot.  Slots return to the free list twin
+        first, then winner, winner by winner.
+        """
         b = self.batcher
-        completed = 0
-        for s in slots.tolist():
-            if b.state[s] == FREE:
-                continue  # its sibling won earlier in this pass
-            t = int(b.twin[s])
-            if t >= 0 and b.state[t] != FREE and b.ticket[t] == b.ticket[s]:
-                self.counters["hedge_cancelled"] += 1
-                if bool(b.is_hedge[s]):
-                    self.counters["hedge_wins"] += 1
-                b.release(np.asarray([t], dtype=np.int64))
-            stage.add_slot(b, s, status, bool(success))
-            b.release(np.asarray([s], dtype=np.int64))
-            completed += 1
-        return completed
+        slots = slots[b.state[slots] != FREE]
+        twin, linked = self._live_twins(slots)
+        if linked.any():
+            won = ~(linked & _in_sorted(slots, twin) & (twin < slots))
+            slots, twin, linked = slots[won], twin[won], linked[won]
+            self.counters["hedge_cancelled"] += int(np.count_nonzero(linked))
+            self.counters["hedge_wins"] += int(
+                np.count_nonzero(linked & b.is_hedge[slots])
+            )
+            freed = np.stack([np.where(linked, twin, -1), slots], axis=1).ravel()
+            freed = freed[freed >= 0]
+        else:
+            freed = slots
+        stage.add_slots(b, slots, status, success)
+        b.release(freed)
+        return int(slots.size)
 
     def _emit(self, stage: "_CompletionStage") -> None:
         batch = stage.batch()
@@ -561,31 +614,32 @@ class ServeRuntime:
 
 
 class _CompletionStage:
-    """Per-tick accumulator assembling one :class:`CompletionBatch`."""
+    """Per-tick accumulator assembling one :class:`CompletionBatch`.
+
+    Holds one tuple of column slices per ``add_*`` call, in call order
+    (columns in :class:`CompletionBatch` field order).
+    """
 
     def __init__(self) -> None:
-        self.tickets: List[int] = []
-        self.sources: List[int] = []
-        self.keys: List[int] = []
-        self.terminals: List[int] = []
-        self.hops: List[int] = []
-        self.latency_ms: List[float] = []
-        self.attempts: List[int] = []
-        self.success: List[bool] = []
-        self.status: List[int] = []
+        self.parts: List[Tuple[np.ndarray, ...]] = []
 
-    def add_slot(
-        self, b: FrontierBatcher, slot: int, status: int, success: bool
+    def add_slots(
+        self, b: FrontierBatcher, slots: np.ndarray, status: int, success: bool
     ) -> None:
-        self.tickets.append(int(b.ticket[slot]))
-        self.sources.append(int(b.src[slot]))
-        self.keys.append(int(b.dest[slot]))
-        self.terminals.append(int(b.cur[slot]))
-        self.hops.append(int(b.hops[slot]))
-        self.latency_ms.append(float(b.elapsed_ms[slot]))
-        self.attempts.append(int(b.attempt[slot]))
-        self.success.append(success)
-        self.status.append(status)
+        """Completions of in-flight ``slots``, copied out before release."""
+        n = slots.size
+        if n:
+            self.parts.append((
+                b.ticket[slots],
+                b.src[slots],
+                b.dest[slots],
+                b.cur[slots],
+                b.hops[slots],
+                b.elapsed_ms[slots],
+                b.attempt[slots],
+                np.full(n, success, dtype=bool),
+                np.full(n, status, dtype=np.int16),
+            ))
 
     def add_immediate(
         self,
@@ -596,31 +650,24 @@ class _CompletionStage:
         status: int,
     ) -> None:
         """Submit-time completions (denied/shed): never entered the frontier."""
-        for i in idx.tolist():
-            self.tickets.append(int(tickets[i]))
-            self.sources.append(int(src[i]))
-            self.keys.append(int(dst[i]))
-            self.terminals.append(int(src[i]))
-            self.hops.append(0)
-            self.latency_ms.append(0.0)
-            self.attempts.append(0)
-            self.success.append(False)
-            self.status.append(status)
+        n = idx.size
+        if n:
+            self.parts.append((
+                tickets[idx],
+                src[idx],
+                dst[idx],
+                src[idx],
+                np.zeros(n, dtype=np.int64),
+                np.zeros(n, dtype=np.float64),
+                np.zeros(n, dtype=np.int32),
+                np.zeros(n, dtype=bool),
+                np.full(n, status, dtype=np.int16),
+            ))
 
     def batch(self) -> Optional[CompletionBatch]:
-        if not self.tickets:
+        if not self.parts:
             return None
-        return CompletionBatch(
-            tickets=np.asarray(self.tickets, dtype=np.int64),
-            sources=np.asarray(self.sources, dtype=np.uint64),
-            keys=np.asarray(self.keys, dtype=np.uint64),
-            terminals=np.asarray(self.terminals, dtype=np.uint64),
-            hops=np.asarray(self.hops, dtype=np.int64),
-            latency_ms=np.asarray(self.latency_ms, dtype=np.float64),
-            attempts=np.asarray(self.attempts, dtype=np.int32),
-            success=np.asarray(self.success, dtype=bool),
-            status=np.asarray(self.status, dtype=np.int16),
-        )
+        return CompletionBatch(*map(np.concatenate, zip(*self.parts)))
 
 
 # ---------------------------------------------------------------- drivers

@@ -28,10 +28,12 @@ from repro.dhts.kandy import KandyNetwork
 from repro.dhts.ndchord import NDChordNetwork, NDCrescendoNetwork
 from repro.dhts.symphony import SymphonyNetwork
 from repro.perf.kernels import (
+    CompiledNetwork,
     batch_route,
     batch_route_ring,
     compile_network,
 )
+from repro.perf.latency import LatencyTable
 
 SIZE = 220
 BITS = 16
@@ -207,3 +209,129 @@ def test_property_random_pairs_identical(seed, data):
         )
     )
     assert_identical(network, pairs)
+
+
+# ------------------------------------------- live table vs the scan reference
+
+RING_BITS = 10
+
+
+def _random_ring_view(rng):
+    """A random ring CSR (any links, self-links and empty rows included)
+    and a latency table over it — nothing a DHT builder would guarantee."""
+    n = int(rng.integers(2, 48))
+    ids = np.sort(rng.choice(1 << RING_BITS, size=n, replace=False)).astype(np.uint64)
+    rows = [
+        np.sort(rng.choice(ids, size=int(rng.integers(0, min(n, 9))), replace=False))
+        for _ in range(n)
+    ]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum([row.size for row in rows], out=indptr[1:])
+    neighbors = np.concatenate(rows).astype(np.uint64)
+    compiled = CompiledNetwork.from_arrays(
+        metric="ring",
+        bits=RING_BITS,
+        ids=ids,
+        indptr=indptr,
+        neighbors=neighbors,
+        nbr_pos=np.searchsorted(ids, neighbors).astype(np.int64),
+    )
+    routers = rng.integers(0, 6, size=n)
+    matrix = rng.random((6, 6)).astype(np.float32) * 40
+    return compiled, LatencyTable(ids, routers, matrix, host_ms=1.5)
+
+
+def _random_live(compiled, rng, share):
+    """A live subset in which some linked node has lost every neighbor."""
+    alive = compiled.ids[rng.random(compiled.n) < share]
+    linked = np.flatnonzero(np.diff(compiled.indptr) > 0)
+    if linked.size:
+        i = int(rng.choice(linked))
+        dead = compiled.neighbors[compiled.indptr[i] : compiled.indptr[i + 1]]
+        alive = alive[~np.isin(alive, dead)]
+    return alive
+
+
+def _random_lookups(compiled, alive, rng, count=40):
+    """Lookups parked on live and dead nodes alike, keys on and off nodes."""
+    cur = rng.choice(compiled.ids, size=count)
+    dead = compiled.ids[~np.isin(compiled.ids, alive)]
+    if dead.size:
+        cur[0] = dead[0]
+    rows = np.split(compiled.neighbors, compiled.indptr[1:-1])
+    cut_off = [i for i, row in enumerate(rows) if row.size and not np.isin(row, alive).any()]
+    if cut_off:
+        cur[1] = compiled.ids[cut_off[0]]
+    dest = rng.integers(0, 1 << RING_BITS, size=count).astype(np.uint64)
+    dest[::5] = rng.choice(compiled.ids, size=dest[::5].size)
+    return cur, dest
+
+
+def _scan_step(compiled, cur_ids, dest, alive, lat_state):
+    """One hop by the CSR scan: ``_ring_step_alive`` + ``_responsible``."""
+    pos = compiled._positions(cur_ids)
+    remaining = (dest - cur_ids) & compiled.mask
+    at_dest = remaining == 0
+    nxt, moved = compiled._ring_step_alive(pos, cur_ids, remaining, alive)
+    stuck = ~moved & ~at_dest
+    success = at_dest.copy()
+    success[stuck] = compiled._responsible(cur_ids[stuck], dest[stuck], alive)
+    next_ids = np.where(moved, compiled.ids[nxt], cur_ids)
+    routers, matrix, hop2 = lat_state
+    hop_ms = np.zeros(cur_ids.shape, dtype=np.float64)
+    hop_ms[moved] = hop2 + matrix[
+        routers[pos[moved]], routers[nxt[moved]]
+    ].astype(np.float64)
+    return next_ids, moved, success, hop_ms
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**20),
+    shares=st.lists(st.sampled_from([0.0, 0.2, 0.6, 0.9, 1.0]), min_size=2, max_size=4),
+)
+def test_property_live_table_step_matches_scan(seed, shares):
+    """``frontier_step`` over the per-view table is the scan step, hop by
+    hop, across view swaps (a new live array between steps)."""
+    rng = np.random.default_rng(seed)
+    compiled, latency = _random_ring_view(rng)
+    lat_state = compiled._latency_state(latency)
+    alive = _random_live(compiled, rng, shares[0])
+    cur, dest = _random_lookups(compiled, alive, rng)
+    for share in shares:
+        alive = _random_live(compiled, rng, share)  # the view swap
+        for _ in range(3):
+            want = _scan_step(compiled, cur, dest, alive, lat_state)
+            got = compiled.frontier_step(cur, dest, alive, lat_state)
+            for name, a, b in zip(("next_ids", "moved", "success", "hop_ms"), got, want):
+                assert np.array_equal(a, b), (name, share)
+            cur = got[0]
+    assert compiled._live_table[0] is alive  # one table, the last view's
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**20), share=st.sampled_from([0.0, 0.3, 0.7, 1.0]))
+def test_property_stepping_to_quiescence_equals_route(seed, share):
+    """``step_frontier`` until nothing moves is ``route(alive=...)`` hop for
+    hop, with bit-equal latency."""
+    rng = np.random.default_rng(seed)
+    compiled, latency = _random_ring_view(rng)
+    alive = _random_live(compiled, rng, share)
+    sources, keys = _random_lookups(compiled, alive, rng)
+    want = compiled.route(
+        sources, keys, alive=set(alive.tolist()), paths=True, latency=latency
+    )
+    state = compiled.begin_frontier(sources, keys)
+    paths = [[int(s)] for s in sources]
+    while True:
+        before = state.cur.copy()
+        if compiled.step_frontier(state, alive, latency=latency) == 0:
+            break
+        for i in np.flatnonzero(state.cur != before):
+            paths[i].append(int(state.cur[i]))
+    assert np.all(state.done)
+    assert paths == want.paths
+    assert np.array_equal(state.hops, want.hops)
+    assert np.array_equal(state.cur, want.terminals)
+    assert np.array_equal(state.success, want.success)
+    assert np.array_equal(state.latency_ms, want.latency_ms)

@@ -17,6 +17,7 @@ import pytest
 from repro.serve import (
     STATUS_LOST,
     STATUS_OK,
+    DomainACL,
     ServeRuntime,
     compile_protocol_view,
     run_closed_loop,
@@ -39,6 +40,15 @@ class TestFrontierBatcher:
         assert np.all(b.ticket[slots[:4]] == -1)
         again = b.alloc(4)
         assert set(again.tolist()) == set(slots[:4].tolist())
+
+    def test_slots_leave_the_free_list_last_freed_first(self):
+        b = FrontierBatcher(capacity=16)
+        assert b.alloc(3).tolist() == [0, 1, 2]
+        assert b.alloc(0).size == 0 and b.in_flight == 3
+        b.release(np.asarray([2, 0], dtype=np.int64))
+        assert b.alloc(3).tolist() == [0, 2, 3]
+        # growth stacks the new slots on top of the ones still free
+        assert b.alloc(20).tolist() == list(range(16, 32)) + [4, 5, 6, 7]
 
     def test_grow_preserves_existing_state(self):
         b = FrontierBatcher(capacity=16)
@@ -114,14 +124,65 @@ class TestRuntimeBasics:
     def test_domain_labels_are_cached_per_node(self):
         net, _ = build_serving_net(64, seed=6, with_latency=False)
         compiled, alive = compile_protocol_view(net)
-        runtime = ServeRuntime(compiled, alive, domain_of=domain_labeler(net))
+        calls = []
+        labeler = domain_labeler(net)
+
+        def domain_of(node_id):
+            calls.append(node_id)
+            return labeler(node_id)
+
+        runtime = ServeRuntime(
+            compiled, alive, middlewares=[DomainACL()], domain_of=domain_of
+        )
         sources, keys = lookup_workload(net, 50, seed=6)
+        runtime.submit_many(sources, keys)
         runtime.submit_many(sources, keys)
         runtime.drain()
         live = set(net.live_view())
+        assert sorted(calls) == sorted(set(sources.tolist()))  # once per node
+        assert set(runtime._domain_cache) == set(calls)
         for node_id, label in runtime._domain_cache.items():
             assert node_id in live
             assert label == str(net.nodes[node_id].path[0])
+
+    def test_labels_are_not_computed_without_a_consumer(self):
+        net, _ = build_serving_net(64, seed=6, with_latency=False)
+
+        def domain_of(node_id):
+            raise AssertionError("no middleware or bucket reads the labels")
+
+        runtime = ServeRuntime(*compile_protocol_view(net), domain_of=domain_of)
+        runtime.submit_many(*lookup_workload(net, 20, seed=6))
+        runtime.drain()
+        assert runtime.report().size == 20
+
+    def test_unsorted_alive_array_is_rejected(self):
+        net, _ = build_serving_net(64, seed=2, with_latency=False)
+        compiled, alive = compile_protocol_view(net)
+        shuffled = alive.copy()
+        shuffled[[3, 4]] = shuffled[[4, 3]]
+        with pytest.raises(ValueError, match=f"id {int(alive[3])} follows {int(alive[4])}"):
+            ServeRuntime(compiled, shuffled)
+        runtime = ServeRuntime(compiled, alive)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            runtime.set_view(compiled, shuffled)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            runtime.set_view(compiled, np.repeat(alive, 2))
+        with pytest.raises(ValueError, match="uint64"):
+            runtime.set_view(compiled, alive.astype(np.int64))
+        assert runtime.alive is alive  # a rejected view is not installed
+
+    def test_alive_ids_outside_the_view_are_rejected(self):
+        net, _ = build_serving_net(64, seed=2, with_latency=False)
+        compiled, alive = compile_protocol_view(net)
+        stranger = next(i for i in range(1, 1 << 16) if i not in net.nodes)
+        widened = np.sort(np.append(alive, np.uint64(stranger)))
+        with pytest.raises(ValueError, match=f"alive id {stranger} is not in"):
+            ServeRuntime(compiled, widened)
+        runtime = ServeRuntime(compiled, alive)
+        with pytest.raises(ValueError, match=f"alive id {stranger} is not in"):
+            runtime.set_view(compiled, widened)
+        assert runtime.alive is alive
 
     def test_set_view_after_churn_keeps_inflight_tickets(self):
         net, _ = build_serving_net(256, seed=7, with_latency=False)

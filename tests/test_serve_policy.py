@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 
 import numpy as np
+import pytest
 
 from repro.obs.metrics import collecting
 from repro.obs.slo import SLOReport
@@ -31,6 +32,8 @@ from repro.serve import (
     compile_protocol_view,
     run_open_loop,
 )
+from repro.serve.batcher import FREE, RUNNING, WAITING
+from repro.serve.runtime import _CompletionStage
 from repro.serve.testbed import build_serving_net, domain_labeler, lookup_workload
 
 SEEDS = (21, 22, 23)
@@ -242,3 +245,237 @@ class TestSLOMiddleware:
         counters = registry.snapshot().data["counters"]
         assert counters["serve.completed"] == 90
         assert counters["serve.submitted"] == 90
+
+
+# ------------------------------------------------------- staging vs scalar
+
+
+def _scalar_drop_if_twin_alive(runtime, slots):
+    """The per-slot loop ``_drop_if_twin_alive`` replaced (reference)."""
+    b = runtime.batcher
+    keep = []
+    for s in slots.tolist():
+        t = int(b.twin[s])
+        if t >= 0 and b.state[t] != FREE and b.ticket[t] == b.ticket[s]:
+            runtime.counters["hedge_cancelled"] += 1
+            b.twin[t] = -1
+            b.release(np.asarray([s], dtype=np.int64))
+        else:
+            keep.append(s)
+    return np.asarray(keep, dtype=np.int64)
+
+
+def _scalar_stage_complete(runtime, rows, slots, status, success):
+    """The per-slot loop ``_stage_complete`` replaced (reference).
+
+    Appends one ``CompletionBatch``-ordered tuple per completion to ``rows``.
+    """
+    b = runtime.batcher
+    completed = 0
+    for s in slots.tolist():
+        if b.state[s] == FREE:
+            continue
+        t = int(b.twin[s])
+        if t >= 0 and b.state[t] != FREE and b.ticket[t] == b.ticket[s]:
+            runtime.counters["hedge_cancelled"] += 1
+            if bool(b.is_hedge[s]):
+                runtime.counters["hedge_wins"] += 1
+            b.release(np.asarray([t], dtype=np.int64))
+        rows.append((
+            int(b.ticket[s]), int(b.src[s]), int(b.dest[s]), int(b.cur[s]),
+            int(b.hops[s]), float(b.elapsed_ms[s]), int(b.attempt[s]),
+            bool(success), status,
+        ))
+        b.release(np.asarray([s], dtype=np.int64))
+        completed += 1
+    return completed
+
+
+def _staged_rows(stage):
+    batch = stage.batch()
+    if batch is None:
+        return []
+    columns = (
+        batch.tickets, batch.sources, batch.keys, batch.terminals, batch.hops,
+        batch.latency_ms, batch.attempts, batch.success, batch.status,
+    )
+    return list(zip(*(column.tolist() for column in columns)))
+
+
+@pytest.fixture(scope="module")
+def staging_view():
+    net, _ = build_serving_net(32, seed=61, with_latency=False)
+    return compile_protocol_view(net)
+
+
+def _hand_built(view, runners):
+    """A runtime whose slots 0..n-1 hold ``runners``.
+
+    Each runner is ``(ticket, state, is_hedge, twin slot or -1)``; the other
+    columns get values that differ per slot so a mixed-up row shows.
+    """
+    runtime = ServeRuntime(*view)
+    b = runtime.batcher
+    n = len(runners)
+    slots = b.alloc(n)
+    assert slots.tolist() == list(range(n))
+    for slot, (ticket, state, is_hedge, twin) in enumerate(runners):
+        b.ticket[slot], b.state[slot] = ticket, state
+        b.is_hedge[slot], b.twin[slot] = is_hedge, twin
+    b.src[slots] = 1000 + slots
+    b.dest[slots] = 2000 + slots
+    b.cur[slots] = 3000 + slots
+    b.hops[slots] = 1 + slots
+    b.elapsed_ms[slots] = 0.5 + slots
+    b.attempt[slots] = 1 + slots % 3
+    gone = np.flatnonzero(b.state[slots] == FREE)
+    b.release(gone)  # FREE runners are really on the free list
+    return runtime
+
+
+def _assert_same_batcher(a, b):
+    assert a._free == b._free
+    for name in ("state", "ticket", "twin"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+def _check_stage_complete(view, runners, slots, status=STATUS_OK, success=True):
+    slots = np.asarray(slots, dtype=np.int64)
+    model = _hand_built(view, runners)
+    rows = []
+    want = _scalar_stage_complete(model, rows, slots, status, success)
+    runtime = _hand_built(view, runners)
+    stage = _CompletionStage()
+    got = runtime._stage_complete(stage, slots, status, success)
+    assert got == want
+    assert _staged_rows(stage) == rows
+    assert len({row[0] for row in rows}) == len(rows)  # one per ticket
+    assert runtime.counters == model.counters
+    _assert_same_batcher(runtime.batcher, model.batcher)
+    return runtime, rows
+
+
+def _check_drop(view, runners, slots):
+    slots = np.asarray(slots, dtype=np.int64)
+    model = _hand_built(view, runners)
+    want = _scalar_drop_if_twin_alive(model, slots)
+    runtime = _hand_built(view, runners)
+    got = runtime._drop_if_twin_alive(slots)
+    assert got.dtype == np.int64 and got.tolist() == want.tolist()
+    assert runtime.counters == model.counters
+    _assert_same_batcher(runtime.batcher, model.batcher)
+    return runtime, got
+
+
+class TestStagingMatchesScalarLoop:
+    """Vectorized ``_stage_complete`` / ``_drop_if_twin_alive`` against the
+    per-slot loops they replaced, on hand-built batcher states."""
+
+    # slot:            0 primary            1 hedge of 0         2 unhedged
+    PAIR = [(7, RUNNING, False, 1), (7, RUNNING, True, 0), (8, RUNNING, False, -1)]
+    # the hedge sits in the lower slot (its primary's slot was recycled later)
+    PAIR_HEDGE_LOW = [(7, RUNNING, True, 1), (7, RUNNING, False, 0)]
+
+    def test_both_twins_terminal_in_one_pass_go_to_the_lower_slot(self, staging_view):
+        runtime, rows = _check_stage_complete(staging_view, self.PAIR, [0, 1, 2])
+        assert [row[0] for row in rows] == [7, 8]
+        assert rows[0][3] == 3000  # the primary's terminal, slot 0
+        assert runtime.counters["hedge_cancelled"] == 1
+        assert runtime.counters["hedge_wins"] == 0
+        runtime, rows = _check_stage_complete(
+            staging_view, self.PAIR_HEDGE_LOW, [0, 1]
+        )
+        assert [row[0] for row in rows] == [7]
+        assert runtime.counters["hedge_wins"] == 1
+
+    def test_hedge_wins_and_cancels_its_running_primary(self, staging_view):
+        runtime, rows = _check_stage_complete(staging_view, self.PAIR, [1])
+        assert [row[0] for row in rows] == [7] and rows[0][3] == 3001
+        assert runtime.counters["hedge_wins"] == 1
+        assert runtime.counters["hedge_cancelled"] == 1
+        # twin first, then the winner: the next alloc hands back 1, then 0
+        assert runtime.batcher._free[-2:] == [0, 1]
+        assert runtime.batcher.state[0] == FREE
+
+    def test_loser_already_free_is_skipped(self, staging_view):
+        runners = [(7, RUNNING, False, -1), (-1, FREE, True, -1), (8, RUNNING, False, -1)]
+        runtime, rows = _check_stage_complete(staging_view, runners, [0, 1, 2])
+        assert [row[0] for row in rows] == [7, 8]
+        assert runtime.counters["hedge_cancelled"] == 0
+
+    def test_waiting_primary_is_cancelled_by_its_hedge(self, staging_view):
+        runners = [(7, WAITING, False, 1), (7, RUNNING, True, 0)]
+        runtime, _ = _check_stage_complete(staging_view, runners, [1])
+        assert runtime.counters["hedge_wins"] == 1
+        assert runtime.batcher.in_flight == 0
+
+    def test_stale_twin_link_to_a_recycled_slot_cancels_nothing(self, staging_view):
+        runners = [(7, RUNNING, False, 1), (9, RUNNING, False, -1)]
+        runtime, rows = _check_stage_complete(staging_view, runners, [0])
+        assert [row[0] for row in rows] == [7]
+        assert runtime.batcher.state[1] == RUNNING
+        assert runtime.counters["hedge_cancelled"] == 0
+
+    def test_deadline_expiry_of_a_hedged_pair_completes_once(self, staging_view):
+        runtime, rows = _check_stage_complete(
+            staging_view, self.PAIR, [0, 1], status=STATUS_DEADLINE, success=False
+        )
+        assert rows == [(7, 1000, 2000, 3000, 1, 0.5, 1, False, STATUS_DEADLINE)]
+        assert runtime.counters["hedge_cancelled"] == 1
+        assert runtime.batcher.in_flight == 1  # the unhedged runner
+
+    def test_deadline_expiry_through_tick(self, staging_view):
+        runtime = _hand_built(staging_view, self.PAIR[:2])
+        b = runtime.batcher
+        b.cur[:2] = b.src[:2] = staging_view[1][:2]
+        b.deadline_ms[:2] = 0.25  # both runners are already past it
+        runtime._next_ticket = 8
+        runtime.tick()
+        report = runtime.report()
+        assert report.tickets.tolist() == [7]
+        assert report.status.tolist() == [STATUS_DEADLINE]
+        assert report.counters["expired"] == 1
+        assert report.counters["hedge_cancelled"] == 1
+        assert runtime.in_flight == 0
+
+    def test_failing_runner_with_a_live_twin_is_dropped(self, staging_view):
+        runners = [(7, WAITING, False, 1), (7, RUNNING, True, 0), (8, RUNNING, False, -1)]
+        runtime, kept = _check_drop(staging_view, runners, [1, 2])
+        assert kept.tolist() == [2]
+        assert runtime.batcher.twin[0] == -1 and runtime.batcher.state[1] == FREE
+        assert runtime.counters["hedge_cancelled"] == 1
+
+    def test_both_twins_failing_in_one_pass_keep_the_higher_slot(self, staging_view):
+        runtime, kept = _check_drop(staging_view, self.PAIR, [0, 1, 2])
+        assert kept.tolist() == [1, 2]
+        assert runtime.batcher.twin[1] == -1
+        stage = _CompletionStage()
+        assert runtime._stage_complete(stage, kept, 1, False) == 2
+        assert [row[0] for row in _staged_rows(stage)] == [7, 8]
+
+    def test_random_states_match_the_scalar_loops(self, staging_view):
+        rng = random.Random("staging-sweep")
+        for _ in range(200):
+            runners = []
+            for ticket in range(rng.randrange(1, 9)):
+                first = len(runners)
+                states = [rng.choice((RUNNING, WAITING, FREE)) for _ in range(2)]
+                if rng.random() < 0.6:  # a hedged pair, either slot order
+                    hedge_low = rng.random() < 0.5
+                    links = [
+                        -1 if FREE in states else first + 1,
+                        -1 if FREE in states else first,
+                    ]
+                    for k in range(2):
+                        runners.append((
+                            ticket if states[k] != FREE else -1,
+                            states[k], (k == 0) == hedge_low, links[k],
+                        ))
+                else:
+                    runners.append((
+                        ticket if states[0] != FREE else -1, states[0], False, -1
+                    ))
+            slots = [s for s in range(len(runners)) if rng.random() < 0.7]
+            _check_stage_complete(staging_view, runners, slots)
+            _, kept = _check_drop(staging_view, runners, slots)
+            assert set(kept.tolist()) <= set(slots)
