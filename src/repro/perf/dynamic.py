@@ -275,6 +275,7 @@ class FastSimulatedCrescendo(SimulatedCrescendo):
             self._stab_memo.pop((node_id, depth), None)
 
     def _touch(self, node_id: int) -> None:
+        self._view_dirty.add(node_id)
         self._contact_cache.pop(node_id, None)
         self._epoch += 1
         self._invalidate(node_id)

@@ -203,6 +203,7 @@ class CompiledNetwork:
         self._live_table: Optional[
             Tuple[np.ndarray, Tuple[np.ndarray, np.ndarray]]
         ] = None
+        self._carry: Optional[tuple] = None
 
     def _build_augmented(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Build the sentinel-padded augmented search arrays (lazy).
@@ -276,13 +277,17 @@ class CompiledNetwork:
         return self._aug_cache[2]
 
     def _build_ring_table(
-        self, keep: Optional[np.ndarray] = None
+        self,
+        alive_arr: Optional[np.ndarray] = None,
+        rows: Optional[np.ndarray] = None,
+        base: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Per-node clockwise distances as a padded sorted matrix.
 
         Row ``i`` holds node ``i``'s neighbor distances sorted *descending*
-        and left-aligned; the trailing padding slots (at least one per row)
-        are zero, with their position entries pointing at the node itself.
+        and left-aligned; the trailing padding slots (at least one per row:
+        the width is the longest CSR row plus one) are zero, with their
+        position entries pointing at the node itself.
         The greedy ring step then needs no validity or wrap handling at
         all: the first column ``<= remaining`` — one ``argmax`` per hop,
         guaranteed to exist by the trailing zero — is the best
@@ -290,8 +295,11 @@ class CompiledNetwork:
         zero-distance self-step, which doubles as the finished/stuck
         signal.
 
-        ``keep`` (one bool per CSR edge) leaves neighbors out of the table;
-        a row keeps whatever survives, its owner's own liveness aside.
+        ``alive_arr`` (sorted ids) leaves every other neighbor out of the
+        table; a row keeps whatever survives, its owner's own liveness
+        aside.  ``rows`` (ascending positions) with ``base``, the table of
+        a view over the same ``ids``, builds those rows only and copies the
+        rest from ``base`` — the same table at the cost of what differs.
 
         Returns ``(dist2d, posflat)`` where the distance dtype is
         ``uint32`` when the id space fits (half the memory traffic of the
@@ -304,19 +312,33 @@ class CompiledNetwork:
         dt = np.uint32 if self.bits <= 32 else _U64
         pos_dt = np.int32 if n < 2**31 else np.intp
         counts = np.diff(self.indptr).astype(np.int64)
-        rows = np.repeat(np.arange(n, dtype=np.int64), counts)
-        neighbors, nbr_pos = self.neighbors, self.nbr_pos
-        if keep is not None:
-            rows, neighbors, nbr_pos = rows[keep], neighbors[keep], nbr_pos[keep]
-            counts = np.bincount(rows, minlength=n)
-        E = int(rows.size)
-        width = int(counts.max()) + 1 if E else 1
+        width = int(counts.max()) + 1
         dist2d = np.zeros((n, width), dtype=dt)
         pos2d = np.repeat(np.arange(n, dtype=pos_dt)[:, None], width, axis=1)
+        if base is None:
+            own = np.repeat(np.arange(n, dtype=np.int64), counts)
+            neighbors, nbr_pos = self.neighbors, self.nbr_pos
+        else:
+            w = min(width, base[0].shape[1])
+            dist2d[:, :w] = base[0][:, :w]
+            pos2d[:, :w] = base[1].reshape(n, -1)[:, :w]
+            dist2d[rows] = 0
+            pos2d[rows] = rows[:, None]
+            took = counts[rows]
+            own = np.repeat(rows, took)
+            edges = np.arange(own.size) + np.repeat(
+                self.indptr[rows] - (np.cumsum(took) - took), took
+            )
+            neighbors, nbr_pos = self.neighbors[edges], self.nbr_pos[edges]
+        if alive_arr is not None:
+            keep = _in_sorted(alive_arr, neighbors)
+            own, neighbors, nbr_pos = own[keep], neighbors[keep], nbr_pos[keep]
+        counts = np.bincount(own, minlength=n)
+        E = int(own.size)
         if E:
-            dists = (neighbors - self.ids[rows]) & self.mask
+            dists = (neighbors - self.ids[own]) & self.mask
             order = np.argsort(
-                (rows.astype(_U64) << self.shift) | dists, kind="stable"
+                (own.astype(_U64) << self.shift) | dists, kind="stable"
             )
             # The sorted layout keeps CSR segment boundaries, so target
             # slots enumerate each segment right-to-left from its last
@@ -325,8 +347,8 @@ class CompiledNetwork:
                 np.cumsum(counts) - counts, counts
             )
             cols = np.repeat(counts, counts) - 1 - rank
-            dist2d[rows, cols] = dists[order].astype(dt)
-            pos2d[rows, cols] = nbr_pos[order]
+            dist2d[own, cols] = dists[order].astype(dt)
+            pos2d[own, cols] = nbr_pos[order]
         return dist2d, pos2d.ravel()
 
     def _ring_matrix(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -340,6 +362,15 @@ class CompiledNetwork:
             self._ring_tables = (dist2d, posflat, self.ids.astype(dist2d.dtype))
         return self._ring_tables
 
+    def carry_table(self, older: "CompiledNetwork", rows: np.ndarray) -> None:
+        """Let the next :meth:`bind_alive` start from ``older``'s live table.
+
+        ``older`` is a view over the very same ``ids`` whose CSR rows equal
+        this one's except at the ascending positions ``rows``.
+        """
+        if older._live_table is not None:
+            self._carry = (rows,) + older._live_table
+
     def bind_alive(self, alive_arr: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Build and hold the ring table of the view ``alive_arr`` defines.
 
@@ -350,8 +381,23 @@ class CompiledNetwork:
         unfiltered step.  One table is held at a time, keyed by the
         array's *identity*; call this again after changing the live set,
         with a new array or the same one.
+
+        After :meth:`carry_table` only the rows that differ from the older
+        view's table are built: those whose CSR row changed and those that
+        list an id whose liveness flipped between the two live sets.
         """
-        table = self._build_ring_table(_in_sorted(alive_arr, self.neighbors))
+        rows = base = None
+        if self._carry is not None:
+            rows, was_alive, base = self._carry
+            self._carry = None
+            flipped = _in_sorted(was_alive, self.ids) != _in_sorted(
+                alive_arr, self.ids
+            )
+            listing = np.flatnonzero(flipped[self.nbr_pos])
+            rows = np.union1d(
+                rows, np.searchsorted(self.indptr, listing, side="right") - 1
+            )
+        table = self._build_ring_table(alive_arr, rows, base)
         self._live_table = (alive_arr, table)
         return table
 
@@ -411,6 +457,7 @@ class CompiledNetwork:
         )
         self._ring_tables = tuple(ring_tables) if ring_tables is not None else None
         self._live_table = None
+        self._carry = None
         return self
 
     def to_arena(

@@ -144,8 +144,15 @@ def main(argv=None) -> int:
         f"{served / max(elapsed, 1e-9):,.0f} lookups/s sustained "
         f"({elapsed:.2f} s wall)"
     )
+    snapshot = registry.snapshot()
+    views = snapshot.counters
+    print(
+        f"view: {views.get('serve.view.refreshes', 0)} refreshes, "
+        f"{views.get('serve.view.rows_rebuilt', 0)} rows rebuilt, "
+        f"{views.get('serve.view.rows_reused', 0)} rows reused"
+    )
     if args.slo_report:
-        print(SLOReport.from_snapshot(registry.snapshot()).render())
+        print(SLOReport.from_snapshot(snapshot).render())
     if args.assert_complete:
         submitted = report.counters["submitted"]
         if served != submitted or runtime.outstanding != 0:

@@ -17,11 +17,12 @@ makes the two engines differentially comparable hop for hop.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from ..perf.kernels import CompiledNetwork
+from ..obs import metrics as obs_metrics
+from ..perf.kernels import CompiledNetwork, _in_sorted
 
 __all__ = ["FREE", "RUNNING", "WAITING", "FrontierBatcher", "compile_protocol_view"]
 
@@ -108,20 +109,92 @@ def compile_protocol_view(
     in-flight lookups parked on them resolve as lost, not as key errors)
     but no contacts.  Recompile after churn and keep stepping the same
     :class:`~repro.perf.kernels.InFlightFrontier` — its state is id-based.
+
+    The cost follows the net, not its population: the pair returned last
+    time is held on the net, and only the rows of the ids its ``_touch``
+    and membership hooks reported since are rebuilt and spliced into it
+    (the first call finds nothing held, so every row is such a row).  A
+    net nothing was written to gets the very same pair back.  Every array
+    handed out is a read-only snapshot that no later call edits.
     """
-    ids = np.asarray(sorted(net.nodes), dtype=np.uint64)
+    held = net._view
+    dirty = net._view_dirty
+    rebuilt = 0
+    if held is None or dirty:
+        held, rebuilt = _refresh_view(net, held)
+        net._view = held
+        dirty.clear()
+    registry = obs_metrics.active_registry()
+    if registry is not None:
+        registry.counter("serve.view.refreshes").inc()
+        registry.counter("serve.view.rows_rebuilt").inc(rebuilt)
+        registry.counter("serve.view.rows_reused").inc(held[0].n - rebuilt)
+    return held
+
+
+def _refresh_view(net, held):
+    """The view of ``net`` given the one ``held`` (or none) for it.
+
+    Every id written since ``held`` was taken has a row that may differ:
+    still known (row rebuilt, empty unless alive) or forgotten (row
+    dropped).  Returns the new pair and the number of rows rebuilt.
+    """
+    if held is None:
+        order = sorted(net.nodes)
+        old_ids = old_neighbors = np.zeros(0, dtype=np.uint64)
+        old_indptr = np.zeros(1, dtype=np.int64)
+        old_pos = np.zeros(0, dtype=np.int64)
+    else:
+        order = sorted(net._view_dirty)
+        old = held[0]
+        old_ids, old_indptr = old.ids, old.indptr
+        old_neighbors, old_pos = old.neighbors, old.nbr_pos
     known = net.nodes
-    live = set(net.live_view())
+    flat: List[int] = []
+    ends: List[int] = []
+    here: List[bool] = []
+    for nid in order:
+        node = known.get(nid)
+        here.append(node is not None)
+        if node is not None and node.alive:
+            flat.extend(sorted(c for c in node.routing_contacts() if c in known))
+        ends.append(len(flat))
+    fresh = np.asarray(flat, dtype=np.uint64)
+    end = np.asarray(ends, dtype=np.int64)
+    start = np.zeros_like(end)
+    start[1:] = end[:-1]
+    written = np.asarray(order, dtype=np.uint64)
+    is_here = np.asarray(here, dtype=bool)
+    was_here = _in_sorted(old_ids, written)
+    carried = ~_in_sorted(written, old_ids)  # old rows nothing wrote to
+    same_ids = held is not None and np.array_equal(is_here, was_here)
+    if same_ids:
+        ids = old_ids
+    else:
+        ids = np.union1d(old_ids[carried], written[is_here])
+    # Row lengths: the rows carried over, then the rebuilt ones.
+    counts = np.zeros(ids.size, dtype=np.int64)
+    counts[np.searchsorted(ids, old_ids[carried])] = np.diff(old_indptr)[carried]
+    rows = np.searchsorted(ids, written[is_here])
+    counts[rows] = (end - start)[is_here]
     indptr = np.zeros(ids.size + 1, dtype=np.int64)
-    flat: list = []
-    for i, nid in enumerate(ids.tolist()):
-        if nid in live:
-            flat.extend(
-                sorted(c for c in known[nid].routing_contacts() if c in known)
-            )
-        indptr[i + 1] = len(flat)
-    neighbors = np.asarray(flat, dtype=np.uint64)
-    nbr_pos = np.searchsorted(ids, neighbors).astype(np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    # Where each written id's old row sits in the flat arrays (an empty
+    # range at its insertion point when the old view did not have it).
+    at = np.searchsorted(old_ids, written)
+    cuts = list(
+        zip(old_indptr[at].tolist(), old_indptr[at + was_here].tolist(), start.tolist())
+    )
+    neighbors = _splice(old_neighbors, fresh, cuts)
+    if same_ids:
+        nbr_pos = _splice(
+            old_pos, np.searchsorted(ids, fresh).astype(np.int64), cuts
+        )
+    else:
+        nbr_pos = np.searchsorted(ids, neighbors).astype(np.int64)
+    alive = np.asarray(net.live_view(), dtype=np.uint64)
+    for arr in (ids, indptr, neighbors, nbr_pos, alive):
+        arr.flags.writeable = False
     compiled = CompiledNetwork.from_arrays(
         metric="ring",
         bits=net.space.bits,
@@ -130,5 +203,24 @@ def compile_protocol_view(
         neighbors=neighbors,
         nbr_pos=nbr_pos,
     )
-    alive_arr = np.asarray(net.live_view(), dtype=np.uint64)
-    return compiled, alive_arr
+    if same_ids:
+        compiled.carry_table(held[0], rows)
+    return (compiled, alive), int(rows.size)
+
+
+def _splice(old: np.ndarray, fresh: np.ndarray, cuts) -> np.ndarray:
+    """``old`` with each ``[lo, hi)`` of ``cuts`` replaced by fresh rows.
+
+    ``cuts`` ascend, each ``(lo, hi, s)`` with its fresh row starting at
+    ``fresh[s]`` and ending where the next one starts, so rows rebuilt
+    next to each other go in as one piece (a first compile is one piece).
+    """
+    pieces = []
+    done = run = 0
+    for lo, hi, s in cuts:
+        if lo > done:
+            pieces += (fresh[run:s], old[done:lo])
+            run = s
+        done = hi
+    pieces += (fresh[run:], old[done:])
+    return np.concatenate(pieces)

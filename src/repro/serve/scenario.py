@@ -8,8 +8,10 @@ only changes at non-lookup events, so buffering is sound) and drained
 through one :class:`~repro.serve.runtime.ServeRuntime`, while every
 non-lookup event is delegated to ``run_schedule`` single-event slices so
 joins, crashes, domain kills, partitions, heals, puts/gets and
-checkpoints behave identically to the scalar replay.  After any
-membership change the compiled view is recompiled before the next batch.
+checkpoints behave identically to the scalar replay.  Before each batch
+the runtime gets the net's current view; the net's own change record
+decides whether that is the one already installed (a ``put`` / ``get``
+slice writes nothing to the net and costs no recompile).
 
 The delivered/offered ratio lands in the standard per-scenario ``slo.*``
 instruments under ``<scenario>.serve``, next to the scalar run's label.
@@ -75,15 +77,13 @@ def serve_schedule(
     pending_sources: List[int] = []
     pending_keys: List[int] = []
     sub_reports: List[ScheduleReport] = []
-    view_dirty = False
 
     def flush() -> None:
-        nonlocal view_dirty
         if not pending_sources:
             return
-        if view_dirty:
-            runtime.set_view(*compile_protocol_view(net))
-            view_dirty = False
+        view = compile_protocol_view(net)
+        if view[0] is not runtime.compiled:
+            runtime.set_view(*view)
         runtime.submit_many(pending_sources, pending_keys)
         runtime.drain()
         pending_sources.clear()
@@ -102,7 +102,6 @@ def serve_schedule(
                 net, [event], data=data, min_population=min_population
             )
         )
-        view_dirty = True
     flush()
     return runtime.report(), sub_reports
 

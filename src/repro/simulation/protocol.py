@@ -91,6 +91,12 @@ class SimulatedCrescendo:
     :meth:`_touch` fires after every mutation of a node's contact-bearing
     ring state (fingers or leaf sets).  The protocol logic itself never
     branches on the engine.
+
+    Every one of those hooks also records the node id in ``_view_dirty``:
+    the ids whose row of the compiled serving view may differ from the
+    snapshot held in ``_view``.  Both attributes are read and reset only by
+    :func:`repro.serve.batcher.compile_protocol_view`, which rebuilds those
+    rows and no others — a write that skips the hooks leaves the view stale.
     """
 
     #: Which maintenance engine this class implements (see
@@ -120,24 +126,32 @@ class SimulatedCrescendo:
         self.listeners: List = []
         #: cached sorted live-id view (invalidated on membership changes).
         self._live_cache: Optional[List[int]] = None
+        #: ids written since ``_view``, the last compiled serving view, was
+        #: taken (see the class docstring).
+        self._view_dirty: Set[int] = set()
+        self._view: Optional[tuple] = None
 
     # ----------------------------------------------------- subclass hooks
 
     def _membership_added(self, node: ProtocolNode) -> None:
         """A node joined (called after ``nodes``/``hierarchy`` updates)."""
         self._live_cache = None
+        self._view_dirty.add(node.node_id)
 
     def _membership_crashed(self, node: ProtocolNode) -> None:
         """A node crashed silently (``alive`` already flipped)."""
         self._live_cache = None
+        self._view_dirty.add(node.node_id)
 
     def _membership_removed(self, node_id: int, path: DomainPath) -> None:
         """A node was forgotten (called after ``nodes``/``hierarchy`` updates)."""
         self._live_cache = None
+        self._view_dirty.add(node_id)
 
     def _membership_revived(self, node: ProtocolNode) -> None:
         """A suspended node came back (``alive`` already flipped back)."""
         self._live_cache = None
+        self._view_dirty.add(node.node_id)
 
     def _touch(self, node_id: int) -> None:
         """A node's ring state changed (cache-invalidation point).
@@ -146,6 +160,7 @@ class SimulatedCrescendo:
         predecessor pointer, so a subclass tracking read-dependencies sees
         every write that could change another node's maintenance outcome.
         """
+        self._view_dirty.add(node_id)
 
     def _observe_live(self, node_id: Optional[int]) -> bool:
         """Is ``node_id`` a live node?

@@ -32,6 +32,7 @@ from repro.serve import (
     compile_protocol_view,
     run_open_loop,
 )
+from repro.perf.kernels import CompiledNetwork
 from repro.serve.batcher import FREE, RUNNING, WAITING
 from repro.serve.runtime import _CompletionStage
 from repro.serve.testbed import build_serving_net, domain_labeler, lookup_workload
@@ -437,6 +438,47 @@ class TestStagingMatchesScalarLoop:
         assert report.counters["expired"] == 1
         assert report.counters["hedge_cancelled"] == 1
         assert runtime.in_flight == 0
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP aim 3, found by reading: _fail_or_retry sets a slot "
+        "WAITING that _stage_complete released earlier in the same tick",
+    )
+    def test_primary_failing_in_the_tick_its_hedge_wins_is_not_retried(self):
+        # Node 10 has no contacts and key 25 is node 20's: the primary stops
+        # short at 10 (FAIL, one attempt left), its hedge is stuck at the
+        # responsible node (OK) — both in this one tick.
+        ids = np.asarray([10, 20, 30], dtype=np.uint64)
+        view = CompiledNetwork.from_arrays(
+            metric="ring",
+            bits=8,
+            ids=ids,
+            indptr=np.asarray([0, 0, 1, 1], dtype=np.int64),
+            neighbors=np.asarray([30], dtype=np.uint64),
+            nbr_pos=np.asarray([2], dtype=np.int64),
+        )
+        runtime = ServeRuntime(view, ids, policy=ServePolicy(max_attempts=2))
+        b = runtime.batcher
+        primary, hedge = b.alloc(2).tolist()
+        b.ticket[[primary, hedge]] = 0
+        b.state[[primary, hedge]] = RUNNING
+        b.src[[primary, hedge]] = 10
+        b.cur[[primary, hedge]] = 10, 20
+        b.dest[[primary, hedge]] = 25
+        b.attempt[[primary, hedge]] = 1
+        b.deadline_ms[[primary, hedge]] = np.inf
+        b.is_hedge[hedge] = True
+        b.twin[[primary, hedge]] = hedge, primary
+        runtime._next_ticket = 1
+        runtime.tick()
+        report = runtime.report()
+        assert report.tickets.tolist() == [0]
+        assert report.status.tolist() == [STATUS_OK]
+        assert report.counters["hedge_wins"] == 1
+        # the ticket is settled: no slot both free and in flight, no retry
+        assert all(b.state[slot] == FREE for slot in b._free)
+        assert b.slots_in(WAITING).size == 0
+        assert report.counters["retries"] == 0
 
     def test_failing_runner_with_a_live_twin_is_dropped(self, staging_view):
         runners = [(7, WAITING, False, 1), (7, RUNNING, True, 0), (8, RUNNING, False, -1)]
