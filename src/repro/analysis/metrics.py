@@ -205,6 +205,7 @@ def sample_routing(
     delivered = 0
     total = len(workload)
     with PROFILER.phase("route"):
+        batch = None
         if compiled is not None:
             # Full paths are only materialized when something consumes
             # them; a latency table needs none (the kernels accumulate).
@@ -219,50 +220,29 @@ def sample_routing(
                 paths=need_paths,
                 latency=table,
             )
+        if batch is not None and batch.paths is None:
+            # Nothing observes single routes: account in arrays.
             ok = batch.success & (batch.terminals == batch.dest_keys)
-            if not need_paths:
-                delivered = int(ok.sum())
-                hops = batch.hops[ok].tolist()
-                if table is not None:
-                    latencies = batch.latency_ms[ok].tolist()
-                    if track_slo:
-                        delivered_pairs = [
-                            workload[i] for i in range(total) if ok[i]
-                        ]
-            else:
-                for i, result in enumerate(batch.routes()):
-                    lat = (
-                        float(batch.latency_ms[i])
-                        if table is not None
-                        else (
-                            result.latency(latency_fn)
-                            if latency_fn is not None
-                            else None
-                        )
-                    )
-                    if tracer is not None:
-                        extra = {} if lat is None else {"latency_ms": lat}
-                        tracer.route(result, hierarchy=network.hierarchy, **extra)
-                    if not ok[i]:
-                        continue
-                    delivered += 1
-                    hops.append(result.hops)
-                    if registry is not None:
-                        crossings.append(result.domain_crossings(network.hierarchy))
-                    if lat is not None:
-                        latencies.append(lat)
-                    if track_slo:
-                        delivered_pairs.append(workload[i])
+            delivered = int(ok.sum())
+            hops = batch.hops[ok].tolist()
+            if table is not None:
+                latencies = batch.latency_ms[ok].tolist()
         else:
-            for src, dst in workload:
-                result = router(network, src, dst)
-                lat = (
-                    result.latency(latency_fn) if latency_fn is not None else None
-                )
+            # One accounting loop over (route, kernel latency or None),
+            # whichever engine routed.
+            if batch is None:
+                routed = ((router(network, src, dst), None) for src, dst in workload)
+            elif table is None:
+                routed = ((result, None) for result in batch.routes())
+            else:
+                routed = zip(batch.routes(), batch.latency_ms.tolist())
+            for pair, (result, lat) in zip(workload, routed):
+                if lat is None and latency_fn is not None:
+                    lat = result.latency(latency_fn)
                 if tracer is not None:
                     extra = {} if lat is None else {"latency_ms": lat}
                     tracer.route(result, hierarchy=network.hierarchy, **extra)
-                if not (result.success and result.terminal == dst):
+                if not (result.success and result.terminal == pair[1]):
                     continue
                 delivered += 1
                 hops.append(result.hops)
@@ -271,7 +251,7 @@ def sample_routing(
                 if lat is not None:
                     latencies.append(lat)
                 if track_slo:
-                    delivered_pairs.append((src, dst))
+                    delivered_pairs.append(pair)
     if registry is not None:
         registry.counter("route.samples").inc(total)
         registry.counter("route.delivered").inc(delivered)

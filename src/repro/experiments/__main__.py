@@ -143,11 +143,11 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--engine",
-        default="auto",
-        choices=("auto", "fast", "reference"),
-        help="dynamic-maintenance engine for churn simulations: auto "
-        "(array-backed fast engine; default), fast (force it), reference "
-        "(the message-by-message reference implementation)",
+        default="fast",
+        choices=("fast", "reference"),
+        help="dynamic-maintenance engine for churn simulations: fast "
+        "(array-backed; default) or reference (the message-by-message "
+        "reference implementation)",
     )
     parser.add_argument(
         "--verify",
@@ -196,7 +196,7 @@ def main(argv=None) -> int:
         if args.verify:
             set_auto_verify(False)
         perf_build.set_build_mode("auto")
-        perf_dynamic.set_engine_mode("auto")
+        perf_dynamic.set_engine_mode("fast")
         perf_executor.set_default_jobs(1)
         perf_arena.set_default_arena(False)
         if cache is not None:

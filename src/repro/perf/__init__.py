@@ -101,8 +101,6 @@ from .kernels import (
     BatchResult,
     CompiledNetwork,
     batch_route,
-    batch_route_ring,
-    batch_route_xor,
     compile_network,
 )
 from .storage import (
@@ -139,8 +137,6 @@ __all__ = [
     "active_cache",
     "attach_network",
     "batch_route",
-    "batch_route_ring",
-    "batch_route_xor",
     "builder_tag",
     "bulk_enabled",
     "bulk_put",

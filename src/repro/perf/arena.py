@@ -405,9 +405,7 @@ def export_network(
         arrays["ring_ids_small"] = ids_small
         meta["ring_width"] = int(dist2d.shape[1])
     else:
-        arrays["aug"] = compiled.aug
-        arrays["cand_ids"] = compiled.cand_ids
-        arrays["cand_aug"] = compiled.cand_aug
+        arrays["aug"], arrays["cand_ids"], arrays["cand_aug"] = compiled._xor_table()
     if top_domain is not None:
         arrays["top_domain"] = np.asarray(top_domain, dtype=np.int32)
     if latency is not None:
@@ -447,8 +445,7 @@ def attach_network(manifest: ArenaManifest) -> NetworkView:
 
     arrays = attach(manifest)
     meta = manifest.meta
-    ring_tables = None
-    aug = cand_ids = cand_aug = None
+    ring_tables = xor_tables = None
     if "ring_dist2d" in arrays:
         ring_tables = (
             arrays["ring_dist2d"],
@@ -456,7 +453,7 @@ def attach_network(manifest: ArenaManifest) -> NetworkView:
             arrays["ring_ids_small"],
         )
     if "aug" in arrays:
-        aug, cand_ids, cand_aug = arrays["aug"], arrays["cand_ids"], arrays["cand_aug"]
+        xor_tables = (arrays["aug"], arrays["cand_ids"], arrays["cand_aug"])
     compiled = CompiledNetwork.from_arrays(
         metric=meta["metric"],
         bits=meta["bits"],
@@ -464,9 +461,7 @@ def attach_network(manifest: ArenaManifest) -> NetworkView:
         indptr=arrays["indptr"],
         neighbors=arrays["neighbors"],
         nbr_pos=arrays["nbr_pos"],
-        aug=aug,
-        cand_ids=cand_ids,
-        cand_aug=cand_aug,
+        xor_tables=xor_tables,
         ring_tables=ring_tables,
     )
     latency = None

@@ -54,9 +54,9 @@ message counts and final link tables; the churn fuzzer runs with either
 engine via ``--engine``.
 
 Engine selection mirrors :func:`repro.perf.build.set_build_mode`: a
-process-wide mode (``auto`` — the default, resolving to ``fast`` —,
-``fast`` or ``reference``) consulted by :func:`make_protocol`, plus the
-``--engine`` flag on the experiments and verify CLIs.
+process-wide mode (``fast``, the default, or ``reference``) consulted by
+:func:`make_protocol`, plus the ``--engine`` flag on the experiments and
+verify CLIs.
 """
 
 from __future__ import annotations
@@ -72,10 +72,10 @@ from ..core.routing import MAX_HOPS, Route
 from ..simulation.events import FastSimulator, Simulator
 from ..simulation.protocol import ProtocolNode, SimulatedCrescendo, _dedup
 
-#: Recognized engine modes (``auto`` resolves to ``fast``).
-ENGINE_MODES: Tuple[str, ...] = ("auto", "fast", "reference")
+#: Recognized engine modes.
+ENGINE_MODES: Tuple[str, ...] = ("fast", "reference")
 
-_engine_mode = "auto"
+_engine_mode = "fast"
 
 
 def set_engine_mode(mode: str) -> None:
@@ -100,7 +100,7 @@ def resolve_engine(engine: Optional[str] = None) -> str:
         raise ValueError(
             f"unknown engine mode {mode!r}; expected one of {ENGINE_MODES}"
         )
-    return "fast" if mode in ("auto", "fast") else "reference"
+    return mode
 
 
 def make_protocol(

@@ -55,7 +55,7 @@ from ..core.routing import MAX_HOPS
 from ..obs import metrics as obs_metrics
 from ..storage.store import HierarchicalStore, Pointer, SearchResult, StoredItem
 from ..storage.replication import ReplicatedStore
-from .kernels import CompiledNetwork, _in_sorted, compile_network
+from .kernels import CompiledNetwork, _in_sorted, _ring_hop, compile_network
 
 _U64 = np.uint64
 
@@ -590,13 +590,7 @@ class CompiledStore:
         lat = np.zeros(m, dtype=np.float64) if lat_state is not None else None
         if lat_state is not None:
             lr, lmat, lhop2 = lat_state
-        dist2d, posflat, ids_small = compiled._ring_matrix()
-        dt = dist2d.dtype.type
-        width = dist2d.shape[1]
-        small_mask = (
-            None if int(compiled.mask) == np.iinfo(dt).max else dt(compiled.mask)
-        )
-        dest_small = key_hashes.astype(dt)
+        table = compiled._ring_matrix()[:2]
         probes = 0
         active = np.arange(m, dtype=np.int64)
         for _ in range(MAX_HOPS):
@@ -637,13 +631,8 @@ class CompiledStore:
                 if active.size == 0:
                     break
             # One greedy ring step for the remaining frontier.
-            current_ids = ids_small[frontier]
-            remaining = dest_small[active] - current_ids
-            if small_mask is not None:
-                remaining &= small_mask
-            candidates = dist2d[frontier]
-            first = (candidates <= remaining[:, None]).argmax(axis=1)
-            nxt = posflat[frontier * width + first].astype(np.int64)
+            remaining = (key_hashes[active] - compiled.ids[frontier]) & compiled.mask
+            nxt = _ring_hop(table, frontier, remaining)
             moved = nxt != frontier
             stuck = active[~moved]
             if stuck.size:

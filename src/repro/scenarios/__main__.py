@@ -58,7 +58,7 @@ def _common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--engine",
         choices=ENGINE_MODES,
-        default="auto",
+        default="fast",
         help="maintenance engine (scenarios are engine-agnostic)",
     )
     sub.add_argument(

@@ -222,7 +222,7 @@ def bootstrap_placement(
 
 
 def bootstrap_scenario(
-    spec: ScenarioSpec, seed: int, engine: str = "auto"
+    spec: ScenarioSpec, seed: int, engine: str = "fast"
 ) -> SimulatedCrescendo:
     """A bootstrapped, converged network for the scenario (either engine)."""
     from ..perf.dynamic import make_protocol

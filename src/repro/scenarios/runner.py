@@ -280,7 +280,7 @@ def _record_slo(
 def run_scenario(
     spec: ScenarioSpec,
     seed: int = 0,
-    engine: str = "auto",
+    engine: str = "fast",
     families: Sequence[str] = MATRIX_FAMILIES,
     routing_pairs: int = 12,
     events: Optional[Sequence[Event]] = None,
@@ -506,7 +506,7 @@ def run_matrix(
     names: Optional[Sequence[str]] = None,
     scale: str = "smoke",
     seed: int = 0,
-    engine: str = "auto",
+    engine: str = "fast",
     families: Sequence[str] = MATRIX_FAMILIES,
     routing_pairs: int = 12,
     cross_check: bool = False,

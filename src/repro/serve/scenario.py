@@ -109,7 +109,7 @@ def serve_schedule(
 def serve_scenario(
     spec,
     seed: int = 0,
-    engine: str = "auto",
+    engine: str = "fast",
     policy: Optional[ServePolicy] = None,
     latency: bool = True,
 ) -> ServingScenarioResult:

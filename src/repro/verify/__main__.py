@@ -84,8 +84,8 @@ def main(argv=None) -> int:
     fuzz.add_argument(
         "--engine",
         choices=ENGINE_MODES,
-        default="auto",
-        help="maintenance engine for the replayed network (default: auto); "
+        default="fast",
+        help="maintenance engine for the replayed network (default: fast); "
         "any failing schedule must reproduce under either engine",
     )
     fuzz.add_argument(
@@ -101,7 +101,7 @@ def main(argv=None) -> int:
     rep.add_argument(
         "--engine",
         choices=ENGINE_MODES,
-        default="auto",
+        default="fast",
         help="maintenance engine to replay with (fixtures are engine-agnostic)",
     )
 

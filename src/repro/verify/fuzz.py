@@ -74,10 +74,10 @@ class FuzzConfig:
     #: :class:`~repro.verify.oracles.DurabilityMonitor`, and every
     #: checkpoint runs :func:`~repro.verify.oracles.check_durability`.
     data_replicas: Optional[int] = None
-    #: maintenance engine to replay with ("auto"/"fast"/"reference") —
+    #: maintenance engine to replay with ("fast"/"reference") —
     #: runtime-only, deliberately not serialized into fixtures: any fixture
     #: must replay identically under either engine.
-    engine: str = "auto"
+    engine: str = "fast"
 
 
 @dataclass

@@ -7,7 +7,9 @@ deterministic (fixed seeds) so failures reproduce.
 from __future__ import annotations
 
 import random
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from repro import (
@@ -62,6 +64,21 @@ def make_chord(size=400, seed=7, bits=32):
     ids = space.random_ids(size, rng)
     hierarchy = build_uniform_hierarchy(ids, 4, 1, rng)
     return ChordNetwork(space, hierarchy).build()
+
+
+def scalar_view(compiled):
+    """What the scalar engines of ``repro.core.routing`` read of a network
+    (``space``, ``links``, ``node_ids``), rebuilt from a compiled view's CSR
+    arrays — so ``route_ring(alive=...)`` / ``route_xor(alive=...)`` can
+    referee kernels over views no DHT builder produced."""
+    ids = compiled.ids.tolist()
+    rows = np.split(compiled.neighbors, compiled.indptr[1:-1])
+    return SimpleNamespace(
+        space=IdSpace(compiled.bits),
+        node_ids=ids,
+        links={node: row.tolist() for node, row in zip(ids, rows)},
+        hierarchy=None,
+    )
 
 
 @pytest.fixture(scope="session")

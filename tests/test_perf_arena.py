@@ -157,7 +157,7 @@ class TestDtypeMinimization:
         rng = random.Random(57)
         stats = sample_routing_compiled(compiled, rng, samples=30)
         assert stats.success_rate == 1.0
-        assert compiled._aug_cache is None  # lazy: ring routing built none
+        assert compiled._xor_tables is None  # lazy: ring routing built none
 
 
 class TestLifecycle:

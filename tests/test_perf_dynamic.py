@@ -41,10 +41,11 @@ FIXTURE = Path(__file__).parent / "fixtures" / "fuzz_counterexample.json"
 
 class TestEngineSelection:
     def teardown_method(self):
-        set_engine_mode("auto")
+        set_engine_mode("fast")
 
-    def test_auto_resolves_to_fast(self):
-        assert resolve_engine("auto") == "fast"
+    def test_default_mode_is_fast(self):
+        assert get_engine_mode() == "fast" and resolve_engine() == "fast"
+        assert ENGINE_MODES == ("fast", "reference")
         assert resolve_engine("fast") == "fast"
         assert resolve_engine("reference") == "reference"
 
@@ -64,7 +65,7 @@ class TestEngineSelection:
         set_engine_mode("reference")
         assert get_engine_mode() == "reference"
         assert type(make_protocol(IdSpace(16))) is SimulatedCrescendo
-        set_engine_mode("auto")
+        set_engine_mode("fast")
         assert isinstance(make_protocol(IdSpace(16)), FastSimulatedCrescendo)
 
     def test_unknown_mode_rejected(self):
@@ -72,7 +73,8 @@ class TestEngineSelection:
             set_engine_mode("turbo")
         with pytest.raises(ValueError, match="unknown engine mode"):
             resolve_engine("turbo")
-        assert "turbo" not in ENGINE_MODES
+        with pytest.raises(ValueError, match="unknown engine mode"):
+            resolve_engine("auto")  # gone: it only ever meant "fast"
 
 
 class TestNodeArena:
@@ -200,7 +202,7 @@ class TestEngineEquivalence:
             reports[engine] = [
                 (v.check, v.family, v.node, v.level) for v in report.violations
             ]
-        assert reports["fast"] == reports["reference"] == reports["auto"]
+        assert reports["fast"] == reports["reference"]
 
 
 class TestMemoization:

@@ -16,8 +16,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import scalar_view
 from repro import IdSpace, build_uniform_hierarchy
-from repro.core.routing import LiveSet, route_ring, route_xor
+from repro.core.routing import (
+    LiveSet,
+    _best_ring_step,
+    _is_responsible,
+    route_ring,
+    route_xor,
+)
 from repro.dhts.cacophony import CacophonyNetwork
 from repro.dhts.can import build_can
 from repro.dhts.cancan import build_cancan
@@ -30,7 +37,6 @@ from repro.dhts.symphony import SymphonyNetwork
 from repro.perf.kernels import (
     CompiledNetwork,
     batch_route,
-    batch_route_ring,
     compile_network,
 )
 from repro.perf.latency import LatencyTable
@@ -142,7 +148,7 @@ class TestCompiledLayout:
             assert compiled.neighbors[start:end].tolist() == network.links[node]
         # Augmented keys are globally strictly increasing: one searchsorted
         # performs every node's binary search at once.
-        assert np.all(np.diff(compiled.aug) > 0)
+        assert np.all(np.diff(compiled._xor_table()[0]) > 0)
 
     def test_compile_is_memoized_per_network(self):
         network, _ = build_family("chord", 0)
@@ -178,20 +184,20 @@ class TestCompiledLayout:
 class TestBatchResult:
     def test_routes_requires_paths(self):
         network, rng = build_family("crescendo", 0)
-        result = batch_route_ring(network, workload(network, rng, count=10))
+        result = batch_route(network, workload(network, rng, count=10))
         with pytest.raises(ValueError):
             next(result.routes())
 
     def test_delivered_counts_key_hits(self):
         network, rng = build_family("crescendo", 0)
         pairs = [tuple(rng.sample(network.node_ids, 2)) for _ in range(50)]
-        result = batch_route_ring(network, pairs)
+        result = batch_route(network, pairs)
         assert result.delivered == 50  # node-id lookups always deliver
         assert result.size == 50
 
     def test_empty_batch(self):
         network, _ = build_family("chord", 0)
-        result = batch_route_ring(network, [])
+        result = batch_route(network, [])
         assert result.size == 0 and result.delivered == 0
 
 
@@ -211,14 +217,14 @@ def test_property_random_pairs_identical(seed, data):
     assert_identical(network, pairs)
 
 
-# ------------------------------------------- live table vs the scan reference
+# ------------------------------------ the step vs the scalar engines' scan
 
 RING_BITS = 10
 
 
-def _random_ring_view(rng):
-    """A random ring CSR (any links, self-links and empty rows included)
-    and a latency table over it — nothing a DHT builder would guarantee."""
+def _random_view(rng, metric="ring"):
+    """A random CSR (any links, self-links and empty rows included) and a
+    latency table over it — nothing a DHT builder would guarantee."""
     n = int(rng.integers(2, 48))
     ids = np.sort(rng.choice(1 << RING_BITS, size=n, replace=False)).astype(np.uint64)
     rows = [
@@ -229,7 +235,7 @@ def _random_ring_view(rng):
     np.cumsum([row.size for row in rows], out=indptr[1:])
     neighbors = np.concatenate(rows).astype(np.uint64)
     compiled = CompiledNetwork.from_arrays(
-        metric="ring",
+        metric=metric,
         bits=RING_BITS,
         ids=ids,
         indptr=indptr,
@@ -267,22 +273,34 @@ def _random_lookups(compiled, alive, rng, count=40):
     return cur, dest
 
 
-def _scan_step(compiled, cur_ids, dest, alive, lat_state):
-    """One hop by the CSR scan: ``_ring_step_alive`` + ``_responsible``."""
-    pos = compiled._positions(cur_ids)
-    remaining = (dest - cur_ids) & compiled.mask
-    at_dest = remaining == 0
-    nxt, moved = compiled._ring_step_alive(pos, cur_ids, remaining, alive)
-    stuck = ~moved & ~at_dest
-    success = at_dest.copy()
-    success[stuck] = compiled._responsible(cur_ids[stuck], dest[stuck], alive)
-    next_ids = np.where(moved, compiled.ids[nxt], cur_ids)
-    routers, matrix, hop2 = lat_state
+def _scalar_step(net, cur_ids, dest, alive, latency):
+    """One hop per lookup by the scalar ring engine's own pieces:
+    ``_best_ring_step`` (a scan under a filter) and ``_is_responsible``."""
+    live = LiveSet(alive.tolist())
+    next_ids = cur_ids.copy()
+    moved = np.zeros(cur_ids.shape, dtype=bool)
+    success = np.zeros(cur_ids.shape, dtype=bool)
     hop_ms = np.zeros(cur_ids.shape, dtype=np.float64)
-    hop_ms[moved] = hop2 + matrix[
-        routers[pos[moved]], routers[nxt[moved]]
-    ].astype(np.float64)
+    for i, (cur, key) in enumerate(zip(cur_ids.tolist(), dest.tolist())):
+        nxt = _best_ring_step(net, cur, key, live)
+        if nxt is None:
+            success[i] = cur == key or _is_responsible(net, cur, key, live)
+        else:
+            next_ids[i], moved[i] = nxt, True
+            hop_ms[i] = latency.node_latency(cur, nxt)
     return next_ids, moved, success, hop_ms
+
+
+def _assert_scalar_routes(compiled, router, sources, keys, alive, latency, got):
+    """``got`` = (paths, success, latency_ms) equals the scalar ``router``
+    over the same view, route by route, latency as its left fold."""
+    net, live = scalar_view(compiled), LiveSet(alive.tolist())
+    paths, success, latency_ms = got
+    for i, (src, key) in enumerate(zip(sources.tolist(), keys.tolist())):
+        want = router(net, src, key, alive=live)
+        assert paths[i] == want.path, (i, src, key)
+        assert bool(success[i]) == want.success, (i, src, key)
+        assert float(latency_ms[i]) == want.latency(latency.node_latency)
 
 
 @settings(max_examples=60, deadline=None)
@@ -291,17 +309,19 @@ def _scan_step(compiled, cur_ids, dest, alive, lat_state):
     shares=st.lists(st.sampled_from([0.0, 0.2, 0.6, 0.9, 1.0]), min_size=2, max_size=4),
 )
 def test_property_live_table_step_matches_scan(seed, shares):
-    """``frontier_step`` over the per-view table is the scan step, hop by
-    hop, across view swaps (a new live array between steps)."""
+    """``frontier_step`` over the per-view table is the scalar engine's
+    filtered scan, hop by hop, across view swaps (a new live array between
+    steps)."""
     rng = np.random.default_rng(seed)
-    compiled, latency = _random_ring_view(rng)
+    compiled, latency = _random_view(rng)
+    net = scalar_view(compiled)
     lat_state = compiled._latency_state(latency)
     alive = _random_live(compiled, rng, shares[0])
     cur, dest = _random_lookups(compiled, alive, rng)
     for share in shares:
         alive = _random_live(compiled, rng, share)  # the view swap
         for _ in range(3):
-            want = _scan_step(compiled, cur, dest, alive, lat_state)
+            want = _scalar_step(net, cur, dest, alive, latency)
             got = compiled.frontier_step(cur, dest, alive, lat_state)
             for name, a, b in zip(("next_ids", "moved", "success", "hop_ms"), got, want):
                 assert np.array_equal(a, b), (name, share)
@@ -312,15 +332,12 @@ def test_property_live_table_step_matches_scan(seed, shares):
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**20), share=st.sampled_from([0.0, 0.3, 0.7, 1.0]))
 def test_property_stepping_to_quiescence_equals_route(seed, share):
-    """``step_frontier`` until nothing moves is ``route(alive=...)`` hop for
-    hop, with bit-equal latency."""
+    """``step_frontier`` until nothing moves is the scalar
+    ``route_ring(alive=...)`` hop for hop, with bit-equal latency."""
     rng = np.random.default_rng(seed)
-    compiled, latency = _random_ring_view(rng)
+    compiled, latency = _random_view(rng)
     alive = _random_live(compiled, rng, share)
     sources, keys = _random_lookups(compiled, alive, rng)
-    want = compiled.route(
-        sources, keys, alive=set(alive.tolist()), paths=True, latency=latency
-    )
     state = compiled.begin_frontier(sources, keys)
     paths = [[int(s)] for s in sources]
     while True:
@@ -330,8 +347,36 @@ def test_property_stepping_to_quiescence_equals_route(seed, share):
         for i in np.flatnonzero(state.cur != before):
             paths[i].append(int(state.cur[i]))
     assert np.all(state.done)
-    assert paths == want.paths
-    assert np.array_equal(state.hops, want.hops)
-    assert np.array_equal(state.cur, want.terminals)
-    assert np.array_equal(state.success, want.success)
-    assert np.array_equal(state.latency_ms, want.latency_ms)
+    assert [len(path) - 1 for path in paths] == state.hops.tolist()
+    _assert_scalar_routes(
+        compiled, route_ring, sources, keys, alive, latency,
+        (paths, state.success, state.latency_ms),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**20), share=st.sampled_from([0.0, 0.3, 0.7, 1.0]))
+def test_property_filtered_xor_route_equals_scalar(seed, share):
+    """``route_xor(alive=...)`` — the step, looped — is the scalar
+    ``route_xor(alive=...)`` on views with self-links and empty rows."""
+    rng = np.random.default_rng(seed)
+    compiled, latency = _random_view(rng, metric="xor")
+    alive = _random_live(compiled, rng, share)
+    sources, keys = _random_lookups(compiled, alive, rng)
+    got = compiled.route_xor(
+        sources, keys, alive=set(alive.tolist()), paths=True, latency=latency
+    )
+    assert got.hops.tolist() == [len(path) - 1 for path in got.paths]
+    assert got.terminals.tolist() == [path[-1] for path in got.paths]
+    _assert_scalar_routes(
+        compiled, route_xor, sources, keys, alive, latency,
+        (got.paths, got.success, got.latency_ms),
+    )
+
+
+def test_filtered_route_steps_by_the_declared_metric():
+    network, _ = build_family("chord", 0)
+    with pytest.raises(ValueError, match="declared metric"):
+        compile_network(network).route_xor(
+            network.node_ids[:2], network.node_ids[:2], alive=set(network.node_ids)
+        )

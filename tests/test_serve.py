@@ -14,6 +14,8 @@ import random
 import numpy as np
 import pytest
 
+from conftest import scalar_view
+from repro.core.routing import LiveSet, route_ring
 from repro.serve import (
     STATUS_LOST,
     STATUS_OK,
@@ -70,24 +72,25 @@ class TestFrontierBatcher:
 
 
 class TestFrontierStepping:
-    """Repeated frontier_step calls must reproduce route() exactly."""
+    """Repeated frontier_step calls must reproduce the scalar engine exactly
+    (``compiled.route(alive=...)`` is the same stepping, so no referee)."""
 
     def test_stepping_matches_batch_route_with_latency(self):
         net, latency = build_serving_net(192, seed=3)
         compiled, alive = compile_protocol_view(net)
         sources, keys = lookup_workload(net, 300, seed=3)
-        expected = compiled.route(
-            sources, keys, alive=set(alive.tolist()), latency=latency
-        )
         state = compiled.begin_frontier(sources, keys)
         for _ in range(10_000):
             if compiled.step_frontier(state, alive, latency=latency) == 0:
                 break
         assert np.all(state.done)
-        assert np.array_equal(state.hops, expected.hops)
-        assert np.array_equal(state.cur, expected.terminals)
-        assert np.array_equal(state.success, expected.success)
-        assert np.allclose(state.latency_ms, expected.latency_ms)
+        view, live = scalar_view(compiled), LiveSet(alive.tolist())
+        for i, (src, key) in enumerate(zip(sources.tolist(), keys.tolist())):
+            want = route_ring(view, src, key, alive=live)
+            assert int(state.hops[i]) == want.hops
+            assert int(state.cur[i]) == want.terminal
+            assert bool(state.success[i]) == want.success
+            assert float(state.latency_ms[i]) == want.latency(latency.node_latency)
 
 
 class TestRuntimeBasics:

@@ -223,6 +223,36 @@ def test_a_rejected_alive_array_leaves_the_old_view_installed(engine):
     assert _same_tables(compiled._step_table(alive), fresh.bind_alive(fresh_alive))
 
 
+@pytest.mark.parametrize("carried", [False, True])
+def test_a_filtered_route_between_two_ticks_changes_no_report(carried):
+    """``route(alive=...)`` binds a live table of its own on the view it is
+    handed — evicting the one a runtime ticks under, or using up the table
+    carried for its next ``set_view``.  Either is a rebuild for the
+    runtime, never a step under the stranger's live set."""
+
+    def serve(intrude):
+        net, latency = build_serving_net(96, seed=4)
+        runtime = ServeRuntime(*compile_protocol_view(net), latency=latency)
+        sources, keys = lookup_workload(net, 150, seed=4)
+        runtime.submit_many(sources, keys)
+        runtime.tick()
+        view = (runtime.compiled, runtime.alive)
+        if carried:
+            net.crash(net.live_view()[5])
+            view = compile_protocol_view(net)
+            assert view[0]._carry is not None
+        if intrude:
+            view[0].route(sources[:9], keys[:9], alive=set(view[1][::2].tolist()))
+            assert view[0]._carry is None
+            assert view[0]._live_table[0] is not view[1]
+        if carried:
+            runtime.set_view(*view)
+        runtime.drain()
+        return _report_key(runtime.report())
+
+    assert serve(True) == serve(False)
+
+
 def test_a_data_slice_costs_no_recompile_and_no_rebind(monkeypatch):
     net, _ = build_serving_net(48, seed=5, with_latency=False)
     data = FastDataLayer(net, replicas=2)
