@@ -261,6 +261,173 @@ class TestBatchGet:
             assert violations == [], f"{family}: {violations[:3]}"
 
 
+# ---------------------------------------- batch get on crowded/empty buckets
+
+
+@pytest.fixture(scope="module")
+def crowded():
+    """A 60-node Crescendo on an 8-bit ring: distinct keys share hashes, so
+    buckets hold several entries — which no unique-key workload reaches."""
+    rng = random.Random("perf-storage-crowded")
+    topology = TransitStubTopology(SMALL_PARAMS, rng=rng)
+    space = IdSpace(8)
+    node_ids = space.random_ids(60, rng)
+    hierarchy = topology.attach_nodes(node_ids, rng)
+    return topology, CrescendoNetwork(space, hierarchy).build()
+
+
+RESULT_FIELDS = (
+    "values", "path", "found_at", "via_pointer", "pointer_hops", "content_node",
+)
+
+
+def assert_batch_equals_scalar(store, origins, keys, table=None):
+    """``batch_get`` over a fresh compile vs one scalar ``get`` per query."""
+    batch = CompiledStore(store).batch_get(origins, keys, latency=table)
+    results = list(batch.results())
+    assert len(results) == len(keys)
+    for i, fast in enumerate(results):
+        slow = store.get(origins[i], keys[i])
+        for name in RESULT_FIELDS:
+            assert getattr(slow, name) == getattr(fast, name), (i, name)
+        if table is not None:
+            assert float(batch.latency_ms[i]) == scalar_search_latency(
+                store.network, table, slow
+            )
+    return results
+
+
+def random_domains(net, rng, origin):
+    """A random legal ``(storage, access)`` pair for a put from ``origin``."""
+    path = net.hierarchy.path_of(origin)
+    storage = path[: rng.randrange(len(path) + 1)]
+    return storage, storage[: rng.randrange(len(storage) + 1)]
+
+
+def hash_twins(space, key, count):
+    """``count`` other key names with the same hash as ``key``."""
+    target = space.hash_key(key)
+    names = (f"twin-{i}" for i in range(1_000_000))
+    twins = (name for name in names if space.hash_key(name) == target)
+    return [next(twins) for _ in range(count)]
+
+
+class TestBatchGetCrowdedBuckets:
+    def test_repeated_keys_and_dangling_pointers_match_scalar(self, crowded):
+        topology, net = crowded
+        rng = random.Random("crowded-ops")
+        ids = list(net.node_ids)
+        store = HierarchicalStore(net)
+        for i in range(400):
+            origin = rng.choice(ids)
+            store.put(origin, f"key-{rng.randrange(40)}", f"value-{i}",
+                      *random_domains(net, rng, origin))
+        buckets = [b for per_node in store._items.values() for b in per_node.values()]
+        for bucket in buckets[::3]:
+            bucket.clear()  # pointers at this home now dangle
+        origins = [rng.choice(ids) for _ in range(800)]
+        keys = [f"key-{rng.randrange(50)}" for _ in range(800)]
+        results = assert_batch_equals_scalar(
+            store, origins, keys, topology.latency_table()
+        )
+        assert sum(len(r.values) > 1 for r in results) > 0
+        assert sum(r.via_pointer for r in results) > 0
+        assert sum(not r.found for r in results) > 0
+
+    def test_empty_batch(self, crowded):
+        topology, net = crowded
+        store = HierarchicalStore(net)
+        store.put(net.node_ids[0], "k", "v")
+        batch = CompiledStore(store).batch_get([], [], latency=topology.latency_table())
+        assert batch.size == 0 and batch.probes == 0
+        assert batch.paths == [] and batch.values == []
+        assert batch.found_at.size == batch.latency_ms.size == 0
+        assert list(batch.results()) == []
+
+    def test_items_without_pointers(self, crowded):
+        _, net = crowded
+        rng = random.Random("no-pointers")
+        ids = list(net.node_ids)
+        store = HierarchicalStore(net)
+        for i in range(120):
+            origin = rng.choice(ids)
+            storage, _ = random_domains(net, rng, origin)
+            store.put(origin, f"key-{rng.randrange(30)}", f"value-{i}", storage, storage)
+        assert not store._pointers
+        keys = [f"key-{rng.randrange(40)}" for _ in range(300)]
+        results = assert_batch_equals_scalar(
+            store, [rng.choice(ids) for _ in keys], keys
+        )
+        assert any(r.found for r in results)
+
+    def test_all_items_removed(self, crowded):
+        _, net = crowded
+        rng = random.Random("emptied")
+        ids = list(net.node_ids)
+        store = HierarchicalStore(net)
+        for i in range(120):
+            origin = rng.choice(ids)
+            store.put(origin, f"key-{i % 30}", f"value-{i}",
+                      *random_domains(net, rng, origin))
+        assert store._pointers
+        store._items.clear()
+        compiled = CompiledStore(store)
+        assert compiled._item_value == []
+        keys = [f"key-{rng.randrange(30)}" for _ in range(200)]
+        results = assert_batch_equals_scalar(
+            store, [rng.choice(ids) for _ in keys], keys
+        )
+        assert not any(r.found for r in results)
+
+    def test_only_unknown_keys_walk_toward_their_hash(self, crowded):
+        _, net = crowded
+        store = HierarchicalStore(net)
+        store.put(net.node_ids[0], "present", "value", (), ())
+        ids = list(net.node_ids)
+        keys = [f"absent-{i}" for i in range(len(ids))]
+        results = assert_batch_equals_scalar(store, ids, keys)
+        assert not any(r.found for r in results)
+        assert any(len(r.path) > 1 for r in results)
+
+    def test_hash_collision_twins_share_buckets_not_answers(self, crowded):
+        _, net = crowded
+        rng = random.Random("twin")
+        ids = list(net.node_ids)
+        store = HierarchicalStore(net)
+        stored_twin, absent_twin = hash_twins(net.space, "known", 2)
+        for i in range(60):  # both stored keys, items and pointers, all over
+            origin = rng.choice(ids)
+            key = ("known", stored_twin)[i % 2]
+            store.put(origin, key, f"{key}-{i}", *random_domains(net, rng, origin))
+        assert store._pointers
+        assert any(
+            len({item.key for item in bucket}) > 1
+            for per_node in store._items.values() for bucket in per_node.values()
+        )
+        origins = ids * 3
+        keys = ["known"] * len(ids) + [stored_twin] * len(ids) + [absent_twin] * len(ids)
+        results = assert_batch_equals_scalar(store, origins, keys)
+        for key, group in (("known", results[: len(ids)]),
+                           (stored_twin, results[len(ids): 2 * len(ids)])):
+            assert any(r.found for r in group)
+            assert all(v.startswith(key) for r in group for v in r.values)
+        assert not any(r.found for r in results[2 * len(ids):])
+
+    def test_key_put_after_compile_is_unknown_until_recompiled(self, crowded):
+        _, net = crowded
+        store = HierarchicalStore(net)
+        origin = net.node_ids[0]
+        store.put(origin, "early", "v0")
+        compiled = CompiledStore(store)
+        store.put(origin, "late", "v1")
+        stale = next(compiled.batch_get([origin], ["late"]).results())
+        assert not stale.found and stale.values == []
+        # Blind, but the same walk: a global put's home ends the greedy path.
+        assert stale.path == store.get(origin, "late").path
+        fresh = next(CompiledStore(store).batch_get([origin], ["late"]).results())
+        assert fresh.found and fresh.values == ["v1"]
+
+
 # ------------------------------------------------------------- repair scans
 
 
