@@ -42,8 +42,9 @@ loops:
   ``route(alive=...)`` is that step looped to quiescence, path capture
   included — there is no filtered whole-route loop.
 - ``_route_ring_fast`` and ``_route_xor_fast``, the unfiltered whole-route
-  loops over preallocated per-hop workspace, which the figure sweeps run
-  and which stepping cannot match (their docstrings carry the numbers).
+  loops over preallocated per-hop workspace, which the figure sweeps run.
+  Stepping could not match them while every hop searched for its position;
+  it does now (their docstrings carry the numbers).
 
 Every branch replicates the corresponding scalar branch exactly, so batch
 results are hop-for-hop identical to :func:`~repro.core.routing.route_ring`
@@ -135,13 +136,16 @@ class InFlightFrontier:
     :meth:`CompiledNetwork.route` call over the same pairs — under an
     ``alive`` filter that call *is* this struct stepped to quiescence.
 
-    ``cur`` holds node *ids* (not compiled positions), so the state
-    survives recompilation of the network view between steps: under churn
-    a caller can rebuild the CSR snapshot each tick and keep stepping the
-    same frontier.
+    ``pos`` holds compiled *positions*, resolved once by
+    :meth:`CompiledNetwork.begin_frontier`, so no hop searches for where
+    it stands.  A position belongs to the ``ids`` of the view that began
+    the frontier (``view.ids[state.pos]`` is the node id); ids are what
+    survives a view swap, so a caller stepping one frontier across views
+    whose ``ids`` differ re-resolves ``pos`` itself at each swap, as
+    :meth:`repro.serve.runtime.ServeRuntime.set_view` does for its slots.
     """
 
-    cur: np.ndarray  # uint64 current node id per lookup
+    pos: np.ndarray  # int64 current node's position in ``ids`` per lookup
     dest: np.ndarray  # uint64 destination key per lookup
     hops: np.ndarray  # int64 hops taken so far
     done: np.ndarray  # bool: a terminal decision was reached
@@ -201,6 +205,7 @@ class CompiledNetwork:
             Tuple[np.ndarray, Tuple[np.ndarray, np.ndarray]]
         ] = None
         self._carry: Optional[tuple] = None
+        self._gaps: Optional[Tuple[Optional[np.ndarray], np.ndarray]] = None
 
     def _xor_table(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(aug, cand_ids, cand_aug)``: the augmented search arrays (lazy).
@@ -431,6 +436,7 @@ class CompiledNetwork:
         self._ring_tables = tuple(ring_tables) if ring_tables is not None else None
         self._live_table = None
         self._carry = None
+        self._gaps = None
         return self
 
     def to_arena(
@@ -467,14 +473,17 @@ class CompiledNetwork:
 
     # ------------------------------------------------------------- plumbing
 
+    def _locate(self, values: np.ndarray) -> np.ndarray:
+        """Index of each value in ``ids``, ``-1`` where it is no node's id."""
+        pos = np.minimum(np.searchsorted(self.ids, values), self.n - 1)
+        return np.where(self.ids[pos] == values, pos, -1)
+
     def _positions(self, values: np.ndarray) -> np.ndarray:
         """Index of each value in ``ids`` (raises on unknown node ids)."""
-        pos = np.searchsorted(self.ids, values)
-        pos = np.minimum(pos, self.n - 1)
-        bad = self.ids[pos] != values
-        if np.any(bad):
-            raise KeyError(f"node {int(values[bad][0])} not in network")
-        return pos.astype(np.int64)
+        pos = self._locate(values)
+        if np.any(pos < 0):
+            raise KeyError(f"node {int(values[pos < 0][0])} not in network")
+        return pos
 
     def _latency_state(
         self, latency: Optional["LatencyTable"]
@@ -495,16 +504,25 @@ class CompiledNetwork:
 
     # ------------------------------------------------------- terminal checks
 
-    def _responsible(
-        self, cur_ids: np.ndarray, keys: np.ndarray, alive_arr: Optional[np.ndarray]
-    ) -> np.ndarray:
-        """Vectorized ``_is_responsible``: cyclic predecessor-or-equal match."""
-        ref = self.ids if alive_arr is None else alive_arr
-        if ref.size == 0:
-            return np.zeros(cur_ids.shape, dtype=bool)
-        pos = np.searchsorted(ref, keys, side="right").astype(np.int64) - 1
-        pos = np.where(pos < 0, ref.size - 1, pos)
-        return ref[pos] == cur_ids
+    def _ring_gaps(self, alive_arr: Optional[np.ndarray]) -> np.ndarray:
+        """Clockwise distance from each position's id to the next live id.
+
+        Vectorized ``_is_responsible`` as a per-view table: a lookup stuck
+        at position ``c`` is at its key's responsible node exactly when
+        ``remaining < gaps[c]`` — zero at a dead position, the whole ring
+        where one live node is its own successor (the wrap case).  Built
+        on the first stuck lookup under a view and held, like the
+        :meth:`bind_alive` table, by the live array's identity.
+        """
+        held = self._gaps
+        if held is None or held[0] is not alive_arr:
+            live = self.ids if alive_arr is None else alive_arr
+            at = self._locate(live)
+            gap = ((np.roll(live, -1) - live - _ONE) & self.mask) + _ONE
+            gaps = np.zeros(self.n, dtype=_U64)
+            gaps[at[at >= 0]] = gap[at >= 0]
+            self._gaps = held = (alive_arr, gaps)
+        return held[1]
 
     def _xor_closest(
         self, cur_ids: np.ndarray, keys: np.ndarray, alive_arr: Optional[np.ndarray]
@@ -609,7 +627,8 @@ class CompiledNetwork:
             if path_lists is not None:
                 # Rows stop for good, so the movers of step k have k hops.
                 movers = np.flatnonzero(state.hops == step)
-                for ri, nid in zip(movers.tolist(), state.cur[movers].tolist()):
+                stops = self.ids[state.pos[movers]].tolist()
+                for ri, nid in zip(movers.tolist(), stops):
                     path_lists[ri].append(nid)
         else:
             raise RuntimeError(
@@ -617,7 +636,7 @@ class CompiledNetwork:
             )
         lat = state.latency_ms if latency is not None else None
         return self._result(
-            src, dest, state.hops, state.cur, state.success, path_lists, lat
+            src, dest, state.hops, self.ids[state.pos], state.success, path_lists, lat
         )
 
     def _route_ring_fast(
@@ -647,7 +666,9 @@ class CompiledNetwork:
         step over the same routes (fresh arrays, a position search and a
         terminal check every hop) measured 2.0x this loop, 104 -> 207
         ns/hop at 4,096 nodes x 50,000 pairs with latency — the figure
-        sweeps' whole budget.
+        sweeps' whole budget.  Without the position search the two are
+        level (110 vs 106 ns/hop stepped, same shape), so this loop is a
+        duplicate path the figure sweeps could give up.
         """
         m = src.size
         path_lists = [[int(s)] for s in src] if paths else None
@@ -799,7 +820,8 @@ class CompiledNetwork:
 
         Kept beside :meth:`frontier_step` for the same reason as the ring
         loop: stepping the same routes measured 1.34x, 228 -> 305 ns/hop
-        at 4,096 nodes x 50,000 pairs with latency.
+        at 4,096 nodes x 50,000 pairs with latency — and, like it, level
+        with the step since positions are carried (210 vs 204 stepped).
         """
         m = src.size
         hops = np.zeros(m, dtype=np.int64)
@@ -930,11 +952,12 @@ class CompiledNetwork:
     def begin_frontier(
         self, sources: Sequence[int], dest_keys: Sequence[int]
     ) -> InFlightFrontier:
-        """Fresh in-flight state for ``(source, key)`` pairs (no hops yet)."""
+        """Fresh in-flight state for ``(source, key)`` pairs: no hops yet,
+        each source's position searched for here, once."""
         src, dest = _as_batch(sources, dest_keys)
         m = src.size
         return InFlightFrontier(
-            cur=src.copy(),
+            pos=self._positions(src),
             dest=dest,
             hops=np.zeros(m, dtype=np.int64),
             done=np.zeros(m, dtype=bool),
@@ -944,7 +967,7 @@ class CompiledNetwork:
 
     def frontier_step(
         self,
-        cur_ids: np.ndarray,
+        pos: np.ndarray,
         dest: np.ndarray,
         alive_arr: Optional[np.ndarray] = None,
         lat_state=None,
@@ -959,32 +982,33 @@ class CompiledNetwork:
         gather / compare / ``argmax`` (:func:`_ring_hop`) either way; only
         the table differs (:meth:`bind_alive`).
 
-        Returns ``(next_ids, moved, success, hop_ms)`` aligned with the
-        inputs.  Where ``moved`` is False the lookup terminated this step
-        and ``success`` holds the scalar engines' verdict (at its key, or
-        the responsible/closest check for stuck routes); ``next_ids``
-        equals ``cur_ids`` there.  ``hop_ms`` is per-hop overlay latency
-        (zero on unmoved rows) when ``lat_state`` is given, else ``None``.
+        A lookup is where it stands: ``pos`` holds int64 positions in this
+        view's ``ids`` and positions come back, so no hop searches for a
+        node id (``ids[next_pos]`` where one is read).  Returns
+        ``(next_pos, moved, success, hop_ms)`` aligned with the inputs.
+        Where ``moved`` is False the lookup terminated this step and
+        ``success`` holds the scalar engines' verdict (at its key, or the
+        responsible/closest check for stuck routes); ``next_pos`` equals
+        ``pos`` there.  ``hop_ms`` is per-hop overlay latency (zero on
+        unmoved rows) when ``lat_state`` is given, else ``None``.
         """
+        cur_ids = self.ids[pos]
         if self.metric == "ring":
             remaining = (dest - cur_ids) & self.mask
             at_dest = remaining == _ZERO
-            c = self._positions(cur_ids)
-            nxtp = _ring_hop(self._step_table(alive_arr), c, remaining)
-            moved = nxtp != c
+            nxtp = _ring_hop(self._step_table(alive_arr), pos, remaining)
+            moved = nxtp != pos
             stuck = ~moved & ~at_dest
             success = at_dest.copy()
             if np.any(stuck):
-                success[stuck] = self._responsible(
-                    cur_ids[stuck], dest[stuck], alive_arr
-                )
+                gaps = self._ring_gaps(alive_arr)
+                success[stuck] = remaining[stuck] < gaps[pos[stuck]]
         elif self.metric == "xor":
             cur_dist = cur_ids ^ dest
             at_dest = cur_dist == _ZERO
-            c = self._positions(cur_ids)
             if alive_arr is None:
                 aug, cand_ids, cand_aug = self._xor_table()
-                caug = c.astype(_U64) << self.shift
+                caug = pos.astype(_U64) << self.shift
                 p1 = np.searchsorted(aug, caug | (dest + _ONE), side="left")
                 d1 = cand_ids[p1] ^ dest
                 d2 = cand_ids[p1 - 1] ^ dest
@@ -992,11 +1016,11 @@ class CompiledNetwork:
                 moved = (d1 < cur_dist) | pick2
                 chosen = np.subtract(p1, pick2)
                 nxtp = np.where(
-                    moved, (cand_aug[chosen] >> self.shift).astype(np.int64), c
+                    moved, (cand_aug[chosen] >> self.shift).astype(np.int64), pos
                 )
             else:
-                nxt, ok = self._xor_step_alive(c, dest, cur_dist, alive_arr)
-                nxtp = np.where(ok, nxt, c)
+                nxt, ok = self._xor_step_alive(pos, dest, cur_dist, alive_arr)
+                nxtp = np.where(ok, nxt, pos)
                 moved = ok
             stuck = ~moved & ~at_dest
             success = at_dest.copy()
@@ -1006,17 +1030,16 @@ class CompiledNetwork:
                 )
         else:
             raise ValueError(f"unknown metric {self.metric!r}")
-        next_ids = np.where(moved, self.ids[nxtp], cur_ids)
         hop_ms: Optional[np.ndarray] = None
         if lat_state is not None:
             lr, lmat, lhop2 = lat_state
-            hop_ms = np.zeros(cur_ids.shape, dtype=np.float64)
+            hop_ms = np.zeros(pos.shape, dtype=np.float64)
             mv = np.flatnonzero(moved)
             if mv.size:
                 hop_ms[mv] = lhop2 + lmat[
-                    lr[c[mv]], lr[nxtp[mv]]
+                    lr[pos[mv]], lr[nxtp[mv]]
                 ].astype(np.float64)
-        return next_ids, moved, success, hop_ms
+        return nxtp, moved, success, hop_ms
 
     def step_frontier(
         self,
@@ -1036,10 +1059,10 @@ class CompiledNetwork:
         if act.size == 0:
             return 0
         lat_state = self._latency_state(latency)
-        next_ids, moved, success, hop_ms = self.frontier_step(
-            state.cur[act], state.dest[act], alive, lat_state
+        next_pos, moved, success, hop_ms = self.frontier_step(
+            state.pos[act], state.dest[act], alive, lat_state
         )
-        state.cur[act] = next_ids
+        state.pos[act] = next_pos
         mv = act[moved]
         state.hops[mv] += 1
         if hop_ms is not None and mv.size:

@@ -38,6 +38,12 @@ class FrontierBatcher:
         capacity = max(int(capacity), 16)
         self.ticket = np.full(capacity, -1, dtype=np.int64)
         self.src = np.zeros(capacity, dtype=np.uint64)
+        #: Where the runner stands: its node's position in the ids of the
+        #: view being served, -1 when that view does not hold the node.
+        self.pos = np.zeros(capacity, dtype=np.int64)
+        #: The node id ``pos`` was last resolved from (submit, retry, hedge,
+        #: view swap) — current only until the runner hops; read it through
+        #: :meth:`ServeRuntime.node_ids`.
         self.cur = np.zeros(capacity, dtype=np.uint64)
         self.dest = np.zeros(capacity, dtype=np.uint64)
         self.hops = np.zeros(capacity, dtype=np.int64)
@@ -64,7 +70,7 @@ class FrontierBatcher:
         old = self.capacity
         new = max(old * _GROW, old + need)
         for name in (
-            "ticket", "src", "cur", "dest", "hops", "elapsed_ms",
+            "ticket", "src", "pos", "cur", "dest", "hops", "elapsed_ms",
             "deadline_ms", "attempt", "wait", "twin", "is_hedge", "state",
         ):
             arr = getattr(self, name)
@@ -107,8 +113,11 @@ def compile_protocol_view(
     filter, exactly as ``AsyncEngine`` applies it), restricted to ids the
     net still remembers.  Dead and suspended nodes keep an id row (so
     in-flight lookups parked on them resolve as lost, not as key errors)
-    but no contacts.  Recompile after churn and keep stepping the same
-    :class:`~repro.perf.kernels.InFlightFrontier` — its state is id-based.
+    but no contacts.  In-flight state is positions in one view's ``ids``:
+    recompile after churn and hand the pair to
+    :meth:`~repro.serve.runtime.ServeRuntime.set_view`, which re-resolves
+    its open slots by node id when — and only when — ``ids`` is a new
+    array (a crash-only refresh hands back the very same one).
 
     The cost follows the net, not its population: the pair returned last
     time is held on the net, and only the rows of the ids its ``_touch``

@@ -26,9 +26,13 @@ checkable against :class:`~repro.simulation.async_lookup.AsyncEngine`
 
 Under churn, call :meth:`~ServeRuntime.set_view` with a fresh
 :func:`~repro.serve.batcher.compile_protocol_view` snapshot between
-ticks: in-flight state is id-based and survives the swap; lookups parked
-on nodes that died resolve as LOST exactly like AsyncEngine's in-flight
-message losses.
+ticks.  A lookup knows where it stands: each slot carries its node's
+*position* in the served view's ``ids``, resolved once at submit, so no
+tick searches for a node id.  Positions belong to one ``ids`` array and
+node ids are what survives a swap: ``set_view`` re-resolves the open
+slots when the new view's ``ids`` is another array, and only then.
+Lookups parked on nodes that died or were forgotten resolve as LOST
+exactly like AsyncEngine's in-flight message losses.
 """
 
 from __future__ import annotations
@@ -137,8 +141,9 @@ class ServeReport:
         )
 
 
-def _check_alive(compiled: CompiledNetwork, alive: np.ndarray) -> None:
-    """Reject a live-id array the kernels would silently misread."""
+def _live_positions(compiled: CompiledNetwork, alive: np.ndarray) -> np.ndarray:
+    """Where each live id sits in ``compiled.ids``; rejects a live-id
+    array the kernels would silently misread."""
     if not (
         isinstance(alive, np.ndarray)
         and alive.dtype == np.uint64
@@ -152,9 +157,12 @@ def _check_alive(compiled: CompiledNetwork, alive: np.ndarray) -> None:
             f"alive must be strictly increasing: id {int(alive[i + 1])} "
             f"follows {int(alive[i])} at index {i + 1}"
         )
-    unknown = alive[~_in_sorted(compiled.ids, alive)]
-    if unknown.size:
-        raise ValueError(f"alive id {int(unknown[0])} is not in the compiled view")
+    at = compiled._locate(alive)
+    if np.any(at < 0):
+        raise ValueError(
+            f"alive id {int(alive[at < 0][0])} is not in the compiled view"
+        )
+    return at
 
 
 class ServeRuntime:
@@ -172,11 +180,14 @@ class ServeRuntime:
     ) -> None:
         self.policy = policy if policy is not None else NO_POLICY
         self.latency = latency
+        self.batcher = FrontierBatcher()
+        self.compiled: Optional[CompiledNetwork] = None
         self.set_view(compiled, alive)
+        #: Whether any submit carried a finite deadline of its own.
+        self._finite_deadlines = False
         self.middlewares = list(middlewares)
         self.domain_of = domain_of
         self._domain_cache: Dict[int, str] = {}
-        self.batcher = FrontierBatcher()
         self.buckets: Optional[DomainBuckets] = None
         if self.policy.admit_rate is not None:
             self.buckets = DomainBuckets(
@@ -209,16 +220,30 @@ class ServeRuntime:
         """Swap the network snapshot (after churn); in-flight state survives.
 
         ``alive`` must be a strictly increasing uint64 array of ids the
-        view knows (``ValueError`` otherwise).  On a ring view its dead
-        neighbors are folded into the step table here, once, so no tick
-        under the view filters anything.
+        view knows (``ValueError`` otherwise).  Liveness is folded into
+        per-view tables here, once, so no tick under the view searches or
+        filters anything: a flag per position (one past the end, false,
+        is where an unresolved ``-1`` reads) and, on a ring, the step
+        table without its dead neighbors.  Open slots are re-resolved by
+        node id when ``compiled.ids`` is not the array they stand in; a
+        node the new view forgot leaves its slots at ``-1``, LOST on
+        their next tick.
         """
-        if alive is not None:
-            _check_alive(compiled, alive)
+        live = np.zeros(compiled.n + 1, dtype=bool)
+        if alive is None:
+            live[:-1] = True
+        else:
+            live[_live_positions(compiled, alive)] = True
             if compiled.metric == "ring":
                 compiled.bind_alive(alive)
+        if self.compiled is not None and compiled.ids is not self.compiled.ids:
+            b = self.batcher
+            held = np.flatnonzero(b.state != FREE)
+            b.cur[held] = self.node_ids(held)
+            b.pos[held] = compiled._locate(b.cur[held])
         self.compiled = compiled
         self.alive = alive
+        self._live = live
         self._lat_state = compiled._latency_state(self.latency)
 
     @property
@@ -230,6 +255,13 @@ class ServeRuntime:
     def outstanding(self) -> int:
         """Tickets admitted but not yet completed."""
         return self._next_ticket - self.completed_tickets
+
+    def node_ids(self, slots: np.ndarray) -> np.ndarray:
+        """The node id each slot stands on (the one it was last resolved
+        from where the view does not hold it)."""
+        b = self.batcher
+        at = b.pos[slots]
+        return np.where(at >= 0, self.compiled.ids[at], b.cur[slots])
 
     # ------------------------------------------------------------ submit
 
@@ -250,12 +282,19 @@ class ServeRuntime:
 
         Every submission gets a ticket and exactly one eventual
         completion: denied and shed lookups complete immediately with
-        their status, the rest enter the frontier.
+        their status, the rest enter the frontier.  A source the view does
+        not hold is a ``KeyError`` here, before anything is admitted, when
+        the view has no live array; under one it is a dead node like any
+        other and its lookup completes LOST on the first tick.
         """
         src = np.ascontiguousarray(np.asarray(sources, dtype=np.uint64))
         dst = np.ascontiguousarray(np.asarray(keys, dtype=np.uint64))
         if src.shape != dst.shape:
             raise ValueError(f"{src.size} sources vs {dst.size} keys")
+        c = self.compiled
+        at = c._positions(src) if self.alive is None else c._locate(src)
+        if deadline_ms is not None and np.isfinite(deadline_ms):
+            self._finite_deadlines = True
         n = int(src.size)
         tickets = np.arange(
             self._next_ticket, self._next_ticket + n, dtype=np.int64
@@ -296,6 +335,7 @@ class ServeRuntime:
             b = self.batcher
             b.ticket[slots] = tickets[passed]
             b.src[slots] = src[passed]
+            b.pos[slots] = at[passed]
             b.cur[slots] = src[passed]
             b.dest[slots] = dst[passed]
             b.hops[slots] = 0
@@ -330,21 +370,20 @@ class ServeRuntime:
         act = b.slots_in(RUNNING)
         moved_count = 0
         if act.size:
-            if self.alive is not None:
-                lost = ~_in_sorted(self.alive, b.cur[act])
-                if np.any(lost):
-                    self._fail_or_retry(stage, act[lost], STATUS_LOST)
-                    act = act[~lost]
+            lost = ~self._live[b.pos[act]]
+            if np.any(lost):
+                self._fail_or_retry(stage, act[lost], STATUS_LOST)
+                act = act[~lost]
             if act.size:
                 over = b.hops[act] >= policy.hop_cap
                 if np.any(over):
                     self._fail_or_retry(stage, act[over], STATUS_HOPCAP)
                     act = act[~over]
             if act.size:
-                next_ids, moved, success, hop_ms = self.compiled.frontier_step(
-                    b.cur[act], b.dest[act], self.alive, self._lat_state
+                next_pos, moved, success, hop_ms = self.compiled.frontier_step(
+                    b.pos[act], b.dest[act], self.alive, self._lat_state
                 )
-                b.cur[act] = next_ids
+                b.pos[act] = next_pos
                 mv = act[moved]
                 moved_count = int(mv.size)
                 b.hops[mv] += 1
@@ -361,7 +400,7 @@ class ServeRuntime:
                     bad = fin[~verdict]
                     if bad.size:
                         self._fail_or_retry(stage, bad, STATUS_FAIL)
-        if np.isfinite(policy.deadline_ms) or self._has_finite_deadlines():
+        if np.isfinite(policy.deadline_ms) or self._finite_deadlines:
             open_slots = np.flatnonzero(b.state != FREE)
             expired = open_slots[
                 b.elapsed_ms[open_slots] > b.deadline_ms[open_slots]
@@ -373,14 +412,6 @@ class ServeRuntime:
         self._maybe_hedge()
         self._emit(stage)
         return moved_count
-
-    def _has_finite_deadlines(self) -> bool:
-        # Per-submit deadlines may be finite under an infinite policy
-        # default; cheap scan only when any slot is occupied.
-        b = self.batcher
-        return bool(
-            np.any(np.isfinite(b.deadline_ms[b.state != FREE]))
-        )
 
     def drain(self, max_ticks: int = 1_000_000) -> None:
         """Tick until every admitted lookup has completed."""
@@ -427,10 +458,11 @@ class ServeRuntime:
             self._inc_obs("serve.retries", int(retry.size))
             b.attempt[retry] += 1
             b.hops[retry] = 0
-            starts = b.src[retry]
+            starts = self.compiled._locate(b.src[retry])
             if policy.retry_alternates:
-                starts = self._alternate_contacts(b.src[retry], b.attempt[retry])
-            b.cur[retry] = starts
+                starts = self._alternate_contacts(starts, b.attempt[retry])
+            b.pos[retry] = starts
+            b.cur[retry] = b.src[retry]
             backoff = policy.retry_backoff_ms * np.power(
                 2.0, b.attempt[retry].astype(np.float64) - 2.0
             )
@@ -481,25 +513,18 @@ class ServeRuntime:
         return slots[~drop]
 
     def _alternate_contacts(
-        self, srcs: np.ndarray, attempts: np.ndarray
+        self, at: np.ndarray, attempts: np.ndarray
     ) -> np.ndarray:
-        """Attempt ``k`` restarts at the source's ``(k-2)``-th contact."""
+        """Attempt ``k`` restarts at the source's ``(k-2)``-th contact: the
+        sources' positions ``at`` (``-1``: not in the view) with each that
+        has contacts moved to the one its attempt picks."""
         c = self.compiled
-        known = _in_sorted(c.ids, srcs)
-        out = srcs.copy()
-        if not np.any(known):
-            return out
-        pos = np.searchsorted(c.ids, srcs[known])
-        start = c.indptr[pos].astype(np.int64)
-        count = c.indptr[pos + 1].astype(np.int64) - start
-        pick = np.where(
-            count > 0,
-            start + (attempts[known].astype(np.int64) - 2) % np.maximum(count, 1),
-            -1,
-        )
-        alt = np.where(pick >= 0, c.neighbors[np.maximum(pick, 0)], srcs[known])
-        out[known] = alt
-        return out
+        start = c.indptr[at].astype(np.int64)
+        count = c.indptr[at + 1] - start  # <= 0 at -1: indptr[0] - indptr[-1]
+        has = np.flatnonzero(count > 0)
+        pick = (attempts[has].astype(np.int64) - 2) % count[has]
+        at[has] = c.nbr_pos[start[has] + pick]
+        return at
 
     def _maybe_hedge(self) -> None:
         policy = self.policy
@@ -528,6 +553,7 @@ class ServeRuntime:
         slots = b.alloc(n)
         b.ticket[slots] = b.ticket[eligible]
         b.src[slots] = b.src[eligible]
+        b.pos[slots] = self.compiled._locate(b.src[eligible])
         b.cur[slots] = b.src[eligible]
         b.dest[slots] = b.dest[eligible]
         b.hops[slots] = 0
@@ -570,6 +596,7 @@ class ServeRuntime:
             freed = freed[freed >= 0]
         else:
             freed = slots
+        b.cur[slots] = self.node_ids(slots)  # the terminals, read here alone
         stage.add_slots(b, slots, status, success)
         b.release(freed)
         return int(slots.size)

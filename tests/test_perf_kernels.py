@@ -21,7 +21,9 @@ from repro import IdSpace, build_uniform_hierarchy
 from repro.core.routing import (
     LiveSet,
     _best_ring_step,
+    _best_xor_step,
     _is_responsible,
+    _is_xor_closest,
     route_ring,
     route_xor,
 )
@@ -273,21 +275,30 @@ def _random_lookups(compiled, alive, rng, count=40):
     return cur, dest
 
 
-def _scalar_step(net, cur_ids, dest, alive, latency):
-    """One hop per lookup by the scalar ring engine's own pieces:
-    ``_best_ring_step`` (a scan under a filter) and ``_is_responsible``."""
-    live = LiveSet(alive.tolist())
+def _scalar_step(net, metric, cur_ids, dest, alive, latency):
+    """One hop per lookup by the scalar engines' own pieces: the best step
+    (a scan under a filter) and the check a stopped route is judged by.
+    ``alive=None`` is the unfiltered step."""
+    live = None if alive is None else LiveSet(alive.tolist())
+    # Unfiltered, the scalar ring check asks a built network for the
+    # responsible node; every node alive is the same question.
+    judges = LiveSet(net.node_ids) if live is None else live
     next_ids = cur_ids.copy()
     moved = np.zeros(cur_ids.shape, dtype=bool)
     success = np.zeros(cur_ids.shape, dtype=bool)
     hop_ms = np.zeros(cur_ids.shape, dtype=np.float64)
     for i, (cur, key) in enumerate(zip(cur_ids.tolist(), dest.tolist())):
-        nxt = _best_ring_step(net, cur, key, live)
-        if nxt is None:
-            success[i] = cur == key or _is_responsible(net, cur, key, live)
+        if metric == "ring":
+            nxt = _best_ring_step(net, cur, key, live)
         else:
+            nxt = None if cur == key else _best_xor_step(net, cur, key, cur ^ key, live)
+        if nxt is not None:
             next_ids[i], moved[i] = nxt, True
             hop_ms[i] = latency.node_latency(cur, nxt)
+        elif metric == "ring":
+            success[i] = cur == key or _is_responsible(net, cur, key, judges)
+        else:
+            success[i] = cur == key or _is_xor_closest(net, cur, key, live)
     return next_ids, moved, success, hop_ms
 
 
@@ -306,27 +317,36 @@ def _assert_scalar_routes(compiled, router, sources, keys, alive, latency, got):
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**20),
-    shares=st.lists(st.sampled_from([0.0, 0.2, 0.6, 0.9, 1.0]), min_size=2, max_size=4),
+    metric=st.sampled_from(["ring", "xor"]),
+    shares=st.lists(
+        st.sampled_from([0.0, 0.2, 0.6, 0.9, 1.0, None]), min_size=2, max_size=4
+    ),
 )
-def test_property_live_table_step_matches_scan(seed, shares):
-    """``frontier_step`` over the per-view table is the scalar engine's
-    filtered scan, hop by hop, across view swaps (a new live array between
-    steps)."""
+def test_property_live_table_step_matches_scan(seed, metric, shares):
+    """``frontier_step`` — positions in, positions out — is the scalar
+    engine's scan, hop by hop, across view swaps (a new live array between
+    steps; ``None`` is the unfiltered step).  Both metrics: the ring's
+    per-view table and gaps, XOR's bracketing pair and ``_xor_step_alive``.
+    Node ids are read back through ``ids`` only to face the oracle."""
     rng = np.random.default_rng(seed)
-    compiled, latency = _random_view(rng)
+    compiled, latency = _random_view(rng, metric)
     net = scalar_view(compiled)
     lat_state = compiled._latency_state(latency)
-    alive = _random_live(compiled, rng, shares[0])
-    cur, dest = _random_lookups(compiled, alive, rng)
+    cur, dest = _random_lookups(compiled, _random_live(compiled, rng, 0.6), rng)
+    pos = compiled._positions(cur)
     for share in shares:
-        alive = _random_live(compiled, rng, share)  # the view swap
+        # the view swap
+        alive = None if share is None else _random_live(compiled, rng, share)
         for _ in range(3):
-            want = _scalar_step(net, cur, dest, alive, latency)
-            got = compiled.frontier_step(cur, dest, alive, lat_state)
+            want = _scalar_step(net, metric, compiled.ids[pos], dest, alive, latency)
+            next_pos, *verdict = compiled.frontier_step(pos, dest, alive, lat_state)
+            assert next_pos.dtype == np.int64
+            got = (compiled.ids[next_pos], *verdict)
             for name, a, b in zip(("next_ids", "moved", "success", "hop_ms"), got, want):
                 assert np.array_equal(a, b), (name, share)
-            cur = got[0]
-    assert compiled._live_table[0] is alive  # one table, the last view's
+            pos = next_pos
+    if metric == "ring" and alive is not None:
+        assert compiled._live_table[0] is alive  # one table, the last view's
 
 
 @settings(max_examples=40, deadline=None)
@@ -340,12 +360,13 @@ def test_property_stepping_to_quiescence_equals_route(seed, share):
     sources, keys = _random_lookups(compiled, alive, rng)
     state = compiled.begin_frontier(sources, keys)
     paths = [[int(s)] for s in sources]
+    assert np.array_equal(compiled.ids[state.pos], sources)
     while True:
-        before = state.cur.copy()
+        before = state.pos.copy()
         if compiled.step_frontier(state, alive, latency=latency) == 0:
             break
-        for i in np.flatnonzero(state.cur != before):
-            paths[i].append(int(state.cur[i]))
+        for i in np.flatnonzero(state.pos != before):
+            paths[i].append(int(compiled.ids[state.pos[i]]))
     assert np.all(state.done)
     assert [len(path) - 1 for path in paths] == state.hops.tolist()
     _assert_scalar_routes(

@@ -24,8 +24,10 @@ from repro.serve import (
     compile_protocol_view,
     run_closed_loop,
 )
+from repro.perf.kernels import CompiledNetwork
 from repro.serve.batcher import FREE, RUNNING, FrontierBatcher
 from repro.serve.testbed import build_serving_net, domain_labeler, lookup_workload
+from repro.verify.fuzz import FUZZ_PATHS
 from repro.verify.oracles import compare_serving
 
 
@@ -88,7 +90,7 @@ class TestFrontierStepping:
         for i, (src, key) in enumerate(zip(sources.tolist(), keys.tolist())):
             want = route_ring(view, src, key, alive=live)
             assert int(state.hops[i]) == want.hops
-            assert int(state.cur[i]) == want.terminal
+            assert int(compiled.ids[state.pos[i]]) == want.terminal
             assert bool(state.success[i]) == want.success
             assert float(state.latency_ms[i]) == want.latency(latency.node_latency)
 
@@ -242,6 +244,65 @@ class TestRuntimeBasics:
         with pytest.raises(ValueError):
             runtime.submit_many([1, 2, 3], [4, 5])
 
+    def test_unknown_source_is_an_error_at_the_door_without_a_live_array(self):
+        net, _ = build_serving_net(64, seed=1, with_latency=False)
+        compiled, alive = compile_protocol_view(net)
+        stranger = next(i for i in range(1, 1 << 16) if i not in net.nodes)
+        runtime = ServeRuntime(compiled)
+        before = dict(runtime.counters)
+        with pytest.raises(KeyError, match=str(stranger)):
+            runtime.submit_many([int(alive[0]), stranger], [5, 6])
+        # nothing was admitted: no ticket, no counter, no slot
+        assert runtime.counters == before
+        assert runtime.outstanding == 0 and runtime.in_flight == 0
+        assert runtime.submit_many([int(alive[0])], [5]).tolist() == [0]
+        runtime.drain()
+        assert runtime.report().status.tolist() == [STATUS_OK]
+
+    def test_unknown_source_under_a_live_array_is_lost_on_the_first_tick(self):
+        net, _ = build_serving_net(64, seed=1, with_latency=False)
+        compiled, alive = compile_protocol_view(net)
+        stranger = next(i for i in range(1, 1 << 16) if i not in net.nodes)
+        runtime = ServeRuntime(compiled, alive)
+        runtime.submit_many([stranger], [5])
+        assert runtime.tick() == 0 and runtime.in_flight == 0
+        report = runtime.report()
+        assert report.status.tolist() == [STATUS_LOST]
+        assert report.terminals.tolist() == [stranger]
+        assert report.hops.tolist() == [0]
+
+    @pytest.mark.parametrize("with_alive", [False, True])
+    def test_a_node_the_next_view_forgets_loses_the_lookups_parked_on_it(
+        self, with_alive
+    ):
+        def ring(ids):
+            """Every node's one contact is the next node round the ring."""
+            ids = np.asarray(ids, dtype=np.uint64)
+            return CompiledNetwork.from_arrays(
+                metric="ring",
+                bits=8,
+                ids=ids,
+                indptr=np.arange(ids.size + 1, dtype=np.int64),
+                neighbors=np.roll(ids, -1),
+                nbr_pos=np.roll(np.arange(ids.size, dtype=np.int64), -1),
+            )
+
+        old, new = ring([10, 20, 30, 40]), ring([5, 10, 30, 35, 40])
+        runtime = ServeRuntime(old, old.ids if with_alive else None)
+        runtime.submit_many([10, 10, 30], [45, 25, 45])
+        assert runtime.tick() == 3  # now on 20, 20 (its key's node) and 40
+        runtime.set_view(new, new.ids if with_alive else None)
+        runtime.drain()
+        report = runtime.report()
+        by_ticket = dict(zip(report.tickets.tolist(), zip(
+            report.status.tolist(), report.terminals.tolist(), report.hops.tolist()
+        )))
+        # 20 is gone: both lookups on it are lost, reported where they stood
+        assert by_ticket[0] == by_ticket[1] == (STATUS_LOST, 20, 1)
+        # 40 went from position 3 to 4: the lookup on it is re-resolved and
+        # finishes there, at the node responsible for 45
+        assert by_ticket[2] == (STATUS_OK, 40, 1)
+
 
 class TestDifferentialAsync:
     """Pin batched frontier serving to AsyncEngine, hop for hop."""
@@ -294,3 +355,52 @@ class TestDifferentialAsync:
         # one lookup must terminate off the happy path on both engines.
         assert np.any(statuses != STATUS_OK)
         assert any(not r.success for r in comparison.scalar)
+
+    @pytest.mark.parametrize("engine", ["fast", "reference"])
+    def test_agrees_with_async_engine_while_the_views_ids_change(
+        self, engine, monkeypatch
+    ):
+        """Joins, leaves and purges between ticks: each refresh hands
+        ``set_view`` a view over other ``ids``, so every in-flight lookup's
+        carried position is re-resolved mid-route — and must still lose,
+        fail and deliver exactly what the discrete-event engine does."""
+
+        def factory():
+            return build_serving_net(300, seed=14, engine=engine, with_latency=False)[0]
+
+        net = factory()
+        live = sorted(net.live_view())
+        rng = random.Random("serve-diff-ids")
+        lookups = [
+            (rng.choice(live), rng.randrange(net.space.size)) for _ in range(250)
+        ]
+        gone = rng.sample(live, 60)
+        fresh = rng.sample(sorted(set(range(1, 1 << 32, 977)) - set(live)), 20)
+
+        def churn_some(target, leavers, crashers, joiners):
+            for node_id in leavers:
+                target.leave(node_id)
+            for node_id in crashers:
+                target.crash(node_id)
+            for node_id in joiners:
+                target.join(node_id, FUZZ_PATHS[node_id % len(FUZZ_PATHS)])
+
+        churn = [
+            (1, lambda n: churn_some(n, gone[:15], gone[15:30], fresh[:10])),
+            (2, lambda n: n.stabilize()),  # purges the crashed: forgotten ids
+            (3, lambda n: churn_some(n, gone[30:45], gone[45:], fresh[10:])),
+            (5, lambda n: n.stabilize()),
+        ]
+        views = []
+        set_view = ServeRuntime.set_view
+        monkeypatch.setattr(
+            ServeRuntime,
+            "set_view",
+            lambda self, *view: (views.append(view[0].ids), set_view(self, *view))[1],
+        )
+        comparison = compare_serving(factory, lookups, churn=churn)
+        assert comparison.equivalent, comparison.violations
+        assert comparison.report.size == 250
+        assert len({ids.tobytes() for ids in views}) == len(views) == 5
+        assert np.any(comparison.report.status == STATUS_LOST)
+        assert np.any(comparison.report.status == STATUS_OK)

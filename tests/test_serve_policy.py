@@ -22,6 +22,7 @@ from repro.serve import (
     NO_POLICY,
     STATUS_DEADLINE,
     STATUS_DENIED,
+    STATUS_FAIL,
     STATUS_OK,
     STATUS_SHED,
     DomainACL,
@@ -283,7 +284,8 @@ def _scalar_stage_complete(runtime, rows, slots, status, success):
                 runtime.counters["hedge_wins"] += 1
             b.release(np.asarray([t], dtype=np.int64))
         rows.append((
-            int(b.ticket[s]), int(b.src[s]), int(b.dest[s]), int(b.cur[s]),
+            int(b.ticket[s]), int(b.src[s]), int(b.dest[s]),
+            int(runtime.node_ids(np.asarray([s]))[0]),
             int(b.hops[s]), float(b.elapsed_ms[s]), int(b.attempt[s]),
             bool(success), status,
         ))
@@ -309,13 +311,22 @@ def staging_view():
     return compile_protocol_view(net)
 
 
-def _hand_built(view, runners):
+def _place(runtime, slots, node_ids):
+    """Park the runners in ``slots`` on ``node_ids`` the way a submit does:
+    the id, and where the served view holds it (-1 where it does not)."""
+    b = runtime.batcher
+    b.cur[slots] = node_ids
+    b.pos[slots] = runtime.compiled._locate(b.cur[slots])
+
+
+def _hand_built(view, runners, policy=None):
     """A runtime whose slots 0..n-1 hold ``runners``.
 
     Each runner is ``(ticket, state, is_hedge, twin slot or -1)``; the other
-    columns get values that differ per slot so a mixed-up row shows.
+    columns get values that differ per slot so a mixed-up row shows (the
+    nodes they stand on, 3000 up, are none of the view's).
     """
-    runtime = ServeRuntime(*view)
+    runtime = ServeRuntime(*view, policy=policy)
     b = runtime.batcher
     n = len(runners)
     slots = b.alloc(n)
@@ -325,7 +336,7 @@ def _hand_built(view, runners):
         b.is_hedge[slot], b.twin[slot] = is_hedge, twin
     b.src[slots] = 1000 + slots
     b.dest[slots] = 2000 + slots
-    b.cur[slots] = 3000 + slots
+    _place(runtime, slots, 3000 + slots)
     b.hops[slots] = 1 + slots
     b.elapsed_ms[slots] = 0.5 + slots
     b.attempt[slots] = 1 + slots % 3
@@ -426,9 +437,12 @@ class TestStagingMatchesScalarLoop:
         assert runtime.batcher.in_flight == 1  # the unhedged runner
 
     def test_deadline_expiry_through_tick(self, staging_view):
-        runtime = _hand_built(staging_view, self.PAIR[:2])
+        runtime = _hand_built(
+            staging_view, self.PAIR[:2], policy=ServePolicy(deadline_ms=0.25)
+        )
         b = runtime.batcher
-        b.cur[:2] = b.src[:2] = staging_view[1][:2]
+        b.src[:2] = staging_view[1][:2]
+        _place(runtime, [0, 1], b.src[:2])
         b.deadline_ms[:2] = 0.25  # both runners are already past it
         runtime._next_ticket = 8
         runtime.tick()
@@ -463,7 +477,7 @@ class TestStagingMatchesScalarLoop:
         b.ticket[[primary, hedge]] = 0
         b.state[[primary, hedge]] = RUNNING
         b.src[[primary, hedge]] = 10
-        b.cur[[primary, hedge]] = 10, 20
+        _place(runtime, [primary, hedge], [10, 20])
         b.dest[[primary, hedge]] = 25
         b.attempt[[primary, hedge]] = 1
         b.deadline_ms[[primary, hedge]] = np.inf
@@ -521,3 +535,106 @@ class TestStagingMatchesScalarLoop:
             _check_stage_complete(staging_view, runners, slots)
             _, kept = _check_drop(staging_view, runners, slots)
             assert set(kept.tolist()) <= set(slots)
+
+
+# ------------------------------------------- where retries and hedges restart
+
+
+def _five_node_view():
+    """Ids 10..50 on an 8-bit ring: node 10 lists three contacts, node 20
+    none, the others one each.  Every node is alive."""
+    ids = np.asarray([10, 20, 30, 40, 50], dtype=np.uint64)
+    neighbors = np.asarray([30, 40, 50, 40, 50, 10], dtype=np.uint64)
+    view = CompiledNetwork.from_arrays(
+        metric="ring",
+        bits=8,
+        ids=ids,
+        indptr=np.asarray([0, 3, 3, 4, 5, 6], dtype=np.int64),
+        neighbors=neighbors,
+        nbr_pos=np.searchsorted(ids, neighbors).astype(np.int64),
+    )
+    return view, ids
+
+
+class TestRestartPoints:
+    """ROADMAP item 1(b): the lines that say where attempt ``k`` and a hedge
+    start, each pinned against the one-token mutant that survived the audit."""
+
+    RUNNERS = [(ticket, RUNNING, False, -1) for ticket in range(6)]
+
+    def _failed(self, policy):
+        """Six runners fail at once: four from node 10 on attempts 1-4, one
+        from node 20 (no contacts), one from 99 (no node of the view's)."""
+        runtime = _hand_built(_five_node_view(), self.RUNNERS, policy=policy)
+        b = runtime.batcher
+        b.src[:6] = 10, 10, 10, 10, 20, 99
+        b.attempt[:6] = 1, 2, 3, 4, 1, 1
+        runtime._fail_or_retry(_CompletionStage(), np.arange(6), STATUS_FAIL)
+        assert b.attempt[:6].tolist() == [2, 3, 4, 5, 2, 2]
+        assert b.state[:6].tolist() == [WAITING] * 6
+        return runtime
+
+    def test_attempt_k_restarts_at_the_sources_contact_k_minus_2(self):
+        """Contact ``(k - 2) % count`` of the source's row; the source itself
+        when the row is empty or the view does not hold the source.  Fails
+        under ``- 2`` -> ``- 1`` in ``_alternate_contacts`` (attempt 2 would
+        start at contact 1: 40, 50, 30, 40)."""
+        runtime = self._failed(ServePolicy(max_attempts=6, retry_alternates=True))
+        slots = np.arange(6)
+        assert runtime.node_ids(slots).tolist() == [30, 40, 50, 30, 20, 99]
+        assert runtime.batcher.pos[:6].tolist() == [2, 3, 4, 2, 1, -1]
+
+    def test_without_alternates_every_attempt_restarts_at_the_source(self):
+        runtime = self._failed(ServePolicy(max_attempts=6))
+        assert runtime.node_ids(np.arange(6)).tolist() == [10, 10, 10, 10, 20, 99]
+        assert runtime.batcher.pos[:6].tolist() == [0, 0, 0, 0, 1, -1]
+
+    def test_a_retry_starts_its_hop_count_over(self):
+        """The hop cap is per attempt.  Fails when ``b.hops[retry] = 0`` is
+        dropped from ``_fail_or_retry`` (the runners keep hops 1..6)."""
+        runtime = self._failed(ServePolicy(max_attempts=6))
+        assert runtime.batcher.hops[:6].tolist() == [0] * 6
+
+    def test_a_hedge_starts_at_the_source_on_the_primarys_clock(self):
+        """A hedge is a second runner from ``src`` drawing on the same
+        end-to-end budget: it inherits the primary's ``elapsed_ms`` and
+        ``deadline_ms``.  Fails under hedge ``elapsed_ms`` -> ``0.0``."""
+        runtime = _hand_built(
+            _five_node_view(), self.RUNNERS[:2], policy=ServePolicy(hedge_quantile=0.5)
+        )
+        b = runtime.batcher
+        b.src[:2] = 50, 10
+        _place(runtime, [0, 1], [10, 40])
+        b.attempt[:2] = 1
+        b.elapsed_ms[:2] = 0.5, 7.25
+        b.deadline_ms[:2] = np.inf, 90.0
+        runtime._maybe_hedge()
+        assert runtime.counters["hedges"] == 1
+        assert b.slots_in(RUNNING).tolist() == [0, 1, 2]  # slot 1 was the slow one
+        assert (b.twin[1], b.twin[2], b.is_hedge[2]) == (2, 1, True)
+        assert runtime.node_ids(np.asarray([1, 2])).tolist() == [40, 10]
+        assert (b.elapsed_ms[2], b.deadline_ms[2]) == (7.25, 90.0)
+        assert (b.hops[2], b.attempt[2], b.dest[2]) == (0, 1, b.dest[1])
+
+
+def test_a_per_submit_deadline_expires_under_no_policy():
+    """``NO_POLICY`` has no deadline, so the expiry pass runs only once some
+    submit has carried a finite one of its own — and then for that lookup
+    alone, with the outcomes the every-tick scan of the slots gave."""
+    net, latency = build_serving_net(160, seed=21)
+    sources, keys = lookup_workload(net, 150, seed=21)
+    baseline = _serve(net, latency, sources, keys, NO_POLICY)
+    cutoff = baseline.quantile_ms(0.5)
+    runtime = ServeRuntime(*compile_protocol_view(net), latency=latency)
+    runtime.submit_many(sources[:100], keys[:100])
+    runtime.tick()
+    assert not runtime._finite_deadlines
+    runtime.submit_many(sources[100:], keys[100:], deadline_ms=cutoff)
+    runtime.drain()
+    report = runtime.report()
+    status = dict(zip(report.tickets.tolist(), report.status.tolist()))
+    base_ms = dict(zip(baseline.tickets.tolist(), baseline.latency_ms.tolist()))
+    expired = {t for t, st in status.items() if st == STATUS_DEADLINE}
+    assert expired == {t for t in range(100, 150) if base_ms[t] > cutoff}
+    assert report.counters["expired"] == len(expired) > 0
+    assert all(status[t] == STATUS_OK for t in range(100))

@@ -22,6 +22,7 @@ from repro.perf.dynamic import make_protocol
 from repro.perf.kernels import CompiledNetwork
 from repro.perf.storage import FastDataLayer
 from repro.serve import ServePolicy, ServeRuntime, compile_protocol_view
+from repro.serve.batcher import FREE
 from repro.serve.scenario import serve_schedule
 from repro.serve.testbed import build_serving_net, lookup_workload
 from repro.simulation.churn import Event
@@ -169,6 +170,40 @@ def test_a_snapshot_outlives_later_refreshes(seed, schedule):
         control.drain()
         assert _report_key(left_behind.report()) == _report_key(control.report())
         assert _frozen(_arrays(view)) == before
+
+
+def _standing(runtime):
+    """slot -> node id of every open slot, once the position each carries
+    is seen to be where a fresh look through the view's ``ids`` finds that
+    id (-1 exactly where the view does not hold it)."""
+    b = runtime.batcher
+    held = np.flatnonzero(b.state != FREE)
+    node_ids = runtime.node_ids(held).tolist()
+    index = {nid: i for i, nid in enumerate(runtime.compiled.ids.tolist())}
+    assert b.pos[held].tolist() == [index.get(nid, -1) for nid in node_ids]
+    return dict(zip(held.tolist(), node_ids))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**20), schedule=schedules.filter(len))
+def test_carried_positions_are_the_node_ids_resolved_afresh(seed, schedule):
+    """Positions belong to one view's ``ids``; node ids survive a swap.
+    After every tick and every ``set_view`` of a run whose churn joins,
+    forgets and crashes nodes, each open slot's position is its node id
+    looked up from scratch, and no swap moves a slot to another node."""
+    policy = ServePolicy(max_attempts=3, retry_alternates=True, hedge_quantile=0.5)
+    for engine in ENGINES:
+        net = _small_net(engine, seed, size=40)
+        runtime = ServeRuntime(*compile_protocol_view(net), policy=policy)
+        for step, (op, arg) in enumerate(schedule):
+            runtime.submit_many(*lookup_workload(net, 12, seed=seed + step))
+            runtime.tick()
+            stood = _standing(runtime)
+            _apply(net, op, arg)
+            runtime.set_view(*compile_protocol_view(net))
+            assert _standing(runtime) == stood
+        runtime.drain()
+        assert runtime.report().size == 12 * len(schedule)
 
 
 @pytest.mark.parametrize("engine", ENGINES)
