@@ -399,10 +399,9 @@ def export_network(
         "n": compiled.n,
     }
     if compiled.metric == "ring":
-        dist2d, posflat, ids_small = compiled._ring_matrix()
+        dist2d, posflat = compiled._step_table(None)
         arrays["ring_dist2d"] = dist2d
         arrays["ring_posflat"] = posflat
-        arrays["ring_ids_small"] = ids_small
         meta["ring_width"] = int(dist2d.shape[1])
     else:
         arrays["aug"], arrays["cand_ids"], arrays["cand_aug"] = compiled._xor_table()
@@ -447,11 +446,7 @@ def attach_network(manifest: ArenaManifest) -> NetworkView:
     meta = manifest.meta
     ring_tables = xor_tables = None
     if "ring_dist2d" in arrays:
-        ring_tables = (
-            arrays["ring_dist2d"],
-            arrays["ring_posflat"],
-            arrays["ring_ids_small"],
-        )
+        ring_tables = (arrays["ring_dist2d"], arrays["ring_posflat"])
     if "aug" in arrays:
         xor_tables = (arrays["aug"], arrays["cand_ids"], arrays["cand_aug"])
     compiled = CompiledNetwork.from_arrays(

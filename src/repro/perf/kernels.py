@@ -7,11 +7,11 @@ into it (CSR style), and the index of every neighbor back into the id array
 scalar engine into a handful of vector ops over the whole active batch:
 
 - ring metric: a per-node matrix of clockwise neighbor distances, sorted
-  ascending and right-aligned with zero padding (column 0 is a permanent
-  zero pointing back at the node).  The non-overshooting clockwise
+  descending and left-aligned with zero padding (the last column is always
+  a zero pointing back at the node).  The non-overshooting clockwise
   candidate of :func:`repro.core.routing._best_ring_step` is simply the
-  rightmost column ``<= remaining``, found with one ``argmax`` per hop;
-  "no valid step" falls out as a zero-distance self-step, so the loop has
+  first column ``<= remaining``, found with one ``argmax`` per hop;
+  "no valid step" falls out as a zero-distance self-step, so the hop has
   no wrap, empty-list or validity fixups at all.
 - XOR metric: one *augmented* key array that is globally strictly
   increasing, built as ``(node_index << (bits + 1)) | (neighbor + 1)``
@@ -25,26 +25,21 @@ Both hot paths cost a few vector ops per hop over only the still-active
 routes, which is what makes the kernels an order of magnitude faster than
 the scalar engines (see ``BENCH_routing.json``).
 
-Routing proceeds frontier-at-a-time: each iteration advances every
-still-active route by one hop.  The hop is written in one step and two
-loops:
+Routing proceeds frontier-at-a-time, and there is one hop per metric:
+:meth:`CompiledNetwork.frontier_step`, the resumable single step the
+serving runtime ticks.  A whole route is that step looped until nothing
+moves (:meth:`CompiledNetwork.route`, path capture and latency included),
+filtered or not — there is no separate whole-route loop.
 
-- :meth:`CompiledNetwork.frontier_step`, the resumable single step the
-  serving runtime ticks, is the only place an ``alive`` filter is applied.
-  On a ring, liveness belongs to a view: :meth:`CompiledNetwork.bind_alive`
-  drops dead neighbors from the distance matrix once per view and every
-  hop under it is the unfiltered gather / compare / ``argmax``
+- Ring: liveness belongs to a view.  :meth:`CompiledNetwork.bind_alive`
+  drops dead neighbors from the distance matrix once per view, so every
+  hop, filtered or not, is the same gather / compare / ``argmax``
   (:func:`_ring_hop`, shared with the storage walk of
-  :meth:`repro.perf.storage.CompiledStore.batch_get`).  Under XOR the
-  scalar engine scans every live neighbor, so the step expands the
-  frontier's neighbor lists flat and reduces per segment with
-  ``np.minimum.reduceat`` (:meth:`CompiledNetwork._xor_step_alive`).
-  ``route(alive=...)`` is that step looped to quiescence, path capture
-  included — there is no filtered whole-route loop.
-- ``_route_ring_fast`` and ``_route_xor_fast``, the unfiltered whole-route
-  loops over preallocated per-hop workspace, which the figure sweeps run.
-  Stepping could not match them while every hop searched for its position;
-  it does now (their docstrings carry the numbers).
+  :meth:`repro.perf.storage.CompiledStore.batch_get`).
+- XOR: unfiltered, the bracketing pair above.  Filtered, the scalar engine
+  scans every live neighbor, so the step expands the frontier's neighbor
+  lists flat and reduces per segment with ``np.minimum.reduceat``
+  (:meth:`CompiledNetwork._xor_step_alive`).
 
 Every branch replicates the corresponding scalar branch exactly, so batch
 results are hop-for-hop identical to :func:`~repro.core.routing.route_ring`
@@ -131,10 +126,9 @@ class InFlightFrontier:
     One row per lookup; the serving runtime (and any other caller that
     needs to interleave policy between hops) advances all not-yet-done
     rows exactly one greedy hop per :meth:`CompiledNetwork.step_frontier`
-    call.  Stepping a frontier to quiescence produces hops, terminals,
-    success flags and per-route latency identical to a single
-    :meth:`CompiledNetwork.route` call over the same pairs — under an
-    ``alive`` filter that call *is* this struct stepped to quiescence.
+    call.  A whole route *is* this struct stepped to quiescence:
+    :meth:`CompiledNetwork.route`, filtered or not, begins a frontier over
+    its pairs and steps it until nothing moves.
 
     ``pos`` holds compiled *positions*, resolved once by
     :meth:`CompiledNetwork.begin_frontier`, so no hop searches for where
@@ -200,7 +194,7 @@ class CompiledNetwork:
         else:
             self.nbr_pos = np.zeros(0, dtype=idx_dt)
         self._xor_tables: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
-        self._ring_tables: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+        self._ring_tables: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._live_table: Optional[
             Tuple[np.ndarray, Tuple[np.ndarray, np.ndarray]]
         ] = None
@@ -333,17 +327,6 @@ class CompiledNetwork:
             pos2d[own, cols] = nbr_pos[order]
         return dist2d, pos2d.ravel()
 
-    def _ring_matrix(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(dist2d, posflat, ids_small)`` over every link (lazy).
-
-        The :meth:`_build_ring_table` layout plus the node ids in the
-        distance dtype, which the whole-route loop subtracts per hop.
-        """
-        if self._ring_tables is None:
-            dist2d, posflat = self._build_ring_table()
-            self._ring_tables = (dist2d, posflat, self.ids.astype(dist2d.dtype))
-        return self._ring_tables
-
     def carry_table(self, older: "CompiledNetwork", rows: np.ndarray) -> None:
         """Let the next :meth:`bind_alive` start from ``older``'s live table.
 
@@ -386,9 +369,15 @@ class CompiledNetwork:
     def _step_table(
         self, alive_arr: Optional[np.ndarray]
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """The ``(dist2d, posflat)`` a single ring step gathers from."""
+        """The ``(dist2d, posflat)`` a single ring step gathers from.
+
+        Without a filter that is the table over every link, built on first
+        use and kept; with one, the table :meth:`bind_alive` holds.
+        """
         if alive_arr is None:
-            return self._ring_matrix()[:2]
+            if self._ring_tables is None:
+                self._ring_tables = self._build_ring_table()
+            return self._ring_tables
         held = self._live_table
         if held is not None and held[0] is alive_arr:
             return held[1]
@@ -408,7 +397,7 @@ class CompiledNetwork:
         nbr_pos: np.ndarray,
         network: Optional[DHTNetwork] = None,
         xor_tables: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
-        ring_tables: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
+        ring_tables: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     ) -> "CompiledNetwork":
         """Wrap pre-built CSR arrays without touching a Python link table.
 
@@ -591,38 +580,46 @@ class CompiledNetwork:
     ) -> BatchResult:
         """Batch greedy clockwise routing, identical to ``route_ring``."""
         src, dest = _as_batch(sources, dest_keys)
-        if alive is None:
-            return self._route_ring_fast(
-                src, dest, paths, self._latency_state(latency)
-            )
         return self._route_stepped("ring", src, dest, alive, paths, latency)
+
+    def route_xor(
+        self,
+        sources: Sequence[int],
+        dest_keys: Sequence[int],
+        alive: Optional[Set[int]] = None,
+        paths: bool = False,
+        latency: Optional["LatencyTable"] = None,
+    ) -> BatchResult:
+        """Batch greedy XOR routing, identical to ``route_xor``."""
+        src, dest = _as_batch(sources, dest_keys)
+        return self._route_stepped("xor", src, dest, alive, paths, latency)
 
     def _route_stepped(
         self,
         metric: str,
         src: np.ndarray,
         dest: np.ndarray,
-        alive: Set[int],
+        alive: Optional[Set[int]],
         paths: bool,
         latency: Optional["LatencyTable"],
     ) -> BatchResult:
-        """Filtered whole routes: :meth:`step_frontier` looped to quiescence.
+        """Whole routes: a frontier stepped by ``metric`` to quiescence.
 
-        So what ``compare_routing(alive=...)`` holds to the scalar engines
-        is the step the serving runtime ticks.  Each call binds a ring
-        table for its fresh ``alive`` array (:meth:`bind_alive`) in place
-        of any the view held; a runtime serving the view rebuilds its own
-        on its next tick.
+        So what ``compare_routing`` holds to the scalar engines is the step
+        the serving runtime ticks, filtered or not, and either router runs
+        on any network (the storage walk's pointer fetches route by ring on
+        XOR families too).  A filtered call binds a ring table for its fresh
+        ``alive`` array (:meth:`bind_alive`) in place of any the view held;
+        a runtime serving the view rebuilds its own on its next tick.
         """
-        if metric != self.metric:
-            raise ValueError(
-                f"filtered routing steps by the declared metric {self.metric!r}"
-            )
-        alive_arr = np.asarray(_sorted_live(alive), dtype=_U64)
+        alive_arr = (
+            None if alive is None else np.asarray(_sorted_live(alive), dtype=_U64)
+        )
+        lat_state = self._latency_state(latency)
         state = self.begin_frontier(src, dest)
         path_lists = [[int(s)] for s in src] if paths else None
         for step in range(1, MAX_HOPS + 2):
-            if self.step_frontier(state, alive_arr, latency) == 0:
+            if self._advance(metric, state, alive_arr, lat_state) == 0:
                 break
             if path_lists is not None:
                 # Rows stop for good, so the movers of step k have k hops.
@@ -638,295 +635,6 @@ class CompiledNetwork:
         return self._result(
             src, dest, state.hops, self.ids[state.pos], state.success, path_lists, lat
         )
-
-    def _route_ring_fast(
-        self,
-        src: np.ndarray,
-        dest: np.ndarray,
-        paths: bool,
-        lat_state=None,
-    ) -> BatchResult:
-        """No-filter ring loop over the padded distance matrix.
-
-        Per hop: gather the active rows of :meth:`_ring_matrix` (distances
-        descending), find the first column ``<= remaining`` with one
-        ``argmax``, and step to its position.  A self-step (chosen distance
-        zero) means finished — at the key or stuck — and is *free*, so the
-        loop never compacts per iteration: the frontier keeps its size,
-        every per-hop op writes into a preallocated buffer, hop counts are
-        just ``hops += moved`` and the loop ends when nothing moved.  Each
-        time under half of the routes still move, the survivors are
-        compacted (the straggler tail otherwise dominates: max hops runs
-        well past the mean).  Success and terminals are
-        resolved in one vectorized pass afterwards; only routes stuck short
-        of their key (key lookups, never node-to-node traffic) pay a
-        responsible-node search then.
-
-        Kept beside :meth:`frontier_step` for that workspace: looping the
-        step over the same routes (fresh arrays, a position search and a
-        terminal check every hop) measured 2.0x this loop, 104 -> 207
-        ns/hop at 4,096 nodes x 50,000 pairs with latency — the figure
-        sweeps' whole budget.  Without the position search the two are
-        level (110 vs 106 ns/hop stepped, same shape), so this loop is a
-        duplicate path the figure sweeps could give up.
-        """
-        m = src.size
-        path_lists = [[int(s)] for s in src] if paths else None
-        lat = np.zeros(m, dtype=np.float64) if lat_state is not None else None
-        if lat_state is not None:
-            lr, lmat, lhop2 = lat_state
-        dist2d, posflat, ids_small = self._ring_matrix()
-        dt = dist2d.dtype.type
-        width = dist2d.shape[1]
-        # mask only when the id space doesn't fill the dtype (wrap is free).
-        small_mask = None if int(self.mask) == np.iinfo(dt).max else dt(self.mask)
-        # Position buffers follow posflat's (possibly int32) dtype: ``take``
-        # with ``out=`` requires an exact dtype match, and the smaller
-        # buffers halve the gather traffic of the hot loop.
-        cur = self._positions(src).astype(posflat.dtype)
-        dsm = dest.astype(dt)
-        hops = np.zeros(m, dtype=np.int64)
-        curid = np.empty(m, dtype=dt)
-        rem = np.empty(m, dtype=dt)
-        rem2 = rem[:, None]
-        rows = np.empty((m, width), dtype=dt)
-        le = np.empty((m, width), dtype=bool)
-        idx = np.empty(m, dtype=np.intp)
-        nxt = np.empty(m, dtype=posflat.dtype)
-        moved = np.empty(m, dtype=bool)
-        sel: Optional[np.ndarray] = None  # original index of each survivor
-        full_cur = full_hops = full_dsm = None
-        for _ in range(MAX_HOPS + 1):
-            ids_small.take(cur, out=curid)
-            np.subtract(dsm, curid, out=rem)
-            if small_mask is not None:
-                np.bitwise_and(rem, small_mask, out=rem)
-            dist2d.take(cur, axis=0, out=rows)
-            np.less_equal(rows, rem2, out=le)
-            p = le.argmax(axis=1)
-            # dtype= forces the flat index math into intp even when ``cur``
-            # is int32 (row * width can overflow int32 on huge tables).
-            np.multiply(cur, width, out=idx, dtype=np.intp)
-            np.add(idx, p, out=idx)
-            posflat.take(idx, out=nxt)
-            np.not_equal(nxt, cur, out=moved)
-            cnt = np.count_nonzero(moved)
-            if not cnt:
-                break
-            np.add(hops, moved, out=hops)
-            cur, nxt = nxt, cur
-            if lat is not None:
-                # After the swap ``nxt`` holds the previous positions.
-                # Accumulating into the full-length ``lat`` per hop (rather
-                # than folding at compaction) keeps each route's additions
-                # a strict left fold in hop order — bit-identical to the
-                # scalar per-hop sum.
-                hrows = np.flatnonzero(moved)
-                orig = hrows if sel is None else sel[hrows]
-                lat[orig] += lhop2 + lmat[
-                    lr[nxt[hrows]], lr[cur[hrows]]
-                ].astype(np.float64)
-            if path_lists is not None:
-                for ri in np.flatnonzero(moved).tolist():
-                    oi = ri if sel is None else int(sel[ri])
-                    path_lists[oi].append(int(self.ids[cur[ri]]))
-            if cnt * 2 < cur.size:
-                # Tail compaction.  Fresh small arrays for cur/nxt — the
-                # old ping-pong buffers still back ``full_cur``, so slicing
-                # them would corrupt finished routes' positions.
-                survivors = np.flatnonzero(moved)
-                if sel is None:
-                    full_cur, full_hops, full_dsm = cur, hops, dsm
-                    sel = survivors
-                else:
-                    full_hops[sel] += hops
-                    full_cur[sel] = cur
-                    sel = sel[survivors]
-                k = survivors.size
-                cur = cur[survivors]
-                dsm = dsm[survivors]
-                hops = np.zeros(k, dtype=np.int64)
-                curid, rem = curid[:k], rem[:k]
-                rem2 = rem[:, None]
-                rows, le, idx = rows[:k], le[:k], idx[:k]
-                nxt = np.empty(k, dtype=posflat.dtype)
-                moved = moved[:k]
-        else:
-            raise RuntimeError(
-                f"routing exceeded {MAX_HOPS} hops: likely a broken network"
-            )
-        if sel is not None:
-            full_hops[sel] += hops
-            full_cur[sel] = cur
-            cur, hops, dsm = full_cur, full_hops, full_dsm
-        terminal = self.ids[cur]
-        final_rem = dsm - ids_small.take(cur)
-        if small_mask is not None:
-            final_rem &= small_mask
-        success = final_rem == dt(0)
-        stuck = np.flatnonzero(~success)
-        if stuck.size:
-            rp = (
-                np.searchsorted(self.ids, dest[stuck], side="right")
-                .astype(np.int64) - 1
-            )
-            resp = np.where(rp < 0, self.n - 1, rp)
-            success[stuck] = cur[stuck] == resp
-        return self._result(src, dest, hops, terminal, success, path_lists, lat)
-
-    def route_xor(
-        self,
-        sources: Sequence[int],
-        dest_keys: Sequence[int],
-        alive: Optional[Set[int]] = None,
-        paths: bool = False,
-        latency: Optional["LatencyTable"] = None,
-    ) -> BatchResult:
-        """Batch greedy XOR routing, identical to ``route_xor``."""
-        src, dest = _as_batch(sources, dest_keys)
-        if alive is None:
-            return self._route_xor_fast(
-                src, dest, paths, self._latency_state(latency)
-            )
-        return self._route_stepped("xor", src, dest, alive, paths, latency)
-
-    def _route_xor_fast(
-        self,
-        src: np.ndarray,
-        dest: np.ndarray,
-        paths: bool,
-        lat_state=None,
-    ) -> BatchResult:
-        """No-filter XOR loop: the bracketing pair via one searchsorted.
-
-        ``searchsorted(aug, caug | (d + 1), "left")`` is the first neighbor
-        ``>= d`` (or the high sentinel, i.e. the wrapped successor) and the
-        entry before it is the predecessor (or the low sentinel, the wrapped
-        one) — the exact two candidates the scalar scan reduces to.  The
-        predecessor wins only when strictly closer than both the successor
-        and the current node, mirroring the scalar scan order.
-
-        Like the ring loop, the hot loop reuses preallocated per-hop
-        workspace (``searchsorted`` itself allocates its index result;
-        every other op writes into a standing buffer) and keeps finished
-        routes in the frontier instead of boolean-filtering eight arrays
-        every iteration: a finished route recomputes the same candidate
-        pair, fails ``ok`` again, and is masked out of the in-place
-        updates.  The straggler tail is compacted away whenever under half
-        the batch is still moving, and success resolution (the stuck-route
-        closest-node check) runs once over the whole batch at the end
-        instead of a per-bit trie descent on every iteration that finishes
-        any route.
-
-        Kept beside :meth:`frontier_step` for the same reason as the ring
-        loop: stepping the same routes measured 1.34x, 228 -> 305 ns/hop
-        at 4,096 nodes x 50,000 pairs with latency — and, like it, level
-        with the step since positions are carried (210 vs 204 stepped).
-        """
-        m = src.size
-        hops = np.zeros(m, dtype=np.int64)
-        terminal = src.copy()
-        path_lists = [[int(s)] for s in src] if paths else None
-        lat = np.zeros(m, dtype=np.float64) if lat_state is not None else None
-        if lat_state is not None:
-            lr, lmat, lhop2 = lat_state
-        aug, cand_ids, cand_aug = self._xor_table()
-        caug = self._positions(src).astype(_U64) << self.shift
-        cur_dist = src ^ dest
-        d = dest
-        dq = dest + _ONE
-        act = np.ones(m, dtype=bool)
-        q = np.empty(m, dtype=_U64)
-        c1 = np.empty(m, dtype=_U64)
-        c2 = np.empty(m, dtype=_U64)
-        d1 = np.empty(m, dtype=_U64)
-        d2 = np.empty(m, dtype=_U64)
-        pm = np.empty(m, dtype=np.intp)
-        pick2 = np.empty(m, dtype=bool)
-        ok = np.empty(m, dtype=bool)
-        fin = np.empty(m, dtype=bool)
-        sel: Optional[np.ndarray] = None  # original index of each survivor
-        full_hops = None
-        for _ in range(MAX_HOPS + 1):
-            np.bitwise_or(caug, dq, out=q)
-            p1 = np.searchsorted(aug, q, side="left")
-            np.subtract(p1, 1, out=pm)
-            cand_ids.take(p1, out=c1)
-            cand_ids.take(pm, out=c2)
-            np.bitwise_xor(c1, d, out=d1)
-            np.bitwise_xor(c2, d, out=d2)
-            np.minimum(d1, cur_dist, out=q)
-            np.less(d2, q, out=pick2)
-            np.less(d1, cur_dist, out=ok)  # a route at its key has cur_dist 0
-            np.logical_or(ok, pick2, out=ok)
-            np.logical_not(ok, out=fin)
-            np.logical_and(fin, act, out=fin)  # newly finished this hop
-            if fin.any():
-                rows = np.flatnonzero(fin)
-                orig = rows if sel is None else sel[rows]
-                terminal[orig] = self.ids[
-                    (caug[rows] >> self.shift).astype(np.int64)
-                ]
-                np.logical_and(act, ok, out=act)
-            nact = np.count_nonzero(act)
-            if nact == 0:
-                break
-            # Step every still-active route in place; finished rows are
-            # masked out of the writes and idle as free no-steps.
-            np.copyto(d1, d2, where=pick2)
-            np.copyto(cur_dist, d1, where=act)
-            np.subtract(p1, pick2, out=p1)  # index of the chosen candidate
-            cand_aug.take(p1, out=q)
-            if lat is not None:
-                # ``caug`` still holds the pre-step positions, ``q`` the
-                # chosen candidates'; accumulate before the in-place step,
-                # in hop order, into the full-length accumulator.
-                rows = np.flatnonzero(act)
-                orig = rows if sel is None else sel[rows]
-                prevp = (caug[rows] >> self.shift).astype(np.int64)
-                newp = (q[rows] >> self.shift).astype(np.int64)
-                lat[orig] += lhop2 + lmat[lr[prevp], lr[newp]].astype(
-                    np.float64
-                )
-            np.copyto(caug, q, where=act)
-            np.add(hops, act, out=hops)
-            if path_lists is not None:
-                np.copyto(c1, c2, where=pick2)
-                step_ids = c1.tolist()
-                for ri in np.flatnonzero(act).tolist():
-                    oi = ri if sel is None else int(sel[ri])
-                    path_lists[oi].append(int(step_ids[ri]))
-            if nact * 2 < act.size:
-                # Tail compaction, folding local hop counts into the full
-                # array exactly as the ring loop does.
-                survivors = np.flatnonzero(act)
-                if sel is None:
-                    full_hops = hops
-                    sel = survivors
-                else:
-                    full_hops[sel] += hops
-                    sel = sel[survivors]
-                k = survivors.size
-                caug = caug[survivors]
-                cur_dist = cur_dist[survivors]
-                d = d[survivors]
-                dq = dq[survivors]
-                hops = np.zeros(k, dtype=np.int64)
-                act = np.ones(k, dtype=bool)
-                q, c1, c2, d1, d2 = q[:k], c1[:k], c2[:k], d1[:k], d2[:k]
-                pm, pick2, ok, fin = pm[:k], pick2[:k], ok[:k], fin[:k]
-        else:
-            raise RuntimeError(
-                f"routing exceeded {MAX_HOPS} hops: likely a broken network"
-            )
-        if sel is not None:
-            full_hops[sel] += hops
-            hops = full_hops
-        success = (terminal ^ dest) == _ZERO
-        stuck = np.flatnonzero(~success)
-        if stuck.size:
-            success[stuck] = self._xor_closest(terminal[stuck], dest[stuck], None)
-        return self._result(src, dest, hops, terminal, success, path_lists, lat)
 
     def route(
         self,
@@ -975,12 +683,11 @@ class CompiledNetwork:
         """Advance every lookup exactly one greedy hop (pure, resumable).
 
         The single-step entry point behind the serving runtime: one call
-        is one frontier tick, and the only code that applies ``alive_arr``
-        (:meth:`route` with a filter loops it).  Without one it makes the
-        decision of one iteration of the unfiltered whole-route loops —
-        same candidate, same terminal resolution.  The ring step is their
-        gather / compare / ``argmax`` (:func:`_ring_hop`) either way; only
-        the table differs (:meth:`bind_alive`).
+        is one frontier tick by the network's declared metric.  Its body,
+        :meth:`_step`, is the only hop in this module: :meth:`route` loops
+        it, filtered or not, without going through this method.  The ring
+        step is the gather / compare / ``argmax`` of :func:`_ring_hop`
+        either way; only the table differs (:meth:`bind_alive`).
 
         A lookup is where it stands: ``pos`` holds int64 positions in this
         view's ``ids`` and positions come back, so no hop searches for a
@@ -992,8 +699,19 @@ class CompiledNetwork:
         ``pos`` there.  ``hop_ms`` is per-hop overlay latency (zero on
         unmoved rows) when ``lat_state`` is given, else ``None``.
         """
+        return self._step(self.metric, pos, dest, alive_arr, lat_state)
+
+    def _step(
+        self,
+        metric: str,
+        pos: np.ndarray,
+        dest: np.ndarray,
+        alive_arr: Optional[np.ndarray],
+        lat_state,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]:
+        """:meth:`frontier_step` by the greedy rule of ``metric``."""
         cur_ids = self.ids[pos]
-        if self.metric == "ring":
+        if metric == "ring":
             remaining = (dest - cur_ids) & self.mask
             at_dest = remaining == _ZERO
             nxtp = _ring_hop(self._step_table(alive_arr), pos, remaining)
@@ -1003,7 +721,7 @@ class CompiledNetwork:
             if np.any(stuck):
                 gaps = self._ring_gaps(alive_arr)
                 success[stuck] = remaining[stuck] < gaps[pos[stuck]]
-        elif self.metric == "xor":
+        elif metric == "xor":
             cur_dist = cur_ids ^ dest
             at_dest = cur_dist == _ZERO
             if alive_arr is None:
@@ -1029,7 +747,7 @@ class CompiledNetwork:
                     cur_ids[stuck], dest[stuck], alive_arr
                 )
         else:
-            raise ValueError(f"unknown metric {self.metric!r}")
+            raise ValueError(f"unknown metric {metric!r}")
         hop_ms: Optional[np.ndarray] = None
         if lat_state is not None:
             lr, lmat, lhop2 = lat_state
@@ -1055,12 +773,23 @@ class CompiledNetwork:
         Latency accumulates into ``state.latency_ms`` one addition per
         hop, preserving the scalar left-fold contract.
         """
+        return self._advance(
+            self.metric, state, alive, self._latency_state(latency)
+        )
+
+    def _advance(
+        self,
+        metric: str,
+        state: InFlightFrontier,
+        alive_arr: Optional[np.ndarray],
+        lat_state,
+    ) -> int:
+        """:meth:`step_frontier` by the greedy rule of ``metric``."""
         act = np.flatnonzero(~state.done)
         if act.size == 0:
             return 0
-        lat_state = self._latency_state(latency)
-        next_pos, moved, success, hop_ms = self.frontier_step(
-            state.pos[act], state.dest[act], alive, lat_state
+        next_pos, moved, success, hop_ms = self._step(
+            metric, state.pos[act], state.dest[act], alive_arr, lat_state
         )
         state.pos[act] = next_pos
         mv = act[moved]

@@ -682,7 +682,7 @@ class CompiledStore:
         lat = np.zeros(m, dtype=np.float64) if lat_state is not None else None
         if lat_state is not None:
             lr, lmat, lhop2 = lat_state
-        table = compiled._ring_matrix()[:2]
+        table = compiled._step_table(None)
         probes = 0
         for _ in range(MAX_HOPS):
             if active.size == 0:

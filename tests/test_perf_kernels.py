@@ -95,9 +95,18 @@ def scalar_router(network):
     return route_ring if network.metric == "ring" else route_xor
 
 
-def assert_identical(network, pairs, alive=None):
-    router = scalar_router(network)
-    result = batch_route(network, pairs, alive=alive, paths=True)
+def assert_identical(network, pairs, alive=None, metric=None):
+    """Batch vs scalar routes; ``metric`` routes by a metric other than the
+    network's declared one."""
+    if metric is None:
+        router = scalar_router(network)
+        result = batch_route(network, pairs, alive=alive, paths=True)
+    else:
+        router = route_ring if metric == "ring" else route_xor
+        compiled = compile_network(network)
+        batch = compiled.route_ring if metric == "ring" else compiled.route_xor
+        srcs, dests = zip(*pairs)
+        result = batch(srcs, dests, alive=alive, paths=True)
     for i, (src, dst) in enumerate(pairs):
         expected = router(network, src, dst, alive=alive)
         assert result.paths[i] == expected.path, (i, src, dst)
@@ -395,9 +404,13 @@ def test_property_filtered_xor_route_equals_scalar(seed, share):
     )
 
 
-def test_filtered_route_steps_by_the_declared_metric():
-    network, _ = build_family("chord", 0)
-    with pytest.raises(ValueError, match="declared metric"):
-        compile_network(network).route_xor(
-            network.node_ids[:2], network.node_ids[:2], alive=set(network.node_ids)
-        )
+def test_other_metric_router_identical():
+    """Either router runs on any network, filtered or not, by the metric it
+    names: the storage walk's pointer fetches route by ring on XOR nets."""
+    for family in ("chord", "kademlia", "kandy", "can"):
+        network, rng = build_family(family, 0)
+        other = "xor" if network.metric == "ring" else "ring"
+        pairs = workload(network, rng, count=40)
+        assert_identical(network, pairs, metric=other)
+        survivors = LiveSet(rng.sample(network.node_ids, (3 * SIZE) // 4))
+        assert_identical(network, pairs, alive=survivors, metric=other)

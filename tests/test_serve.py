@@ -94,6 +94,34 @@ class TestFrontierStepping:
             assert bool(state.success[i]) == want.success
             assert float(state.latency_ms[i]) == want.latency(latency.node_latency)
 
+    def test_only_a_tick_calls_the_public_step(self, monkeypatch):
+        """Timing ``frontier_step`` times serving ticks and nothing else:
+        whole routes loop the private step, one tick is one public call."""
+        net, latency = build_serving_net(128, seed=4)
+        compiled, alive = compile_protocol_view(net)
+        sources, keys = lookup_workload(net, 100, seed=4)
+        step = CompiledNetwork.frontier_step
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("whole routes went through frontier_step")
+
+        monkeypatch.setattr(CompiledNetwork, "frontier_step", refuse)
+        for router in (compiled.route, compiled.route_ring, compiled.route_xor):
+            for live in (None, set(alive.tolist())):
+                got = router(sources, keys, alive=live, paths=True, latency=latency)
+                assert got.latency_ms is not None and len(got.paths) == 100
+        runtime = ServeRuntime(compiled, alive, latency=latency)
+        runtime.submit_many(sources, keys)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(CompiledNetwork, "frontier_step", counted)
+        runtime.tick()
+        assert len(calls) == 1
+
 
 class TestRuntimeBasics:
     def test_every_ticket_completes_with_route_verdict(self):
