@@ -1,8 +1,8 @@
 """Record the reference-vs-bulk construction baseline into ``BENCH_build.json``.
 
 Builds every DHT family twice — once on the scalar reference path
-(``use_numpy=False``) and once through the :mod:`repro.perf.build` bulk
-builders — on identical inputs, taking the best of ``--repeats`` timed
+(``build_reference()``) and once through the :mod:`repro.perf.build` bulk
+builders (``build()``) — on identical inputs, taking the best of ``--repeats`` timed
 builds of each, and writes the timings plus derived speedups as JSON.
 Setup (id draws, hierarchy, prefix trees) happens outside the timed
 region; each timed build starts from a freshly seeded RNG so both paths
@@ -129,7 +129,7 @@ def _close(ref, bulk):
 
 
 def family_specs(size):
-    """(name, nodes, make(use_numpy) -> unbuilt network, validate) tuples.
+    """(name, nodes, make() -> unbuilt network, validate) tuples.
 
     ``make`` seeds a fresh RNG per call so the reference and bulk timed
     builds start from identical state.
@@ -139,68 +139,43 @@ def family_specs(size):
 
     def hier(name, ctor, validate, nodes=size):
         space, hierarchy = _hierarchy_setup(nodes, seed=len(specs) + 1)
-        specs.append((name, nodes, lambda un: ctor(space, hierarchy, un), validate))
+        specs.append((name, nodes, lambda: ctor(space, hierarchy), validate))
 
-    hier("chord", lambda s, h, un: _flagged(ChordNetwork(s, h), un), _exact)
-    hier("crescendo", lambda s, h, un: _flagged(CrescendoNetwork(s, h), un), _exact)
-    hier(
-        "symphony",
-        lambda s, h, un: SymphonyNetwork(s, h, random.Random(101), use_numpy=un),
-        _close,
-    )
-    hier(
-        "cacophony",
-        lambda s, h, un: CacophonyNetwork(s, h, random.Random(102), un),
-        _close,
-    )
-    hier(
-        "ndchord",
-        lambda s, h, un: NDChordNetwork(s, h, random.Random(103), un),
-        _close,
-    )
+    hier("chord", ChordNetwork, _exact)
+    hier("crescendo", CrescendoNetwork, _exact)
+    hier("symphony", lambda s, h: SymphonyNetwork(s, h, random.Random(101)), _close)
+    hier("cacophony", lambda s, h: CacophonyNetwork(s, h, random.Random(102)), _close)
+    hier("ndchord", lambda s, h: NDChordNetwork(s, h, random.Random(103)), _close)
     hier(
         "ndcrescendo",
-        lambda s, h, un: NDCrescendoNetwork(s, h, random.Random(104), un),
+        lambda s, h: NDCrescendoNetwork(s, h, random.Random(104)),
         _close,
     )
-    hier("mixed", lambda s, h, un: LanCrescendoNetwork(s, h, un), _exact)
-    hier("naive", lambda s, h, un: NaiveHierarchicalChord(s, h, un), _exact)
-    hier(
-        "kademlia",
-        lambda s, h, un: KademliaNetwork(s, h, None, 1, use_numpy=un),
-        _exact,
-    )
-    hier(
-        "kandy",
-        lambda s, h, un: KandyNetwork(s, h, None, 1, use_numpy=un),
-        _exact,
-    )
+    hier("mixed", LanCrescendoNetwork, _exact)
+    hier("naive", NaiveHierarchicalChord, _exact)
+    hier("kademlia", lambda s, h: KademliaNetwork(s, h, None, 1), _exact)
+    hier("kandy", lambda s, h: KandyNetwork(s, h, None, 1), _exact)
 
     space, hierarchy, prefixes = _prefix_setup(small, seed=90)
     specs.append(
-        ("can", small, lambda un: CANNetwork(space, hierarchy, prefixes, un), _exact)
+        ("can", small, lambda: CANNetwork(space, hierarchy, prefixes), _exact)
     )
     specs.append(
         (
             "cancan",
             small,
-            lambda un: CanCanNetwork(space, hierarchy, prefixes, None, use_numpy=un),
+            lambda: CanCanNetwork(space, hierarchy, prefixes, None),
             _exact,
         )
     )
     return specs
 
 
-def _flagged(net, use_numpy):
-    net.use_numpy = use_numpy
-    return net
-
-
 def bench_builds(size, repeats):
     out = {}
     for name, nodes, make, validate in family_specs(size):
-        ref_s, ref = best_of(lambda: make(False).build(), repeats)
-        bulk_s, bulk = best_of(lambda: make(True).build(), repeats)
+        ref_s, ref = best_of(lambda: make().build_reference(), repeats)
+        bulk_s, bulk = best_of(lambda: make().build(), repeats)
         assert ref.built_with == "python", f"{name}: reference took the bulk path"
         assert bulk.built_with == "numpy", f"{name}: bulk fell back to reference"
         validate(ref, bulk)

@@ -34,14 +34,14 @@ def make_inputs(seed=0, levels=LEVELS):
 
 def test_build_chord_numpy(benchmark):
     space, hierarchy, rng = make_inputs()
-    net = benchmark(lambda: ChordNetwork(space, hierarchy, use_numpy=True).build())
+    net = benchmark(lambda: ChordNetwork(space, hierarchy).build())
     assert net.size == SIZE
 
 
 def test_build_crescendo_numpy(benchmark):
     space, hierarchy, rng = make_inputs()
     net = benchmark(
-        lambda: CrescendoNetwork(space, hierarchy, use_numpy=True).build()
+        lambda: CrescendoNetwork(space, hierarchy).build()
     )
     assert net.size == SIZE
 
@@ -49,7 +49,7 @@ def test_build_crescendo_numpy(benchmark):
 def test_build_crescendo_python(benchmark):
     space, hierarchy, rng = make_inputs()
     net = benchmark(
-        lambda: CrescendoNetwork(space, hierarchy, use_numpy=False).build()
+        lambda: CrescendoNetwork(space, hierarchy).build_reference()
     )
     assert net.size == SIZE
 
@@ -63,7 +63,7 @@ def test_build_symphony(benchmark):
 def test_build_symphony_python(benchmark):
     space, hierarchy, rng = make_inputs()
     net = benchmark(
-        lambda: SymphonyNetwork(space, hierarchy, rng, use_numpy=False).build()
+        lambda: SymphonyNetwork(space, hierarchy, rng).build_reference()
     )
     assert net.size == SIZE
 
@@ -89,7 +89,7 @@ def test_build_kademlia(benchmark):
 def test_build_kademlia_python(benchmark):
     space, hierarchy, rng = make_inputs()
     net = benchmark(
-        lambda: KademliaNetwork(space, hierarchy, rng, use_numpy=False).build()
+        lambda: KademliaNetwork(space, hierarchy, rng).build_reference()
     )
     assert net.size == SIZE
 

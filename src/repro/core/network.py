@@ -19,6 +19,10 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set
 from .hierarchy import Hierarchy, ROOT
 from .idspace import IdSpace, predecessor_index, successor_index
 
+#: Node count at or below which :meth:`DHTNetwork.build` runs the scalar
+#: reference: setting up arrays costs more than it saves on so few nodes.
+BULK_THRESHOLD = 64
+
 
 class LinkTableError(AssertionError):
     """A malformed entry in a network's link table.
@@ -41,9 +45,12 @@ class LinkTableError(AssertionError):
 class DHTNetwork:
     """Base class: an ID space, a hierarchy, and a per-node link table.
 
-    Subclasses implement :meth:`build` to populate ``links`` according to
-    their construction rule.  ``metric`` declares which greedy routing engine
-    applies ("ring" for Chord-family networks, "xor" for Kademlia-family).
+    Subclasses populate ``links`` according to their construction rule:
+    ``_reference_link_sets`` is the scalar reference, ``_bulk_link_sets``
+    the vectorized form of the same rule (:mod:`repro.perf.build`), and
+    the input alone picks between them (:meth:`_use_bulk`).  ``metric``
+    declares which greedy routing engine applies ("ring" for Chord-family
+    networks, "xor" for Kademlia-family).
     """
 
     metric = "ring"
@@ -64,28 +71,49 @@ class DHTNetwork:
         # Out-links only; the paper's degree figures count these.
         self.links: Dict[int, List[int]] = {i: [] for i in ids}
         self._built = False
-        # Builder dispatch: subclasses that have a bulk (numpy) construction
-        # consult _use_bulk() in build(); the scalar code stays the semantic
-        # reference.  built_with records which path actually ran.
-        self.use_numpy = True
+        #: Which construction ran: "numpy" (bulk) or "python" (reference).
         self.built_with: Optional[str] = None
 
     # ------------------------------------------------------------- building
 
     def build(self) -> "DHTNetwork":
-        """Populate the link table.  Returns ``self`` for chaining."""
-        raise NotImplementedError
+        """Populate the link table.  Returns ``self`` for chaining.
+
+        Takes the bulk construction when :meth:`_use_bulk` holds for this
+        input, and :meth:`build_reference` otherwise.
+        """
+        if not self._use_bulk():
+            return self.build_reference()
+        self.built_with = "numpy"
+        self._finalize_links(self._bulk_link_sets())
+        return self
+
+    def build_reference(self) -> "DHTNetwork":
+        """Populate the link table through the scalar reference construction.
+
+        The semantic definition every bulk builder is held to
+        (:func:`repro.verify.oracles.compare_builders`).
+        """
+        self.built_with = "python"
+        self._finalize_links(self._reference_link_sets())
+        return self
 
     def _use_bulk(self) -> bool:
-        """Whether this build should take the vectorized bulk path.
+        """Whether :meth:`build` takes the bulk path — a function of the input.
 
-        Honours the per-network ``use_numpy`` flag, the process-wide build
-        mode (:func:`repro.perf.build.set_build_mode`) and the small-network
-        threshold; oversized id spaces (>63 bits) always run the reference.
+        Ids must fit numpy's uint64 arithmetic (under 64 bits) and the network
+        must exceed :data:`BULK_THRESHOLD` nodes; families whose input can
+        lack a bulk form narrow this further.
         """
-        from ..perf.build import bulk_enabled
+        return self.space.bits < 64 and self.size > BULK_THRESHOLD
 
-        return self.space.bits < 64 and bulk_enabled(self.use_numpy, self.size)
+    def _reference_link_sets(self) -> Dict[int, Set[int]]:
+        """Per-node link sets by the scalar reference construction."""
+        raise NotImplementedError
+
+    def _bulk_link_sets(self) -> Dict[int, Set[int]]:
+        """Per-node link sets by the vectorized construction of the same rule."""
+        raise NotImplementedError
 
     def _finalize_links(self, link_sets: Dict[int, Set[int]]) -> None:
         """Install link sets, deduplicated, self-links removed, sorted by id.

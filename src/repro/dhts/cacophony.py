@@ -28,28 +28,22 @@ class CacophonyNetwork(DHTNetwork):
     metric = "ring"
     family = "cacophony"
 
-    def __init__(
-        self, space: IdSpace, hierarchy: Hierarchy, rng, use_numpy: bool = True
-    ) -> None:
+    def __init__(self, space: IdSpace, hierarchy: Hierarchy, rng) -> None:
         super().__init__(space, hierarchy)
         self.rng = rng
-        self.use_numpy = use_numpy
         #: Clockwise distance to the node's own-ring successor (see Crescendo).
         self.gap: Dict[int, int] = {}
 
-    def build(self) -> "CacophonyNetwork":
-        """Populate the link table per this construction's rule."""
-        space = self.space
-        if self._use_bulk():
-            from ..perf.build import cacophony_link_sets
+    def _bulk_link_sets(self) -> Dict[int, Set[int]]:
+        from ..perf.build import cacophony_link_sets
 
-            self.built_with = "numpy"
-            link_sets, self.gap = cacophony_link_sets(
-                self.node_ids, space, self.hierarchy, self.rng
-            )
-            self._finalize_links(link_sets)
-            return self
-        self.built_with = "python"
+        link_sets, self.gap = cacophony_link_sets(
+            self.node_ids, self.space, self.hierarchy, self.rng
+        )
+        return link_sets
+
+    def _reference_link_sets(self) -> Dict[int, Set[int]]:
+        space = self.space
         link_sets: Dict[int, Set[int]] = {node: set() for node in self.node_ids}
         self.gap = {node: space.size for node in self.node_ids}
         depth_of = {node: len(self.hierarchy.path_of(node)) for node in self.node_ids}
@@ -82,5 +76,4 @@ class CacophonyNetwork(DHTNetwork):
                     self.gap[node] = space.ring_distance(node, successor)
                 else:
                     self.gap[node] = space.size
-        self._finalize_links(link_sets)
-        return self
+        return link_sets

@@ -213,26 +213,21 @@ class CANNetwork(DHTNetwork):
         space: IdSpace,
         hierarchy: Hierarchy,
         prefixes: Dict[int, PrefixId],
-        use_numpy: bool = True,
     ) -> None:
         super().__init__(space, hierarchy)
         missing = set(self.node_ids) - set(prefixes)
         if missing:
             raise ValueError(f"no prefix registered for nodes {sorted(missing)[:5]}")
         self.prefixes = prefixes
-        self.use_numpy = use_numpy
 
-    def build(self) -> "CANNetwork":
-        """Populate the link table per this construction's rule."""
+    def _bulk_link_sets(self) -> Dict[int, Set[int]]:
+        from ..perf.build import can_link_sets
+
+        lengths = [self.prefixes[node].length for node in self.node_ids]
+        return can_link_sets(self.node_ids, lengths, self.space.bits)
+
+    def _reference_link_sets(self) -> Dict[int, Set[int]]:
         ids = self.node_ids
-        if self._use_bulk():
-            from ..perf.build import can_link_sets
-
-            self.built_with = "numpy"
-            lengths = [self.prefixes[node].length for node in ids]
-            self._finalize_links(can_link_sets(ids, lengths, self.space.bits))
-            return self
-        self.built_with = "python"
         link_sets: Dict[int, Set[int]] = {node: set() for node in ids}
         # All-pairs adjacency; CAN instances in this reproduction are modest
         # (no paper figure depends on CAN scale) and this is the ground-truth
@@ -244,8 +239,7 @@ class CANNetwork(DHTNetwork):
                 if are_adjacent(pa, pb):
                     link_sets[a].add(b)
                     link_sets[b].add(a)
-        self._finalize_links(link_sets)
-        return self
+        return link_sets
 
     # -------------------------------------------------------------- routing
 
@@ -318,7 +312,6 @@ def build_can(
     rng,
     policy: str = "random",
     domain_paths: Optional[List[Tuple[str, ...]]] = None,
-    use_numpy: bool = True,
 ) -> CANNetwork:
     """Convenience constructor: grow a prefix tree and build the CAN over it.
 
@@ -335,4 +328,4 @@ def build_can(
         prefixes[padded] = leaf
         path = domain_paths[i] if domain_paths else ()
         hierarchy.place(padded, path)
-    return CANNetwork(space, hierarchy, prefixes, use_numpy=use_numpy).build()
+    return CANNetwork(space, hierarchy, prefixes).build()

@@ -51,26 +51,22 @@ class CanCanNetwork(CANNetwork):
         hierarchy: Hierarchy,
         prefixes: Dict[int, PrefixId],
         rng=None,
-        use_numpy: bool = True,
     ) -> None:
-        super().__init__(space, hierarchy, prefixes, use_numpy=use_numpy)
+        super().__init__(space, hierarchy, prefixes)
         self.rng = rng
         #: node -> bit position -> depth of the domain the edge came from.
         self.edge_depth: Dict[int, Dict[int, int]] = {}
 
-    def build(self) -> "CanCanNetwork":
-        """Populate the link table per this construction's rule."""
-        if self._use_bulk():
-            from ..perf.build import cancan_link_sets
+    def _bulk_link_sets(self) -> Dict[int, Set[int]]:
+        from ..perf.build import cancan_link_sets
 
-            self.built_with = "numpy"
-            lengths = [self.prefixes[node].length for node in self.node_ids]
-            link_sets, self.edge_depth = cancan_link_sets(
-                self.node_ids, lengths, self.space, self.hierarchy, self.rng
-            )
-            self._finalize_links(link_sets)
-            return self
-        self.built_with = "python"
+        lengths = [self.prefixes[node].length for node in self.node_ids]
+        link_sets, self.edge_depth = cancan_link_sets(
+            self.node_ids, lengths, self.space, self.hierarchy, self.rng
+        )
+        return link_sets
+
+    def _reference_link_sets(self) -> Dict[int, Set[int]]:
         link_sets: Dict[int, Set[int]] = {node: set() for node in self.node_ids}
         self.edge_depth = {}
         for node in self.node_ids:
@@ -89,8 +85,7 @@ class CanCanNetwork(CANNetwork):
                     depths[bit] = len(domain_path)
             link_sets[node].update(chosen.values())
             self.edge_depth[node] = depths
-        self._finalize_links(link_sets)
-        return self
+        return link_sets
 
     def _adjacent_by_bit(
         self, node: int, prefix: PrefixId, members: List[int]
@@ -112,7 +107,6 @@ def build_cancan(
     rng,
     domain_paths: List[Tuple[str, ...]],
     align_domains: bool = True,
-    use_numpy: bool = True,
 ) -> CanCanNetwork:
     """Grow a prefix tree and build a Can-Can over the given placements.
 
@@ -136,4 +130,4 @@ def build_cancan(
         padded = leaf.padded(space.bits)
         prefixes[padded] = leaf
         hierarchy.place(padded, domain_paths[i])
-    return CanCanNetwork(space, hierarchy, prefixes, rng, use_numpy=use_numpy).build()
+    return CanCanNetwork(space, hierarchy, prefixes, rng).build()

@@ -15,7 +15,6 @@ from typing import Dict, List, Set
 
 import numpy as np
 
-from ..core.hierarchy import Hierarchy
 from ..core.idspace import IdSpace, successor_index
 from ..core.network import DHTNetwork
 
@@ -72,26 +71,15 @@ class ChordNetwork(DHTNetwork):
     metric = "ring"
     family = "chord"
 
-    def __init__(
-        self, space: IdSpace, hierarchy: Hierarchy, use_numpy: bool = True
-    ) -> None:
-        super().__init__(space, hierarchy)
-        self.use_numpy = use_numpy
+    def _reference_link_sets(self) -> Dict[int, Set[int]]:
+        return {
+            node: finger_links(node, self.node_ids, self.space)
+            for node in self.node_ids
+        }
 
-    def build(self) -> "ChordNetwork":
-        """Populate the link table per this construction's rule."""
-        if self._use_bulk():
-            self.built_with = "numpy"
-            arr = np.array(self.node_ids, dtype=np.uint64)
-            link_sets = bulk_finger_links(arr, self.space)
-        else:
-            self.built_with = "python"
-            link_sets = {
-                node: finger_links(node, self.node_ids, self.space)
-                for node in self.node_ids
-            }
-        self._finalize_links(link_sets)
-        return self
+    def _bulk_link_sets(self) -> Dict[int, Set[int]]:
+        arr = np.array(self.node_ids, dtype=np.uint64)
+        return bulk_finger_links(arr, self.space)
 
     def successor_list(self, node_id: int, length: int = 4) -> List[int]:
         """The node's leaf set: its next ``length`` successors on the ring.

@@ -38,25 +38,23 @@ import numpy as np
 
 from ..core.hierarchy import DomainPath, Hierarchy
 from ..core.idspace import IdSpace, successor_index
-from ..core.network import DHTNetwork
+from ..core.network import BULK_THRESHOLD, DHTNetwork
 
 
 class CrescendoNetwork(DHTNetwork):
     """Static (oracle) construction of a Crescendo ring.
 
-    ``use_numpy`` selects the vectorised bulk builder (preferred for the
-    paper-scale 32K-65K node runs); the pure-Python path is the reference
-    implementation and the two are cross-checked by property tests.
+    A bulk build vectorises each ring larger than ``BULK_THRESHOLD``
+    members (the paper-scale 32K-65K node runs); the pure-Python rings of
+    :meth:`build_reference` are the reference implementation and the two
+    are cross-checked by property tests.
     """
 
     metric = "ring"
     family = "crescendo"
 
-    def __init__(
-        self, space: IdSpace, hierarchy: Hierarchy, use_numpy: bool = True
-    ) -> None:
+    def __init__(self, space: IdSpace, hierarchy: Hierarchy) -> None:
         super().__init__(space, hierarchy)
-        self.use_numpy = use_numpy
         #: Per node: clockwise distance to its own-ring successor, updated as
         #: rings merge; exposed for analysis and invariant checks.
         self.gap: Dict[int, int] = {}
@@ -66,13 +64,18 @@ class CrescendoNetwork(DHTNetwork):
 
     # ---------------------------------------------------------------- build
 
-    def build(self) -> "CrescendoNetwork":
-        """Populate the link table per this construction's rule."""
+    def _reference_link_sets(self) -> Dict[int, Set[int]]:
+        return self._merge_rings(bulk=False)
+
+    def _bulk_link_sets(self) -> Dict[int, Set[int]]:
+        return self._merge_rings(bulk=True)
+
+    def _merge_rings(self, bulk: bool) -> Dict[int, Set[int]]:
+        """Build every ring bottom-up; with ``bulk``, vectorise the large ones."""
         link_sets: Dict[int, Set[int]] = {node: set() for node in self.node_ids}
         self.gap = {node: self.space.size for node in self.node_ids}
         self.level_successors = {node: [] for node in self.node_ids}
         depth_of = {node: len(self.hierarchy.path_of(node)) for node in self.node_ids}
-        self.built_with = "numpy" if self._use_bulk() else "python"
 
         domains = sorted(self.hierarchy.domains(), key=lambda d: -d.depth)
         for domain in domains:
@@ -81,24 +84,19 @@ class CrescendoNetwork(DHTNetwork):
                 continue
             leaf_nodes = [m for m in members if depth_of[m] == domain.depth]
             merge_nodes = [m for m in members if depth_of[m] > domain.depth]
+            ring_bulk = bulk and len(members) > BULK_THRESHOLD
             if domain.depth == 0:
                 # Hook point: proximity-adapted variants replace the top-level
                 # merge with group-based construction (Section 3.6).
-                self._build_top_domain(members, leaf_nodes, merge_nodes, link_sets)
-            elif self._bulk_domain(members):
+                self._build_top_domain(
+                    members, leaf_nodes, merge_nodes, link_sets, ring_bulk
+                )
+            elif ring_bulk:
                 self._build_domain_numpy(members, leaf_nodes, merge_nodes, link_sets)
             else:
                 self._build_domain_python(members, leaf_nodes, merge_nodes, link_sets)
             self._record_level(members)
-
-        self._finalize_links(link_sets)
-        return self
-
-    def _bulk_domain(self, members: List[int]) -> bool:
-        """Whether one domain's ring is large enough for the bulk path."""
-        from ..perf.build import bulk_enabled
-
-        return self.space.bits < 64 and bulk_enabled(self.use_numpy, len(members))
+        return link_sets
 
     def _build_top_domain(
         self,
@@ -106,9 +104,10 @@ class CrescendoNetwork(DHTNetwork):
         leaf_nodes: List[int],
         merge_nodes: List[int],
         link_sets: Dict[int, Set[int]],
+        bulk: bool,
     ) -> None:
         """Top-level (root) merge; the default is the ordinary Canon merge."""
-        if self._bulk_domain(members):
+        if bulk:
             self._build_domain_numpy(members, leaf_nodes, merge_nodes, link_sets)
         else:
             self._build_domain_python(members, leaf_nodes, merge_nodes, link_sets)

@@ -111,27 +111,23 @@ class KademliaNetwork(DHTNetwork):
         hierarchy: Hierarchy,
         rng=None,
         bucket_size: int = 1,
-        use_numpy: bool = True,
     ) -> None:
         super().__init__(space, hierarchy)
         self.rng = rng
         self.bucket_size = bucket_size
-        self.use_numpy = use_numpy
 
-    def build(self) -> "KademliaNetwork":
-        """Populate the link table per this construction's rule."""
-        members = self.node_ids
+    def _use_bulk(self) -> bool:
         # Deterministic multi-contact buckets (rng None, bucket_size > 1)
-        # stay on the reference path; every other flavour has a bulk builder.
-        if self._use_bulk() and (self.rng is not None or self.bucket_size == 1):
-            from ..perf.build import kademlia_link_sets
+        # have no bulk form; every other flavour does.
+        return super()._use_bulk() and (self.rng is not None or self.bucket_size == 1)
 
-            self.built_with = "numpy"
-            self._finalize_links(
-                kademlia_link_sets(members, self.space, self.rng, self.bucket_size)
-            )
-            return self
-        self.built_with = "python"
+    def _bulk_link_sets(self) -> Dict[int, Set[int]]:
+        from ..perf.build import kademlia_link_sets
+
+        return kademlia_link_sets(self.node_ids, self.space, self.rng, self.bucket_size)
+
+    def _reference_link_sets(self) -> Dict[int, Set[int]]:
+        members = self.node_ids
         link_sets: Dict[int, Set[int]] = {}
         for node in members:
             links: Set[int] = set()
@@ -142,5 +138,4 @@ class KademliaNetwork(DHTNetwork):
                     )
                 )
             link_sets[node] = links
-        self._finalize_links(link_sets)
-        return self
+        return link_sets

@@ -43,31 +43,29 @@ class KandyNetwork(DHTNetwork):
         hierarchy: Hierarchy,
         rng=None,
         bucket_size: int = 1,
-        use_numpy: bool = True,
     ) -> None:
         super().__init__(space, hierarchy)
         self.rng = rng
         self.bucket_size = bucket_size
-        self.use_numpy = use_numpy
         #: node -> bucket index -> depth of the domain the contact came from
         #: (exposed for the locality analysis and tests).
         self.contact_depth: Dict[int, Dict[int, int]] = {}
 
-    def build(self) -> "KandyNetwork":
-        """Populate the link table per this construction's rule."""
-        space = self.space
+    def _use_bulk(self) -> bool:
         # Deterministic multi-contact buckets (rng None, bucket_size > 1)
-        # stay on the reference path; every other flavour has a bulk builder.
-        if self._use_bulk() and (self.rng is not None or self.bucket_size == 1):
-            from ..perf.build import kandy_link_sets
+        # have no bulk form; every other flavour does.
+        return super()._use_bulk() and (self.rng is not None or self.bucket_size == 1)
 
-            self.built_with = "numpy"
-            link_sets, self.contact_depth = kandy_link_sets(
-                self.node_ids, space, self.hierarchy, self.rng, self.bucket_size
-            )
-            self._finalize_links(link_sets)
-            return self
-        self.built_with = "python"
+    def _bulk_link_sets(self) -> Dict[int, Set[int]]:
+        from ..perf.build import kandy_link_sets
+
+        link_sets, self.contact_depth = kandy_link_sets(
+            self.node_ids, self.space, self.hierarchy, self.rng, self.bucket_size
+        )
+        return link_sets
+
+    def _reference_link_sets(self) -> Dict[int, Set[int]]:
+        space = self.space
         link_sets: Dict[int, Set[int]] = {}
         self.contact_depth = {}
         for node in self.node_ids:
@@ -88,5 +86,4 @@ class KandyNetwork(DHTNetwork):
                     break  # lowest enclosing domain with a non-empty bucket
             link_sets[node] = links
             self.contact_depth[node] = depths
-        self._finalize_links(link_sets)
-        return self
+        return link_sets

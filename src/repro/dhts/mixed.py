@@ -29,26 +29,20 @@ class LanCrescendoNetwork(DHTNetwork):
     metric = "ring"
     family = "mixed"
 
-    def __init__(
-        self, space: IdSpace, hierarchy: Hierarchy, use_numpy: bool = True
-    ) -> None:
+    def __init__(self, space: IdSpace, hierarchy: Hierarchy) -> None:
         super().__init__(space, hierarchy)
-        self.use_numpy = use_numpy
         self.gap: Dict[int, int] = {}
 
-    def build(self) -> "LanCrescendoNetwork":
-        """Populate the link table per this construction's rule."""
-        space = self.space
-        if self._use_bulk():
-            from ..perf.build import lan_crescendo_link_sets
+    def _bulk_link_sets(self) -> Dict[int, Set[int]]:
+        from ..perf.build import lan_crescendo_link_sets
 
-            self.built_with = "numpy"
-            link_sets, self.gap = lan_crescendo_link_sets(
-                self.node_ids, space, self.hierarchy
-            )
-            self._finalize_links(link_sets)
-            return self
-        self.built_with = "python"
+        link_sets, self.gap = lan_crescendo_link_sets(
+            self.node_ids, self.space, self.hierarchy
+        )
+        return link_sets
+
+    def _reference_link_sets(self) -> Dict[int, Set[int]]:
+        space = self.space
         link_sets: Dict[int, Set[int]] = {node: set() for node in self.node_ids}
         self.gap = {node: space.size for node in self.node_ids}
         depth_of = {node: len(self.hierarchy.path_of(node)) for node in self.node_ids}
@@ -79,5 +73,4 @@ class LanCrescendoNetwork(DHTNetwork):
                     if successor != node
                     else space.size
                 )
-        self._finalize_links(link_sets)
-        return self
+        return link_sets

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, Set
 
-from ..core.hierarchy import Hierarchy
-from ..core.idspace import IdSpace, successor_index
+from ..core.idspace import successor_index
 from ..core.network import DHTNetwork
 
 
@@ -24,22 +23,13 @@ class NaiveHierarchicalChord(DHTNetwork):
     metric = "ring"
     family = "naive"
 
-    def __init__(
-        self, space: IdSpace, hierarchy: Hierarchy, use_numpy: bool = True
-    ) -> None:
-        super().__init__(space, hierarchy)
-        self.use_numpy = use_numpy
+    def _bulk_link_sets(self) -> Dict[int, Set[int]]:
+        from ..perf.build import naive_link_sets
 
-    def build(self) -> "NaiveHierarchicalChord":
-        """Populate the link table per this construction's rule."""
+        return naive_link_sets(self.node_ids, self.space, self.hierarchy)
+
+    def _reference_link_sets(self) -> Dict[int, Set[int]]:
         space = self.space
-        if self._use_bulk():
-            from ..perf.build import naive_link_sets
-
-            self.built_with = "numpy"
-            self._finalize_links(naive_link_sets(self.node_ids, space, self.hierarchy))
-            return self
-        self.built_with = "python"
         link_sets: Dict[int, Set[int]] = {node: set() for node in self.node_ids}
         for node in self.node_ids:
             path = self.hierarchy.path_of(node)
@@ -52,5 +42,4 @@ class NaiveHierarchicalChord(DHTNetwork):
                     succ = members[successor_index(members, target)]
                     if succ != node:
                         link_sets[node].add(succ)
-        self._finalize_links(link_sets)
-        return self
+        return link_sets

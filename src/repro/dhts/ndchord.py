@@ -66,24 +66,18 @@ class NDChordNetwork(DHTNetwork):
     metric = "ring"
     family = "ndchord"
 
-    def __init__(
-        self, space: IdSpace, hierarchy: Hierarchy, rng, use_numpy: bool = True
-    ) -> None:
+    def __init__(self, space: IdSpace, hierarchy: Hierarchy, rng) -> None:
         super().__init__(space, hierarchy)
         self.rng = rng
-        self.use_numpy = use_numpy
 
-    def build(self) -> "NDChordNetwork":
-        """Populate the link table per this construction's rule."""
+    def _bulk_link_sets(self) -> Dict[int, Set[int]]:
+        from ..perf.build import ndchord_link_sets
+
+        return ndchord_link_sets(self.node_ids, self.space, self.rng)
+
+    def _reference_link_sets(self) -> Dict[int, Set[int]]:
         members = self.node_ids
         population = len(members)
-        if self._use_bulk():
-            from ..perf.build import ndchord_link_sets
-
-            self.built_with = "numpy"
-            self._finalize_links(ndchord_link_sets(members, self.space, self.rng))
-            return self
-        self.built_with = "python"
         link_sets: Dict[int, Set[int]] = {}
         for pos, node in enumerate(members):
             links: Set[int] = set()
@@ -97,8 +91,7 @@ class NDChordNetwork(DHTNetwork):
             if successor != node:
                 links.add(successor)
             link_sets[node] = links
-        self._finalize_links(link_sets)
-        return self
+        return link_sets
 
 
 class NDCrescendoNetwork(DHTNetwork):
@@ -107,27 +100,21 @@ class NDCrescendoNetwork(DHTNetwork):
     metric = "ring"
     family = "ndcrescendo"
 
-    def __init__(
-        self, space: IdSpace, hierarchy: Hierarchy, rng, use_numpy: bool = True
-    ) -> None:
+    def __init__(self, space: IdSpace, hierarchy: Hierarchy, rng) -> None:
         super().__init__(space, hierarchy)
         self.rng = rng
-        self.use_numpy = use_numpy
         self.gap: Dict[int, int] = {}
 
-    def build(self) -> "NDCrescendoNetwork":
-        """Populate the link table per this construction's rule."""
-        space = self.space
-        if self._use_bulk():
-            from ..perf.build import ndcrescendo_link_sets
+    def _bulk_link_sets(self) -> Dict[int, Set[int]]:
+        from ..perf.build import ndcrescendo_link_sets
 
-            self.built_with = "numpy"
-            link_sets, self.gap = ndcrescendo_link_sets(
-                self.node_ids, space, self.hierarchy, self.rng
-            )
-            self._finalize_links(link_sets)
-            return self
-        self.built_with = "python"
+        link_sets, self.gap = ndcrescendo_link_sets(
+            self.node_ids, self.space, self.hierarchy, self.rng
+        )
+        return link_sets
+
+    def _reference_link_sets(self) -> Dict[int, Set[int]]:
+        space = self.space
         link_sets: Dict[int, Set[int]] = {node: set() for node in self.node_ids}
         self.gap = {node: space.size for node in self.node_ids}
         depth_of = {node: len(self.hierarchy.path_of(node)) for node in self.node_ids}
@@ -161,5 +148,4 @@ class NDCrescendoNetwork(DHTNetwork):
                     self.gap[node] = new_gap
                 else:
                     self.gap[node] = space.size
-        self._finalize_links(link_sets)
-        return self
+        return link_sets

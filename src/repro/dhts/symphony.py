@@ -10,7 +10,7 @@ with the one-step lookahead of Section 3.1 (O(log n / log log n) hops).
 from __future__ import annotations
 
 import math
-from typing import List, Set
+from typing import Dict, List, Set
 
 from ..core.hierarchy import Hierarchy
 from ..core.idspace import IdSpace, successor_index
@@ -111,31 +111,27 @@ class SymphonyNetwork(DHTNetwork):
         hierarchy: Hierarchy,
         rng,
         links_per_node: int = 0,
-        use_numpy: bool = True,
     ) -> None:
         super().__init__(space, hierarchy)
         self.rng = rng
         self.links_per_node = links_per_node
-        self.use_numpy = use_numpy
 
-    def build(self) -> "SymphonyNetwork":
-        """Populate the link table per this construction's rule."""
+    def _link_count(self) -> int:
+        return self.links_per_node or max(1, int(math.log2(max(2, self.size))))
+
+    def _bulk_link_sets(self) -> Dict[int, Set[int]]:
+        from ..perf.build import symphony_link_sets
+
+        return symphony_link_sets(
+            self.node_ids, self._link_count(), self.space, self.rng
+        )
+
+    def _reference_link_sets(self) -> Dict[int, Set[int]]:
         members = self.node_ids
-        population = len(members)
-        count = self.links_per_node or max(1, int(math.log2(max(2, population))))
-        if self._use_bulk():
-            from ..perf.build import symphony_link_sets
-
-            self.built_with = "numpy"
-            self._finalize_links(
-                symphony_link_sets(members, count, self.space, self.rng)
-            )
-            return self
-        self.built_with = "python"
+        count = self._link_count()
         link_sets = {}
         for pos, node in enumerate(members):
             links = draw_long_links(node, members, count, self.space, self.rng)
-            links.add(members[(pos + 1) % population])  # successor (short link)
+            links.add(members[(pos + 1) % len(members)])  # successor (short link)
             link_sets[node] = links
-        self._finalize_links(link_sets)
-        return self
+        return link_sets

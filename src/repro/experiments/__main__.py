@@ -27,7 +27,6 @@ from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..obs.profile import PROFILER
 from ..perf import arena as perf_arena
-from ..perf import build as perf_build
 from ..perf import dynamic as perf_dynamic
 from ..perf import cache as perf_cache
 from ..perf import executor as perf_executor
@@ -134,14 +133,6 @@ def main(argv=None) -> int:
         "~/.cache/repro-canon/networks)",
     )
     parser.add_argument(
-        "--build",
-        default="auto",
-        choices=("auto", "numpy", "python"),
-        help="link-table construction path: auto (bulk builders above the "
-        "size threshold; default), numpy (force bulk), python (force the "
-        "scalar reference builders)",
-    )
-    parser.add_argument(
         "--engine",
         default="fast",
         choices=("fast", "reference"),
@@ -184,7 +175,6 @@ def main(argv=None) -> int:
         parser.error(f"--jobs must be >= 0, got {args.jobs}")
     perf_executor.set_default_jobs(args.jobs)
     perf_arena.set_default_arena(args.arena)
-    perf_build.set_build_mode(args.build)
     perf_dynamic.set_engine_mode(args.engine)
     if args.verify:
         from ..verify.invariants import set_auto_verify
@@ -195,7 +185,6 @@ def main(argv=None) -> int:
     finally:
         if args.verify:
             set_auto_verify(False)
-        perf_build.set_build_mode("auto")
         perf_dynamic.set_engine_mode("fast")
         perf_executor.set_default_jobs(1)
         perf_arena.set_default_arena(False)

@@ -20,7 +20,7 @@ from ..obs.profile import PROFILER
 from ..dhts.chord import ChordNetwork
 from ..dhts.crescendo import CrescendoNetwork
 from ..perf import cache as perf_cache
-from ..perf.build import builder_tag
+from ..perf import build as perf_build
 from ..proximity.groups import (
     ProximityChordNetwork,
     ProximityCrescendoNetwork,
@@ -135,11 +135,11 @@ def build_crescendo(
     space = space or IdSpace()
     key = None
     if cache is not None and cache_token is not None:
-        # The builder tag keys entries by the implementation that will run,
-        # so bulk-built tables never serve a reference run or vice versa.
+        # Size and bits fix which builder runs; the version retires tables
+        # an older builder produced.
         key = (
             "crescendo", size, levels, cache_token, space.bits, FANOUT,
-            ZIPF_EXPONENT, builder_tag(size=size),
+            ZIPF_EXPONENT, perf_build.BUILDER_VERSION,
         )
         payload = cache.get(key)
         if payload is not None:
@@ -255,7 +255,7 @@ def build_topology_setup(
         networks = (chord, crescendo, chord_prox, crescendo_prox)
         key = (
             "topo-setup", seed_token, size, include_flat, group_target,
-            space.bits, builder_tag(size=size),
+            space.bits, perf_build.BUILDER_VERSION,
         )
         payload = cache.get(key) if cache is not None else None
         if payload is not None and len(payload.get("networks", ())) == len(networks):

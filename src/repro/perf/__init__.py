@@ -13,13 +13,12 @@ to the plain implementations they accelerate:
   keep results identical to serial runs, and child metrics registries are
   merged back via the obs snapshot/merge API.
 - :mod:`repro.perf.cache` — an on-disk cache of built link tables keyed by
-  (family, size, levels, seed token, id-space bits, builder tag) so
+  (family, size, levels, seed token, id-space bits, builder version) so
   repeated experiment runs skip network construction.
 - :mod:`repro.perf.build` — vectorized bulk link-table builders for every
-  DHT family, dispatched via each network's ``use_numpy`` flag (and the
-  process-wide :func:`~repro.perf.build.set_build_mode` override); the
-  scalar constructions in :mod:`repro.dhts` remain the cross-checked
-  reference.
+  DHT family; a network's ``build()`` takes them whenever its input has a
+  bulk form, and the scalar constructions in :mod:`repro.dhts` remain the
+  cross-checked reference behind ``build_reference()``.
 - :mod:`repro.perf.arena` — zero-copy shared-memory arenas: a compiled
   network's CSR arrays (plus ring/xor routing tables, top-level-domain
   codes and the transit-stub latency table) laid out once in a single
@@ -64,11 +63,7 @@ from .arena import (
 )
 from .build import (
     BUILDER_VERSION,
-    builder_tag,
-    bulk_enabled,
     derive_generator,
-    get_build_mode,
-    set_build_mode,
     stream_compiled_crescendo,
     stream_crescendo_csr,
 )
@@ -137,8 +132,6 @@ __all__ = [
     "active_cache",
     "attach_network",
     "batch_route",
-    "builder_tag",
-    "bulk_enabled",
     "bulk_put",
     "bulk_put_replicated",
     "caching",
@@ -150,7 +143,6 @@ __all__ = [
     "enable",
     "export_latency_matrix",
     "export_network",
-    "get_build_mode",
     "get_default_jobs",
     "get_engine_mode",
     "install_network",
@@ -163,7 +155,6 @@ __all__ = [
     "resolve_engine",
     "resolve_jobs",
     "scalar_search_latency",
-    "set_build_mode",
     "set_default_arena",
     "set_default_jobs",
     "set_engine_mode",

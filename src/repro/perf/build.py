@@ -28,13 +28,15 @@ reorders RNG consumption, so streams cannot match the reference draw for
 draw — the bulk output is *distributionally* identical (tested) while the
 deterministic families are *exactly* identical (also tested).
 
-Dispatch convention: every network constructor takes ``use_numpy=True``
-and its ``build()`` consults :func:`bulk_enabled`, which honours the
-process-wide override of :func:`set_build_mode` (the experiments CLI
-``--build`` flag).  :func:`builder_tag` names the implementation that will
-run for a given configuration; it is a mandatory component of network
-cache keys so a vectorized build never serves tables cached by the
-reference path or vice versa (see :mod:`repro.perf.cache`).
+Dispatch is a function of the input, with nothing to configure: a
+network's ``build()`` takes the bulk path when its id space has fewer than
+64 bits, it has more than :data:`BULK_THRESHOLD` nodes (for Crescendo,
+per ring) and its family has a bulk form for it (deterministic
+Kademlia/Kandy with ``bucket_size > 1`` has none).  The scalar
+construction stays reachable as ``build_reference()``, which the
+differential oracle :func:`repro.verify.oracles.compare_builders` holds
+every builder here to.  :data:`BUILDER_VERSION` is part of every network
+cache key (see :mod:`repro.perf.cache`).
 """
 
 from __future__ import annotations
@@ -46,19 +48,17 @@ import numpy as np
 
 from ..core.hierarchy import Hierarchy
 from ..core.idspace import IdSpace
+from ..core.network import BULK_THRESHOLD
 from ..dhts.symphony import _MAX_DRAWS, _note_short_draws
 
 __all__ = [
     "BUILDER_VERSION",
     "BULK_THRESHOLD",
-    "builder_tag",
-    "bulk_enabled",
     "bulk_harmonic_draws",
     "cacophony_link_sets",
     "can_link_sets",
     "cancan_link_sets",
     "derive_generator",
-    "get_build_mode",
     "hierarchy_codes",
     "kademlia_link_sets",
     "kandy_link_sets",
@@ -66,7 +66,6 @@ __all__ = [
     "naive_link_sets",
     "ndchord_link_sets",
     "ndcrescendo_link_sets",
-    "set_build_mode",
     "stream_compiled_crescendo",
     "stream_crescendo_csr",
     "stream_crescendo_ids",
@@ -74,52 +73,9 @@ __all__ = [
     "symphony_link_sets",
 ]
 
-#: Bump whenever any bulk builder's output could change; part of every
-#: network cache key via :func:`builder_tag`.
+#: Bump whenever any builder's output could change; part of every network
+#: cache key in :mod:`repro.experiments.common`.
 BUILDER_VERSION = 1
-
-#: Node-count threshold below which the scalar reference is at least as
-#: fast as setting up arrays (mirrors the original chord/crescendo cutoff).
-BULK_THRESHOLD = 64
-
-_MODES = ("auto", "numpy", "python")
-_mode = "auto"
-
-
-def set_build_mode(mode: str) -> None:
-    """Process-wide builder override: ``auto`` (per-network ``use_numpy``
-    and size threshold), ``numpy`` (force bulk) or ``python`` (force the
-    scalar reference).  Wired to the experiments CLI ``--build`` flag."""
-    global _mode
-    if mode not in _MODES:
-        raise ValueError(f"unknown build mode {mode!r}; pick one of {_MODES}")
-    _mode = mode
-
-
-def get_build_mode() -> str:
-    """The current process-wide build mode."""
-    return _mode
-
-
-def bulk_enabled(use_numpy: bool, size: int) -> bool:
-    """Whether a build of ``size`` nodes should take the bulk path."""
-    if _mode == "python":
-        return False
-    if _mode == "numpy":
-        return True
-    return bool(use_numpy) and size > BULK_THRESHOLD
-
-
-def builder_tag(use_numpy: bool = True, size: Optional[int] = None) -> str:
-    """Cache-key component naming the builder implementation that will run.
-
-    ``python`` is the scalar reference; ``numpy-v<N>`` identifies the bulk
-    builders at :data:`BUILDER_VERSION`.  With ``size`` omitted the tag
-    assumes a network above :data:`BULK_THRESHOLD`.
-    """
-    if size is None:
-        size = BULK_THRESHOLD + 1
-    return f"numpy-v{BUILDER_VERSION}" if bulk_enabled(use_numpy, size) else "python"
 
 
 def derive_generator(rng) -> np.random.Generator:

@@ -3,13 +3,12 @@
 Building a 32K-node Crescendo (let alone the four networks of a topology
 setup) dwarfs the routing measurements taken on it, yet the construction is
 a pure function of ``(family, size, levels, seed token, id-space bits,
-builder tag)`` — exactly the cache key used here.  The builder tag
-(:func:`repro.perf.build.builder_tag`) names the implementation that will
-run — ``python`` (scalar reference) or ``numpy-v<N>`` (bulk builders at
-their current version) — because the randomized families draw different
-(equivalent, but not identical) link tables on each path: without the tag
-a vectorized run could serve tables cached by the reference path and vice
-versa.  A :class:`NetworkCache` stores, per key,
+builder version)`` — exactly the cache key used here.  Which builder runs
+is itself a function of the input (bulk above
+:data:`repro.perf.build.BULK_THRESHOLD` nodes), so the size already in the
+key fixes it; :data:`repro.perf.build.BUILDER_VERSION` is bumped whenever a
+builder's output could change, so tables from an older builder read as
+misses.  A :class:`NetworkCache` stores, per key,
 everything a constructed-but-unbuilt network needs to become identical to a
 freshly built one: the link table, the Crescendo extras (``gap``,
 ``level_successors``) when present, and the builder RNG's post-build state

@@ -53,8 +53,8 @@ through both engines and requires identical delivery outcomes, per-kind
 message counts and final link tables; the churn fuzzer runs with either
 engine via ``--engine``.
 
-Engine selection mirrors :func:`repro.perf.build.set_build_mode`: a
-process-wide mode (``fast``, the default, or ``reference``) consulted by
+Engine selection is a process-wide mode (``fast``, the default, or
+``reference``) consulted by
 :func:`make_protocol`, plus the ``--engine`` flag on the experiments and
 verify CLIs.
 """
@@ -593,7 +593,7 @@ class FastSimulatedCrescendo(SimulatedCrescendo):
             hierarchy.place(node_id, self.nodes[node_id].path)
         # The bulk builder is link-for-link identical for Crescendo (the
         # deterministic family), so the fast engine may use it.
-        oracle = CrescendoNetwork(self.space, hierarchy, use_numpy=True).build()
+        oracle = CrescendoNetwork(self.space, hierarchy).build()
         out = {n: list(links) for n, links in oracle.links.items()}
         self._oracle_cache = (self._members_epoch, out)
         return out

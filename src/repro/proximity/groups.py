@@ -111,8 +111,10 @@ class ProximityChordNetwork(DHTNetwork):
         self.prefix_bits = group_prefix_bits(self.size, group_target)
         self.groups = _GroupIndex(space, self.node_ids, self.prefix_bits)
 
-    def build(self) -> "ProximityChordNetwork":
-        """Populate the link table per this construction's rule."""
+    def _use_bulk(self) -> bool:
+        return False  # latency-sampled links have no bulk form
+
+    def _reference_link_sets(self) -> Dict[int, Set[int]]:
         link_sets: Dict[int, Set[int]] = {node: set() for node in self.node_ids}
         groups = self.groups
         for node in self.node_ids:
@@ -130,8 +132,7 @@ class ProximityChordNetwork(DHTNetwork):
                 )
                 if best is not None:
                     link_sets[node].add(best)
-        self._finalize_links(link_sets)
-        return self
+        return link_sets
 
 
 class ProximityCrescendoNetwork(CrescendoNetwork):
@@ -154,16 +155,17 @@ class ProximityCrescendoNetwork(CrescendoNetwork):
         rng,
         group_target: int = DEFAULT_GROUP_TARGET,
         sample: int = DEFAULT_SAMPLE,
-        use_numpy: bool = True,
     ) -> None:
-        super().__init__(space, hierarchy, use_numpy=use_numpy)
+        super().__init__(space, hierarchy)
         self.latency_fn = latency_fn
         self.rng = rng
         self.sample = sample
         self.prefix_bits = group_prefix_bits(self.size, group_target)
         self.groups = _GroupIndex(space, self.node_ids, self.prefix_bits)
 
-    def _build_top_domain(self, members, leaf_nodes, merge_nodes, link_sets) -> None:
+    def _build_top_domain(
+        self, members, leaf_nodes, merge_nodes, link_sets, bulk
+    ) -> None:
         groups = self.groups
         group_count = 1 << self.prefix_bits
         for node in members:

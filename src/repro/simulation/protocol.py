@@ -785,7 +785,7 @@ class SimulatedCrescendo:
         hierarchy = Hierarchy()
         for node_id in self.live_view():
             hierarchy.place(node_id, self.nodes[node_id].path)
-        oracle = CrescendoNetwork(self.space, hierarchy, use_numpy=False).build()
+        oracle = CrescendoNetwork(self.space, hierarchy).build_reference()
         return {n: list(links) for n, links in oracle.links.items()}
 
 

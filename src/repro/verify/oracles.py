@@ -4,9 +4,9 @@ Two harnesses, both returning structured violations so any test, CLI or
 fuzzer checkpoint can call them:
 
 - :func:`compare_builders` builds the same network twice — scalar
-  reference (``use_numpy=False``) vs. bulk numpy path — and compares the
-  results.  Deterministic families compare link tables exactly;
-  randomized families consume randomness in a different order, so they
+  reference (``build_reference()``) vs. bulk numpy path (``build()``) —
+  and compares the results.  Deterministic families compare link tables
+  exactly; randomized families consume randomness in a different order, so they
   compare distributionally (mean degree, a two-sample Kolmogorov-Smirnov
   test on link distances) plus exact equality of every RNG-independent
   side output (``gap``, ``contact_depth``, ``edge_depth``, degree
@@ -141,14 +141,8 @@ def _count_check(extra_violations: int) -> None:
             registry.counter("verify.violations").inc(extra_violations)
 
 
-def _ensure_built(net: DHTNetwork) -> DHTNetwork:
-    if not net._built:
-        net.build()
-    return net
-
-
 def compare_builders(
-    factory: Callable[[bool], DHTNetwork],
+    factory: Callable[[], DHTNetwork],
     exact: bool = True,
     side_attrs: Sequence[str] = (),
     compare_degrees: bool = False,
@@ -156,18 +150,19 @@ def compare_builders(
     ks_alpha: Optional[float] = None,
     max_reported: int = 20,
 ) -> BuildComparison:
-    """Build via ``factory(use_numpy)`` twice and compare the two tables.
+    """Compare ``factory().build_reference()`` with ``factory().build()``.
 
-    ``factory`` receives the ``use_numpy`` flag and returns a network (built
-    or not; unbuilt ones are built here).  With ``exact`` the link tables
-    must match node-for-node; otherwise set ``compare_degrees`` (exact
+    ``factory`` takes no arguments and returns a fresh unbuilt network whose
+    input has a bulk form, so ``build()`` must take the bulk path (checked
+    through ``built_with``).  With ``exact`` the link tables must match
+    node-for-node; otherwise set ``compare_degrees`` (exact
     degree sequences), ``degree_tolerance`` (mean out-degree tolerance),
     ``ks_alpha`` (KS test on link distances) and ``side_attrs`` (attribute
     names that must compare equal, e.g. ``("gap",)``) as appropriate for
     the family.
     """
-    ref = _ensure_built(factory(False))
-    bulk = _ensure_built(factory(True))
+    ref = factory().build_reference()
+    bulk = factory().build()
     family = getattr(bulk, "family", "network")
 
     def violation(message: str, **kw) -> Violation:

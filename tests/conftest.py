@@ -33,6 +33,19 @@ def pytest_collection_modifyitems(config, items):
             item.add_marker(slow)
 
 
+@pytest.fixture(scope="session", autouse=True)
+def _session_network_cache(tmp_path_factory):
+    """Point the on-disk network cache at a fresh per-session directory.
+
+    The experiments CLI caches built networks by default, under the user's
+    home directory; a test there could be served tables an older tree
+    stored under an unchanged cache key.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_CACHE_DIR", str(tmp_path_factory.mktemp("networks")))
+        yield
+
+
 @pytest.fixture
 def space():
     return IdSpace(32)
@@ -49,13 +62,13 @@ def rng():
     return random.Random(0xBEEF)
 
 
-def make_crescendo(size=400, levels=3, fanout=4, seed=7, use_numpy=True, bits=32):
+def make_crescendo(size=400, levels=3, fanout=4, seed=7, bits=32):
     """Helper used across modules: a deterministic Crescendo instance."""
     rng = random.Random(seed)
     space = IdSpace(bits)
     ids = space.random_ids(size, rng)
     hierarchy = build_uniform_hierarchy(ids, fanout, levels, rng)
-    return CrescendoNetwork(space, hierarchy, use_numpy=use_numpy).build()
+    return CrescendoNetwork(space, hierarchy).build()
 
 
 def make_chord(size=400, seed=7, bits=32):

@@ -22,13 +22,13 @@ from repro.dhts.kandy import KandyNetwork
 from repro.dhts.ndchord import NDCrescendoNetwork
 
 RING_BUILDERS = {
-    "crescendo": lambda s, h, r: CrescendoNetwork(s, h, use_numpy=False),
-    "cacophony": lambda s, h, r: CacophonyNetwork(s, h, r),
-    "nd-crescendo": lambda s, h, r: NDCrescendoNetwork(s, h, r),
+    "crescendo": lambda s, h, r: CrescendoNetwork(s, h).build_reference(),
+    "cacophony": lambda s, h, r: CacophonyNetwork(s, h, r).build(),
+    "nd-crescendo": lambda s, h, r: NDCrescendoNetwork(s, h, r).build(),
 }
 
 XOR_BUILDERS = {
-    "kandy": lambda s, h, r: KandyNetwork(s, h, r),
+    "kandy": lambda s, h, r: KandyNetwork(s, h, r).build(),
 }
 
 ALL_BUILDERS = {**RING_BUILDERS, **XOR_BUILDERS}
@@ -39,7 +39,7 @@ def build(name, seed, size, fanout, levels):
     space = IdSpace(16)
     ids = space.random_ids(size, rng)
     hierarchy = build_uniform_hierarchy(ids, fanout, levels, rng)
-    return ALL_BUILDERS[name](space, hierarchy, rng).build()
+    return ALL_BUILDERS[name](space, hierarchy, rng)
 
 
 hier_params = st.tuples(

@@ -106,8 +106,8 @@ class TestBulkBuilder:
         space = IdSpace(32)
         ids = space.random_ids(300, rng)
         h = build_uniform_hierarchy(ids, 4, 1, rng)
-        numpy_net = ChordNetwork(space, h, use_numpy=True).build()
-        py_net = ChordNetwork(space, h, use_numpy=False).build()
+        numpy_net = ChordNetwork(space, h).build()
+        py_net = ChordNetwork(space, h).build_reference()
         assert numpy_net.links == py_net.links
 
 
@@ -144,5 +144,5 @@ class TestChordNetwork:
     def test_successor_list_short_ring(self):
         space = IdSpace(8)
         h = build_uniform_hierarchy([10, 20], 2, 1, random.Random(0))
-        net = ChordNetwork(space, h, use_numpy=False).build()
+        net = ChordNetwork(space, h).build_reference()
         assert net.successor_list(10, length=5) == [20]

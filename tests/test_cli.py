@@ -34,6 +34,15 @@ class TestCli:
         out = capsys.readouterr().out
         assert "heavy" in out
 
+    def test_run_leaves_home_untouched(self, tmp_path, monkeypatch, capsys):
+        # The suite's network cache lives in a tmp dir (conftest), never
+        # under the user's home.
+        home = tmp_path / "home"
+        home.mkdir()
+        monkeypatch.setenv("HOME", str(home))
+        assert main(["fig4", "--scale", "smoke"]) == 0
+        assert list(home.iterdir()) == []
+
 
 class TestObservabilityFlags:
     def test_trace_flag_writes_valid_jsonl(self, tmp_path, capsys):

@@ -28,7 +28,7 @@ def figure2_network():
         h.place(node, ("A",))
     for node in (2, 3, 8, 13):
         h.place(node, ("B",))
-    return CrescendoNetwork(space, h, use_numpy=False).build()
+    return CrescendoNetwork(space, h).build_reference()
 
 
 class TestFigure2Example:
@@ -141,8 +141,8 @@ class TestEquivalences:
             space = IdSpace(32)
             ids = space.random_ids(200, rng)
             h = build_uniform_hierarchy(ids, 3, 3, rng)
-            a = CrescendoNetwork(space, h, use_numpy=False).build()
-            b = CrescendoNetwork(space, h, use_numpy=True).build()
+            a = CrescendoNetwork(space, h).build_reference()
+            b = CrescendoNetwork(space, h).build()
             assert a.links == b.links
 
     @settings(max_examples=20, deadline=None)
@@ -153,8 +153,8 @@ class TestEquivalences:
         size = rng.randint(65, 130)  # force the numpy path (> 64 members)
         ids = space.random_ids(size, rng)
         h = build_uniform_hierarchy(ids, 3, rng.randint(1, 4), rng)
-        a = CrescendoNetwork(space, h, use_numpy=False).build()
-        b = CrescendoNetwork(space, h, use_numpy=True).build()
+        a = CrescendoNetwork(space, h).build_reference()
+        b = CrescendoNetwork(space, h).build()
         assert a.links == b.links
 
 

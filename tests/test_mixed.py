@@ -39,7 +39,7 @@ class TestStructure:
         links obey conditions (a) and (b)."""
         space = net.space
         hierarchy = net.hierarchy
-        crescendo = CrescendoNetwork(net.space, hierarchy, use_numpy=False).build()
+        crescendo = CrescendoNetwork(net.space, hierarchy).build_reference()
         for node in net.node_ids[:40]:
             leaf = hierarchy.path_of(node)
             mixed_cross = {

@@ -16,7 +16,7 @@ def small_chord(size=50, seed=0, bits=12):
     space = IdSpace(bits)
     ids = space.random_ids(size, rng)
     h = build_uniform_hierarchy(ids, 3, 1, rng)
-    return ChordNetwork(space, h, use_numpy=False).build()
+    return ChordNetwork(space, h).build_reference()
 
 
 class TestBase:

@@ -28,14 +28,20 @@ from repro.obs.trace import Tracer, tracing
 from repro.proximity.groups import ProximityChordNetwork, route_grouped
 
 FAMILIES = {
-    "chord": (lambda s, h, r: ChordNetwork(s, h), route_ring),
-    "crescendo": (lambda s, h, r: CrescendoNetwork(s, h, use_numpy=False), route_ring),
-    "cacophony": (lambda s, h, r: CacophonyNetwork(s, h, r), route_ring),
-    "nd-crescendo": (lambda s, h, r: NDCrescendoNetwork(s, h, r), route_ring),
-    "symphony": (lambda s, h, r: SymphonyNetwork(s, h, r), route_ring_lookahead),
-    "kandy": (lambda s, h, r: KandyNetwork(s, h, r), route_xor),
+    "chord": (lambda s, h, r: ChordNetwork(s, h).build(), route_ring),
+    "crescendo": (
+        lambda s, h, r: CrescendoNetwork(s, h).build_reference(), route_ring
+    ),
+    "cacophony": (lambda s, h, r: CacophonyNetwork(s, h, r).build(), route_ring),
+    "nd-crescendo": (lambda s, h, r: NDCrescendoNetwork(s, h, r).build(), route_ring),
+    "symphony": (
+        lambda s, h, r: SymphonyNetwork(s, h, r).build(), route_ring_lookahead
+    ),
+    "kandy": (lambda s, h, r: KandyNetwork(s, h, r).build(), route_xor),
     "chord-prox": (
-        lambda s, h, r: ProximityChordNetwork(s, h, lambda a, b: (a ^ b) % 97, r),
+        lambda s, h, r: ProximityChordNetwork(
+            s, h, lambda a, b: (a ^ b) % 97, r
+        ).build(),
         route_grouped,
     ),
 }
@@ -48,7 +54,7 @@ def build_family(name, seed, size, fanout, levels):
     ids = space.random_ids(size, rng)
     hierarchy = build_uniform_hierarchy(ids, fanout, levels, rng)
     builder, router = FAMILIES[name]
-    return builder(space, hierarchy, rng).build(), router
+    return builder(space, hierarchy, rng), router
 
 
 hier_params = st.tuples(

@@ -14,17 +14,20 @@ degree sequences) must still match exactly.
 
 from __future__ import annotations
 
+import inspect
 import random
 import statistics
 
 import pytest
 
+import repro.dhts
 from repro.analysis.metrics import DegreeStats
 from repro.core.hierarchy import Hierarchy, build_uniform_hierarchy
 from repro.core.idspace import IdSpace
+from repro.core.network import DHTNetwork
 from repro.dhts.cacophony import CacophonyNetwork
-from repro.dhts.can import PrefixTree, build_can
-from repro.dhts.cancan import CanCanNetwork, build_cancan
+from repro.dhts.can import CANNetwork, PrefixTree
+from repro.dhts.cancan import CanCanNetwork
 from repro.dhts.kademlia import KademliaNetwork
 from repro.dhts.kandy import KandyNetwork
 from repro.dhts.mixed import LanCrescendoNetwork
@@ -33,22 +36,11 @@ from repro.dhts.ndchord import NDChordNetwork, NDCrescendoNetwork
 from repro.dhts.symphony import SymphonyNetwork, draw_long_links
 from repro.obs import metrics as obs_metrics
 from repro.perf import build as perf_build
-from repro.perf.build import (
-    BULK_THRESHOLD,
-    builder_tag,
-    bulk_enabled,
-    set_build_mode,
-)
+from repro.perf.build import BULK_THRESHOLD
 from repro.verify.oracles import DEGREE_TOLERANCE, KS_ALPHA, compare_builders
 
 SIZE = 300
 BITS = 32
-
-
-@pytest.fixture(autouse=True)
-def _restore_build_mode():
-    yield
-    set_build_mode("auto")
 
 
 def _space():
@@ -60,6 +52,17 @@ def _hierarchy(size, seed=11, levels=3, fanout=4):
     space = _space()
     ids = space.random_ids(size, rng)
     return space, build_uniform_hierarchy(ids, fanout, levels, rng)
+
+
+def _prefix_input(leaves, paths, bits=BITS):
+    """(hierarchy, prefixes) placing the i-th prefix-tree leaf at ``paths[i]``."""
+    hierarchy = Hierarchy()
+    prefixes = {}
+    for leaf, path in zip(leaves, paths):
+        padded = leaf.padded(bits)
+        prefixes[padded] = leaf
+        hierarchy.place(padded, path)
+    return hierarchy, prefixes
 
 
 def _exact(factory, side_attrs=()):
@@ -95,59 +98,50 @@ def _distributional(factory, side_attrs=(), compare_degrees=False, ks=True):
 class TestDeterministicEquality:
     def test_naive(self):
         space, hierarchy = _hierarchy(SIZE)
-        _exact(lambda un: NaiveHierarchicalChord(space, hierarchy, un))
+        _exact(lambda: NaiveHierarchicalChord(space, hierarchy))
 
     def test_lan_crescendo(self):
         space, hierarchy = _hierarchy(SIZE)
         _exact(
-            lambda un: LanCrescendoNetwork(space, hierarchy, un),
+            lambda: LanCrescendoNetwork(space, hierarchy),
             side_attrs=("gap",),
         )
 
     def test_kademlia_deterministic(self):
         space, hierarchy = _hierarchy(SIZE)
-        _exact(lambda un: KademliaNetwork(space, hierarchy, None, 1, use_numpy=un))
+        _exact(lambda: KademliaNetwork(space, hierarchy, None, 1))
 
     def test_kandy_deterministic(self):
         space, hierarchy = _hierarchy(SIZE)
         _exact(
-            lambda un: KandyNetwork(space, hierarchy, None, 1, use_numpy=un),
+            lambda: KandyNetwork(space, hierarchy, None, 1),
             side_attrs=("contact_depth",),
         )
 
     @pytest.mark.parametrize("policy", ["random", "largest"])
     def test_can(self, policy):
         space = _space()
-        _exact(
-            lambda un: build_can(
-                space, SIZE, random.Random(5), policy, use_numpy=un
-            )
-        )
+        leaves = PrefixTree(space.bits).grow(SIZE, random.Random(5), policy)
+        hierarchy, prefixes = _prefix_input(leaves, [()] * SIZE)
+        _exact(lambda: CANNetwork(space, hierarchy, prefixes))
 
     def test_cancan_deterministic(self):
         space = _space()
         paths = [("lan%d" % (i % 5),) for i in range(SIZE)]
-        tree = PrefixTree(space.bits)
-        leaves = tree.grow_aligned(paths, random.Random(6))
-        hierarchy = Hierarchy()
-        prefixes = {}
-        for i, leaf in enumerate(leaves):
-            padded = leaf.padded(space.bits)
-            prefixes[padded] = leaf
-            hierarchy.place(padded, paths[i])
+        leaves = PrefixTree(space.bits).grow_aligned(paths, random.Random(6))
+        hierarchy, prefixes = _prefix_input(leaves, paths)
         _exact(
-            lambda un: CanCanNetwork(
-                space, hierarchy, prefixes, None, use_numpy=un
-            ),
+            lambda: CanCanNetwork(space, hierarchy, prefixes, None),
             side_attrs=("edge_depth",),
         )
 
     def test_deterministic_kademlia_wide_bucket_stays_reference(self):
         space, hierarchy = _hierarchy(SIZE)
-        net = KademliaNetwork(space, hierarchy, None, 3, use_numpy=True).build()
         # Bulk has no deterministic multi-contact path; the build must fall
         # back to the scalar reference rather than raise or approximate.
-        assert net.built_with == "python"
+        for cls in (KademliaNetwork, KandyNetwork):
+            assert cls(space, hierarchy, None, 3).build().built_with == "python"
+        net = KademliaNetwork(space, hierarchy, None, 3)
         with pytest.raises(ValueError):
             perf_build.kademlia_link_sets(net.node_ids, space, None, bucket_size=3)
 
@@ -159,29 +153,27 @@ class TestRandomizedEquivalence:
     def test_symphony_distribution(self):
         space, hierarchy = _hierarchy(512, levels=1)
         _distributional(
-            lambda un: SymphonyNetwork(
-                space, hierarchy, random.Random(21), use_numpy=un
-            )
+            lambda: SymphonyNetwork(space, hierarchy, random.Random(21))
         )
 
     def test_cacophony_distribution_and_gap(self):
         space, hierarchy = _hierarchy(512)
         # The successor structure (gap) is rng-independent: exact equality.
         _distributional(
-            lambda un: CacophonyNetwork(space, hierarchy, random.Random(22), un),
+            lambda: CacophonyNetwork(space, hierarchy, random.Random(22)),
             side_attrs=("gap",),
         )
 
     def test_ndchord_distribution(self):
         space, hierarchy = _hierarchy(512)
         _distributional(
-            lambda un: NDChordNetwork(space, hierarchy, random.Random(23), un)
+            lambda: NDChordNetwork(space, hierarchy, random.Random(23))
         )
 
     def test_ndcrescendo_distribution_and_gap(self):
         space, hierarchy = _hierarchy(512)
         _distributional(
-            lambda un: NDCrescendoNetwork(space, hierarchy, random.Random(24), un),
+            lambda: NDCrescendoNetwork(space, hierarchy, random.Random(24)),
             side_attrs=("gap",),
         )
 
@@ -191,8 +183,8 @@ class TestRandomizedEquivalence:
         # id population fixes regardless of which contacts the rng picked.
         space, hierarchy = _hierarchy(SIZE)
         _distributional(
-            lambda un: KademliaNetwork(
-                space, hierarchy, random.Random(25), bucket_size, use_numpy=un
+            lambda: KademliaNetwork(
+                space, hierarchy, random.Random(25), bucket_size
             ),
             compare_degrees=True,
         )
@@ -201,9 +193,7 @@ class TestRandomizedEquivalence:
     def test_kandy_random_contact_depth(self, bucket_size):
         space, hierarchy = _hierarchy(SIZE)
         _distributional(
-            lambda un: KandyNetwork(
-                space, hierarchy, random.Random(26), bucket_size, use_numpy=un
-            ),
+            lambda: KandyNetwork(space, hierarchy, random.Random(26), bucket_size),
             side_attrs=("contact_depth",),
             compare_degrees=True,
         )
@@ -211,13 +201,13 @@ class TestRandomizedEquivalence:
     def test_cancan_random_edge_depth(self):
         space = _space()
         paths = [("lan%d" % (i % 5),) for i in range(SIZE)]
-        _distributional(
-            lambda un: build_cancan(
-                space, SIZE, random.Random(27), paths, use_numpy=un
-            ),
-            side_attrs=("edge_depth",),
-            ks=False,
-        )
+
+        def factory():  # build_cancan's input, left unbuilt
+            rng = random.Random(27)
+            leaves = PrefixTree(space.bits).grow_aligned(paths, rng)
+            return CanCanNetwork(space, *_prefix_input(leaves, paths), rng)
+
+        _distributional(factory, side_attrs=("edge_depth",), ks=False)
 
 
 # --------------------------------------------------------- short-draw counter
@@ -237,7 +227,7 @@ class TestShortDrawCounter:
         space, hierarchy = _hierarchy(70, levels=1)
         with obs_metrics.collecting() as registry:
             net = SymphonyNetwork(
-                space, hierarchy, random.Random(3), links_per_node=80, use_numpy=True
+                space, hierarchy, random.Random(3), links_per_node=80
             ).build()
         assert net.built_with == "numpy"
         assert registry.counter("build.symphony.short_draws").value > 0
@@ -247,53 +237,57 @@ class TestShortDrawCounter:
 
 
 class TestCacheKeying:
-    def test_builder_tag_partitions_cache_entries(self, tmp_path):
+    def test_builder_version_bump_misses(self, tmp_path, monkeypatch):
         from repro.experiments.common import build_crescendo, seeded_rng
         from repro.perf import cache as perf_cache
         from repro.perf.cache import NetworkCache
 
-        token = ("build-tag-test",)
+        token = ("builder-version-test",)
         with perf_cache.caching(NetworkCache(tmp_path / "networks")) as cache:
-            set_build_mode("numpy")
             build_crescendo(128, 2, seeded_rng(*token), cache_token=token)
-            set_build_mode("python")
             build_crescendo(128, 2, seeded_rng(*token), cache_token=token)
-            # Different builder tags: the second build must not be served
-            # the bulk-built entry.
-            assert cache.stats() == {"hits": 0, "misses": 2, "stores": 2}
+            assert cache.stats() == {"hits": 1, "misses": 1, "stores": 1}
+            # Tables an older builder stored must not serve a newer one.
+            monkeypatch.setattr(
+                perf_build, "BUILDER_VERSION", perf_build.BUILDER_VERSION + 1
+            )
             build_crescendo(128, 2, seeded_rng(*token), cache_token=token)
-            assert cache.stats()["hits"] == 1
+            assert cache.stats() == {"hits": 1, "misses": 2, "stores": 2}
 
 
-# ------------------------------------------------- dispatch, tags and metrics
+# ---------------------------------------------------- dispatch and metrics
+
+NETWORK_CLASSES = sorted(
+    (
+        obj
+        for obj in map(vars(repro.dhts).get, repro.dhts.__all__)
+        if isinstance(obj, type) and issubclass(obj, DHTNetwork)
+    ),
+    key=lambda cls: cls.__name__,
+)
+
+
+def _unbuilt(cls, size, bits=BITS):
+    """A fresh ``size``-node ``cls`` network on a ``bits``-bit id space."""
+    rng = random.Random(size)
+    space = IdSpace(bits)
+    kwargs = {"rng": rng} if "rng" in inspect.signature(cls).parameters else {}
+    if issubclass(cls, CANNetwork):
+        paths = [("lan%d" % (i % 3),) for i in range(size)]
+        leaves = PrefixTree(bits).grow_aligned(paths, rng)
+        return cls(space, *_prefix_input(leaves, paths, bits), **kwargs)
+    ids = space.random_ids(size, rng)
+    return cls(space, build_uniform_hierarchy(ids, 4, 2, rng), **kwargs)
 
 
 class TestDispatch:
-    def test_mode_validation(self):
-        with pytest.raises(ValueError):
-            set_build_mode("fortran")
-
-    def test_mode_overrides_threshold(self):
-        assert not bulk_enabled(True, BULK_THRESHOLD)
-        assert bulk_enabled(True, BULK_THRESHOLD + 1)
-        assert not bulk_enabled(False, BULK_THRESHOLD + 1)
-        set_build_mode("numpy")
-        assert bulk_enabled(False, 2)
-        set_build_mode("python")
-        assert not bulk_enabled(True, 1 << 20)
-
-    def test_builder_tag_names_the_path(self):
-        assert builder_tag(size=BULK_THRESHOLD + 1).startswith("numpy-v")
-        assert builder_tag(size=BULK_THRESHOLD) == "python"
-        assert builder_tag(use_numpy=False) == "python"
-        set_build_mode("python")
-        assert builder_tag(size=1 << 20) == "python"
-
-    def test_forced_python_mode_builds_reference(self):
-        space, hierarchy = _hierarchy(SIZE)
-        set_build_mode("python")
-        net = NaiveHierarchicalChord(space, hierarchy, use_numpy=True).build()
-        assert net.built_with == "python"
+    @pytest.mark.parametrize("cls", NETWORK_CLASSES, ids=lambda cls: cls.__name__)
+    def test_input_picks_the_builder(self, cls):
+        assert _unbuilt(cls, BULK_THRESHOLD).build().built_with == "python"
+        assert _unbuilt(cls, BULK_THRESHOLD + 1).build().built_with == "numpy"
+        assert _unbuilt(cls, BULK_THRESHOLD + 1, bits=64).build().built_with == "python"
+        reference = _unbuilt(cls, BULK_THRESHOLD + 1).build_reference()
+        assert reference.built_with == "python"
 
     def test_degree_stats_vectorized_path_matches_scalar(self):
         space, hierarchy = _hierarchy(SIZE)

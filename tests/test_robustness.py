@@ -27,7 +27,7 @@ def tiny_net(size=5, seed=0):
     space = IdSpace(16)
     ids = space.random_ids(size, rng)
     h = build_uniform_hierarchy(ids, 2, 1, rng)
-    return CrescendoNetwork(space, h, use_numpy=False).build()
+    return CrescendoNetwork(space, h).build_reference()
 
 
 class TestDegenerateNetworks:
@@ -52,7 +52,7 @@ class TestDegenerateNetworks:
 
     def test_empty_hierarchy_network(self):
         space = IdSpace(16)
-        net = ChordNetwork(space, Hierarchy(), use_numpy=False).build()
+        net = ChordNetwork(space, Hierarchy()).build_reference()
         assert net.size == 0
 
     def test_dense_id_space(self):
@@ -61,7 +61,7 @@ class TestDegenerateNetworks:
         h = Hierarchy()
         for i in range(16):
             h.place(i, ())
-        net = CrescendoNetwork(space, h, use_numpy=False).build()
+        net = CrescendoNetwork(space, h).build_reference()
         for src in range(0, 16, 5):
             result = route_ring(net, src, (src + 7) % 16)
             assert result.success
@@ -113,7 +113,7 @@ class TestHierarchyEdgeCases:
         for i, node in enumerate(ids):
             depth = i % 3
             h.place(node, tuple("abc"[: depth]))
-        net = CrescendoNetwork(space, h, use_numpy=False).build()
+        net = CrescendoNetwork(space, h).build_reference()
         for _ in range(40):
             a, b = rng.sample(ids, 2)
             result = route_ring(net, a, b)
@@ -127,7 +127,7 @@ class TestHierarchyEdgeCases:
         ids = space.random_ids(30, rng)
         for i, node in enumerate(ids):
             h.place(node, (f"solo-{i}",))
-        net = CrescendoNetwork(space, h, use_numpy=False).build()
+        net = CrescendoNetwork(space, h).build_reference()
         flat_h = build_uniform_hierarchy(ids, 2, 1, random.Random(4))
-        chord = ChordNetwork(space, flat_h, use_numpy=False).build()
+        chord = ChordNetwork(space, flat_h).build_reference()
         assert net.links == chord.links

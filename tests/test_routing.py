@@ -202,7 +202,7 @@ def test_ring_routing_total_on_random_networks(seed, size):
     space = IdSpace(12)
     ids = space.random_ids(size, rng)
     h = build_uniform_hierarchy(ids, 3, 1, rng)
-    net = ChordNetwork(space, h, use_numpy=False).build()
+    net = ChordNetwork(space, h).build_reference()
     a, b = rng.choice(ids), rng.choice(ids)
     r = route_ring(net, a, b)
     assert r.success and r.terminal == b

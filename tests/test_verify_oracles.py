@@ -24,6 +24,21 @@ from repro.verify.oracles import (
 )
 
 
+def _sabotage_bulk_naive(monkeypatch, corrupt):
+    """Make the naive family's bulk link-set builder pass its output through
+    ``corrupt`` (in place); the reference construction is untouched."""
+    from repro.perf import build as perf_build
+
+    honest = perf_build.naive_link_sets
+
+    def sabotaged(*args):
+        link_sets = honest(*args)
+        corrupt(link_sets)
+        return link_sets
+
+    monkeypatch.setattr(perf_build, "naive_link_sets", sabotaged)
+
+
 class TestBuilderOracle:
     def test_equivalent_builds_pass(self):
         from repro.core.hierarchy import build_uniform_hierarchy
@@ -35,13 +50,13 @@ class TestBuilderOracle:
         ids = space.random_ids(200, rng)
         hierarchy = build_uniform_hierarchy(ids, 4, 2, rng)
         comparison = compare_builders(
-            lambda un: NaiveHierarchicalChord(space, hierarchy, un)
+            lambda: NaiveHierarchicalChord(space, hierarchy)
         )
         assert comparison.equivalent
         assert comparison.ref.built_with == "python"
         assert comparison.bulk.built_with == "numpy"
 
-    def test_injected_divergence_is_reported(self):
+    def test_injected_divergence_is_reported(self, monkeypatch):
         from repro.core.hierarchy import build_uniform_hierarchy
         from repro.core.idspace import IdSpace
         from repro.dhts.naive import NaiveHierarchicalChord
@@ -50,19 +65,19 @@ class TestBuilderOracle:
         space = IdSpace(32)
         ids = space.random_ids(200, rng)
         hierarchy = build_uniform_hierarchy(ids, 4, 2, rng)
+        node = sorted(ids)[7]
 
-        def factory(use_numpy):
-            net = NaiveHierarchicalChord(space, hierarchy, use_numpy).build()
-            if use_numpy:  # sabotage the bulk build only
-                node = net.node_ids[7]
-                net.links[node] = net.links[node][1:]
-            return net
+        def drop_one(link_sets):  # sabotage the bulk build only
+            link_sets[node].discard(min(link_sets[node] - {node}))
 
-        comparison = compare_builders(factory)
+        _sabotage_bulk_naive(monkeypatch, drop_one)
+        comparison = compare_builders(
+            lambda: NaiveHierarchicalChord(space, hierarchy)
+        )
         assert not comparison.equivalent
         assert any("link tables differ" in v.message for v in comparison.violations)
 
-    def test_invalid_table_in_either_build_is_flagged(self):
+    def test_invalid_table_in_either_build_is_flagged(self, monkeypatch):
         from repro.core.hierarchy import build_uniform_hierarchy
         from repro.core.idspace import IdSpace
         from repro.dhts.naive import NaiveHierarchicalChord
@@ -71,15 +86,13 @@ class TestBuilderOracle:
         space = IdSpace(32)
         ids = space.random_ids(200, rng)
         hierarchy = build_uniform_hierarchy(ids, 4, 2, rng)
+        def link_a_stranger(link_sets):
+            link_sets[min(ids)].add(max(ids) + 1)
 
-        def factory(use_numpy):
-            net = NaiveHierarchicalChord(space, hierarchy, use_numpy).build()
-            if use_numpy:
-                node = net.node_ids[0]
-                net.links[node] = sorted(net.links[node] + [node])
-            return net
-
-        comparison = compare_builders(factory)
+        _sabotage_bulk_naive(monkeypatch, link_a_stranger)
+        comparison = compare_builders(
+            lambda: NaiveHierarchicalChord(space, hierarchy)
+        )
         assert any(
             "invalid link table" in v.message for v in comparison.violations
         )
