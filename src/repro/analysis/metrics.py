@@ -115,35 +115,24 @@ def _workload(
 
 
 def _batch_compiled(
-    network: DHTNetwork, router: Router, engine: str
+    network: DHTNetwork, router: Router
 ) -> Optional[CompiledNetwork]:
     """The compiled network to use, or ``None`` for the scalar engine.
 
     The batch kernels replicate exactly ``route_ring`` on ring-metric
     networks and ``route_xor`` on XOR-metric ones; any other router (or a
-    mismatched metric) runs scalar.  ``engine="auto"`` also degrades to
-    scalar when compilation is impossible (e.g. the id space is too wide
-    for augmented keys); ``engine="batch"`` raises instead.
+    mismatched metric) runs scalar.  So does a network too wide to
+    compile: ``compile_network`` refuses id spaces whose augmented keys
+    need more than 64 bits.
     """
-    if engine == "scalar":
-        return None
     eligible = (router is route_ring and network.metric == "ring") or (
         router is route_xor and network.metric == "xor"
     )
-    if engine == "batch":
-        if not eligible:
-            raise ValueError(
-                "engine='batch' needs route_ring on a ring-metric network "
-                "or route_xor on an xor-metric network"
-            )
-        return compile_network(network)
-    if engine != "auto":
-        raise ValueError(f"unknown engine {engine!r}; use auto, batch or scalar")
     if not eligible:
         return None
     try:
         return compile_network(network)
-    except (ValueError, RuntimeError):
+    except ValueError:
         return None
 
 
@@ -154,17 +143,15 @@ def sample_routing(
     router: Router = route_ring,
     latency_fn: Optional[LatencyFn] = None,
     pairs: Optional[Sequence[Tuple[int, int]]] = None,
-    engine: str = "auto",
     slo_label: Optional[str] = None,
 ) -> RoutingStats:
     """Route random (or given) node pairs and aggregate hops/latency.
 
-    ``engine`` selects the routing implementation: ``"auto"`` (default)
-    uses the vectorized batch kernels of :mod:`repro.perf.kernels` whenever
-    the router is the plain greedy engine matching the network's metric
-    (they are hop-for-hop identical, so results do not change), and the
-    per-route scalar engine otherwise; ``"batch"`` insists on the kernels;
-    ``"scalar"`` opts out.
+    The router picks the implementation: the vectorized batch kernels of
+    :mod:`repro.perf.kernels` route whenever it *is* the plain greedy
+    engine matching the network's metric (``route_ring`` or
+    ``route_xor``; they are hop-for-hop identical, so results do not
+    change), and any other router runs per route, scalar.
 
     Latency: when ``latency_fn`` is the transit-stub topology's
     ``node_latency`` (or a :class:`~repro.perf.latency.LatencyTable`), the
@@ -195,7 +182,7 @@ def sample_routing(
     tracer = obs_trace.active_tracer()
     registry = obs_metrics.active_registry()
     workload = _workload(network, rng, samples, pairs)
-    compiled = _batch_compiled(network, router, engine)
+    compiled = _batch_compiled(network, router)
     table = _latency_table(latency_fn)
     track_slo = registry is not None and slo_label is not None
     hops: List[int] = []
@@ -416,7 +403,6 @@ def stretch(
     direct_latency: float,
     samples: int = 500,
     router: Router = route_ring,
-    engine: str = "auto",
     slo_label: Optional[str] = None,
 ) -> Tuple[float, float]:
     """(stretch, mean overlay latency) relative to mean direct latency.
@@ -431,7 +417,6 @@ def stretch(
         samples=samples,
         router=router,
         latency_fn=latency_fn,
-        engine=engine,
         slo_label=slo_label,
     )
     if stats.mean_latency is None or direct_latency <= 0:

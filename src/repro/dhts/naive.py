@@ -5,8 +5,10 @@ every level of the hierarchy — each node keeps complete Chord fingers in its
 leaf domain, its parent domain, …, and the global ring.  That gives the same
 locality and convergence properties as Crescendo, but the per-node state is
 ~levels x log2(n) links instead of ~log2(n): exactly the cost Canon's
-condition (b) eliminates.  This network exists for the ablation benchmarks
-(`benchmarks/test_ablations.py`) that quantify the Canon merge's economy.
+condition (b) eliminates.  This network exists for the merge-economy
+ablation (`repro.experiments.ablations.merge_economy`, asserted in
+`tests/test_experiments.py::TestAblations`) that quantifies the Canon
+merge's economy.
 """
 
 from __future__ import annotations

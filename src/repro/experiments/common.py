@@ -2,9 +2,9 @@
 
 Each experiment runs at one of three scales:
 
-- ``smoke``: seconds; used by unit tests.
-- ``small``: tens of seconds; used by the benchmark harness to assert the
-  *shape* of every curve.
+- ``smoke``: seconds; used by the tests, which assert the *shape* of
+  every curve at this scale.
+- ``small``: tens of seconds; the CLI default.
 - ``paper``: the paper's full parameter grid (up to 65536 nodes); minutes.
 """
 

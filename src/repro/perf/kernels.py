@@ -23,7 +23,7 @@ scalar engine into a handful of vector ops over the whole active batch:
 
 Both hot paths cost a few vector ops per hop over only the still-active
 routes, which is what makes the kernels an order of magnitude faster than
-the scalar engines (see ``BENCH_routing.json``).
+the scalar engines (see ``docs/performance.md``).
 
 Routing proceeds frontier-at-a-time, and there is one hop per metric:
 :meth:`CompiledNetwork.frontier_step`, the resumable single step the

@@ -15,6 +15,7 @@ from repro.analysis.overlap import (
 )
 from repro.analysis.tables import Table
 from repro.dhts.chord import ChordNetwork
+from repro.perf.kernels import compile_network
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +63,19 @@ class TestSampleRouting:
     def test_stretch_bad_direct(self, net):
         with pytest.raises(ValueError):
             stretch(net, random.Random(5), lambda a, b: 1.0, 0.0, samples=10)
+
+    def test_network_too_wide_to_compile_routes_scalar(self):
+        """62 id bits + 1 + 5 index bits: the kernels' augmented keys would
+        need 68 bits, so compiling fails and the scalar engine routes."""
+        rng = random.Random(6)
+        space = IdSpace(62)
+        ids = space.random_ids(20, rng)
+        wide = ChordNetwork(space, build_uniform_hierarchy(ids, 2, 1, rng)).build()
+        with pytest.raises(ValueError, match="augmented keys"):
+            compile_network(wide)
+        stats = sample_routing(wide, random.Random(7), samples=40)
+        assert stats.samples == 40
+        assert stats.success_rate == 1.0
 
 
 class TestOverlap:

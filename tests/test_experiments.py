@@ -2,7 +2,9 @@
 
 These are the repository's headline checks: each of the paper's Figures 3-9
 is regenerated at smoke scale and the claim the paper makes about the curve
-is asserted (who wins, what trends up/down).
+is asserted (who wins, what trends up/down).  The design-choice ablations,
+the churn study and the all-families zoo assert their conclusions the same
+way.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ import pytest
 
 from repro.experiments import EXPERIMENTS
 from repro.experiments import (
+    ablations,
+    churn_study,
     fig3_links,
     fig4_degree_pdf,
     fig5_hops,
@@ -20,6 +24,7 @@ from repro.experiments import (
     fig7_locality,
     fig8_overlap,
     fig9_multicast,
+    zoo,
 )
 from repro.experiments.common import get_scale, seeded_rng
 
@@ -103,6 +108,12 @@ class TestFig5:
             penalty = data[(size, levels[-1])] - data[(size, levels[0])]
             assert penalty <= 0.7 + 0.3
 
+    def test_hops_grow_with_n(self):
+        data = fig5_hops.measurements("smoke")
+        sizes = sorted({size for size, _ in data})
+        flat = min(lv for _, lv in data)
+        assert data[(sizes[-1], flat)] >= data[(sizes[0], flat)] - 0.3
+
 
 class TestFig6:
     @pytest.fixture(scope="class")
@@ -145,6 +156,11 @@ class TestFig6:
     def test_stretch_above_one(self, data):
         assert all(v[0] >= 1.0 for v in data.values())
 
+    def test_crescendo_prox_is_the_best_system(self, data):
+        for size in {size for _, size in data}:
+            best = data[("Crescendo (Prox.)", size)][0]
+            assert best == min(data[(label, size)][0] for label, _ in data)
+
 
 class TestFig7:
     @pytest.fixture(scope="class")
@@ -160,9 +176,18 @@ class TestFig7:
         series = [data[("Chord (Prox.)", lv)] for lv in (0, 1, 2, 3, 4)]
         assert series[-1] > series[0] / 4, "flat routing has no path locality"
 
+    def test_crescendo_prox_latency_collapses_with_locality(self, data):
+        series = [data[("Crescendo (Prox.)", lv)] for lv in (0, 1, 2, 3, 4)]
+        assert series[-1] < series[0] / 20
+
     def test_crescendo_prox_best_at_top_level(self, data):
         assert (
             data[("Crescendo (Prox.)", 0)] <= data[("Chord (Prox.)", 0)] * 1.1
+        )
+        # Proximity only helps Crescendo's top-level queries (paper text).
+        assert (
+            data[("Crescendo (Prox.)", 0)]
+            <= data[("Crescendo (No Prox.)", 0)] + 1.0
         )
 
 
@@ -191,15 +216,93 @@ class TestFig8:
 
 
 class TestFig9:
-    def test_crescendo_uses_far_fewer_interdomain_links(self):
-        data = fig9_multicast.measurements("smoke")
+    @pytest.fixture(scope="class")
+    def data(self):
+        return fig9_multicast.measurements("smoke")
+
+    def test_crescendo_uses_far_fewer_interdomain_links(self, data):
         for depth in (1, 2):
             crescendo = data[("Crescendo", depth)]
             chord = data[("Chord (Prox.)", depth)]
             assert crescendo < chord / 2, (
                 f"depth {depth}: {crescendo} vs {chord}"
             )
+        assert data[("Crescendo", 1)] < data[("Chord (Prox.)", 1)] / 4
+        assert data[("Crescendo", 3)] <= data[("Chord (Prox.)", 3)]
+
+    def test_interdomain_links_rise_with_depth(self, data):
+        assert data[("Crescendo", 1)] <= data[("Crescendo", 3)]
 
     def test_table_has_ratio_column(self):
         table = fig9_multicast.run("smoke")
         assert "ratio" in table.columns
+
+
+class TestAblations:
+    """The design-choice measurements of ``experiments.ablations``: if a
+    refactor destroys the property a design decision rests on, these fail."""
+
+    def test_merge_economy(self):
+        """Canon condition (b) vs naive per-level Chord: big state saving,
+        without the naive construction routing dramatically faster."""
+        data = ablations.merge_economy("smoke")
+        assert data["degree_ratio"] > 1.5
+        assert data["crescendo_hops"] < 2 * data["naive_hops"]
+
+    def test_lookahead_gain(self):
+        data = ablations.lookahead_gain("smoke")
+        assert data["symphony_saving"] > 0
+        assert data["cacophony_saving"] > 0
+
+    def test_sampling_curve(self):
+        """Link latency decays with sample size and flattens by s ~ 32."""
+        curve = ablations.sampling_curve("smoke")
+        assert curve[32] < curve[1] / 2
+        assert curve[32] < 2.5 * curve[64]
+
+    def test_group_target_sweep(self):
+        """Crescendo (Prox.) is never worse than Chord (Prox.)."""
+        data = ablations.group_target_sweep("smoke")
+        for target, (chord_prox, crescendo_prox) in data.items():
+            assert crescendo_prox <= chord_prox + 0.15, f"group target {target}"
+
+    def test_leaf_set_sweep(self):
+        """Bigger leaf sets deliver more lookups under unrepaired crashes."""
+        data = ablations.leaf_set_sweep("smoke")
+        assert data[4] >= data[1]
+        assert data[8] >= 0.9
+
+    def test_bucket_replication_sweep(self):
+        """Kandy: per-bucket redundancy buys crash resilience."""
+        data = ablations.bucket_replication_sweep("smoke")
+        assert max(data[2], data[3]) >= data[1]
+        assert data[3] >= 0.8
+
+    def test_cancan_alignment(self):
+        """Domain-aligned identifiers give Can-Can strict path locality."""
+        data = ablations.cancan_alignment("smoke")
+        assert data["aligned"] == 1.0
+        assert data["random"] < 0.9
+
+
+class TestStudies:
+    def test_churn_resilience(self):
+        """Delivery stays high and the network re-converges at every
+        churn intensity."""
+        data = churn_study.measurements("smoke")
+        for label in ("light", "moderate", "heavy"):
+            assert data[label]["delivery_rate"] > 0.9, label
+            assert data[label]["converged"] == 1.0, label
+
+    def test_zoo_canon_keeps_state_and_hops_and_gains_locality(self):
+        """The paper's §3 thesis for every family: the Canonical version
+        keeps its flat sibling's state budget and hop count, and its routes
+        stay inside the common domain (flat versions leak)."""
+        data = zoo.measurements("smoke")
+        for family in zoo.FAMILIES:
+            flat_degree, flat_hops, flat_local = data[(family, "flat")]
+            canon_degree, canon_hops, canon_local = data[(family, "canon")]
+            assert canon_degree <= flat_degree + 1.0, family
+            assert canon_hops <= flat_hops + 1.5, family
+            assert canon_local == 1.0, family
+            assert flat_local < 0.8, family

@@ -1,0 +1,311 @@
+"""Pinned counts: numbers a seeded workload must reproduce exactly.
+
+Every number below is a pure function of the code and its seeds, so any
+change to one is a change in behaviour.  Three groups:
+
+- **Serving.** Three runs of :mod:`repro.serve` over the 1,024-node
+  testbed (seed 7, 12,000 lookups): a closed loop without policy, an
+  open loop behind per-domain admission, and a closed loop under crash
+  churn with retries and hedging.  The policy counters are pinned, and so
+  is a sha256 of each whole :class:`~repro.serve.ServeReport`.  Together
+  they are what catches a wrong hedge threshold, hedge eligibility,
+  retry backoff or waiting-tick charge.
+- **Storage.** Placement, put/get and crash-era repair counts of the
+  vectorized data plane at 1,024 keys.
+- **Arena size.** The exact bytes of the one shared-memory block each
+  family's compiled routing state occupies (:mod:`repro.perf.arena`),
+  which the dtype-minimization rules fix.
+
+When a change moves a pin on purpose, say why in the change and re-pin.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import random
+
+import pytest
+
+from repro.core.hierarchy import Hierarchy, build_uniform_hierarchy
+from repro.core.idspace import IdSpace
+from repro.dhts.cacophony import CacophonyNetwork
+from repro.dhts.can import CANNetwork, PrefixTree
+from repro.dhts.cancan import CanCanNetwork
+from repro.dhts.chord import ChordNetwork
+from repro.dhts.crescendo import CrescendoNetwork
+from repro.dhts.kademlia import KademliaNetwork
+from repro.dhts.kandy import KandyNetwork
+from repro.dhts.mixed import LanCrescendoNetwork
+from repro.dhts.naive import NaiveHierarchicalChord
+from repro.dhts.ndchord import NDChordNetwork, NDCrescendoNetwork
+from repro.dhts.symphony import SymphonyNetwork
+from repro.experiments.common import FANOUT, ZIPF_EXPONENT
+from repro.perf.arena import export_network
+from repro.perf.kernels import compile_network
+from repro.perf.storage import (
+    CompiledStore,
+    FastDataLayer,
+    bulk_put_replicated,
+    plan_puts,
+    store_domain_index,
+)
+from repro.serve import (
+    ServePolicy,
+    ServeRuntime,
+    compile_protocol_view,
+    run_closed_loop,
+    run_open_loop,
+)
+from repro.serve.testbed import build_serving_net, domain_labeler, lookup_workload
+from repro.simulation.protocol import SimulatedCrescendo
+from repro.storage.replication import ReplicatedStore
+from repro.storage.store import HierarchicalStore
+from repro.verify.builders import small_network
+from repro.verify.oracles import storage_workload
+
+# ------------------------------------------------------------------ serving
+
+SERVE_NODES = 1024
+SERVE_LOOKUPS = 12000
+SERVE_SEED = 7
+
+#: The nine ServeReport arrays, in the order the digest reads them.
+REPORT_FIELDS = (
+    "tickets", "sources", "keys", "terminals", "hops",
+    "latency_ms", "attempts", "success", "status",
+)
+
+SERVING_COUNTS = {
+    "closed": {"delivered": 12000},
+    "open": {"shed": 10128, "delivered": 1872},
+    "churn": {"lost": 79, "retries": 226, "hedges": 2037, "delivered": 11921},
+}
+
+SERVING_DIGESTS = {
+    "closed": "033a9cdb76a66ebc3cfceff29075260f06331949a43d36b1a1f286efe29de79c",
+    "open": "086a1aae44390a5cf69895d5ae8d7d980996b8f4b42832382a5dde34e8eb1f03",
+    "churn": "eec4216055fbccd1377db0ac20d72b95e3d42ccee9e4eb7b6b1134fe851a8146",
+}
+
+
+def report_digest(report) -> str:
+    """sha256 over each array's field name, dtype and bytes, then the
+    counters as sorted JSON (the recipe ``docs/performance.md`` gives)."""
+    h = hashlib.sha256()
+    for name in REPORT_FIELDS:
+        array = getattr(report, name)
+        h.update(name.encode())
+        h.update(str(array.dtype).encode())
+        h.update(array.tobytes())
+    h.update(json.dumps(report.counters, sort_keys=True).encode())
+    return h.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def serving_reports():
+    """The three serving runs, churn last: it crashes nodes of the net."""
+    net, latency = build_serving_net(SERVE_NODES, seed=SERVE_SEED)
+    sources, keys = lookup_workload(net, SERVE_LOOKUPS, seed=SERVE_SEED)
+    concurrency = min(4096, SERVE_LOOKUPS)
+    reports = {}
+
+    runtime = ServeRuntime(*compile_protocol_view(net), latency=latency)
+    reports["closed"] = run_closed_loop(
+        runtime, sources, keys, concurrency=concurrency
+    )
+
+    runtime = ServeRuntime(
+        *compile_protocol_view(net),
+        policy=ServePolicy(admit_rate=48.0, admit_burst=96.0),
+        latency=latency,
+        domain_of=domain_labeler(net),
+    )
+    reports["open"] = run_open_loop(runtime, sources, keys, per_tick=1024)
+
+    runtime = ServeRuntime(
+        *compile_protocol_view(net),
+        policy=ServePolicy(max_attempts=3, hedge_quantile=0.9, hedge_min_ms=400.0),
+        latency=latency,
+    )
+    churn_rng = random.Random(f"serving-baseline-churn:{SERVE_SEED}")
+
+    def crash_a_slice(rt, tick):
+        if tick % 5 == 0:
+            live = sorted(net.live_view())
+            for victim in churn_rng.sample(live, min(SERVE_NODES // 128, len(live) - 8)):
+                net.crash(victim)
+            rt.set_view(*compile_protocol_view(net))
+
+    reports["churn"] = run_closed_loop(
+        runtime, sources, keys, concurrency=concurrency, on_tick=crash_a_slice
+    )
+    return reports
+
+
+@pytest.mark.parametrize("run", sorted(SERVING_COUNTS))
+def test_serving_counts(serving_reports, run):
+    report = serving_reports[run]
+    assert report.counters["completed"] == SERVE_LOOKUPS
+    pinned = SERVING_COUNTS[run]
+    assert {name: report.counters[name] for name in pinned} == pinned
+
+
+def test_closed_loop_latency_quantiles(serving_reports):
+    report = serving_reports["closed"]
+    assert (report.quantile_ms(0.5), report.quantile_ms(0.99)) == (
+        950.0,
+        1911.0100000000002,
+    )
+
+
+@pytest.mark.parametrize("run", sorted(SERVING_DIGESTS))
+def test_serve_report_digest(serving_reports, run):
+    assert report_digest(serving_reports[run]) == SERVING_DIGESTS[run]
+
+
+# ------------------------------------------------------------------ storage
+
+STORE_KEYS = 1024
+REPLICAS = 3
+REPAIR_PATHS = [("a", "x"), ("a", "y"), ("b", "x")]
+
+
+@pytest.fixture(scope="module")
+def store_network():
+    return small_network("crescendo", seed=9, size=2048)
+
+
+def _by_domain_pair(put_ops):
+    """Puts grouped by (storage, access) pair in first-occurrence order."""
+    groups = {}
+    for origin, key, value, storage, access in put_ops:
+        groups.setdefault((storage, access), []).append((origin, key, value))
+    return groups
+
+
+def test_placement_counts(store_network):
+    rng = random.Random(f"storage-bench-placement:{STORE_KEYS}")
+    put_ops, _ = storage_workload(store_network, rng, puts=STORE_KEYS, gets=0)
+    store = HierarchicalStore(store_network)
+    index = store_domain_index(store)
+    homes = set()
+    pointer_keys = 0
+    for (storage, access), ops in _by_domain_pair(put_ops).items():
+        hashes = [store.space.hash_key(key) for _, key, _ in ops]
+        plan = plan_puts(index, hashes, storage, access, replicas=REPLICAS)
+        homes.update(plan.replica_sets[:, 0].tolist())
+        if access != storage:
+            pointer_keys += int((plan.pointer_nodes != plan.homes).sum())
+    assert (len(homes), pointer_keys) == (714, 143)
+
+
+def test_put_get_counts(store_network):
+    rng = random.Random(f"storage-bench:{STORE_KEYS}")
+    put_ops, get_ops = storage_workload(
+        store_network, rng, puts=STORE_KEYS, gets=STORE_KEYS
+    )
+    rstore = ReplicatedStore(HierarchicalStore(store_network), replicas=REPLICAS)
+    for (storage, access), ops in _by_domain_pair(put_ops).items():
+        origins, names, values = zip(*ops)
+        bulk_put_replicated(rstore, origins, names, values, storage, access)
+    batch = CompiledStore(rstore.store).batch_get(
+        [origin for origin, _ in get_ops], [key for _, key in get_ops]
+    )
+    rows = list(batch.results())
+    gets_found = sum(row.found_at is not None for row in rows)
+    pointer_hops_total = sum(row.pointer_hops for row in rows)
+    assert (gets_found, pointer_hops_total) == (692, 1412)
+
+
+def test_repair_counts():
+    """One crash era: 15 % of a 512-node protocol net, then one repair."""
+    rng = random.Random(9)
+    net = SimulatedCrescendo(IdSpace(32))
+    for node_id in net.space.random_ids(512, rng):
+        net.join(node_id, REPAIR_PATHS[rng.randrange(3)])
+    net.stabilize()
+    data = FastDataLayer(net, replicas=REPLICAS)
+    rng = random.Random(f"storage-bench-repair:{STORE_KEYS}")
+    live = sorted(net.nodes)
+    for i in range(STORE_KEYS):
+        origin = live[rng.randrange(len(live))]
+        domain = net.hierarchy.path_of(origin)[: rng.randrange(3)]
+        data.put(origin, f"k{i}", f"v{i}", domain)
+    for victim in rng.sample(live, int(len(live) * 0.15)):
+        net.crash(victim)
+    before = net.msgs.stats.counts.get("replicate", 0)
+    data.stabilized()
+    replicate_msgs = net.msgs.stats.counts.get("replicate", 0) - before
+    lost_keys = len(data.lost_keys())
+    assert (STORE_KEYS - lost_keys, lost_keys, replicate_msgs) == (1022, 2, 466)
+
+
+# ------------------------------------------------------------------ arena
+
+ARENA_NODES = 512
+#: CAN / Can-Can build from an aligned prefix tree at half the population.
+ARENA_PREFIX_NODES = 256
+
+ARENA_BYTES = {
+    "chord": 116864,
+    "crescendo": 122368,
+    "symphony": 111488,
+    "cacophony": 122432,
+    "ndchord": 117824,
+    "ndcrescendo": 125184,
+    "mixed": 561280,
+    "naive": 209536,
+    "kademlia": 202120,
+    "kandy": 202712,
+    "can": 97536,
+    "cancan": 90592,
+}
+
+#: family -> constructor over (space, hierarchy); the hierarchy seed is
+#: the family's position here, plus one.
+HIERARCHICAL = {
+    "chord": ChordNetwork,
+    "crescendo": CrescendoNetwork,
+    "symphony": lambda s, h: SymphonyNetwork(s, h, random.Random(101)),
+    "cacophony": lambda s, h: CacophonyNetwork(s, h, random.Random(102)),
+    "ndchord": lambda s, h: NDChordNetwork(s, h, random.Random(103)),
+    "ndcrescendo": lambda s, h: NDCrescendoNetwork(s, h, random.Random(104)),
+    "mixed": LanCrescendoNetwork,
+    "naive": NaiveHierarchicalChord,
+    "kademlia": lambda s, h: KademliaNetwork(s, h, None, 1),
+    "kandy": lambda s, h: KandyNetwork(s, h, None, 1),
+}
+
+
+def _arena_network(family):
+    space = IdSpace(32)
+    if family in HIERARCHICAL:
+        rng = random.Random(list(HIERARCHICAL).index(family) + 1)
+        ids = space.random_ids(ARENA_NODES, rng)
+        hierarchy = build_uniform_hierarchy(
+            ids, FANOUT, 3, rng, distribution="zipf", zipf_exponent=ZIPF_EXPONENT
+        )
+        return HIERARCHICAL[family](space, hierarchy).build()
+    rng = random.Random(90)
+    paths = [(f"lan{i % FANOUT}",) for i in range(ARENA_PREFIX_NODES)]
+    hierarchy = Hierarchy()
+    prefixes = {}
+    for path, leaf in zip(paths, PrefixTree(space.bits).grow_aligned(paths, rng)):
+        padded = leaf.padded(space.bits)
+        prefixes[padded] = leaf
+        hierarchy.place(padded, path)
+    if family == "can":
+        return CANNetwork(space, hierarchy, prefixes).build()
+    return CanCanNetwork(space, hierarchy, prefixes, None).build()
+
+
+@pytest.mark.parametrize("family", sorted(ARENA_BYTES))
+def test_arena_bytes(family):
+    net = _arena_network(family)
+    assert net.built_with == "numpy"
+    owner = export_network(compile_network(net), label="pinned")
+    try:
+        assert owner.nbytes == ARENA_BYTES[family]
+    finally:
+        owner.dispose()
