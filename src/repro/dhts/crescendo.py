@@ -32,22 +32,21 @@ of the hierarchy (empirically ~``0.5*log2 n + c``).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional, Set
 
 from ..core.hierarchy import DomainPath, Hierarchy
 from ..core.idspace import IdSpace, successor_index
-from ..core.network import BULK_THRESHOLD, DHTNetwork
+from ..core.network import DHTNetwork
 
 
 class CrescendoNetwork(DHTNetwork):
     """Static (oracle) construction of a Crescendo ring.
 
-    A bulk build vectorises each ring larger than ``BULK_THRESHOLD``
-    members (the paper-scale 32K-65K node runs); the pure-Python rings of
-    :meth:`build_reference` are the reference implementation and the two
-    are cross-checked by property tests.
+    The reference (:meth:`build_reference`) merges one domain's ring at a
+    time in pure Python; the bulk build sweeps each hierarchy depth's rings
+    in one array pass (:func:`repro.perf.build.canon_merge`).  The two are
+    cross-checked, side outputs included, by
+    :func:`repro.verify.oracles.compare_builders`.
     """
 
     metric = "ring"
@@ -64,14 +63,30 @@ class CrescendoNetwork(DHTNetwork):
 
     # ---------------------------------------------------------------- build
 
+    def _use_bulk(self) -> bool:
+        from ..perf.build import composite_keys_fit
+
+        return super()._use_bulk() and composite_keys_fit(
+            self.hierarchy, self.space.bits
+        )
+
     def _reference_link_sets(self) -> Dict[int, Set[int]]:
-        return self._merge_rings(bulk=False)
+        return self._merge_rings()
 
     def _bulk_link_sets(self) -> Dict[int, Set[int]]:
-        return self._merge_rings(bulk=True)
+        return self._sweep_rings(floor=0)
 
-    def _merge_rings(self, bulk: bool) -> Dict[int, Set[int]]:
-        """Build every ring bottom-up; with ``bulk``, vectorise the large ones."""
+    def _sweep_rings(self, floor: int) -> Dict[int, Set[int]]:
+        """Every ring at depth ``>= floor`` by the per-depth sweep."""
+        from ..perf.build import crescendo_link_sets
+
+        link_sets, self.gap, self.level_successors = crescendo_link_sets(
+            self.node_ids, self.space, self.hierarchy, floor
+        )
+        return link_sets
+
+    def _merge_rings(self) -> Dict[int, Set[int]]:
+        """Build every ring bottom-up, one domain at a time."""
         link_sets: Dict[int, Set[int]] = {node: set() for node in self.node_ids}
         self.gap = {node: self.space.size for node in self.node_ids}
         self.level_successors = {node: [] for node in self.node_ids}
@@ -82,35 +97,24 @@ class CrescendoNetwork(DHTNetwork):
             members = self.hierarchy.sorted_members(domain.path)
             if not members:
                 continue
-            leaf_nodes = [m for m in members if depth_of[m] == domain.depth]
-            merge_nodes = [m for m in members if depth_of[m] > domain.depth]
-            ring_bulk = bulk and len(members) > BULK_THRESHOLD
             if domain.depth == 0:
                 # Hook point: proximity-adapted variants replace the top-level
                 # merge with group-based construction (Section 3.6).
-                self._build_top_domain(
-                    members, leaf_nodes, merge_nodes, link_sets, ring_bulk
-                )
-            elif ring_bulk:
-                self._build_domain_numpy(members, leaf_nodes, merge_nodes, link_sets)
+                self._build_top_domain(members, link_sets)
             else:
+                leaf_nodes = [m for m in members if depth_of[m] == domain.depth]
+                merge_nodes = [m for m in members if depth_of[m] > domain.depth]
                 self._build_domain_python(members, leaf_nodes, merge_nodes, link_sets)
             self._record_level(members)
         return link_sets
 
     def _build_top_domain(
-        self,
-        members: List[int],
-        leaf_nodes: List[int],
-        merge_nodes: List[int],
-        link_sets: Dict[int, Set[int]],
-        bulk: bool,
+        self, members: List[int], link_sets: Dict[int, Set[int]]
     ) -> None:
         """Top-level (root) merge; the default is the ordinary Canon merge."""
-        if bulk:
-            self._build_domain_numpy(members, leaf_nodes, merge_nodes, link_sets)
-        else:
-            self._build_domain_python(members, leaf_nodes, merge_nodes, link_sets)
+        leaf_nodes = [m for m in members if not self.hierarchy.path_of(m)]
+        merge_nodes = [m for m in members if self.hierarchy.path_of(m)]
+        self._build_domain_python(members, leaf_nodes, merge_nodes, link_sets)
 
     def _record_level(self, members: List[int]) -> None:
         """Record each member's successor in this ring (its new leaf set)."""
@@ -149,40 +153,6 @@ class CrescendoNetwork(DHTNetwork):
                     if dist < gap:
                         link_sets[node].add(succ)
                 k += 1
-
-    def _build_domain_numpy(
-        self,
-        members: List[int],
-        leaf_nodes: List[int],
-        merge_nodes: List[int],
-        link_sets: Dict[int, Set[int]],
-    ) -> None:
-        space = self.space
-        arr = np.array(members, dtype=np.uint64)
-        size = np.uint64(space.size)
-        ks = np.uint64(1) << np.arange(space.bits, dtype=np.uint64)
-
-        def fingers(nodes: List[int]) -> Tuple[np.ndarray, np.ndarray]:
-            base = np.array(nodes, dtype=np.uint64)
-            targets = (base[:, None] + ks[None, :]) % size
-            idx = np.searchsorted(arr, targets)
-            idx[idx == len(arr)] = 0
-            succ = arr[idx]
-            dist = (succ - base[:, None]) % size
-            return succ, dist
-
-        if leaf_nodes:
-            succ, dist = fingers(leaf_nodes)
-            for row, node in enumerate(leaf_nodes):
-                link_sets[node].update(
-                    int(s) for s, d in zip(succ[row], dist[row]) if d != 0
-                )
-        if merge_nodes:
-            succ, dist = fingers(merge_nodes)
-            gaps = np.array([self.gap[m] for m in merge_nodes], dtype=np.uint64)
-            keep = (dist != 0) & (dist < gaps[:, None]) & (ks[None, :] < gaps[:, None])
-            for row, node in enumerate(merge_nodes):
-                link_sets[node].update(int(s) for s in succ[row][keep[row]])
 
     # -------------------------------------------------------------- queries
 

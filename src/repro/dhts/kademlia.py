@@ -122,9 +122,13 @@ class KademliaNetwork(DHTNetwork):
         return super()._use_bulk() and (self.rng is not None or self.bucket_size == 1)
 
     def _bulk_link_sets(self) -> Dict[int, Set[int]]:
-        from ..perf.build import kademlia_link_sets
+        from ..perf.build import kandy_link_sets
 
-        return kademlia_link_sets(self.node_ids, self.space, self.rng, self.bucket_size)
+        # Flat Kademlia is Kandy's per-depth pass over the root ring alone.
+        link_sets, _ = kandy_link_sets(
+            self.node_ids, self.space, None, self.rng, self.bucket_size
+        )
+        return link_sets
 
     def _reference_link_sets(self) -> Dict[int, Set[int]]:
         members = self.node_ids

@@ -53,14 +53,24 @@ class KandyNetwork(DHTNetwork):
 
     def _use_bulk(self) -> bool:
         # Deterministic multi-contact buckets (rng None, bucket_size > 1)
-        # have no bulk form; every other flavour does.
-        return super()._use_bulk() and (self.rng is not None or self.bucket_size == 1)
+        # have no bulk form, nor has a hierarchy too wide for composite keys.
+        from ..perf.build import composite_keys_fit
+
+        return (
+            super()._use_bulk()
+            and (self.rng is not None or self.bucket_size == 1)
+            and composite_keys_fit(self.hierarchy, self.space.bits)
+        )
 
     def _bulk_link_sets(self) -> Dict[int, Set[int]]:
-        from ..perf.build import kandy_link_sets
+        from ..perf.build import hierarchy_codes, kandy_link_sets
 
         link_sets, self.contact_depth = kandy_link_sets(
-            self.node_ids, self.space, self.hierarchy, self.rng, self.bucket_size
+            self.node_ids,
+            self.space,
+            hierarchy_codes(self.hierarchy, self.node_ids),
+            self.rng,
+            self.bucket_size,
         )
         return link_sets
 

@@ -6,12 +6,18 @@ one node at a time, one draw / binary search at a time.  At the paper's
 the dominant cost of every experiment grid.  This module rebuilds each
 family's link table in array form:
 
+- Crescendo: one array pass per hierarchy depth (:func:`canon_merge`).
+  A depth's rings are one sorted array of composite (domain rank, id)
+  keys, so one ``searchsorted`` finds the fingers of every member of every
+  ring, and the Canon merge rule is a mask on the result.
+- Kademlia/Kandy: the same per-depth composite keys; two ``searchsorted``
+  calls bound every open (member, bucket) pair of a depth, a vectorized
+  binary-trie descent finds the deterministic XOR-closest contact
+  (:func:`_xor_closest_in_ranges`), and each depth's contacts are resolved
+  in one call (:func:`kandy_link_sets`; Kademlia is its root ring alone).
 - Symphony/Cacophony: harmonic inverse-CDF draws in ``(nodes x count)``
   batches with distinct-rejection redraw rounds and one ``searchsorted``
   successor snap per batch (:func:`bulk_harmonic_draws`).
-- Kademlia/Kandy: per-bit bucket boundaries for *all* nodes with two
-  ``searchsorted`` sweeps, plus a vectorized binary-trie descent for the
-  deterministic XOR-closest contact (:func:`_xor_closest_in_ranges`).
 - CAN/Can-Can: a neighbor of leaf ``x`` at flipped bit ``p`` is exactly a
   leaf whose interval overlaps ``x``'s sibling interval at depth ``p`` — a
   contiguous range of the padded-id order, so adjacency needs no pairwise
@@ -19,8 +25,7 @@ family's link table in array form:
 - ND-Chord/ND-Crescendo: annulus member ranges via cyclic successor
   searches, with the ``count == 0`` full-ring/empty disambiguation of
   :func:`repro.dhts.ndchord.annulus_choice` applied vectorially.
-- mixed/naive: Chord-style finger matrices per domain (as
-  ``crescendo._build_domain_numpy`` already does).
+- mixed/naive: Chord-style finger matrices, one domain at a time.
 
 Randomized families draw from a numpy ``Generator`` derived from the
 caller's ``random.Random`` (:func:`derive_generator`): vectorization
@@ -30,9 +35,10 @@ deterministic families are *exactly* identical (also tested).
 
 Dispatch is a function of the input, with nothing to configure: a
 network's ``build()`` takes the bulk path when its id space has fewer than
-64 bits, it has more than :data:`BULK_THRESHOLD` nodes (for Crescendo,
-per ring) and its family has a bulk form for it (deterministic
-Kademlia/Kandy with ``bucket_size > 1`` has none).  The scalar
+64 bits, it has more than :data:`BULK_THRESHOLD` nodes and its family has
+a bulk form for it (deterministic Kademlia/Kandy with ``bucket_size > 1``
+has none, and neither has a Crescendo or Kandy hierarchy whose composite
+keys exceed 64 bits, :func:`composite_keys_fit`).  The scalar
 construction stays reachable as ``build_reference()``, which the
 differential oracle :func:`repro.verify.oracles.compare_builders` holds
 every builder here to.  :data:`BUILDER_VERSION` is part of every network
@@ -42,6 +48,7 @@ cache key (see :mod:`repro.perf.cache`).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -57,10 +64,12 @@ __all__ = [
     "bulk_harmonic_draws",
     "cacophony_link_sets",
     "can_link_sets",
+    "canon_merge",
     "cancan_link_sets",
+    "composite_keys_fit",
+    "crescendo_link_sets",
     "derive_generator",
     "hierarchy_codes",
-    "kademlia_link_sets",
     "kandy_link_sets",
     "lan_crescendo_link_sets",
     "naive_link_sets",
@@ -213,6 +222,212 @@ def cacophony_link_sets(
     return out, gap
 
 
+# ------------------------------------------------- hierarchy levels as arrays
+
+
+def hierarchy_codes(hierarchy: Hierarchy, node_ids: Sequence[int]) -> np.ndarray:
+    """Per-node integer domain labels, one column per hierarchy level.
+
+    Column ``j`` holds the index of the node's depth-``j + 1`` domain among
+    its siblings, counted in the order :meth:`Hierarchy.domains` visits
+    them, and ``-1`` past the end of the node's path (paths may differ in
+    length).  Equal code prefixes are therefore exactly equal domain-path
+    prefixes, and the lexicographic order of code prefixes is the order in
+    which ``domains()`` visits each depth's domains.
+    """
+    labels: Dict[Tuple[str, ...], List[int]] = {(): []}
+    for domain in hierarchy.domains():  # parents before children
+        prefix = labels[domain.path]
+        # domains() stacks the children in insertion order, so it visits
+        # the last-inserted child first.
+        for index, child in enumerate(reversed(list(domain.children.values()))):
+            labels[child.path] = prefix + [index]
+    paths = [hierarchy.path_of(node) for node in node_ids]
+    depth = max(map(len, paths), default=0)
+    row_of: Dict[Tuple[str, ...], int] = {}
+    rows = [row_of.setdefault(path, len(row_of)) for path in paths]
+    table = [labels[path] + [-1] * (depth - len(path)) for path in row_of]
+    codes = np.asarray(table, dtype=np.int32).reshape(len(table), depth)
+    return codes[np.asarray(rows, dtype=np.intp)]
+
+
+def composite_keys_fit(hierarchy: Hierarchy, bits: int) -> bool:
+    """Whether every depth's (domain rank, id) keys fit in 64 bits.
+
+    Ranks number a depth's non-empty domains, so ``D`` of them need
+    ``log2(D)`` rank bits above the ``bits`` id bits; a hierarchy that does
+    not fit has no per-depth bulk form (:func:`_depth_keys`).
+    """
+    if (len(hierarchy) - 1).bit_length() + bits <= 64:
+        return True  # no depth has more non-empty domains than nodes
+    counts = Counter(
+        domain.depth
+        for domain in hierarchy.domains()
+        if hierarchy.member_count(domain.path)
+    )
+    return all((count - 1).bit_length() + bits <= 64 for count in counts.values())
+
+
+def _depth_ranks(codes: Optional[np.ndarray], n: int) -> List[np.ndarray]:
+    """Dense domain ranks per depth, root first.
+
+    ``ranks[d][p]`` numbers node ``p``'s depth-``d`` domain in the
+    lexicographic order of its code prefix, and is ``-1`` when ``p``'s path
+    is shorter than ``d``.  ``codes`` None is the root ring alone.
+    """
+    rank = np.zeros(n, dtype=np.int64)
+    ranks = [rank]
+    for column in () if codes is None else np.asarray(codes).T:
+        inside = (column >= 0) & (rank >= 0)
+        key = rank[inside] * (int(column.max(initial=0)) + 1) + column[inside]
+        rank = np.full(n, -1, dtype=np.int64)
+        rank[inside] = np.unique(key, return_inverse=True)[1]
+        ranks.append(rank)
+    return ranks
+
+
+def _depth_keys(
+    ids: np.ndarray, rank: np.ndarray, bits: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One depth's rings as a sorted array of composite keys.
+
+    Returns ``(order, keys, rank)``: the positions (into the sorted
+    ``ids``) of the depth's members, ordered by domain rank and then id;
+    their keys ``rank << bits | id``, so every ring is a contiguous run
+    with ids ascending inside it; and each member's rank.
+    """
+    members = np.flatnonzero(rank >= 0)
+    rank = rank[members]
+    top = int(rank.max(initial=0))
+    if top.bit_length() + bits > 64:
+        raise ValueError(
+            f"{top + 1} domains at one depth over a {bits}-bit id space: "
+            "composite keys exceed 64 bits"
+        )
+    keys = (rank.astype(np.uint64) << np.uint64(bits)) | ids[members]
+    sort = np.argsort(keys)
+    return members[sort], keys[sort], rank[sort]
+
+
+_POWERS = np.uint64(1) << np.arange(64, dtype=np.uint64)
+
+
+def _bit_length(values: np.ndarray) -> np.ndarray:
+    """``int.bit_length`` of each uint64 value, exactly."""
+    return np.searchsorted(_POWERS, values, side="right")
+
+
+def _link_sets(
+    ids: np.ndarray, src: List[np.ndarray], dst: List[np.ndarray]
+) -> Dict[int, Set[int]]:
+    """Per-node link-target sets from position arrays of (repeatable) links."""
+    n = int(ids.size)
+    edge = np.sort(np.concatenate(src).astype(np.int64) * n + np.concatenate(dst))
+    edge = edge[np.diff(edge, prepend=-1) != 0]
+    targets = ids[edge % n].tolist()
+    cuts = np.searchsorted(edge, np.arange(n + 1, dtype=np.int64) * n).tolist()
+    return {
+        node: set(targets[a:b]) for node, a, b in zip(ids.tolist(), cuts, cuts[1:])
+    }
+
+
+# ----------------------------------------------------------------- Crescendo
+
+
+def canon_merge(
+    ids: np.ndarray, codes: Optional[np.ndarray], space: IdSpace, floor: int = 0
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Crescendo's rings at depths ``>= floor``, one array pass per depth.
+
+    The Canon construction (paper Section 2) over array form, deepest depth
+    first.  A node is in depth ``d``'s ring iff its path has at least ``d``
+    labels, and a depth's rings are one sorted array of composite (domain
+    rank, id) keys (:func:`_depth_keys`).  A member keeps finger ``k`` iff
+    ``2**k`` and the finger's clockwise distance both stay below the
+    member's gap — the distance to its successor in its own ring one depth
+    down, or the whole space at the depth of its own leaf domain, which
+    makes that depth's rule full Chord fingers.  That is conditions
+    (a)+(b).  ``ids`` are sorted and distinct; ``codes`` are their
+    :func:`hierarchy_codes` (or :func:`stream_hierarchy_codes`).
+
+    Returns ``(src, dst, successors, gap)`` as positions into ``ids``: the
+    links, one entry per (depth, link), so a link kept at several depths
+    repeats; ``successors[d, p]``, ``p``'s successor in its depth-``d``
+    ring (-1 where ``p`` has none or ``d`` was not swept); and each node's
+    gap after the shallowest swept ring.
+    """
+    ids = np.ascontiguousarray(ids, dtype=np.uint64)
+    n = int(ids.size)
+    bits = space.bits
+    mask = np.uint64((1 << bits) - 1)
+    full = np.uint64(space.size)
+    pos_dt = np.uint32 if n < 2**32 else np.int64
+    gap = np.full(n, full, dtype=np.uint64)
+    ranks = _depth_ranks(codes, n)
+    successors = np.full((len(ranks), n), -1, dtype=np.int64)
+    src: List[np.ndarray] = [np.zeros(0, dtype=pos_dt)]
+    dst: List[np.ndarray] = [np.zeros(0, dtype=pos_dt)]
+    for depth in range(len(ranks) - 1, floor - 1, -1):
+        order, keys, rank = _depth_keys(ids, ranks[depth], bits)
+        m = int(order.size)
+        # Each position's ring run [lo, hi) in the composite order.
+        starts = np.flatnonzero(np.r_[True, rank[1:] != rank[:-1]])
+        sizes = np.diff(np.r_[starts, m])
+        lo = np.repeat(starts, sizes)
+        hi = lo + np.repeat(sizes, sizes)
+        sid = ids[order]
+        own_gap = gap[order]
+        # The in-ring successor wraps to the ring's start.
+        nxt = np.arange(1, m + 1)
+        at_end = nxt == hi
+        nxt[at_end] = lo[at_end]
+        ring_gap = (sid[nxt] - sid) & mask
+        ring_gap[hi - lo == 1] = full
+        # Every finger 2**k <= ring_gap lands on the in-ring successor,
+        # which (b) keeps iff it beats the own-ring gap.  Only the fingers
+        # ring_gap < 2**k < own_gap (condition (a)) need a search.
+        near = np.flatnonzero(ring_gap < own_gap)
+        src.append(order[near].astype(pos_dt))
+        dst.append(order[nxt[near]].astype(pos_dt))
+        first = _bit_length(ring_gap[near])
+        count = np.maximum(_bit_length(own_gap[near] - np.uint64(1)) - first, 0)
+        rows = np.repeat(near, count)
+        ks = _ranges_concat(first, first + count).astype(np.uint64)
+        target = (sid[rows] + (np.uint64(1) << ks)) & mask
+        idx = np.searchsorted(keys, (keys[rows] & ~mask) | target)
+        wrap = idx == hi[rows]
+        idx[wrap] = lo[rows][wrap]
+        dist = (sid[idx] - sid[rows]) & mask
+        keep = (dist != np.uint64(0)) & (dist < own_gap[rows])
+        src.append(order[rows[keep]].astype(pos_dt))
+        dst.append(order[idx[keep]].astype(pos_dt))
+        # This depth's rings become each member's own ring above.
+        gap[order] = ring_gap
+        successors[depth, order] = order[nxt]
+    return np.concatenate(src), np.concatenate(dst), successors, gap
+
+
+def crescendo_link_sets(
+    node_ids: Sequence[int], space: IdSpace, hierarchy: Hierarchy, floor: int = 0
+) -> Tuple[Dict[int, Set[int]], Dict[int, int], Dict[int, List[int]]]:
+    """Bulk Crescendo rings at depths ``>= floor`` (:func:`canon_merge`).
+
+    Returns ``(link_sets, gap, level_successors)`` in the reference's form:
+    gap as of the shallowest swept ring, successors leaf ring first.
+    """
+    ids = _as_array(node_ids)
+    codes = hierarchy_codes(hierarchy, node_ids)
+    src, dst, successors, gap = canon_merge(ids, codes, space, floor)
+    link_sets = _link_sets(ids, [src], [dst])
+    chains = ids[successors].T.tolist()  # -1 entries are never read
+    leaf_depths = (codes >= 0).sum(axis=1).tolist()
+    level_successors = {
+        node: chain[floor : leaf + 1][::-1]
+        for node, chain, leaf in zip(node_ids, chains, leaf_depths)
+    }
+    return link_sets, dict(zip(node_ids, gap.tolist())), level_successors
+
+
 # ----------------------------------------------------------- Kademlia / Kandy
 
 
@@ -222,23 +437,25 @@ def _xor_closest_in_ranges(
     lo: np.ndarray,
     i: np.ndarray,
     j: np.ndarray,
-    k: int,
+    k: np.ndarray,
 ) -> np.ndarray:
     """Position in ``arr`` of the XOR-closest member to each ``x`` in
     ``arr[i:j)``.
 
-    Every range must be non-empty and lie inside bucket ``k`` of its ``x``
-    (members agree with ``x`` above bit ``k``, starting at ``lo``), so the
-    closest member falls out of a binary-trie descent: at each lower bit
-    prefer the half that matches ``x``'s bit when it is non-empty.
+    Every range must be non-empty and lie inside bucket ``k`` (per row) of
+    its ``x`` (members agree with ``x`` above bit ``k``, starting at
+    ``lo``), so the closest member falls out of a binary-trie descent: at
+    each lower bit prefer the half that matches ``x``'s bit when it is
+    non-empty.
     """
     ii = i.astype(np.int64)
     jj = j.astype(np.int64)
     pref = lo.astype(np.uint64)
-    for b in range(k - 1, -1, -1):
-        live = (jj - ii) > 1
-        if not live.any():
+    for b in range(int(k.max(initial=0)) - 1, -1, -1):
+        wide = (jj - ii) > 1
+        if not wide.any():
             break
+        live = wide & (k > b)
         bb = np.uint64(1 << b)
         # All of arr[ii:jj) lies in [pref, pref + 2^(b+1)), so the global
         # insertion point of the half boundary lands inside [ii, jj].
@@ -276,146 +493,115 @@ def _sample_offsets(
     return sets
 
 
-def _bucket_contacts(
-    arr: np.ndarray,
-    members: Sequence[int],
-    act: np.ndarray,
+def _resolve_contacts(
+    keys: np.ndarray,
+    rank: np.ndarray,
+    rows: np.ndarray,
+    ks: np.ndarray,
     lo: np.ndarray,
     i: np.ndarray,
     j: np.ndarray,
-    k: int,
     gen: Optional[np.random.Generator],
     bucket_size: int,
-    out: Dict[int, Set[int]],
-    record,
-) -> None:
-    """Resolve bucket-``k`` contacts for the rows ``act`` of one ring.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(src, dst)`` positions in ``keys`` of one depth's bucket contacts.
 
-    ``record(node)`` is invoked once per resolved row (Kandy/Can-Can depth
-    bookkeeping); contacts land directly in ``out``.
+    Row ``r`` resolves bucket ``ks[r]`` of member ``rows[r]``: the members
+    ``keys[i[r]:j[r])``, starting at ``lo[r]``.  Random draws are made in
+    the order a loop over domains would make them — domain (``rank`` of the
+    member), then bucket, then member — because ``Generator.integers`` over
+    concatenated bounds returns the values of one call per block.
     """
     if gen is None:
-        pos = _xor_closest_in_ranges(arr, arr[act], lo[act], i[act], j[act], k)
-        for row, p in zip(act.tolist(), pos.tolist()):
-            node = members[row]
-            out[node].add(members[p])
-            record(node)
-        return
-    spans = j[act] - i[act]
+        return rows, _xor_closest_in_ranges(keys, keys[rows], lo, i, j, ks)
+    order = np.argsort((rank[rows] * 64 + ks) * keys.size + rows)
+    rows, ks, i, j = rows[order], ks[order], i[order], j[order]
+    spans = j - i
     if bucket_size == 1:
-        offs = gen.integers(0, spans)
-        picks = i[act] + offs
-        for row, p in zip(act.tolist(), picks.tolist()):
-            node = members[row]
-            out[node].add(members[p])
-            record(node)
-        return
+        return rows, i + gen.integers(0, spans)
     full = spans <= bucket_size
-    full_rows = act[full]
-    if full_rows.size:
-        for row, a, b in zip(
-            full_rows.tolist(), i[full_rows].tolist(), j[full_rows].tolist()
-        ):
-            node = members[row]
-            out[node].update(members[a:b])
-            record(node)
-    samp_rows = act[~full]
-    if samp_rows.size:
-        chosen = _sample_offsets(gen, spans[~full], bucket_size)
-        for row, a, offsets in zip(samp_rows.tolist(), i[samp_rows].tolist(), chosen):
-            node = members[row]
-            out[node].update(members[a + o] for o in offsets)
-            record(node)
-
-
-def _bucket_ranges(
-    arr: np.ndarray, k: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(lo, i, j)`` of bucket ``k`` for every member of a sorted ring."""
-    kk = np.uint64(k)
-    bit = np.uint64(1 << k)
-    lo = ((arr ^ bit) >> kk) << kk
-    i = np.searchsorted(arr, lo, side="left")
-    j = np.searchsorted(arr, lo + bit, side="left")
-    return lo, i, j
-
-
-def kademlia_link_sets(
-    node_ids: Sequence[int],
-    space: IdSpace,
-    rng=None,
-    bucket_size: int = 1,
-) -> Dict[int, Set[int]]:
-    """Bulk Kademlia: per-bit bucket ranges for all nodes at once.
-
-    Supports the deterministic flavour (``rng=None``) for ``bucket_size=1``
-    (the XOR-closest contact via trie descent) and the randomized flavour
-    for any bucket size; callers fall back to the reference for the
-    deterministic multi-contact case.
-    """
-    if rng is None and bucket_size != 1:
-        raise ValueError("bulk deterministic Kademlia supports bucket_size=1 only")
-    out: Dict[int, Set[int]] = {node: set() for node in node_ids}
-    if len(node_ids) < 2:
-        return out
-    arr = _as_array(node_ids)
-    gen = derive_generator(rng) if rng is not None else None
-    for k in range(space.bits):
-        lo, i, j = _bucket_ranges(arr, k)
-        act = np.flatnonzero(j > i)
-        if act.size:
-            _bucket_contacts(
-                arr, node_ids, act, lo, i, j, k, gen, bucket_size, out,
-                lambda node: None,
-            )
-    return out
+    src = [np.repeat(rows[full], spans[full])]
+    dst = [_ranges_concat(i[full], j[full])]
+    sampled = np.flatnonzero(~full)
+    if sampled.size:
+        # Rejection sampling redraws within a call, so one call per
+        # (domain, bucket) block keeps the per-domain draw sequence.
+        r, k = rank[rows[sampled]], ks[sampled]
+        cuts = np.flatnonzero((r[1:] != r[:-1]) | (k[1:] != k[:-1])) + 1
+        for block in np.split(sampled, cuts):
+            chosen = _sample_offsets(gen, spans[block], bucket_size)
+            src.append(np.repeat(rows[block], bucket_size))
+            offsets = [offset for picks in chosen for offset in picks]
+            dst.append(np.repeat(i[block], bucket_size) + np.asarray(offsets))
+    return np.concatenate(src), np.concatenate(dst)
 
 
 def kandy_link_sets(
     node_ids: Sequence[int],
     space: IdSpace,
-    hierarchy: Hierarchy,
+    codes: Optional[np.ndarray] = None,
     rng=None,
     bucket_size: int = 1,
-) -> Tuple[Dict[int, Set[int]], Dict[int, Dict[int, int]]]:
-    """Bulk Kandy: per-domain bucket sweeps, deepest domain first.
+) -> Tuple[Dict[int, Set[int]], Optional[Dict[int, Dict[int, int]]]]:
+    """Bulk Kandy, one pass per depth; with ``codes`` None, flat Kademlia.
 
-    Processing domains deepest-first and marking each (node, bucket) pair
-    resolved on its first non-empty hit reproduces the reference's "lowest
-    enclosing domain with a non-empty bucket" rule without walking ancestor
-    chains per node.
+    ``node_ids`` are sorted and ``codes`` is their :func:`hierarchy_codes`;
+    returns ``(link_sets, contact_depth)``, ``contact_depth`` None when
+    ``codes`` is.  A depth's rings are one sorted array of composite
+    (domain rank, id) keys, so the bucket bounds of every open (member,
+    bucket) pair of the depth are two ``searchsorted`` calls.  Depths run
+    deepest first, and a pair is resolved at the first depth where its
+    bucket is non-empty — the reference's "lowest enclosing domain with a
+    non-empty bucket".  Contacts are resolved once per depth
+    (:func:`_resolve_contacts`).
     """
     if rng is None and bucket_size != 1:
         raise ValueError("bulk deterministic Kandy supports bucket_size=1 only")
-    out: Dict[int, Set[int]] = {node: set() for node in node_ids}
-    contact_depth: Dict[int, Dict[int, int]] = {node: {} for node in node_ids}
     n = len(node_ids)
-    if n < 2:
-        return out, contact_depth
-    garr = _as_array(node_ids)
+    ids = _as_array(node_ids)
     gen = derive_generator(rng) if rng is not None else None
-    resolved = np.zeros((n, space.bits), dtype=bool)
-    for domain in _domains_deepest_first(hierarchy):
-        members = hierarchy.sorted_members(domain.path)
-        if len(members) < 2:
-            continue
-        arr = _as_array(members)
-        gpos = np.searchsorted(garr, arr)
-        depth = len(domain.path)
-        for k in range(space.bits):
-            lo, i, j = _bucket_ranges(arr, k)
-            act = np.flatnonzero((j > i) & ~resolved[gpos, k])
-            if act.size == 0:
-                continue
-            resolved[gpos[act], k] = True
-
-            def record(node, _k=k, _depth=depth):
-                contact_depth[node][_k] = _depth
-
-            _bucket_contacts(
-                arr, members, act, lo, i, j, k, gen, bucket_size, out, record
-            )
-    return out, contact_depth
+    bits = space.bits
+    # contact_at[k, p]: depth node p's bucket-k contact comes from, or -1.
+    contact_at = np.full((bits, n), -1, dtype=np.int16)
+    src: List[np.ndarray] = [np.zeros(0, dtype=np.int64)]
+    dst: List[np.ndarray] = [np.zeros(0, dtype=np.int64)]
+    ranks = _depth_ranks(codes, n)
+    for depth in range(len(ranks) - 1, -1, -1):
+        order, keys, rank = _depth_keys(ids, ranks[depth], bits)
+        # The XOR-closest ring member is a sorted neighbour, so every bucket
+        # below the top bit a member differs from its neighbours in is
+        # empty; a member alone in its ring has no bucket (first == bits).
+        top = np.where(
+            rank[1:] == rank[:-1], _bit_length(keys[1:] ^ keys[:-1]), bits + 1
+        )
+        first = np.minimum(np.r_[bits + 1, top], np.r_[top, bits + 1]) - 1
+        rows = np.repeat(np.arange(order.size), bits - first)
+        ks = _ranges_concat(first, np.full(first.size, bits))
+        open_ = contact_at[ks, order[rows]] < 0
+        rows, ks = rows[open_], ks[open_]
+        shift = ks.astype(np.uint64)
+        bit = np.uint64(1) << shift
+        lo = ((keys[rows] ^ bit) >> shift) << shift
+        i = np.searchsorted(keys, lo)
+        j = np.searchsorted(keys, lo | (bit - np.uint64(1)), side="right")
+        hit = j > i
+        rows, ks, lo, i, j = rows[hit], ks[hit], lo[hit], i[hit], j[hit]
+        contact_at[ks, order[rows]] = depth
+        s, t = _resolve_contacts(keys, rank, rows, ks, lo, i, j, gen, bucket_size)
+        src.append(order[s])
+        dst.append(order[t])
+    link_sets = _link_sets(ids, src, dst)
+    if codes is None:
+        return link_sets, None
+    pos, ks = np.nonzero(contact_at.T >= 0)
+    depths = contact_at[ks, pos].tolist()
+    cuts = np.searchsorted(pos, np.arange(n + 1)).tolist()
+    ks = ks.tolist()
+    contact_depth = {
+        node: dict(zip(ks[a:b], depths[a:b]))
+        for node, a, b in zip(node_ids, cuts, cuts[1:])
+    }
+    return link_sets, contact_depth
 
 
 # ---------------------------------------------------------------- CAN family
@@ -732,29 +918,6 @@ def naive_link_sets(
 # ----------------------------------------------------- streaming construction
 
 
-def hierarchy_codes(hierarchy: Hierarchy, node_ids: Sequence[int]) -> np.ndarray:
-    """Per-node integer domain labels, one column per hierarchy level.
-
-    Converts a uniform-depth :class:`Hierarchy` (every node's path has the
-    same length, as :func:`repro.core.hierarchy.build_uniform_hierarchy`
-    produces) into the dense ``(n, depth)`` code matrix the streaming
-    builder consumes: column ``j`` maps level-``j`` labels to consecutive
-    integers via a per-level vocabulary, so equal code prefixes correspond
-    exactly to equal domain-path prefixes.
-    """
-    paths = [hierarchy.path_of(node) for node in node_ids]
-    depth = len(paths[0]) if paths else 0
-    if any(len(p) != depth for p in paths):
-        raise ValueError("streaming builder requires a uniform-depth hierarchy")
-    codes = np.zeros((len(paths), depth), dtype=np.int32)
-    for j in range(depth):
-        vocab: Dict[str, int] = {}
-        col = codes[:, j]
-        for i, path in enumerate(paths):
-            col[i] = vocab.setdefault(path[j], len(vocab))
-    return codes
-
-
 def stream_crescendo_ids(
     n: int, rng, bits: int = 32
 ) -> np.ndarray:
@@ -811,20 +974,12 @@ def stream_crescendo_csr(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Crescendo link tables straight to CSR — no per-node Python objects.
 
-    Replays the exact deepest-first Canon construction of
-    :meth:`repro.dhts.crescendo.CrescendoNetwork.build` over array form:
-    at the leaf depth every domain ring takes full Chord fingers over its
-    members; at every shallower depth the per-node merge rule keeps a
-    union finger iff its clockwise distance beats the node's own-ring gap
-    (conditions (a)+(b), with gaps updated from each depth's rings).  For
-    the uniform-depth hierarchies the code matrix encodes, the resulting
-    ``(indptr, neighbors, nbr_pos)`` is **identical** to compiling the
-    bulk-built network — same per-node sorted neighbor lists — which is
-    what lets a 2**20-node grid point skip ~10 GB of Python link tables.
-
-    Work per depth is one composite-key sort plus ``bits`` searchsorted
-    sweeps (merge depths stop at the largest relevant finger), so peak
-    memory is a handful of length-``n``/``E`` arrays.
+    :func:`canon_merge` over every depth, packed as ``(indptr, neighbors,
+    nbr_pos)``.  For the hierarchy the code matrix encodes, that is
+    **identical** to compiling the bulk-built network — same per-node
+    sorted neighbor lists — which is what lets a 2**20-node grid point skip
+    ~10 GB of Python link tables.  Peak memory is a handful of
+    length-``n``/``E`` arrays.
     """
     ids = np.ascontiguousarray(ids, dtype=np.uint64)
     n = int(ids.size)
@@ -832,92 +987,8 @@ def stream_crescendo_csr(
         raise ValueError("cannot stream an empty network")
     if np.any(ids[1:] <= ids[:-1]):
         raise ValueError("ids must be sorted and distinct")
-    depth = int(codes.shape[1]) if codes.ndim == 2 else 0
-    bits = space.bits
-    mask = np.uint64((1 << bits) - 1)
-    full = np.uint64(space.size)
-    gap = np.full(n, full, dtype=np.uint64)
-    srcs: List[np.ndarray] = []
-    dsts: List[np.ndarray] = []
-
-    for d in range(depth, -1, -1):
-        # Composite sort key: depth-d domain prefix above the id bits, so
-        # each domain is a contiguous run with ids ascending inside it.
-        if d:
-            radices = codes[:, :d].max(axis=0).astype(np.uint64) + np.uint64(1)
-            key = np.zeros(n, dtype=np.uint64)
-            for j in range(d):
-                key = key * radices[j] + codes[:, j].astype(np.uint64)
-            key_span = int(np.prod(radices))
-            if key_span.bit_length() + bits > 64:
-                raise ValueError(
-                    f"domain keys need {key_span.bit_length()} bits over a "
-                    f"{bits}-bit id space; composite keys exceed 64 bits"
-                )
-            comp = (key << np.uint64(bits)) | ids
-            order = np.argsort(comp, kind="stable")
-            comp = comp[order]
-        else:
-            key = None
-            order = np.arange(n, dtype=np.int64)
-            comp = ids
-        sid = ids[order]
-        # Per-position segment bounds [lo, hi) of each node's domain run.
-        if key is not None:
-            ksorted = key[order]
-            bound = np.flatnonzero(ksorted[1:] != ksorted[:-1]) + 1
-            starts = np.concatenate([[0], bound])
-            ends = np.concatenate([bound, [n]])
-            seg_of = np.searchsorted(starts, np.arange(n), side="right") - 1
-            lo = starts[seg_of]
-            hi = ends[seg_of]
-        else:
-            lo = np.zeros(n, dtype=np.int64)
-            hi = np.full(n, n, dtype=np.int64)
-        leaf = d == depth
-        if leaf:
-            kmax = bits
-            active = np.arange(n, dtype=np.int64)
-        else:
-            gs = gap[order]
-            # Condition (a) caps useful fingers at 2**k < gap.
-            max_gap = int(gs.max())
-            kmax = min(bits, max(max_gap - 1, 1).bit_length())
-            active = np.flatnonzero(gs > np.uint64(1))
-        prefix = comp & ~mask
-        for k in range(kmax):
-            if not leaf:
-                act = active[gap[order[active]] > np.uint64(1 << k)]
-                if act.size == 0:
-                    break
-            else:
-                act = active
-            target = (sid[act] + np.uint64(1 << k)) & mask
-            idx = np.searchsorted(comp, prefix[act] | target, side="left")
-            wrap = idx == hi[act]
-            idx[wrap] = lo[act][wrap]
-            dist = (sid[idx] - sid[act]) & mask
-            keep = dist != np.uint64(0)
-            if not leaf:
-                keep &= dist < gap[order[act]]
-            kept = act[keep]
-            if kept.size:
-                srcs.append(order[kept].astype(np.uint32))
-                dsts.append(order[idx[keep]].astype(np.uint32))
-        # This depth's rings become each member's own ring for the merges
-        # above: gap = clockwise distance to the in-segment successor
-        # (wrapping to the segment start), or the whole space when alone.
-        nxt = np.arange(1, n + 1, dtype=np.int64)
-        at_end = nxt == hi
-        nxt[at_end] = lo[at_end]
-        ring_gap = (sid[nxt] - sid) & mask
-        single = hi - lo == 1
-        ring_gap[single] = full
-        gap[order] = ring_gap
-
-    if srcs:
-        src = np.concatenate(srcs)
-        dst = np.concatenate(dsts)
+    src, dst, _, _ = canon_merge(ids, codes, space)
+    if src.size:
         edge = src.astype(np.uint64) * np.uint64(n) + dst.astype(np.uint64)
         edge = np.unique(edge)
         src = (edge // np.uint64(n)).astype(np.int64)

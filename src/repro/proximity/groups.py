@@ -139,7 +139,8 @@ class ProximityCrescendoNetwork(CrescendoNetwork):
     """Crescendo (Prox.): group-based construction at the top level only.
 
     Rings below the root are built exactly as in Crescendo (they already
-    reflect physical proximity); the top-level merge creates group links —
+    reflect physical proximity; the bulk build sweeps them depth by depth);
+    the top-level merge creates group links —
     for each octave k below the node's own-ring gap *measured in group
     space*, a link to a physically nearby member of group ``g + 2**k`` —
     plus a dense intra-group graph.
@@ -163,9 +164,15 @@ class ProximityCrescendoNetwork(CrescendoNetwork):
         self.prefix_bits = group_prefix_bits(self.size, group_target)
         self.groups = _GroupIndex(space, self.node_ids, self.prefix_bits)
 
-    def _build_top_domain(
-        self, members, leaf_nodes, merge_nodes, link_sets, bulk
-    ) -> None:
+    def _bulk_link_sets(self) -> Dict[int, Set[int]]:
+        # The per-depth sweep builds every ring below the root; the root
+        # merge is this family's own.
+        link_sets = self._sweep_rings(floor=1)
+        self._build_top_domain(self.node_ids, link_sets)
+        self._record_level(self.node_ids)
+        return link_sets
+
+    def _build_top_domain(self, members, link_sets) -> None:
         groups = self.groups
         group_count = 1 << self.prefix_bits
         for node in members:

@@ -3,7 +3,8 @@
 The comparisons themselves live in :mod:`repro.verify.oracles` (so the
 fuzzer and CLI share them); this module pins the per-family comparison
 profile.  Deterministic families (naive, LanCrescendo, deterministic
-Kademlia/Kandy, CAN, deterministic Can-Can) must produce *identical* link
+Kademlia/Kandy, CAN, deterministic Can-Can, and Crescendo with its
+proximity variant on ragged hierarchies) must produce *identical* link
 tables on both paths.  Randomized families consume randomness in a
 different order, so their tables are compared distributionally — mean
 degree, and a two-sample Kolmogorov-Smirnov test on the link-distance
@@ -18,6 +19,7 @@ import inspect
 import random
 import statistics
 
+import numpy as np
 import pytest
 
 import repro.dhts
@@ -28,6 +30,7 @@ from repro.core.network import DHTNetwork
 from repro.dhts.cacophony import CacophonyNetwork
 from repro.dhts.can import CANNetwork, PrefixTree
 from repro.dhts.cancan import CanCanNetwork
+from repro.dhts.crescendo import CrescendoNetwork
 from repro.dhts.kademlia import KademliaNetwork
 from repro.dhts.kandy import KandyNetwork
 from repro.dhts.mixed import LanCrescendoNetwork
@@ -36,7 +39,8 @@ from repro.dhts.ndchord import NDChordNetwork, NDCrescendoNetwork
 from repro.dhts.symphony import SymphonyNetwork, draw_long_links
 from repro.obs import metrics as obs_metrics
 from repro.perf import build as perf_build
-from repro.perf.build import BULK_THRESHOLD
+from repro.perf.build import BULK_THRESHOLD, hierarchy_codes
+from repro.proximity.groups import ProximityCrescendoNetwork
 from repro.verify.oracles import DEGREE_TOLERANCE, KS_ALPHA, compare_builders
 
 SIZE = 300
@@ -143,7 +147,7 @@ class TestDeterministicEquality:
             assert cls(space, hierarchy, None, 3).build().built_with == "python"
         net = KademliaNetwork(space, hierarchy, None, 3)
         with pytest.raises(ValueError):
-            perf_build.kademlia_link_sets(net.node_ids, space, None, bucket_size=3)
+            perf_build.kandy_link_sets(net.node_ids, space, None, bucket_size=3)
 
 
 # --------------------------------------------------------- randomized families
@@ -208,6 +212,130 @@ class TestRandomizedEquivalence:
             return CanCanNetwork(space, *_prefix_input(leaves, paths), rng)
 
         _distributional(factory, side_attrs=("edge_depth",), ks=False)
+
+
+# ------------------------------------------------------------ ragged depths
+
+#: Leaf paths of one to three labels with their node counts.  Deep domains
+#: nest under shallow leaves, so one depth's rings hold leaf and merge
+#: members together, and rings range from one member to hundreds.
+RAGGED_PATHS = (
+    (("a",), 120),
+    (("a", "x"), 150),
+    (("a", "x", "1"), 90),
+    (("a", "x", "2"), 3),
+    (("a", "y"), 2),
+    (("b",), 1),
+    (("b", "z", "3"), 40),
+    (("c", "w"), 70),
+    (("c", "v", "4"), 1),
+    (("e",), 1),
+) + tuple(((f"d{i}",), 1) for i in range(6)) + tuple(
+    ((f"d{i}", "e", "f"), 2) for i in range(6)
+)
+
+
+def _ragged(seed=31):
+    rng = random.Random(seed)
+    space = _space()
+    paths = [path for path, count in RAGGED_PATHS for _ in range(count)]
+    rng.shuffle(paths)
+    hierarchy = Hierarchy()
+    for node, path in zip(space.random_ids(len(paths), rng), paths):
+        hierarchy.place(node, path)
+    return space, hierarchy
+
+
+def _fake_latency(a, b):
+    return float((a ^ b) % 97)
+
+
+class TestRaggedHierarchies:
+    """Paths of different lengths: a node joins the rings of every depth
+    down to its own leaf domain, where it takes full Chord fingers."""
+
+    def test_ring_sizes_straddle_the_bulk_threshold(self):
+        _, hierarchy = _ragged()
+        sizes = [hierarchy.member_count(d.path) for d in hierarchy.domains()]
+        assert min(sizes) == 1 and max(sizes) > BULK_THRESHOLD
+        assert {len(hierarchy.path_of(n)) for n in hierarchy.node_ids} == {1, 2, 3}
+
+    def test_crescendo(self):
+        space, hierarchy = _ragged()
+        _exact(
+            lambda: CrescendoNetwork(space, hierarchy),
+            side_attrs=("gap", "level_successors"),
+        )
+
+    def test_crescendo_prox(self):
+        space, hierarchy = _ragged()
+        _exact(
+            lambda: ProximityCrescendoNetwork(
+                space, hierarchy, _fake_latency, random.Random(41)
+            ),
+            side_attrs=("gap", "level_successors"),
+        )
+
+    def test_kandy_deterministic(self):
+        space, hierarchy = _ragged()
+        _exact(
+            lambda: KandyNetwork(space, hierarchy, None, 1),
+            side_attrs=("contact_depth",),
+        )
+
+    @pytest.mark.parametrize("bucket_size", [1, 3])
+    def test_kandy_random_contact_depth(self, bucket_size):
+        space, hierarchy = _ragged()
+        _distributional(
+            lambda: KandyNetwork(space, hierarchy, random.Random(42), bucket_size),
+            side_attrs=("contact_depth",),
+            compare_degrees=True,
+        )
+
+    def test_hierarchy_codes(self):
+        _, hierarchy = _ragged()
+        nodes = sorted(hierarchy.node_ids)
+        codes = hierarchy_codes(hierarchy, nodes).tolist()
+        paths = [hierarchy.path_of(node) for node in nodes]
+        assert len(codes[0]) == 3
+        code_of = {}
+        for row, path in zip(codes, paths):
+            # Labels are sibling indexes; -1 pads past the path's end.
+            assert min(row[: len(path)]) >= 0
+            assert row[len(path):] == [-1] * (3 - len(path))
+            for depth in range(len(path) + 1):
+                prefix = tuple(row[:depth])
+                assert code_of.setdefault(path[:depth], prefix) == prefix
+        # Distinct domains get distinct code prefixes ...
+        assert len(set(code_of.values())) == len(code_of)
+        # ... ordered as domains() visits each depth's domains.
+        visited = [domain.path for domain in hierarchy.domains()]
+        for depth in range(4):
+            at_depth = [path for path in visited if len(path) == depth]
+            assert sorted(at_depth, key=code_of.__getitem__) == at_depth
+
+    def test_keys_wider_than_64_bits_build_the_reference(self):
+        space = IdSpace(60)
+        ids = space.random_ids(80, random.Random(43))
+        # 20 depth-1 domains need 5 rank bits above 60 id bits; 16 need 4.
+        wide, narrow = Hierarchy(), Hierarchy()
+        for i, node in enumerate(ids):
+            wide.place(node, (f"d{i % 20}",))
+            narrow.place(node, (f"d{i % 16}",))
+        for factory in (CrescendoNetwork, lambda s, h: KandyNetwork(s, h, None, 1)):
+            assert factory(space, wide).build().built_with == "python"
+            assert factory(space, narrow).build().built_with == "numpy"
+        _exact(
+            lambda: CrescendoNetwork(space, narrow),
+            side_attrs=("gap", "level_successors"),
+        )
+        sorted_ids = sorted(ids)
+        with pytest.raises(ValueError, match="exceed 64 bits"):
+            perf_build.stream_crescendo_csr(
+                np.asarray(sorted_ids, dtype=np.uint64),
+                hierarchy_codes(wide, sorted_ids),
+                space,
+            )
 
 
 # --------------------------------------------------------- short-draw counter

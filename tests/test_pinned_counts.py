@@ -15,6 +15,10 @@ change to one is a change in behaviour.  Three groups:
 - **Arena size.** The exact bytes of the one shared-memory block each
   family's compiled routing state occupies (:mod:`repro.perf.arena`),
   which the dtype-minimization rules fix.
+- **Builders.** A sha256 over the finalized link table and the side
+  outputs (``gap``, ``level_successors``, ``contact_depth``) of the bulk
+  builds the figure path runs, over one 1,024-node transit-stub
+  hierarchy.
 
 When a change moves a pin on purpose, say why in the change and re-pin.
 """
@@ -50,6 +54,7 @@ from repro.perf.storage import (
     plan_puts,
     store_domain_index,
 )
+from repro.proximity.groups import ProximityCrescendoNetwork
 from repro.serve import (
     ServePolicy,
     ServeRuntime,
@@ -61,6 +66,7 @@ from repro.serve.testbed import build_serving_net, domain_labeler, lookup_worklo
 from repro.simulation.protocol import SimulatedCrescendo
 from repro.storage.replication import ReplicatedStore
 from repro.storage.store import HierarchicalStore
+from repro.topology.transit_stub import TopologyParams, TransitStubTopology
 from repro.verify.builders import small_network
 from repro.verify.oracles import storage_workload
 
@@ -309,3 +315,82 @@ def test_arena_bytes(family):
         assert owner.nbytes == ARENA_BYTES[family]
     finally:
         owner.dispose()
+
+
+# ------------------------------------------------------------------ builders
+
+BUILD_NODES = 1024
+
+#: name -> constructor over (space, hierarchy, topology); randomized
+#: flavours draw from an rng seeded by their name.
+PINNED_BUILDS = {
+    "chord": lambda s, h, t: ChordNetwork(s, h),
+    "crescendo": lambda s, h, t: CrescendoNetwork(s, h),
+    "crescendo-prox": lambda s, h, t: ProximityCrescendoNetwork(
+        s, h, t.node_latency, random.Random("crescendo-prox")
+    ),
+    "kademlia": lambda s, h, t: KademliaNetwork(s, h, None, 1),
+    "kandy": lambda s, h, t: KandyNetwork(s, h, None, 1),
+    "kademlia-random": lambda s, h, t: KademliaNetwork(
+        s, h, random.Random("kademlia-random"), 1
+    ),
+    "kandy-random": lambda s, h, t: KandyNetwork(
+        s, h, random.Random("kandy-random"), 1
+    ),
+    "kademlia-random-b3": lambda s, h, t: KademliaNetwork(
+        s, h, random.Random("kademlia-random-b3"), 3
+    ),
+    "kandy-random-b3": lambda s, h, t: KandyNetwork(
+        s, h, random.Random("kandy-random-b3"), 3
+    ),
+}
+
+BUILD_DIGESTS = {
+    "chord": "00d87e1baeaf8b91ff486b45182554951917295cdd17ccc33a402c959df13882",
+    "crescendo": "d3a4911eacb976a15ff76b2fa78a909abff5980d8d79faa54117af0284fd3d4c",
+    "crescendo-prox": "ca0f73398b7ab69cb5df9109ef85de1b4989bad507bb37c95ea1a25c2f1e64fa",
+    "kademlia": "1bb31c6a333034a4d7877e39953ca66f695e30da32faed0588d16abe1de54ef0",
+    "kademlia-random": "f51b836f4b19a421ce2fbaba972ee66ec03e37d3be92a5207f8e5ccbe6cc098e",
+    "kademlia-random-b3": "445a9b987f5d72f7a44db8b69baee5d6b74ccede74a8b2ae25dfd54623461336",
+    "kandy": "456c6835895073b1728c068e517b741f558ca977e0a9da53d889891191a05031",
+    "kandy-random": "35e1aa9eb55147aa95a6eafa6fca93569372c4427227c938b2ddedaaa919b030",
+    "kandy-random-b3": "5dba63b7901494be9eb2c0ad187b2ed25a2a583c38b5467facbee4d3fbe2b7e9",
+}
+
+
+def build_digest(net) -> str:
+    """sha256 over the ``repr`` of one row per node in id order: the node,
+    its sorted links, its ``gap``, its ``level_successors`` and its
+    ``contact_depth`` items sorted by bucket (None / [] when the family
+    has no such output)."""
+    gap = getattr(net, "gap", {})
+    successors = getattr(net, "level_successors", {})
+    depths = getattr(net, "contact_depth", {})
+    rows = [
+        (
+            node,
+            net.links[node],
+            gap.get(node),
+            successors.get(node),
+            sorted(depths.get(node, {}).items()),
+        )
+        for node in net.node_ids
+    ]
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def build_input():
+    """One 1,024-node hierarchy over the paper's 2,040-router graph."""
+    rng = random.Random(f"pinned-builders:{BUILD_NODES}")
+    topology = TransitStubTopology(TopologyParams(), rng)
+    space = IdSpace(32)
+    hierarchy = topology.attach_nodes(space.random_ids(BUILD_NODES, rng), rng)
+    return space, hierarchy, topology
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_BUILDS))
+def test_build_digest(build_input, name):
+    net = PINNED_BUILDS[name](*build_input).build()
+    assert net.built_with == "numpy"
+    assert build_digest(net) == BUILD_DIGESTS[name]
