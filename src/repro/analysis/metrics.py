@@ -266,81 +266,6 @@ def sample_routing(
     )
 
 
-def sample_routing_compiled(
-    compiled: CompiledNetwork,
-    rng,
-    samples: int = 500,
-    pairs: Optional[Sequence[Tuple[int, int]]] = None,
-    latency: Optional[LatencyTable] = None,
-    top_domain=None,
-) -> RoutingStats:
-    """:func:`sample_routing` for a bare :class:`CompiledNetwork`.
-
-    This is the measurement path for networks that exist only as arrays —
-    a shared-memory arena attachment in a grid worker, or a streaming
-    build — where no :class:`~repro.core.network.DHTNetwork` (and no
-    :class:`~repro.core.hierarchy.Hierarchy`) exists to hand to
-    :func:`sample_routing`.  The workload draw (``random_pair`` over the
-    compiled id array), the batch routing call and the registry recording
-    replicate the batch branch of :func:`sample_routing` exactly, so a
-    grid point measured here is bit-identical — result *and* metrics — to
-    the object path on the same network and RNG state.
-
-    ``top_domain`` supplies per-position top-level-domain codes
-    (:func:`repro.perf.arena.top_domain_codes`); with them the
-    ``route.crossings`` histogram is recorded exactly as
-    :meth:`~repro.core.routing.Route.domain_crossings` at level 1 would.
-    Tracers are not supported (arena grids fall back to the object path
-    when one is active).
-    """
-    import numpy as np
-
-    registry = obs_metrics.active_registry()
-    if pairs is None:
-        workload: Sequence[Tuple[int, int]] = [
-            random_pair(compiled.ids, rng) for _ in range(samples)
-        ]
-    else:
-        workload = pairs if isinstance(pairs, Sequence) else list(pairs)
-    track_crossings = registry is not None and top_domain is not None
-    hops: List[int] = []
-    latencies: List[float] = []
-    crossings: List[int] = []
-    delivered = 0
-    total = len(workload)
-    with PROFILER.phase("route"):
-        batch = compiled.route(
-            [p[0] for p in workload],
-            [p[1] for p in workload],
-            paths=track_crossings,
-            latency=latency,
-        )
-        ok = batch.success & (batch.terminals == batch.dest_keys)
-        delivered = int(ok.sum())
-        hops = batch.hops[ok].tolist()
-        if latency is not None:
-            latencies = batch.latency_ms[ok].tolist()
-        if track_crossings:
-            for i in np.flatnonzero(ok).tolist():
-                path = np.asarray(batch.paths[i], dtype=np.uint64)
-                codes = top_domain[compiled._positions(path)]
-                crossings.append(int(np.count_nonzero(codes[1:] != codes[:-1])))
-    if registry is not None:
-        registry.counter("route.samples").inc(total)
-        registry.counter("route.delivered").inc(delivered)
-        registry.counter("messages.lookup").inc(sum(hops))
-        registry.histogram("route.hops").observe_many(hops)
-        registry.histogram("route.crossings").observe_many(crossings)
-        if latencies:
-            registry.histogram("route.latency").observe_many(latencies)
-    return RoutingStats(
-        samples=total,
-        delivered=delivered,
-        mean_hops=statistics.mean(hops) if hops else 0.0,
-        mean_latency=statistics.mean(latencies) if latencies else None,
-    )
-
-
 def _record_slo(
     registry: "obs_metrics.MetricsRegistry",
     label: str,

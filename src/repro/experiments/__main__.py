@@ -26,7 +26,6 @@ import time
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..obs.profile import PROFILER
-from ..perf import arena as perf_arena
 from ..perf import dynamic as perf_dynamic
 from ..perf import cache as perf_cache
 from ..perf import executor as perf_executor
@@ -113,14 +112,6 @@ def main(argv=None) -> int:
         "results are bit-identical to a serial run)",
     )
     parser.add_argument(
-        "--arena",
-        action="store_true",
-        help="run grid workers against shared-memory arenas: the parent "
-        "builds each network once and workers attach zero-copy (results "
-        "are bit-identical to the default per-worker-build grids; "
-        "currently wired for fig5 and fig6)",
-    )
-    parser.add_argument(
         "--no-cache",
         action="store_true",
         help="rebuild every network instead of using the on-disk "
@@ -174,7 +165,6 @@ def main(argv=None) -> int:
     if args.jobs < 0:
         parser.error(f"--jobs must be >= 0, got {args.jobs}")
     perf_executor.set_default_jobs(args.jobs)
-    perf_arena.set_default_arena(args.arena)
     perf_dynamic.set_engine_mode(args.engine)
     if args.verify:
         from ..verify.invariants import set_auto_verify
@@ -187,7 +177,6 @@ def main(argv=None) -> int:
             set_auto_verify(False)
         perf_dynamic.set_engine_mode("fast")
         perf_executor.set_default_jobs(1)
-        perf_arena.set_default_arena(False)
         if cache is not None:
             stats = cache.stats()
             logger.info(

@@ -4,34 +4,20 @@ Paper result: hops are ~0.5*log2(n) + c for a small constant c that grows
 with hierarchy depth, by at most 0.7 regardless of the number of levels —
 routing in Crescendo is almost as efficient as in flat Chord.
 
-Two grid transports exist.  The default hands each worker a ``(size,
-levels, samples)`` tuple and the worker builds its own network (cheap at
-small scales, and cache hits make repeats nearly free).  With ``--arena``
-(or ``arena=True``) the parent builds each point's network once, exports
-its compiled CSR arrays into a shared-memory arena
-(:mod:`repro.perf.arena`) together with the point's post-build RNG state
-and top-level-domain codes, and workers attach zero-copy — the transport
-for populations whose Python link tables would not fit ``--jobs`` times
-in memory.  Both transports produce bit-identical measurements (asserted
-by ``tests/test_perf_arena.py``).
+Each grid point is one ``(size, levels, samples)`` tuple, and the worker
+that measures it builds its own network (cache hits make repeats nearly
+free), so ``--jobs N`` output is bit-identical to a serial run.
 """
 
 from __future__ import annotations
 
-import logging
 import math
-import random
 from typing import Dict, Optional, Tuple
 
-from ..analysis.metrics import sample_routing, sample_routing_compiled
+from ..analysis.metrics import sample_routing
 from ..analysis.tables import Table
-from ..obs import trace as obs_trace
-from ..perf import arena as perf_arena
 from ..perf.executor import map_points
-from ..perf.kernels import compile_network
 from .common import build_crescendo, get_scale, seeded_rng
-
-logger = logging.getLogger("repro.experiments.fig5")
 
 
 def _grid_point(point: Tuple[int, int, int]) -> float:
@@ -45,93 +31,26 @@ def _grid_point(point: Tuple[int, int, int]) -> float:
     return stats.mean_hops
 
 
-def _arena_grid_point(point: Tuple[int, int, int]) -> float:
-    """Mean hops at one grid point, routed over the published arena.
-
-    The worker attaches read-only to the parent's exported network,
-    restores the parent's post-build RNG state, and measures with
-    :func:`sample_routing_compiled` — drawing the identical workload and
-    recording the identical metrics as :func:`_grid_point` on the same
-    network.
-    """
-    size, levels, samples = point
-    view = perf_arena.attach_network(perf_arena.current_manifest((size, levels)))
-    rng = random.Random()
-    rng.setstate(view.meta["extras"]["rng_state"])
-    stats = sample_routing_compiled(
-        view.compiled, rng, samples=samples, top_domain=view.top_domain
-    )
-    if stats.success_rate != 1.0:
-        raise AssertionError(f"routing failures at n={size}, levels={levels}")
-    return stats.mean_hops
-
-
 def measurements(
-    scale: str = "small",
-    jobs: Optional[int] = None,
-    arena: Optional[bool] = None,
+    scale: str = "small", jobs: Optional[int] = None
 ) -> Dict[Tuple[int, int], float]:
-    """(n, levels) -> mean routing hops.
-
-    ``arena`` selects the shared-memory grid transport (``None`` follows
-    the process default set by the CLI ``--arena`` flag).  The parent owns
-    every exported segment and disposes them all when the grid returns —
-    normally or not — so no shared memory outlives the call.
-    """
+    """(n, levels) -> mean routing hops."""
     cfg = get_scale(scale)
     points = [
         (size, levels, cfg.route_samples)
         for size in cfg.fig3_sizes
         for levels in cfg.fig3_levels
     ]
-    if arena is None:
-        arena = perf_arena.default_enabled()
-    if arena and obs_trace.active_tracer() is not None:
-        logger.warning(
-            "route tracing is active; arena workers cannot trace — "
-            "falling back to the object-path grid"
-        )
-        arena = False
-    if not arena:
-        values = map_points(_grid_point, points, jobs=jobs)
-    else:
-        owners = []
-        manifests: Dict[Tuple[int, int], perf_arena.ArenaManifest] = {}
-        try:
-            for size, levels, _ in points:
-                rng = seeded_rng("fig5", size, levels)
-                net = build_crescendo(
-                    size, levels, rng, cache_token=("fig5", size, levels)
-                )
-                compiled = compile_network(net)
-                owner = compiled.to_arena(
-                    top_domain=perf_arena.top_domain_codes(
-                        net.hierarchy, compiled.ids
-                    ),
-                    extras={"rng_state": rng.getstate()},
-                    label="fig5",
-                )
-                owners.append(owner)
-                manifests[(size, levels)] = owner.manifest
-            values = map_points(
-                _arena_grid_point, points, jobs=jobs, arenas=manifests
-            )
-        finally:
-            for owner in owners:
-                owner.dispose()
+    values = map_points(_grid_point, points, jobs=jobs)
     return {
         (size, levels): value for (size, levels, _), value in zip(points, values)
     }
 
 
-def run(
-    scale: str = "small",
-    jobs: Optional[int] = None,
-    arena: Optional[bool] = None,
-) -> Table:
+def run(scale: str = "small", jobs: Optional[int] = None) -> Table:
     """Render the Figure 5 table (avg routing hops vs n)."""
     cfg = get_scale(scale)
-    data = measurements(scale, jobs=jobs, arena=arena)
+    data = measurements(scale, jobs=jobs)
     table = Table(
         "Figure 5 — Avg #routing hops (greedy clockwise)",
         ["n", "0.5*log2(n)"] + [f"levels={lv}" for lv in cfg.fig3_levels],

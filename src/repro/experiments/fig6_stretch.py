@@ -7,34 +7,21 @@ log n (stretch 4.5 -> 8); plain Crescendo achieves near-constant stretch
 improves but still scales with log n; Crescendo (Prox.) is best and constant
 (~1.3).
 
-Two grid transports exist, mirroring Figure 5.  The default hands each
-worker a ``(size, samples)`` tuple and the worker builds its own
-:class:`~repro.experiments.common.TopologySetup`.  With ``--arena`` (or
-``arena=True``) the parent builds each size's setup once and exports the
-transit-stub all-pairs router matrix — the one array all four systems of a
-setup share, and by far its largest — into a shared-memory arena via
-:func:`repro.perf.arena.export_latency_matrix`; workers wrap the attached
-matrix in a :class:`~repro.perf.latency.LatencyTable` and measure over it
-zero-copy.  Both transports produce bit-identical measurements (asserted
-by ``tests/test_perf_arena.py`` and the CI diff smoke).
+Each grid point is one network size: the worker that measures it builds
+its own :class:`~repro.experiments.common.TopologySetup`, so ``--jobs N``
+output is bit-identical to a serial run.
 """
 
 from __future__ import annotations
 
-import logging
 from typing import Dict, Optional, Tuple
 
 from ..analysis.metrics import stretch
 from ..analysis.tables import Table
 from ..core.routing import route_ring
-from ..obs import trace as obs_trace
-from ..perf import arena as perf_arena
 from ..perf.executor import map_points
-from ..perf.latency import LatencyTable
 from ..proximity.groups import route_grouped
-from .common import TopologySetup, build_topology_setup, get_scale, seeded_rng
-
-logger = logging.getLogger("repro.experiments.fig6")
+from .common import build_topology_setup, get_scale, seeded_rng
 
 SYSTEMS = (
     ("Chord (No Prox.)", "chord", route_ring),
@@ -42,37 +29,6 @@ SYSTEMS = (
     ("Chord (Prox.)", "chord_prox", route_grouped),
     ("Crescendo (Prox.)", "crescendo_prox", route_grouped),
 )
-
-
-#: Parent-built setups for the arena transport, keyed by size.  Workers are
-#: forked, so they inherit the Python-object side (networks, hierarchy,
-#: router attachment) for free; only the latency matrix — the array whose
-#: bytes dominate a setup — travels through the arena.
-_SETUPS: Dict[int, TopologySetup] = {}
-
-
-def _measure_setup(
-    setup: TopologySetup, latency_fn, size: int, samples: int
-) -> Dict[str, Tuple[float, float]]:
-    """The four-system measurement loop shared by both transports.
-
-    One routing RNG threads from system to system (exactly as the serial
-    loop always did), so both transports draw the identical workload.
-    """
-    rng = seeded_rng("fig6-route", size)
-    out: Dict[str, Tuple[float, float]] = {}
-    for label, attr, router in SYSTEMS:
-        net = getattr(setup, attr)
-        out[label] = stretch(
-            net,
-            rng,
-            latency_fn,
-            setup.direct_latency,
-            samples=samples,
-            router=router,
-            slo_label=attr,
-        )
-    return out
 
 
 def _grid_point(point: Tuple[int, int]) -> Dict[str, Tuple[float, float]]:
@@ -84,72 +40,29 @@ def _grid_point(point: Tuple[int, int]) -> Dict[str, Tuple[float, float]]:
     """
     size, samples = point
     setup = build_topology_setup(size, "fig6")
-    return _measure_setup(setup, setup.latency, size, samples)
-
-
-def _arena_grid_point(point: Tuple[int, int]) -> Dict[str, Tuple[float, float]]:
-    """All four systems at one size, latency read from the shared arena.
-
-    The worker wraps the attached all-pairs matrix in a
-    :class:`LatencyTable` carrying the fork-inherited node→router
-    attachment.  The table is bit-identical to the parent's (same ids,
-    routers, bytes), so every batch kernel gather and every scalar
-    fallback call produces the same float64s as the object path.
-    """
-    size, samples = point
-    setup = _SETUPS[size]
-    arrays = perf_arena.attach(perf_arena.current_manifest(size))
-    base = setup.topology.latency_table()
-    table = LatencyTable(
-        base.node_ids, base.routers, arrays["matrix"], host_ms=base.host_ms
-    )
-    return _measure_setup(setup, table, size, samples)
+    rng = seeded_rng("fig6-route", size)
+    out: Dict[str, Tuple[float, float]] = {}
+    for label, attr, router in SYSTEMS:
+        net = getattr(setup, attr)
+        out[label] = stretch(
+            net,
+            rng,
+            setup.latency,
+            setup.direct_latency,
+            samples=samples,
+            router=router,
+            slo_label=attr,
+        )
+    return out
 
 
 def measurements(
-    scale: str = "small",
-    jobs: Optional[int] = None,
-    arena: Optional[bool] = None,
+    scale: str = "small", jobs: Optional[int] = None
 ) -> Dict[Tuple[str, int], Tuple[float, float]]:
-    """(system, n) -> (stretch, mean latency ms).
-
-    ``arena`` selects the shared-memory grid transport (``None`` follows
-    the process default set by the CLI ``--arena`` flag).  The parent owns
-    every exported matrix segment and disposes them all when the grid
-    returns — normally or not — so no shared memory outlives the call.
-    """
+    """(system, n) -> (stretch, mean latency ms)."""
     cfg = get_scale(scale)
     points = [(size, cfg.route_samples) for size in cfg.fig6_sizes]
-    if arena is None:
-        arena = perf_arena.default_enabled()
-    if arena and obs_trace.active_tracer() is not None:
-        logger.warning(
-            "route tracing is active; arena workers cannot trace — "
-            "falling back to the object-path grid"
-        )
-        arena = False
-    if not arena:
-        values = map_points(_grid_point, points, jobs=jobs)
-    else:
-        owners = []
-        manifests: Dict[int, perf_arena.ArenaManifest] = {}
-        try:
-            for size, _ in points:
-                setup = build_topology_setup(size, "fig6")
-                _SETUPS[size] = setup
-                owner = perf_arena.export_latency_matrix(
-                    setup.topology.latency_table(), label="fig6lat"
-                )
-                owners.append(owner)
-                manifests[size] = owner.manifest
-            values = map_points(
-                _arena_grid_point, points, jobs=jobs, arenas=manifests
-            )
-        finally:
-            for owner in owners:
-                owner.dispose()
-            for size, _ in points:
-                _SETUPS.pop(size, None)
+    values = map_points(_grid_point, points, jobs=jobs)
     out: Dict[Tuple[str, int], Tuple[float, float]] = {}
     for (size, _), by_label in zip(points, values):
         for label, _, _ in SYSTEMS:
@@ -157,14 +70,10 @@ def measurements(
     return out
 
 
-def run(
-    scale: str = "small",
-    jobs: Optional[int] = None,
-    arena: Optional[bool] = None,
-) -> Table:
+def run(scale: str = "small", jobs: Optional[int] = None) -> Table:
     """Render the Figure 6 table (latency and stretch)."""
     cfg = get_scale(scale)
-    data = measurements(scale, jobs=jobs, arena=arena)
+    data = measurements(scale, jobs=jobs)
     table = Table(
         "Figure 6 — Latency and stretch on the transit-stub model",
         ["n"]

@@ -136,30 +136,6 @@ class Tracer:
             record["attrs"] = attrs
         self._append(record)
 
-    def events_many(self, name: str, attrs_list: Sequence[Dict[str, Any]]) -> None:
-        """Record a batch of same-named events in one append.
-
-        The batched counterpart of :meth:`event` for drain-based engines
-        (the fast simulator buffers per-event attrs and flushes here): one
-        lock acquisition and one timestamp for the whole batch, producing
-        records identical to per-call :meth:`event` except that they share
-        a ``ts``.
-        """
-        if not attrs_list:
-            return
-        ts = self._now_us()
-        parent = self._stack[-1] if self._stack else None
-        records: List[Dict[str, Any]] = []
-        for attrs in attrs_list:
-            record: Dict[str, Any] = {"type": "event", "name": name, "ts": ts}
-            if parent is not None:
-                record["parent"] = parent
-            if attrs:
-                record["attrs"] = dict(attrs)
-            records.append(record)
-        with self._lock:
-            self.records.extend(records)
-
     def route(
         self,
         route: "Route",

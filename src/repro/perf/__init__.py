@@ -1,7 +1,7 @@
 """Fast-path layer: batch routing kernels, a parallel experiment executor
 and an on-disk built-network cache.
 
-Three cooperating pieces, each individually optional and all bit-identical
+Six cooperating pieces, each individually optional and all bit-identical
 to the plain implementations they accelerate:
 
 - :mod:`repro.perf.kernels` — compile a built network's link tables into a
@@ -19,15 +19,6 @@ to the plain implementations they accelerate:
   DHT family; a network's ``build()`` takes them whenever its input has a
   bulk form, and the scalar constructions in :mod:`repro.dhts` remain the
   cross-checked reference behind ``build_reference()``.
-- :mod:`repro.perf.arena` — zero-copy shared-memory arenas: a compiled
-  network's CSR arrays (plus ring/xor routing tables, top-level-domain
-  codes and the transit-stub latency table) laid out once in a single
-  :class:`multiprocessing.shared_memory.SharedMemory` block that grid
-  workers attach to read-only, so million-node experiment grids fit on
-  one machine; see :meth:`CompiledNetwork.to_arena` /
-  :meth:`CompiledNetwork.from_arena` and the streaming constructors in
-  :mod:`repro.perf.build` (``stream_compiled_crescendo``) that emit CSR
-  arrays directly without ever materializing Python node/link objects.
 - :mod:`repro.perf.dynamic` — the fast dynamic-maintenance engine:
   array-backed membership state (:class:`~repro.perf.dynamic.NodeArena`),
   batched stabilization with quiescent-ring memoization, and bisect-based
@@ -49,24 +40,7 @@ See ``docs/performance.md`` for the layout, invalidation rules and
 benchmark methodology.
 """
 
-from .arena import (
-    Arena,
-    ArenaManifest,
-    NetworkView,
-    attach_network,
-    default_enabled,
-    export_latency_matrix,
-    export_network,
-    live_arena_bytes,
-    set_default_arena,
-    top_domain_codes,
-)
-from .build import (
-    BUILDER_VERSION,
-    derive_generator,
-    stream_compiled_crescendo,
-    stream_crescendo_csr,
-)
+from .build import BUILDER_VERSION, derive_generator
 from .cache import (
     NetworkCache,
     active_cache,
@@ -113,8 +87,6 @@ from .storage import (
 )
 
 __all__ = [
-    "Arena",
-    "ArenaManifest",
     "BUILDER_VERSION",
     "BatchResult",
     "BatchSearchResult",
@@ -125,28 +97,22 @@ __all__ = [
     "FastDataLayer",
     "FastSimulatedCrescendo",
     "NetworkCache",
-    "NetworkView",
     "NodeArena",
     "PutPlan",
     "RepairPlan",
     "active_cache",
-    "attach_network",
     "batch_route",
     "bulk_put",
     "bulk_put_replicated",
     "caching",
     "compile_network",
     "default_cache_dir",
-    "default_enabled",
     "derive_generator",
     "disable",
     "enable",
-    "export_latency_matrix",
-    "export_network",
     "get_default_jobs",
     "get_engine_mode",
     "install_network",
-    "live_arena_bytes",
     "make_protocol",
     "map_points",
     "network_payload",
@@ -155,10 +121,6 @@ __all__ = [
     "resolve_engine",
     "resolve_jobs",
     "scalar_search_latency",
-    "set_default_arena",
     "set_default_jobs",
     "set_engine_mode",
-    "stream_compiled_crescendo",
-    "stream_crescendo_csr",
-    "top_domain_codes",
 ]

@@ -75,10 +75,6 @@ __all__ = [
     "naive_link_sets",
     "ndchord_link_sets",
     "ndcrescendo_link_sets",
-    "stream_compiled_crescendo",
-    "stream_crescendo_csr",
-    "stream_crescendo_ids",
-    "stream_hierarchy_codes",
     "symphony_link_sets",
 ]
 
@@ -348,7 +344,7 @@ def canon_merge(
     down, or the whole space at the depth of its own leaf domain, which
     makes that depth's rule full Chord fingers.  That is conditions
     (a)+(b).  ``ids`` are sorted and distinct; ``codes`` are their
-    :func:`hierarchy_codes` (or :func:`stream_hierarchy_codes`).
+    :func:`hierarchy_codes`.
 
     Returns ``(src, dst, successors, gap)`` as positions into ``ids``: the
     links, one entry per (depth, link), so a link kept at several depths
@@ -913,137 +909,3 @@ def naive_link_sets(
         for node, row in zip(members, succ.tolist()):
             out[node].update(row)  # self-links dropped by _finalize_links
     return out
-
-
-# ----------------------------------------------------- streaming construction
-
-
-def stream_crescendo_ids(
-    n: int, rng, bits: int = 32
-) -> np.ndarray:
-    """``n`` distinct sorted uint64 ids drawn without Python-object nodes.
-
-    The rejection top-up mirrors :meth:`IdSpace.random_ids`' distinctness
-    guarantee (not its draw sequence — streaming uses a numpy generator
-    derived from ``rng``), then a no-replacement choice removes the
-    low-id bias a plain truncation of ``unique`` would introduce.
-    """
-    gen = derive_generator(rng)
-    size = 1 << bits
-    if n > size:
-        raise ValueError(f"cannot draw {n} distinct ids from a {bits}-bit space")
-    draw = int(n + max(16, n // 8))
-    uniq = np.unique(gen.integers(0, size, size=draw, dtype=np.uint64))
-    while uniq.size < n:
-        extra = gen.integers(0, size, size=draw, dtype=np.uint64)
-        uniq = np.unique(np.concatenate([uniq, extra]))
-    if uniq.size > n:
-        uniq = np.sort(gen.choice(uniq, size=n, replace=False))
-    return uniq
-
-
-def stream_hierarchy_codes(
-    n: int,
-    levels: int,
-    gen: np.random.Generator,
-    fanout: int = 10,
-    zipf_exponent: float = 1.25,
-) -> np.ndarray:
-    """Vectorized twin of ``build_uniform_hierarchy``'s label draws.
-
-    Each of the ``levels - 1`` columns draws from the same Zipf weight
-    vector the scalar placement uses
-    (:func:`repro.core.hierarchy.zipf_weights`), via one inverse-CDF
-    ``searchsorted`` per level instead of ``n * levels`` scalar scans.
-    """
-    from ..core.hierarchy import zipf_weights
-
-    depth = max(0, levels - 1)
-    codes = np.zeros((n, depth), dtype=np.int32)
-    if depth:
-        cdf = np.cumsum(np.asarray(zipf_weights(fanout, zipf_exponent)))
-        for j in range(depth):
-            u = gen.random(n)
-            codes[:, j] = np.searchsorted(cdf, u, side="right").astype(np.int32)
-        np.minimum(codes, fanout - 1, out=codes)  # guard cdf rounding at 1.0
-    return codes
-
-
-def stream_crescendo_csr(
-    ids: np.ndarray, codes: np.ndarray, space: IdSpace
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Crescendo link tables straight to CSR — no per-node Python objects.
-
-    :func:`canon_merge` over every depth, packed as ``(indptr, neighbors,
-    nbr_pos)``.  For the hierarchy the code matrix encodes, that is
-    **identical** to compiling the bulk-built network — same per-node
-    sorted neighbor lists — which is what lets a 2**20-node grid point skip
-    ~10 GB of Python link tables.  Peak memory is a handful of
-    length-``n``/``E`` arrays.
-    """
-    ids = np.ascontiguousarray(ids, dtype=np.uint64)
-    n = int(ids.size)
-    if n == 0:
-        raise ValueError("cannot stream an empty network")
-    if np.any(ids[1:] <= ids[:-1]):
-        raise ValueError("ids must be sorted and distinct")
-    src, dst, _, _ = canon_merge(ids, codes, space)
-    if src.size:
-        edge = src.astype(np.uint64) * np.uint64(n) + dst.astype(np.uint64)
-        edge = np.unique(edge)
-        src = (edge // np.uint64(n)).astype(np.int64)
-        dst = edge % np.uint64(n)
-    else:
-        src = np.zeros(0, dtype=np.int64)
-        dst = np.zeros(0, dtype=np.uint64)
-    counts = np.bincount(src, minlength=n)
-    idx_dt = np.int32 if n < 2**31 and int(dst.size) < 2**31 else np.int64
-    indptr = np.zeros(n + 1, dtype=idx_dt)
-    np.cumsum(counts, out=indptr[1:])
-    neighbors = ids[dst.astype(np.int64)]
-    nbr_pos = dst.astype(idx_dt)
-    return indptr, neighbors, nbr_pos
-
-
-def stream_compiled_crescendo(
-    size: int,
-    levels: int,
-    rng,
-    space: Optional[IdSpace] = None,
-    fanout: int = 10,
-    zipf_exponent: float = 1.25,
-):
-    """Build a population directly into compiled CSR form.
-
-    Returns ``(compiled, top_codes)``: a routable
-    :class:`~repro.perf.kernels.CompiledNetwork` (``network`` is ``None``
-    — no Python node/link objects ever exist) plus the per-position
-    top-level-domain code column for crossing counts.  Ids and hierarchy
-    labels come from a generator derived from ``rng``, so populations are
-    reproducible per seed token (they are *not* draw-for-draw identical
-    to the scalar placement; equivalence to the object path is asserted
-    structurally by the oracle test, on shared ids/codes).
-    """
-    from .kernels import CompiledNetwork
-
-    space = space or IdSpace()
-    ids = stream_crescendo_ids(size, rng, bits=space.bits)
-    gen = derive_generator(rng)
-    codes = stream_hierarchy_codes(
-        size, levels, gen, fanout=fanout, zipf_exponent=zipf_exponent
-    )
-    indptr, neighbors, nbr_pos = stream_crescendo_csr(ids, codes, space)
-    compiled = CompiledNetwork.from_arrays(
-        metric="ring",
-        bits=space.bits,
-        ids=ids,
-        indptr=indptr,
-        neighbors=neighbors,
-        nbr_pos=nbr_pos,
-    )
-    top = (
-        codes[:, 0].copy()
-        if codes.ndim == 2 and codes.shape[1]
-        else np.full(size, -1, dtype=np.int32)
-    )
-    return compiled, top

@@ -69,7 +69,6 @@ import numpy as np
 from ..core.hierarchy import DomainPath
 from ..core.idspace import IdSpace, successor_index
 from ..core.routing import MAX_HOPS, Route
-from ..simulation.events import FastSimulator, Simulator
 from ..simulation.protocol import ProtocolNode, SimulatedCrescendo, _dedup
 
 #: Recognized engine modes.
@@ -212,15 +211,12 @@ class NodeArena:
 class FastSimulatedCrescendo(SimulatedCrescendo):
     """:class:`SimulatedCrescendo` on array-backed state — same protocol,
     same messages, faster primitives (see the module docstring).
-
-    Uses a :class:`~repro.simulation.events.FastSimulator` (calendar-queue
-    event core) unless an explicit simulator is passed.
     """
 
     engine = "fast"
 
-    def __init__(self, space: IdSpace, sim: Optional[Simulator] = None, **kwargs):
-        super().__init__(space, sim=sim if sim is not None else FastSimulator(), **kwargs)
+    def __init__(self, space: IdSpace, **kwargs):
+        super().__init__(space, **kwargs)
         self.arena = NodeArena()
         #: node id -> depth -> sorted contact array (dropped on _touch).
         self._contact_cache: Dict[int, Dict[int, List[int]]] = {}

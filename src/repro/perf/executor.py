@@ -27,12 +27,11 @@ import logging
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
-from typing import Any, Callable, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..obs.profile import PROFILER
-from . import arena as perf_arena
 
 __all__ = ["get_default_jobs", "map_points", "resolve_jobs", "set_default_jobs"]
 
@@ -80,7 +79,6 @@ def map_points(
     fn: Callable[[Any], Any],
     points: Iterable[Any],
     jobs: Optional[int] = None,
-    arenas: Optional[Mapping[Any, "perf_arena.ArenaManifest"]] = None,
 ) -> List[Any]:
     """``[fn(p) for p in points]``, optionally across worker processes.
 
@@ -89,48 +87,35 @@ def map_points(
     submission order; worker metrics snapshots and phase timings are folded
     back into the parent's.  Falls back to serial when forking is
     unavailable, fewer than two points exist, or a tracer is active.
-
-    ``arenas`` maps grid keys to :class:`~repro.perf.arena.ArenaManifest`
-    objects the caller exported beforehand; they are published for the
-    duration of the call, so ``fn`` resolves its point's manifest with
-    :func:`repro.perf.arena.current_manifest` — in the parent for the
-    serial paths, inherited through ``fork`` in the workers.  Nothing but
-    the point tuples themselves ever crosses the pipe, and the caller
-    keeps ownership (and disposal responsibility) of the segments.
     """
     points = list(points)
     jobs = resolve_jobs(jobs)
-    token = perf_arena.publish(arenas) if arenas is not None else None
+    if jobs <= 1 or len(points) <= 1:
+        return [fn(point) for point in points]
+    if obs_trace.active_tracer() is not None:
+        logger.warning(
+            "route tracing is active; running %d points serially "
+            "(per-route trace order is not mergeable across processes)",
+            len(points),
+        )
+        return [fn(point) for point in points]
     try:
-        if jobs <= 1 or len(points) <= 1:
-            return [fn(point) for point in points]
-        if obs_trace.active_tracer() is not None:
-            logger.warning(
-                "route tracing is active; running %d points serially "
-                "(per-route trace order is not mergeable across processes)",
-                len(points),
-            )
-            return [fn(point) for point in points]
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX platforms
-            logger.warning("fork start method unavailable; running serially")
-            return [fn(point) for point in points]
-        registry = obs_metrics.active_registry()
-        workers = min(jobs, len(points))
-        logger.info("mapping %d points across %d workers", len(points), workers)
-        results: List[Any] = []
-        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-            futures = [pool.submit(_run_point, fn, point) for point in points]
-            for future in futures:  # submission order == grid order
-                result, snapshot_json, phases = future.result()
-                results.append(result)
-                if registry is not None:
-                    registry.absorb(
-                        obs_metrics.MetricsSnapshot.from_json(snapshot_json)
-                    )
-                PROFILER.absorb(phases)
-        return results
-    finally:
-        if arenas is not None:
-            perf_arena.unpublish(token)
+        ctx = multiprocessing.get_context("fork")
+    except ValueError:  # pragma: no cover - non-POSIX platforms
+        logger.warning("fork start method unavailable; running serially")
+        return [fn(point) for point in points]
+    registry = obs_metrics.active_registry()
+    workers = min(jobs, len(points))
+    logger.info("mapping %d points across %d workers", len(points), workers)
+    results: List[Any] = []
+    with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
+        futures = [pool.submit(_run_point, fn, point) for point in points]
+        for future in futures:  # submission order == grid order
+            result, snapshot_json, phases = future.result()
+            results.append(result)
+            if registry is not None:
+                registry.absorb(
+                    obs_metrics.MetricsSnapshot.from_json(snapshot_json)
+                )
+            PROFILER.absorb(phases)
+    return results

@@ -171,8 +171,8 @@ class CompiledNetwork:
             (len(network.links[node]) for node in ids), dtype=np.int64, count=n
         )
         # Index arrays drop to int32 whenever the population and edge count
-        # fit — half the memory traffic in the hot loops, half the arena
-        # bytes — with int64 kept as the >= 2**31 escape hatch.
+        # fit — half the memory traffic in the hot loops, half the bytes
+        # held — with int64 kept as the >= 2**31 escape hatch.
         idx_dt = np.int32 if n < 2**31 and int(counts.sum()) < 2**31 else np.int64
         self.indptr = np.zeros(n + 1, dtype=idx_dt)
         np.cumsum(counts, out=self.indptr[1:])
@@ -383,7 +383,7 @@ class CompiledNetwork:
             return held[1]
         return self.bind_alive(alive_arr)
 
-    # ------------------------------------------------------ arenas / arrays
+    # ------------------------------------------------------------- arrays
 
     @classmethod
     def from_arrays(
@@ -396,16 +396,13 @@ class CompiledNetwork:
         neighbors: np.ndarray,
         nbr_pos: np.ndarray,
         network: Optional[DHTNetwork] = None,
-        xor_tables: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
-        ring_tables: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     ) -> "CompiledNetwork":
         """Wrap pre-built CSR arrays without touching a Python link table.
 
-        This is how shared-memory attachment (:mod:`repro.perf.arena`), the
-        ``.npz`` cache sidecar and the streaming builder produce a usable
-        compiled network: the arrays are adopted as-is (zero-copy — they
-        may be read-only views over a shared segment), the metric search
-        structures are taken when given and built lazily otherwise, and
+        This is how the ``.npz`` cache sidecar and the serving view compiler
+        (:func:`repro.serve.batcher.compile_protocol_view`) produce a usable
+        compiled network: the arrays are adopted as-is (zero-copy), the
+        metric search structures are built lazily on first use, and
         ``network`` stays ``None`` unless the caller has one.
         """
         self = cls.__new__(cls)
@@ -421,44 +418,12 @@ class CompiledNetwork:
         self.nbr_pos = nbr_pos
         self.shift = np.uint64(self.bits + 1)
         self.mask = np.uint64((1 << self.bits) - 1)
-        self._xor_tables = tuple(xor_tables) if xor_tables is not None else None
-        self._ring_tables = tuple(ring_tables) if ring_tables is not None else None
+        self._xor_tables = None
+        self._ring_tables = None
         self._live_table = None
         self._carry = None
         self._gaps = None
         return self
-
-    def to_arena(
-        self,
-        latency: Optional["LatencyTable"] = None,
-        matrix_arena=None,
-        top_domain: Optional[np.ndarray] = None,
-        extras=None,
-        label: str = "net",
-    ):
-        """Export this compiled network into one shared-memory arena.
-
-        Returns the owning :class:`repro.perf.arena.Arena`; its picklable
-        ``manifest`` is what grid workers rehydrate with :meth:`from_arena`.
-        See :func:`repro.perf.arena.export_network` for the options.
-        """
-        from . import arena as perf_arena
-
-        return perf_arena.export_network(
-            self,
-            latency=latency,
-            matrix_arena=matrix_arena,
-            top_domain=top_domain,
-            extras=extras,
-            label=label,
-        )
-
-    @classmethod
-    def from_arena(cls, manifest) -> "CompiledNetwork":
-        """Attach (zero-copy, read-only) to an exported network by manifest."""
-        from . import arena as perf_arena
-
-        return perf_arena.attach_network(manifest).compiled
 
     # ------------------------------------------------------------- plumbing
 

@@ -85,10 +85,8 @@ class LatencyTable:
     def nbytes(self) -> int:
         """Bytes held by the table's arrays (ids + routers + matrix).
 
-        This is what the shared-memory path saves per extra worker: an
-        arena-exported table (:func:`repro.perf.arena.export_latency_matrix`
-        or the ``lat_*`` fields of an exported network) shares all three
-        arrays, so attaching costs none of these bytes again.
+        Each grid worker that builds a topology holds its own table, so a
+        ``--jobs N`` grid holds up to ``N`` times these bytes.
         """
         return int(
             self.node_ids.nbytes + self.routers.nbytes + self.matrix.nbytes

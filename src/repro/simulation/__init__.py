@@ -5,9 +5,7 @@ from .async_lookup import AsyncEngine, AsyncResult
 from .churn import ChurnConfig, ChurnReport, run_churn
 from .data import DataItem, DataLayer
 from .events import (
-    CalendarQueue,
     ConstantLatency,
-    FastSimulator,
     MessageLayer,
     MessageStats,
     Simulator,
@@ -25,13 +23,11 @@ from .protocol import ProtocolNode, RingState, SimulatedCrescendo
 __all__ = [
     "AsyncEngine",
     "AsyncResult",
-    "CalendarQueue",
     "ChurnConfig",
     "ChurnReport",
     "ConstantLatency",
     "DataItem",
     "DataLayer",
-    "FastSimulator",
     "IsolationReport",
     "MessageLayer",
     "MessageStats",

@@ -5,16 +5,12 @@ a virtual clock; every inter-node message is delayed by a pluggable latency
 model and counted by type, so tests can verify the paper's O(log n) message
 bound for Crescendo joins and experiments can measure protocol traffic.
 
-Two queue backends share one total order (virtual time, then scheduling
-sequence): the reference :class:`Simulator` keeps a single binary heap,
-while :class:`FastSimulator` swaps in a :class:`CalendarQueue` — slot
-buckets over virtual time, the classic O(1)-amortized discrete-event
-structure — through the same ``_push``/``_peek``/``_pop`` storage methods.
-Both accept two event representations: the classic zero-argument closure
-(:meth:`Simulator.schedule`) and a lightweight ``(kind, args)`` tuple
-(:meth:`Simulator.post`) dispatched through a handler table registered
-with :meth:`Simulator.on`, which avoids allocating a closure per message
-on hot paths.
+Events run in one total order (virtual time, then scheduling sequence)
+off a single binary heap.  Two event representations share it: the
+classic zero-argument closure (:meth:`Simulator.schedule`) and a
+lightweight ``(kind, args)`` tuple (:meth:`Simulator.post`) dispatched
+through a handler table registered with :meth:`Simulator.on`, which avoids
+allocating a closure per message on hot paths.
 
 Observability (:mod:`repro.obs`): a :class:`Simulator` built while a tracer
 is active (or given one explicitly) emits one trace event per drained
@@ -29,74 +25,25 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from bisect import insort
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional
 
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 
-#: A queue entry: ``(virtual time, tie-break sequence, payload)`` where the
-#: payload is either a zero-argument callable or a ``(kind, args)`` tuple.
-QueueItem = Tuple[float, int, object]
 
-
-class CalendarQueue:
-    """Slot/bucket priority queue over virtual time.
-
-    Entries hash into buckets by ``int(when // bucket_width)``; each bucket
-    is a small binary heap and the active bucket slots are kept as a sorted
-    list.  With event delays clustered around the bucket width (message
-    latencies are), push and pop touch O(1) entries instead of the
-    O(log n) sift of one global heap.  The total order — ``(when, seq)``,
-    exactly the reference heap's — is preserved because slots partition
-    virtual time into disjoint, ordered ranges.
-    """
-
-    def __init__(self, bucket_width: float = 1.0) -> None:
-        if bucket_width <= 0:
-            raise ValueError(f"bucket width must be positive, got {bucket_width}")
-        self.bucket_width = bucket_width
-        self._buckets: Dict[int, List[QueueItem]] = {}
-        self._slots: List[int] = []  # sorted ids of non-empty buckets
-        self._size = 0
-
-    def push(self, item: QueueItem) -> None:
-        """Insert an item into its time bucket."""
-        slot = int(item[0] // self.bucket_width)
-        bucket = self._buckets.get(slot)
-        if bucket is None:
-            self._buckets[slot] = bucket = []
-            insort(self._slots, slot)
-        heapq.heappush(bucket, item)
-        self._size += 1
-
-    def peek(self) -> Optional[QueueItem]:
-        """Earliest item without removing it, or ``None`` if empty."""
-        if not self._size:
-            return None
-        return self._buckets[self._slots[0]][0]
-
-    def pop(self) -> QueueItem:
-        """Remove and return the earliest item."""
-        if not self._size:
-            raise IndexError("pop from an empty CalendarQueue")
-        slot = self._slots[0]
-        bucket = self._buckets[slot]
-        item = heapq.heappop(bucket)
-        if not bucket:
-            del self._buckets[slot]
-            self._slots.pop(0)
-        self._size -= 1
-        return item
-
-    def __len__(self) -> int:
-        return self._size
+def _action_name(label: object) -> str:
+    """A drained event's trace label: its ``post`` kind or closure name."""
+    return (
+        label
+        if isinstance(label, str)
+        else getattr(label, "__qualname__", repr(label))
+    )
 
 
 class Simulator:
-    """Event queue + virtual clock (reference heap backend).
+    """Event queue + virtual clock.
 
     ``tracer`` defaults to the process-wide active tracer (if any) at
     construction time; pass ``tracer=None`` explicitly *after* activating a
@@ -113,19 +60,6 @@ class Simulator:
         self.events_run = 0
         self.tracer = tracer if tracer is not None else obs_trace.active_tracer()
 
-    # ------------------------------------------------------ queue storage
-    # Subclasses swap the backing structure by overriding these three
-    # methods (plus ``pending``); ``run`` only goes through them.
-
-    def _push(self, item: QueueItem) -> None:
-        heapq.heappush(self._queue, item)
-
-    def _peek(self) -> Optional[QueueItem]:
-        return self._queue[0] if self._queue else None
-
-    def _pop(self) -> QueueItem:
-        return heapq.heappop(self._queue)
-
     @property
     def pending(self) -> int:
         return len(self._queue)
@@ -136,7 +70,7 @@ class Simulator:
         """Run ``action`` ``delay`` time units from now."""
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
-        self._push((self.now + delay, next(self._seq), action))
+        heapq.heappush(self._queue, (self.now + delay, next(self._seq), action))
 
     def on(self, kind: str, handler: Callable[..., None]) -> None:
         """Register the handler dispatched for :meth:`post` events of ``kind``."""
@@ -151,7 +85,9 @@ class Simulator:
         """
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
-        self._push((self.now + delay, next(self._seq), (kind, args)))
+        heapq.heappush(
+            self._queue, (self.now + delay, next(self._seq), (kind, args))
+        )
 
     def add_drain_hook(self, hook: Callable[[], None]) -> None:
         """Run ``hook()`` at the end of every :meth:`run` call.
@@ -169,11 +105,9 @@ class Simulator:
         """
         executed = 0
         tracer = self.tracer
-        while True:
-            head = self._peek()
-            if head is None:
-                break
-            when = head[0]
+        queue = self._queue
+        while queue:
+            when = queue[0][0]
             if until is not None and when > until:
                 break
             if executed >= max_events:
@@ -184,7 +118,7 @@ class Simulator:
                     f"time {self.now:g} reached, {self.pending} still "
                     f"queued: runaway protocol?"
                 )
-            _, _, payload = self._pop()
+            _, _, payload = heapq.heappop(queue)
             self.now = when
             if callable(payload):
                 payload()
@@ -195,79 +129,14 @@ class Simulator:
                 label = kind
             executed += 1
             if tracer is not None:
-                self._trace_event(tracer, when, label)
+                tracer.event("sim.event", t=when, action=_action_name(label))
         self.events_run += executed
         self._flush_drain_hooks()
         return executed
 
-    @staticmethod
-    def _action_name(label: object) -> str:
-        return (
-            label
-            if isinstance(label, str)
-            else getattr(label, "__qualname__", repr(label))
-        )
-
-    def _trace_event(
-        self, tracer: "obs_trace.Tracer", when: float, label: object
-    ) -> None:
-        """Emit the trace record for one drained event (overridable)."""
-        tracer.event("sim.event", t=when, action=self._action_name(label))
-
     def _flush_drain_hooks(self) -> None:
         for hook in self._drain_hooks:
             hook()
-
-
-class FastSimulator(Simulator):
-    """:class:`Simulator` with a :class:`CalendarQueue` backend.
-
-    Behaviorally identical — same total event order, same API — but pop
-    cost no longer grows with the global queue size.  ``bucket_width``
-    should sit near the dominant message latency (default 1.0 matches
-    :class:`ConstantLatency`).
-
-    Tracing parity: the fast engine emits the same per-event ``sim.event``
-    records as the reference heap — same order, same ``t``/``action``
-    attrs — but buffers them during the drain and flushes one batch per
-    :meth:`run` (through :meth:`Tracer.events_many`), so ``--trace`` under
-    ``--engine fast`` costs one lock round-trip per drain instead of one
-    per event.  Only the wall-clock ``ts`` differs (shared per batch);
-    virtual time lives in the ``t`` attr either way.
-    """
-
-    def __init__(
-        self,
-        tracer: Optional["obs_trace.Tracer"] = None,
-        bucket_width: float = 1.0,
-    ) -> None:
-        super().__init__(tracer)
-        self._calendar = CalendarQueue(bucket_width)
-        self._trace_buffer: List[Dict[str, object]] = []
-
-    def _push(self, item: QueueItem) -> None:
-        self._calendar.push(item)
-
-    def _peek(self) -> Optional[QueueItem]:
-        return self._calendar.peek()
-
-    def _pop(self) -> QueueItem:
-        return self._calendar.pop()
-
-    @property
-    def pending(self) -> int:
-        return len(self._calendar)
-
-    def _trace_event(
-        self, tracer: "obs_trace.Tracer", when: float, label: object
-    ) -> None:
-        self._trace_buffer.append({"t": when, "action": self._action_name(label)})
-
-    def _flush_drain_hooks(self) -> None:
-        if self._trace_buffer and self.tracer is not None:
-            self.tracer.events_many("sim.event", self._trace_buffer)
-            self._trace_buffer = []
-        super()._flush_drain_hooks()
 
 
 class ConstantLatency:

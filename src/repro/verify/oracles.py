@@ -16,11 +16,8 @@ fuzzer checkpoint can call them:
 - :func:`compare_routing` routes identical (source, key) pairs — with an
   optional alive-set — through the scalar engines of
   :mod:`repro.core.routing` and the batch kernels of
-  :mod:`repro.perf.kernels`, and requires hop-for-hop agreement.  With
-  ``via_arena=True`` the batch side first round-trips through a real
-  shared-memory arena (:mod:`repro.perf.arena`), so the zero-copy
-  attach path is held to the same hop-for-hop (and bit-for-bit latency)
-  standard as the in-process kernels.
+  :mod:`repro.perf.kernels`, and requires hop-for-hop agreement (and,
+  with a latency table, bit-for-bit latency totals).
 
 - :func:`compare_protocols` replays one churn schedule through the
   reference and fast dynamic-maintenance engines
@@ -378,7 +375,6 @@ def compare_routing(
     alive: Optional[Set[int]] = None,
     max_reported: int = 20,
     latency: Optional["LatencyTable"] = None,
-    via_arena: bool = False,
 ) -> List[Violation]:
     """Scalar engines vs. batch kernels on identical inputs, hop-for-hop.
 
@@ -389,35 +385,10 @@ def compare_routing(
     hop sequence.  With a ``latency`` table, additionally demands that the
     kernels' fused per-hop latency accumulator reproduces the scalar
     ``Route.latency`` fold bit-for-bit on every route.
-
-    ``via_arena=True`` exports the compiled network (and the latency
-    table, when given) into a shared-memory arena, attaches a fresh view,
-    and routes the batch side over *that* — proving the arena round-trip
-    changes nothing.  The segment is disposed before comparison returns
-    (batch results are freshly allocated, never views into the arena).
     """
     family = getattr(network, "family", "network")
     out: List[Violation] = []
-    if via_arena:
-        from ..perf import arena as perf_arena
-        from ..perf.kernels import compile_network
-
-        owner = perf_arena.export_network(
-            compile_network(network), latency=latency, label="oracle"
-        )
-        try:
-            view = perf_arena.attach_network(owner.manifest)
-            batch = view.compiled.route(
-                [p[0] for p in pairs],
-                [p[1] for p in pairs],
-                alive=alive,
-                paths=True,
-                latency=view.latency if latency is not None else None,
-            )
-        finally:
-            owner.dispose()
-    else:
-        batch = batch_route(network, pairs, alive=alive, paths=True, latency=latency)
+    batch = batch_route(network, pairs, alive=alive, paths=True, latency=latency)
     for idx, ((src, key), fast) in enumerate(zip(pairs, batch.routes())):
         slow = route(network, src, key, alive=alive)
         if latency is not None and slow.path == fast.path:

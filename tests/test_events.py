@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.obs.trace import Tracer
 from repro.simulation.events import (
-    CalendarQueue,
     ConstantLatency,
-    FastSimulator,
     MessageLayer,
     MessageStats,
     Simulator,
@@ -96,8 +95,6 @@ class TestSimulator:
         assert sim.events_run == 50
 
     def test_tracer_sees_each_drained_event(self):
-        from repro.obs.trace import Tracer
-
         tracer = Tracer()
         sim = Simulator(tracer=tracer)
         sim.schedule(1, lambda: None)
@@ -105,6 +102,42 @@ class TestSimulator:
         sim.run()
         assert len(tracer) == 2
         assert [r["attrs"]["t"] for r in tracer.records] == [1, 2]
+
+    def test_sim_event_records(self):
+        """One ``sim.event`` per drained event, in execution order: virtual
+        time ``t``, and the posted kind or the closure's qualified name as
+        ``action``, across closures, posts, nested schedules and drains."""
+        tracer = Tracer()
+        sim = Simulator(tracer=tracer)
+        log = []
+
+        def make_cascade(depth):
+            def cascade():
+                log.append(("cascade", depth))
+                if depth:
+                    sim.schedule(0.5, make_cascade(depth - 1))
+
+            return cascade
+
+        sim.on("ping", lambda i: log.append(("ping", i)))
+        for i in range(5):
+            sim.post(float(i % 3), "ping", i)
+        sim.schedule(1.25, make_cascade(3))
+        sim.run()
+        sim.post(0.0, "ping", 99)
+        sim.run()
+        events = [
+            (r["attrs"]["t"], r["attrs"]["action"])
+            for r in tracer.records
+            if r["name"] == "sim.event"
+        ]
+        cascade = make_cascade(0).__qualname__
+        assert events == [
+            (0.0, "ping"), (0.0, "ping"), (1.0, "ping"), (1.0, "ping"),
+            (1.25, cascade), (1.75, cascade), (2.0, "ping"), (2.25, cascade),
+            (2.75, cascade), (2.75, "ping"),
+        ]
+        assert len(events) == len(log)
 
     def test_active_tracer_captured_at_construction(self):
         from repro.obs.trace import tracing
@@ -200,93 +233,6 @@ class TestLatencyAndStats:
         assert not stats.pending
 
 
-class TestCalendarQueue:
-    def test_same_total_order_as_heap(self):
-        import heapq
-        import random
-
-        rng = random.Random(7)
-        items = [(rng.random() * 40, seq, None) for seq in range(500)]
-        heap = list(items)
-        heapq.heapify(heap)
-        cal = CalendarQueue(bucket_width=1.0)
-        for item in items:
-            cal.push(item)
-        while heap:
-            assert cal.peek() == heap[0]
-            assert cal.pop() == heapq.heappop(heap)
-        assert len(cal) == 0
-        assert cal.peek() is None
-
-    def test_pop_empty_raises(self):
-        with pytest.raises(IndexError):
-            CalendarQueue().pop()
-
-    def test_bad_width_rejected(self):
-        with pytest.raises(ValueError):
-            CalendarQueue(bucket_width=0)
-
-    def test_interleaved_push_pop(self):
-        cal = CalendarQueue(bucket_width=2.0)
-        cal.push((5.0, 0, "a"))
-        cal.push((1.0, 1, "b"))
-        assert cal.pop() == (1.0, 1, "b")
-        cal.push((0.5, 2, "c"))
-        assert cal.pop() == (0.5, 2, "c")
-        assert cal.pop() == (5.0, 0, "a")
-
-
-class TestFastSimulator:
-    def test_matches_reference_execution_order(self):
-        import random
-
-        rng = random.Random(13)
-        delays = [rng.random() * 9 for _ in range(300)]
-        logs = []
-        for cls in (Simulator, FastSimulator):
-            sim = cls()
-            log = []
-            for i, d in enumerate(delays):
-                sim.schedule(d, lambda i=i: log.append(i))
-            sim.run()
-            logs.append(log)
-        assert logs[0] == logs[1]
-
-    def test_run_until_and_pending(self):
-        sim = FastSimulator()
-        log = []
-        sim.schedule(1, lambda: log.append("early"))
-        sim.schedule(10, lambda: log.append("late"))
-        sim.run(until=5)
-        assert log == ["early"]
-        assert sim.pending == 1
-        sim.run()
-        assert log == ["early", "late"]
-
-    def test_events_scheduled_during_run(self):
-        sim = FastSimulator()
-        log = []
-
-        def chain():
-            log.append(sim.now)
-            if sim.now < 3:
-                sim.schedule(1, chain)
-
-        sim.schedule(1, chain)
-        sim.run()
-        assert log == [1, 2, 3]
-
-    def test_event_budget(self):
-        sim = FastSimulator()
-
-        def forever():
-            sim.schedule(1, forever)
-
-        sim.schedule(1, forever)
-        with pytest.raises(RuntimeError):
-            sim.run(max_events=100)
-
-
 class TestLightweightEvents:
     def test_post_dispatches_registered_handler(self):
         sim = Simulator()
@@ -298,7 +244,7 @@ class TestLightweightEvents:
         assert log == [(1, 4, 5), (2, 1, 9)]
 
     def test_post_and_schedule_interleave_in_order(self):
-        sim = FastSimulator()
+        sim = Simulator()
         log = []
         sim.on("tick", log.append)
         sim.schedule(1, lambda: log.append("closure"))
@@ -319,8 +265,6 @@ class TestLightweightEvents:
             sim.run()
 
     def test_tracer_labels_posted_events_by_kind(self):
-        from repro.obs.trace import Tracer
-
         tracer = Tracer()
         sim = Simulator(tracer=tracer)
         sim.on("deliver", lambda: None)

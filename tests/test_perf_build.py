@@ -331,7 +331,7 @@ class TestRaggedHierarchies:
         )
         sorted_ids = sorted(ids)
         with pytest.raises(ValueError, match="exceed 64 bits"):
-            perf_build.stream_crescendo_csr(
+            perf_build.canon_merge(
                 np.asarray(sorted_ids, dtype=np.uint64),
                 hierarchy_codes(wide, sorted_ids),
                 space,

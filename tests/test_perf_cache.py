@@ -12,6 +12,7 @@ from __future__ import annotations
 import pickle
 import random
 
+import numpy as np
 import pytest
 
 from repro.analysis.metrics import sample_routing
@@ -29,6 +30,7 @@ from repro.perf.cache import (
     install_network,
     network_payload,
 )
+from repro.perf.kernels import compile_network
 
 
 @pytest.fixture
@@ -141,6 +143,43 @@ class TestRobustness:
     def test_default_dir_honours_env(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "custom"))
         assert perf_cache.default_cache_dir() == tmp_path / "custom"
+
+
+class TestNpzSidecar:
+    def test_warm_load_adopts_compiled_arrays(self, tmp_path):
+        with perf_cache.caching(NetworkCache(tmp_path)):
+            cold = build_crescendo(
+                2048, 2, seeded_rng("npz", 2048, 2), cache_token=("npz", 2048, 2)
+            )
+            cold_compiled = compile_network(cold)
+            warm = build_crescendo(
+                2048, 2, seeded_rng("npz", 2048, 2), cache_token=("npz", 2048, 2)
+            )
+            warm_compiled = warm.__dict__.get("_perf_compiled")
+            assert warm_compiled is not None  # adopted, not recompiled
+            for name in ("ids", "indptr", "neighbors", "nbr_pos"):
+                np.testing.assert_array_equal(
+                    getattr(cold_compiled, name), getattr(warm_compiled, name)
+                )
+                assert (
+                    getattr(cold_compiled, name).dtype
+                    == getattr(warm_compiled, name).dtype
+                )
+
+    def test_corrupt_sidecar_degrades_to_recompile(self, tmp_path):
+        with perf_cache.caching(NetworkCache(tmp_path)) as cache:
+            build_crescendo(
+                2048, 2, seeded_rng("npz2", 2048, 2), cache_token=("npz2", 2048, 2)
+            )
+            npz_files = list(tmp_path.glob("*.npz"))
+            assert len(npz_files) == 1
+            npz_files[0].write_bytes(b"not a zip archive")
+            warm = build_crescendo(
+                2048, 2, seeded_rng("npz2", 2048, 2), cache_token=("npz2", 2048, 2)
+            )
+            warm.require_built()  # the pickle payload still loaded
+            assert "_perf_compiled" not in warm.__dict__
+            assert cache.hits == 1
 
 
 class TestCLI:

@@ -23,8 +23,6 @@ from repro.perf.dynamic import (
     resolve_engine,
     set_engine_mode,
 )
-from repro.simulation.churn import run_schedule
-from repro.simulation.events import FastSimulator
 from repro.simulation.protocol import SimulatedCrescendo
 from repro.verify.fuzz import (
     FUZZ_PATHS,
@@ -54,7 +52,6 @@ class TestEngineSelection:
         assert type(make_protocol(space, engine="reference")) is SimulatedCrescendo
         fast = make_protocol(space, engine="fast")
         assert isinstance(fast, FastSimulatedCrescendo)
-        assert isinstance(fast.sim, FastSimulator)
 
     def test_engine_class_attribute(self):
         space = IdSpace(16)
@@ -276,12 +273,3 @@ class TestLiveViewCache:
             net.join(node_id, ("a", "x"))
         live = net.live_set()
         assert live.sorted_ids == list(net.live_view())
-
-
-class TestFastEventCore:
-    def test_schedule_replay_uses_calendar_queue_simulator(self):
-        config = FuzzConfig(seed=2, events=40, population=24, checkpoints=2)
-        net = bootstrap_network(config, engine="fast")
-        assert isinstance(net.sim, FastSimulator)
-        report = run_schedule(net, generate_schedule(config))
-        assert report.checkpoints >= 2

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from conftest import scalar_view
 from repro import IdSpace, build_uniform_hierarchy
+from repro.analysis.metrics import sample_routing
 from repro.core.routing import (
     LiveSet,
     _best_ring_step,
@@ -190,6 +191,19 @@ class TestCompiledLayout:
         compiled = compile_network(network)
         with pytest.raises(ValueError):
             compiled.route_ring(network.node_ids[:3], network.node_ids[:2])
+
+    def test_small_network_uses_int32_indexes(self):
+        network, _ = build_family("crescendo", 0)
+        compiled = compile_network(network)
+        assert compiled.indptr.dtype == np.int32
+        assert compiled.nbr_pos.dtype == np.int32
+
+    def test_ring_networks_never_build_xor_tables(self):
+        network, rng = build_family("crescendo", 1)
+        stats = sample_routing(network, rng, samples=30)
+        assert stats.success_rate == 1.0
+        # Lazy: ring routing through the kernels built no XOR search table.
+        assert compile_network(network)._xor_tables is None
 
 
 class TestBatchResult:

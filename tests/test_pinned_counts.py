@@ -12,9 +12,9 @@ change to one is a change in behaviour.  Three groups:
   retry backoff or waiting-tick charge.
 - **Storage.** Placement, put/get and crash-era repair counts of the
   vectorized data plane at 1,024 keys.
-- **Arena size.** The exact bytes of the one shared-memory block each
-  family's compiled routing state occupies (:mod:`repro.perf.arena`),
-  which the dtype-minimization rules fix.
+- **Compiled size.** The exact bytes of each family's compiled routing
+  state (the CSR arrays plus the ring step table or the XOR search
+  table), which the dtype-minimization rules fix.
 - **Builders.** A sha256 over the finalized link table and the side
   outputs (``gap``, ``level_successors``, ``contact_depth``) of the bulk
   builds the figure path runs, over one 1,024-node transit-stub
@@ -45,7 +45,6 @@ from repro.dhts.naive import NaiveHierarchicalChord
 from repro.dhts.ndchord import NDChordNetwork, NDCrescendoNetwork
 from repro.dhts.symphony import SymphonyNetwork
 from repro.experiments.common import FANOUT, ZIPF_EXPONENT
-from repro.perf.arena import export_network
 from repro.perf.kernels import compile_network
 from repro.perf.storage import (
     CompiledStore,
@@ -247,25 +246,25 @@ def test_repair_counts():
     assert (STORE_KEYS - lost_keys, lost_keys, replicate_msgs) == (1022, 2, 466)
 
 
-# ------------------------------------------------------------------ arena
+# --------------------------------------------------------- compiled size
 
-ARENA_NODES = 512
+COMPILED_NODES = 512
 #: CAN / Can-Can build from an aligned prefix tree at half the population.
-ARENA_PREFIX_NODES = 256
+COMPILED_PREFIX_NODES = 256
 
-ARENA_BYTES = {
-    "chord": 116864,
-    "crescendo": 122368,
-    "symphony": 111488,
-    "cacophony": 122432,
-    "ndchord": 117824,
-    "ndcrescendo": 125184,
-    "mixed": 561280,
-    "naive": 209536,
-    "kademlia": 202120,
-    "kandy": 202712,
-    "can": 97536,
-    "cancan": 90592,
+COMPILED_BYTES = {
+    "chord": 116780,
+    "crescendo": 122224,
+    "symphony": 111336,
+    "cacophony": 122336,
+    "ndchord": 117764,
+    "ndcrescendo": 125008,
+    "mixed": 561184,
+    "naive": 209384,
+    "kademlia": 201832,
+    "kandy": 202480,
+    "can": 97444,
+    "cancan": 90388,
 }
 
 #: family -> constructor over (space, hierarchy); the hierarchy seed is
@@ -284,17 +283,17 @@ HIERARCHICAL = {
 }
 
 
-def _arena_network(family):
+def _compiled_network(family):
     space = IdSpace(32)
     if family in HIERARCHICAL:
         rng = random.Random(list(HIERARCHICAL).index(family) + 1)
-        ids = space.random_ids(ARENA_NODES, rng)
+        ids = space.random_ids(COMPILED_NODES, rng)
         hierarchy = build_uniform_hierarchy(
             ids, FANOUT, 3, rng, distribution="zipf", zipf_exponent=ZIPF_EXPONENT
         )
         return HIERARCHICAL[family](space, hierarchy).build()
     rng = random.Random(90)
-    paths = [(f"lan{i % FANOUT}",) for i in range(ARENA_PREFIX_NODES)]
+    paths = [(f"lan{i % FANOUT}",) for i in range(COMPILED_PREFIX_NODES)]
     hierarchy = Hierarchy()
     prefixes = {}
     for path, leaf in zip(paths, PrefixTree(space.bits).grow_aligned(paths, rng)):
@@ -306,15 +305,17 @@ def _arena_network(family):
     return CanCanNetwork(space, hierarchy, prefixes, None).build()
 
 
-@pytest.mark.parametrize("family", sorted(ARENA_BYTES))
-def test_arena_bytes(family):
-    net = _arena_network(family)
+@pytest.mark.parametrize("family", sorted(COMPILED_BYTES))
+def test_compiled_bytes(family):
+    net = _compiled_network(family)
     assert net.built_with == "numpy"
-    owner = export_network(compile_network(net), label="pinned")
-    try:
-        assert owner.nbytes == ARENA_BYTES[family]
-    finally:
-        owner.dispose()
+    compiled = compile_network(net)
+    arrays = [compiled.ids, compiled.indptr, compiled.neighbors, compiled.nbr_pos]
+    if compiled.metric == "ring":
+        arrays += compiled._step_table(None)
+    else:
+        arrays += compiled._xor_table()
+    assert sum(array.nbytes for array in arrays) == COMPILED_BYTES[family]
 
 
 # ------------------------------------------------------------------ builders

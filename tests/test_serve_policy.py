@@ -616,6 +616,33 @@ class TestRestartPoints:
         assert (b.elapsed_ms[2], b.deadline_ms[2]) == (7.25, 90.0)
         assert (b.hops[2], b.attempt[2], b.dest[2]) == (0, 1, b.dest[1])
 
+    def test_a_lookup_expires_only_past_its_deadline(self):
+        """The deadline is a budget a lookup may use up: it expires once its
+        ``elapsed_ms`` is *over* ``deadline_ms``, not on reaching it.  Two
+        runners wait out a backoff, each tick charging ``tick_ms``; one lands
+        on its deadline exactly and stays, the other lands past it.  Fails
+        under ``>`` -> ``>=`` in the expiry pass of ``tick``."""
+        runtime = _hand_built(
+            _five_node_view(),
+            [(0, WAITING, False, -1), (1, WAITING, False, -1)],
+            policy=ServePolicy(deadline_ms=10.0, tick_ms=1.0),
+        )
+        b = runtime.batcher
+        b.wait[:2] = 5
+        b.elapsed_ms[:2] = 9.0, 9.5
+        b.deadline_ms[:2] = 10.0
+        runtime._next_ticket = 2
+        runtime.tick()
+        assert b.elapsed_ms[0] == b.deadline_ms[0] == 10.0
+        assert b.state[:2].tolist() == [WAITING, FREE]
+        report = runtime.report()
+        assert report.tickets.tolist() == [1]
+        assert report.status.tolist() == [STATUS_DEADLINE]
+        assert report.counters["expired"] == 1
+        runtime.tick()  # 11.0 ms: now past it
+        assert runtime.report().tickets.tolist() == [1, 0]
+        assert runtime.in_flight == 0
+
 
 def test_a_per_submit_deadline_expires_under_no_policy():
     """``NO_POLICY`` has no deadline, so the expiry pass runs only once some
