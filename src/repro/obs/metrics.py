@@ -23,7 +23,7 @@ otherwise.
 from __future__ import annotations
 
 import json
-import random
+import operator
 from contextlib import contextmanager
 from typing import (
     Any,
@@ -37,11 +37,14 @@ from typing import (
     Tuple,
 )
 
+import numpy as np
+
 from .quantiles import (
     DEFAULT_RESERVOIR_CAP,
     ReservoirSample,
     bucket_quantile,
     percentile,
+    pool_samples,
 )
 
 #: Default histogram upper bounds: powers of two cover hop counts and
@@ -93,13 +96,14 @@ class Histogram:
     beyond — instead of bucket-bound approximations.
     """
 
-    __slots__ = ("name", "buckets", "counts", "sum", "count", "sample")
+    __slots__ = ("name", "buckets", "counts", "sum", "count", "sample", "_bounds")
 
     def __init__(self, name: str, buckets: Sequence[float] = DEFAULT_BUCKETS) -> None:
         if list(buckets) != sorted(buckets) or len(set(buckets)) != len(buckets):
             raise ValueError(f"histogram {name}: buckets must be strictly increasing")
         self.name = name
         self.buckets: Tuple[float, ...] = tuple(buckets)
+        self._bounds = np.asarray(self.buckets, dtype=np.float64)
         self.counts: List[int] = [0] * (len(self.buckets) + 1)
         self.sum = 0.0
         self.count = 0
@@ -122,25 +126,19 @@ class Histogram:
 
         Equivalent to calling :meth:`observe` per value (a value lands in
         the first bucket with ``v <= bound``) but bins the whole batch with
-        one ``searchsorted`` + ``bincount`` — the post-loop recording path
-        of ``sample_routing`` uses this instead of a Python loop.
+        one ``searchsorted`` + ``bincount``, and hands the reservoir the
+        array itself.  ``values`` may be any sequence or numpy array.
         """
-        if not len(values):
+        arr = np.asarray(values, dtype=np.float64)
+        if not arr.size:
             return
-        try:
-            import numpy as np
-        except ImportError:  # pragma: no cover - numpy is a hard dep in practice
-            for value in values:
-                self.observe(value)
-            return
-        arr = np.asarray(values, dtype=float)
-        idx = np.searchsorted(np.asarray(self.buckets, dtype=float), arr, side="left")
-        binned = np.bincount(idx, minlength=len(self.buckets) + 1)
-        for i, cnt in enumerate(binned):
-            self.counts[i] += int(cnt)
+        binned = np.bincount(
+            np.searchsorted(self._bounds, arr, side="left"), minlength=len(self.counts)
+        )
+        self.counts[:] = map(operator.add, self.counts, binned.tolist())
         self.sum += float(arr.sum())
         self.count += int(arr.size)
-        self.sample.observe_many(arr.tolist())
+        self.sample.observe_many(arr)
 
     @property
     def mean(self) -> float:
@@ -154,13 +152,13 @@ class Histogram:
         subsample estimate beyond that, and a bucket interpolation only if
         the reservoir is somehow empty while counts are not.
         """
-        if self.sample.values:
+        if self.sample.seen:
             return self.sample.quantile(q)
         return bucket_quantile(self.buckets, self.counts, q)
 
     def quantiles(self, qs: Sequence[float]) -> List[float]:
         """:meth:`quantile` for several fractions, sorting the sample once."""
-        if self.sample.values:
+        if self.sample.seen:
             ordered = sorted(self.sample.values)
             return [percentile(ordered, q) for q in qs]
         return [bucket_quantile(self.buckets, self.counts, q) for q in qs]
@@ -226,8 +224,8 @@ class MetricsRegistry:
             inst.sum += hist["sum"]
             inst.count += hist["count"]
         for name, values in snapshot.samples.items():
-            if values:
-                self.histogram(name).sample.observe_many(values)
+            hist = snapshot.histograms.get(name)
+            self.histogram(name).sample.absorb(values, hist["count"] if hist else 0)
 
     def message_sink(self, prefix: str = "messages") -> Callable[[str], None]:
         """A ``kind -> None`` callable counting into ``{prefix}.{kind}``.
@@ -276,9 +274,9 @@ class MetricsRegistry:
                     for n, h in sorted(self._histograms.items())
                 },
                 "samples": {
-                    n: list(h.sample.values)
+                    n: h.sample.values
                     for n, h in sorted(self._histograms.items())
-                    if h.sample.values
+                    if h.sample.seen
                 },
             }
         )
@@ -431,14 +429,13 @@ class MetricsSnapshot:
             name: list(values) for name, values in self.samples.items()
         }
         for name, values in other.samples.items():
-            combined = samples.get(name, []) + list(values)
-            if len(combined) > DEFAULT_RESERVOIR_CAP:
-                # Deterministic uniform downsample back to the reservoir cap
-                # (seeded per name so shard merges are reproducible).
-                rng = random.Random(f"samples-merge:{name}")
-                keep = sorted(rng.sample(range(len(combined)), DEFAULT_RESERVOIR_CAP))
-                combined = [combined[i] for i in keep]
-            samples[name] = combined
+            samples[name] = pool_samples(
+                name,
+                samples.get(name, []),
+                self.histograms.get(name, {}).get("count", 0),
+                list(values),
+                other.histograms.get(name, {}).get("count", 0),
+            )
         return MetricsSnapshot(
             {
                 "counters": counters,

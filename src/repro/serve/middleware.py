@@ -149,5 +149,5 @@ class SLOMiddleware(Middleware):
         registry.counter(f"slo.delivered.{self.label}").inc(count)
         if count:
             registry.histogram(f"slo.lookup_ms.{self.label}").observe_many(
-                batch.latency_ms[delivered].tolist()
+                batch.latency_ms[delivered]
             )

@@ -616,11 +616,9 @@ class ServeRuntime:
             served = np.isin(batch.status, SERVED_STATUSES)
             if np.any(served):
                 registry.histogram("serve.latency_ms").observe_many(
-                    batch.latency_ms[served].tolist()
+                    batch.latency_ms[served]
                 )
-                registry.histogram("serve.hops").observe_many(
-                    batch.hops[served].tolist()
-                )
+                registry.histogram("serve.hops").observe_many(batch.hops[served])
         for mw in self.middlewares:
             mw.after_complete(batch)
         done = self._done

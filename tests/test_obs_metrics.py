@@ -20,6 +20,7 @@ from repro.obs.metrics import (
     active_registry,
     collecting,
 )
+from repro.obs.quantiles import DEFAULT_RESERVOIR_CAP
 
 
 def populated_registry(hop_values, message_counts):
@@ -177,6 +178,48 @@ class TestSnapshotProperties:
         recovered = later.diff(earlier).merge(earlier)
         assert recovered.counters == later.counters
         assert recovered.histograms == later.histograms
+
+
+class TestWeightedSampleMerge:
+    """Pooled reservoirs weigh each side by its histogram count, not by
+    how many values it happened to retain."""
+
+    NAME = "slo.lookup_ms.t"
+
+    def shard(self, value, count):
+        registry = MetricsRegistry()
+        registry.histogram(self.NAME).observe_many([value] * count)
+        return registry.snapshot()
+
+    def assert_weighted(self, values):
+        # 100,000 observations of 1.0 and 2,000 of 1000.0: a uniform pooled
+        # sample is about 2/102 of 1000s, and its p90 is 1.0.
+        assert len(values) == DEFAULT_RESERVOIR_CAP
+        assert abs(values.count(1000.0) / len(values) - 2 / 102) <= 0.01
+
+    def test_absorb_weighs_each_side_by_its_count(self):
+        parent = MetricsRegistry()
+        parent.absorb(self.shard(1.0, 100_000))
+        parent.absorb(self.shard(1000.0, 2_000))
+        hist = parent.histogram(self.NAME)
+        assert hist.count == hist.sample.seen == 102_000
+        assert hist.quantile(0.9) == 1.0
+        self.assert_weighted(hist.sample.values)
+
+    def test_merge_weighs_each_side_by_its_count(self):
+        merged = self.shard(1.0, 100_000).merge(self.shard(1000.0, 2_000))
+        assert merged.histograms[self.NAME]["count"] == 102_000
+        assert merged.quantile(self.NAME, 0.9) == 1.0
+        self.assert_weighted(merged.samples[self.NAME])
+
+    def test_samples_that_fit_are_concatenated(self):
+        a, b = self.shard(1.0, 300), self.shard(2.0, 200)
+        assert a.merge(b).samples[self.NAME] == [1.0] * 300 + [2.0] * 200
+        parent = MetricsRegistry()
+        parent.absorb(a)
+        parent.absorb(b)
+        assert parent.snapshot().samples == a.merge(b).samples
+        assert parent.histogram(self.NAME).sample.seen == 500
 
 
 class TestActiveRegistry:

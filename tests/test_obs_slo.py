@@ -91,6 +91,116 @@ def test_reservoir_quantiles_converge(seed):
         assert sample.quantile(q) == pytest.approx(exact, abs=5.0)
 
 
+# -------------------------------------- batched draws == per-value randrange
+
+
+def reference_reservoir(name, cap, batches):
+    """Algorithm R with one ``randrange`` per value: what a batch must equal."""
+    rng = random.Random(f"reservoir:{name}:{cap}")
+    values, seen = [], 0
+    for batch in batches:
+        for v in batch:
+            seen += 1
+            if len(values) < cap:
+                values.append(float(v))
+                continue
+            j = rng.randrange(seen)
+            if j < cap:
+                values[j] = float(v)
+    return values, seen
+
+
+@pytest.mark.parametrize(
+    "first, m",
+    [
+        (1, 1),
+        (1, 70),  # n = 1, 2, 3, 4, ...: a new bit length almost every draw
+        (4094, 5),
+        (4097, 4096),  # one whole bit length, and into the next
+        (60_000, 20_000),  # across 2**16
+        ((1 << 20) - 3, 3000),
+        ((1 << 32) - 700, 599),  # near the largest n drawn exactly
+    ],
+)
+def test_batched_draws_equal_randrange(first, m):
+    sample = ReservoirSample("draws", cap=8)
+    rng = random.Random("reservoir:draws:8")
+    assert sample._draws(first, m).tolist() == [rng.randrange(first + i) for i in range(m)]
+    # The unused words stay buffered: the next batch continues the stream.
+    assert sample._draws(first + m, 50).tolist() == [
+        rng.randrange(first + m + i) for i in range(50)
+    ]
+
+
+def test_draws_past_two_to_the_32_are_refused():
+    sample = ReservoirSample("huge", cap=8)
+    with pytest.raises(OverflowError):
+        sample._draws((1 << 32) - 2, 3)
+
+
+@pytest.mark.parametrize("cap", [1, 3, 64])
+def test_batch_crossing_the_cap_matches_per_value_loop(cap):
+    rng = random.Random(cap)
+    batches = [[rng.random() for _ in range(size)] for size in (2, 250, 0, 1, 4000, 7)]
+    sample = ReservoirSample("cross", cap=cap)
+    for batch in batches:
+        sample.observe_many(batch)
+    assert (sample.values, sample.seen) == reference_reservoir("cross", cap, batches)
+
+
+def test_observe_and_observe_many_interleaved_share_one_stream():
+    rng = random.Random(5)
+    batches = [[rng.uniform(0, 9) for _ in range(rng.choice([1, 1, 30, 900]))] for _ in range(60)]
+    sample = ReservoirSample("mixed", cap=100)
+    for batch in batches:
+        if len(batch) == 1:
+            sample.observe(batch[0])
+        else:
+            sample.observe_many(np.asarray(batch))
+    assert (sample.values, sample.seen) == reference_reservoir("mixed", 100, batches)
+
+
+def test_int_arrays_are_retained_as_floats():
+    """``serve.hops`` hands the reservoir an integer array."""
+    hops = np.random.default_rng(3).integers(0, 20, size=9000).astype(np.int32)
+    sample = ReservoirSample("serve.hops", cap=DEFAULT_RESERVOIR_CAP)
+    for chunk in np.array_split(hops, 37):
+        sample.observe_many(chunk)
+    expected = reference_reservoir(
+        "serve.hops", DEFAULT_RESERVOIR_CAP, [hops.tolist()]
+    )
+    assert (sample.values, sample.seen) == expected
+    assert all(type(v) is float for v in sample.values)
+
+
+class CountingRandom(random.Random):
+    """A ``random.Random`` counting its ``getrandbits`` calls (``randrange``
+    goes through ``getrandbits`` too, one call per try)."""
+
+    calls = 0
+
+    def getrandbits(self, k):
+        self.calls += 1
+        return super().getrandbits(k)
+
+
+def test_observing_past_capacity_pulls_words_in_bulk():
+    """A deterministic cost pin: 100,000 values past a full reservoir,
+    observed in serving-sized batches of 1,000, cost at most 100
+    ``getrandbits`` calls (a per-value ``randrange`` costs over 100,000)."""
+    cap = DEFAULT_RESERVOIR_CAP
+    values = np.random.default_rng(11).uniform(0.0, 2000.0, cap + 100_000)
+    sample = ReservoirSample("cost", cap=cap)
+    counting = sample._rng = CountingRandom(f"reservoir:cost:{cap}")
+    batches = [values[:cap]] + np.split(values[cap:], 100)
+    for batch in batches:
+        sample.observe_many(batch)
+    assert counting.calls <= 100
+    assert (sample.values, sample.seen) == reference_reservoir(
+        "cost", cap, [b.tolist() for b in batches]
+    )
+
+
 # ----------------------------------------------------------------- P2Quantile
 
 

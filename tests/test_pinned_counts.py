@@ -9,7 +9,9 @@ change to one is a change in behaviour.  Three groups:
   churn with retries and hedging.  The policy counters are pinned, and so
   is a sha256 of each whole :class:`~repro.serve.ServeReport`.  Together
   they are what catches a wrong hedge threshold, hedge eligibility,
-  retry backoff or waiting-tick charge.
+  retry backoff or waiting-tick charge.  The churn run is repeated with
+  metrics and ``SLOMiddleware`` on, and its whole metrics snapshot is
+  pinned too.
 - **Storage.** Placement, put/get and crash-era repair counts of the
   vectorized data plane at 1,024 keys.
 - **Compiled size.** The exact bytes of each family's compiled routing
@@ -53,8 +55,10 @@ from repro.perf.storage import (
     plan_puts,
     store_domain_index,
 )
+from repro.obs import metrics as obs_metrics
 from repro.proximity.groups import ProximityCrescendoNetwork
 from repro.serve import (
+    SLOMiddleware,
     ServePolicy,
     ServeRuntime,
     compile_protocol_view,
@@ -128,10 +132,17 @@ def serving_reports():
     )
     reports["open"] = run_open_loop(runtime, sources, keys, per_tick=1024)
 
+    reports["churn"] = churn_run(net, latency, sources, keys)
+    return reports
+
+
+def churn_run(net, latency, sources, keys, middlewares=()):
+    """The closed loop under crash churn, retries and hedging (crashes ``net``)."""
     runtime = ServeRuntime(
         *compile_protocol_view(net),
         policy=ServePolicy(max_attempts=3, hedge_quantile=0.9, hedge_min_ms=400.0),
         latency=latency,
+        middlewares=middlewares,
     )
     churn_rng = random.Random(f"serving-baseline-churn:{SERVE_SEED}")
 
@@ -142,10 +153,9 @@ def serving_reports():
                 net.crash(victim)
             rt.set_view(*compile_protocol_view(net))
 
-    reports["churn"] = run_closed_loop(
-        runtime, sources, keys, concurrency=concurrency, on_tick=crash_a_slice
+    return run_closed_loop(
+        runtime, sources, keys, concurrency=min(4096, SERVE_LOOKUPS), on_tick=crash_a_slice
     )
-    return reports
 
 
 @pytest.mark.parametrize("run", sorted(SERVING_COUNTS))
@@ -167,6 +177,27 @@ def test_closed_loop_latency_quantiles(serving_reports):
 @pytest.mark.parametrize("run", sorted(SERVING_DIGESTS))
 def test_serve_report_digest(serving_reports, run):
     assert report_digest(serving_reports[run]) == SERVING_DIGESTS[run]
+
+
+#: sha256 of ``snapshot().to_json()`` after the churn run under ``SLOMiddleware``.
+OBSERVED_CHURN_SNAPSHOT = "180e2e50fd928bb08621512f06c590b8151aa0d109f062a44ce53663a60c9825"
+
+
+def test_observed_churn_run_pins_its_registry():
+    """The churn run with metrics and SLO middleware on serves exactly what
+    it serves with them off, and its registry is pinned to the byte.  Each
+    of its three histograms sees 11,921 values against a 4,096-value
+    reservoir, so the pin covers every replacement draw."""
+    net, latency = build_serving_net(SERVE_NODES, seed=SERVE_SEED)
+    sources, keys = lookup_workload(net, SERVE_LOOKUPS, seed=SERVE_SEED)
+    with obs_metrics.collecting() as registry:
+        report = churn_run(net, latency, sources, keys, [SLOMiddleware("churn")])
+    assert report_digest(report) == SERVING_DIGESTS["churn"]
+    for name in ("serve.hops", "serve.latency_ms", "slo.lookup_ms.churn"):
+        hist = registry.histogram(name)
+        assert hist.count == hist.sample.seen == 11921
+    snapshot = registry.snapshot().to_json()
+    assert hashlib.sha256(snapshot.encode()).hexdigest() == OBSERVED_CHURN_SNAPSHOT
 
 
 # ------------------------------------------------------------------ storage
