@@ -18,6 +18,7 @@ from repro.experiments import fig3_links, fig5_hops, fig6_stretch
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.obs.profile import PROFILER
+from repro.obs.quantiles import DEFAULT_RESERVOIR_CAP
 from repro.perf.executor import (
     get_default_jobs,
     map_points,
@@ -82,6 +83,21 @@ class TestMapPoints:
         hist = snap.histograms["test.values"]
         assert hist["count"] == len(points)
         assert hist["sum"] == float(sum(points))
+
+    def test_samples_identical_serial_vs_parallel_past_the_cap(self):
+        # Each point's sample is exact, the grid's total overflows the
+        # reservoir: folding the points in order must retain what one
+        # serial reservoir retains.
+        points = [0, 1, 2]
+        snaps = []
+        for jobs in (1, 2):
+            with obs_metrics.collecting() as registry:
+                map_points(_sample_point, points, jobs=jobs)
+                snaps.append(registry.snapshot())
+        serial, parallel = snaps
+        assert serial.histograms["test.sampled"]["count"] > DEFAULT_RESERVOIR_CAP
+        assert parallel.samples == serial.samples
+        assert parallel.to_json() == serial.to_json()
 
     def test_worker_phase_timings_fold_into_parent(self):
         PROFILER.reset()
@@ -183,6 +199,12 @@ def _count_point(point):
     registry = obs_metrics.active_registry()
     registry.counter("test.points").inc()
     registry.histogram("test.values").observe(point)
+    return point
+
+
+def _sample_point(point):
+    values = [float(point * 10_000 + i) for i in range(2_000)]
+    obs_metrics.active_registry().histogram("test.sampled").observe_many(values)
     return point
 
 
