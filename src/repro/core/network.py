@@ -9,12 +9,42 @@ The static ("oracle") constructions in :mod:`repro.dhts` fill these tables
 directly; the message-level simulator in :mod:`repro.simulation` builds the
 same tables through protocol messages and is cross-checked against the
 oracle.
+
+**The CSR contract.**  A built network holds its table as one CSR over
+positions into the sorted ``node_ids``: ``indptr`` (row ``p``'s links are
+``nbr_pos[indptr[p]:indptr[p + 1]]``) and ``nbr_pos``, each row strictly
+ascending, so rows are sorted by id and hold no self-link.  Every
+construction installs through :meth:`DHTNetwork._finalize_links`, which
+turns ``(src, dst)`` position arrays — or a dict of per-node target sets —
+into that CSR with one sort (:func:`edges_to_csr`).
+:meth:`DHTNetwork.link_csr` hands it to the batch kernels as it stands, and
+the degree queries read its ``indptr``.
+
+**First-read materialisation.**  ``links``, the per-node dict of sorted
+id lists that the scalar routers, the invariant checkers and hand edits
+use, is built from the CSR on its first read (one ``tolist`` and a slice
+per row).  From then on the dict is the source of truth: in-place edits
+(``links[n].remove(x)``, ``links[n] = [...]``) and whole-table assignment
+(``network.links = ...``) are what :meth:`~DHTNetwork.link_csr` re-derives
+its arrays from.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from functools import cached_property
+from typing import (
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
+
+import numpy as np
 
 from .hierarchy import Hierarchy, ROOT
 from .idspace import IdSpace, predecessor_index, successor_index
@@ -22,6 +52,39 @@ from .idspace import IdSpace, predecessor_index, successor_index
 #: Node count at or below which :meth:`DHTNetwork.build` runs the scalar
 #: reference: setting up arrays costs more than it saves on so few nodes.
 BULK_THRESHOLD = 64
+
+#: ``(indptr, nbr_pos)``: a link table over positions into sorted node ids.
+LinkCSR = Tuple[np.ndarray, np.ndarray]
+#: ``(src, dst)`` position arrays of (repeatable) links.
+Edges = Tuple[np.ndarray, np.ndarray]
+#: What a construction hands :meth:`DHTNetwork._finalize_links`: edges, or
+#: per-node target sets.
+LinkSource = Union[Edges, Mapping[int, Set[int]]]
+
+
+def _index_dtype(n: int, edges: int) -> type:
+    """int32 while the population and edge count fit, int64 past that."""
+    return np.int32 if n < 2**31 and edges < 2**31 else np.int64
+
+
+def edges_to_csr(n: int, src: np.ndarray, dst: np.ndarray) -> LinkCSR:
+    """The CSR of ``n`` nodes' links from ``(src, dst)`` position arrays.
+
+    Links may repeat and include self-links: one sort of ``src * n + dst``
+    orders them by source and then target, the duplicates and the
+    self-links (``s * (n + 1)``) drop out, and one ``searchsorted`` cuts
+    the rows.  Positions index sorted ids, so each row is sorted by id.
+    """
+    edge = np.sort(np.asarray(src, dtype=np.int64) * n + dst)
+    keep = (np.diff(edge, prepend=-1) != 0) & (edge % (n + 1) != 0)
+    edge = edge[keep]
+    dt = _index_dtype(n, edge.size)
+    rows = np.arange(n + 1, dtype=np.int64) * n
+    indptr = np.searchsorted(edge, rows, side="left").astype(dt)
+    nbr_pos = (edge % n).astype(dt)
+    # Compiled networks share these arrays with the network that holds them.
+    indptr.flags.writeable = nbr_pos.flags.writeable = False
+    return indptr, nbr_pos
 
 
 class LinkTableError(AssertionError):
@@ -45,12 +108,14 @@ class LinkTableError(AssertionError):
 class DHTNetwork:
     """Base class: an ID space, a hierarchy, and a per-node link table.
 
-    Subclasses populate ``links`` according to their construction rule:
-    ``_reference_link_sets`` is the scalar reference, ``_bulk_link_sets``
-    the vectorized form of the same rule (:mod:`repro.perf.build`), and
-    the input alone picks between them (:meth:`_use_bulk`).  ``metric``
-    declares which greedy routing engine applies ("ring" for Chord-family
-    networks, "xor" for Kademlia-family).
+    Subclasses supply their construction rule: ``_reference_link_sets`` is
+    the scalar reference, ``_bulk_link_sets`` the vectorized form of the
+    same rule (:mod:`repro.perf.build`), and the input alone picks between
+    them (:meth:`_use_bulk`).  Either returns a :data:`LinkSource`, and
+    :meth:`_finalize_links` installs it as the network's CSR (see the
+    module docstring for the CSR contract and when ``links`` exists).
+    ``metric`` declares which greedy routing engine applies ("ring" for
+    Chord-family networks, "xor" for Kademlia-family).
     """
 
     metric = "ring"
@@ -62,14 +127,18 @@ class DHTNetwork:
         self.space = space
         self.hierarchy = hierarchy
         ids = hierarchy.sorted_members(ROOT)
-        if len(set(ids)) != len(ids):
-            raise ValueError("node ids must be unique")
-        for ident in ids:
-            space.validate(ident)
-        self.node_ids: List[int] = list(ids)
         self._id_set: Set[int] = set(ids)
-        # Out-links only; the paper's degree figures count these.
-        self.links: Dict[int, List[int]] = {i: [] for i in ids}
+        if len(self._id_set) != len(ids):
+            raise ValueError("node ids must be unique")
+        if ids:  # sorted: the ends bound every id
+            space.validate(ids[0])
+            space.validate(ids[-1])
+        self.node_ids: List[int] = list(ids)
+        # Out-links only; the paper's degree figures count these.  Held as
+        # a CSR until something reads ``links``.
+        none = np.zeros(0, dtype=np.int64)
+        self._csr: Optional[LinkCSR] = edges_to_csr(len(ids), none, none)
+        self._links: Optional[Dict[int, List[int]]] = None
         self._built = False
         #: Which construction ran: "numpy" (bulk) or "python" (reference).
         self.built_with: Optional[str] = None
@@ -107,24 +176,105 @@ class DHTNetwork:
         """
         return self.space.bits < 64 and self.size > BULK_THRESHOLD
 
-    def _reference_link_sets(self) -> Dict[int, Set[int]]:
+    def _reference_link_sets(self) -> LinkSource:
         """Per-node link sets by the scalar reference construction."""
         raise NotImplementedError
 
-    def _bulk_link_sets(self) -> Dict[int, Set[int]]:
-        """Per-node link sets by the vectorized construction of the same rule."""
+    def _bulk_link_sets(self) -> LinkSource:
+        """Links by the vectorized construction of the same rule."""
         raise NotImplementedError
 
-    def _finalize_links(self, link_sets: Dict[int, Set[int]]) -> None:
-        """Install link sets, deduplicated, self-links removed, sorted by id.
+    def _finalize_links(self, links: LinkSource) -> None:
+        """Install a construction's links as the CSR, the only installer.
 
-        Sorting by identifier lets the greedy routing engines take each step
-        with a binary search instead of a scan.
+        Duplicates and self-links drop out and every row comes out sorted
+        by id, which lets the greedy routing engines take each step with a
+        binary search instead of a scan.  A set dict naming a target
+        outside the network has no CSR form; it is installed as ``links``
+        instead, so :meth:`check_links_valid` can name the stranger.
         """
-        for node, targets in link_sets.items():
-            targets.discard(node)
-            self.links[node] = sorted(targets)
+        if isinstance(links, Mapping):
+            try:
+                links = self._set_edges(links)
+            except ValueError:
+                self.links = {node: [] for node in self.node_ids}
+                for node, targets in links.items():
+                    self.links[node] = sorted(set(targets) - {node})
+                self._built = True
+                return
+        self._csr = edges_to_csr(self.size, *links)
+        self._links = None
         self._built = True
+
+    def _set_edges(self, link_sets: Mapping[int, Set[int]]) -> Edges:
+        """``(src, dst)`` positions of per-node target sets.
+
+        Raises ValueError on a row or a target that is no node's id.
+        """
+        if not self._id_set.issuperset(link_sets):
+            raise ValueError("link table row for unknown node")
+        rows = [link_sets.get(node, ()) for node in self.node_ids]
+        counts = np.fromiter(map(len, rows), dtype=np.int64, count=self.size)
+        src = np.repeat(np.arange(self.size, dtype=np.int64), counts)
+        return src, self._positions([t for row in rows for t in row])
+
+    def _positions(self, targets: List[int]) -> np.ndarray:
+        """Positions of ``targets`` in ``node_ids`` (ValueError on a stranger)."""
+        ids = self.id_array
+        stranger = ValueError("link table references ids outside the network")
+        try:
+            values = np.asarray(targets, dtype=ids.dtype)
+        except OverflowError:  # past uint64: no node's id
+            raise stranger from None
+        pos = np.searchsorted(ids, values)
+        found = ids[np.minimum(pos, self.size - 1)] if values.size else values
+        if not np.array_equal(found, values):
+            raise stranger
+        return pos
+
+    @cached_property
+    def id_array(self) -> np.ndarray:
+        """``node_ids`` as a read-only array (uint64; objects past 64 bits)."""
+        ids = np.asarray(
+            self.node_ids, dtype=np.uint64 if self.space.bits <= 64 else object
+        )
+        ids.flags.writeable = False
+        return ids
+
+    @property
+    def links(self) -> Dict[int, List[int]]:
+        """node -> sorted out-link ids, materialised from the CSR on first read."""
+        if self._links is None:
+            indptr, nbr_pos = self._csr
+            targets = self.id_array[nbr_pos].tolist()
+            cuts = indptr.tolist()
+            self._links = {
+                node: targets[a:b] for node, a, b in zip(self.node_ids, cuts, cuts[1:])
+            }
+            self._csr = None  # the dict is the source of truth from here on
+        return self._links
+
+    @links.setter
+    def links(self, table: Dict[int, List[int]]) -> None:
+        self._links = table
+        self._csr = None
+
+    def link_csr(self) -> LinkCSR:
+        """``(indptr, nbr_pos)`` of the link table as it stands.
+
+        The CSR a construction installed while ``links`` has never been
+        read; after that, re-derived from ``links`` row by row, in each
+        row's own order (ValueError if a link names no node).
+        """
+        if self._links is None:
+            return self._csr
+        rows = [self._links[node] for node in self.node_ids]
+        counts = np.fromiter(map(len, rows), dtype=np.int64, count=self.size)
+        pos = self._positions([t for row in rows for t in row])
+        dt = _index_dtype(self.size, pos.size)
+        indptr = np.zeros(self.size + 1, dtype=dt)
+        np.cumsum(counts, out=indptr[1:])
+        return indptr, pos.astype(dt)
 
     def require_built(self) -> None:
         """Raise unless :meth:`build` has completed."""
@@ -146,27 +296,42 @@ class DHTNetwork:
         """Out-neighbors of a node, sorted by identifier."""
         return self.links[node_id]
 
+    def _degree_array(self) -> np.ndarray:
+        """Out-degrees in node-id order: the CSR's row lengths.
+
+        Once ``links`` exists its row lengths are the same numbers, read
+        without re-deriving the arrays.
+        """
+        if self._links is None:
+            return np.diff(self._csr[0])
+        rows = (self._links[node] for node in self.node_ids)
+        return np.fromiter(map(len, rows), dtype=np.int64, count=self.size)
+
     def degree(self, node_id: int) -> int:
         """Out-degree (the paper's "number of links"; in-links not counted)."""
+        if self._links is None and node_id in self._id_set:
+            indptr = self._csr[0]
+            pos = successor_index(self.node_ids, node_id)
+            return int(indptr[pos + 1] - indptr[pos])
         return len(self.links[node_id])
 
     def degrees(self) -> List[int]:
         """Out-degrees of all nodes, in node-id order."""
-        return [len(self.links[i]) for i in self.node_ids]
+        return self._degree_array().tolist()
 
     def average_degree(self) -> float:
         """Mean out-degree (the y-axis of the paper's Figure 3)."""
-        return sum(self.degrees()) / max(1, self.size)
+        return int(self._degree_array().sum()) / max(1, self.size)
 
     def degree_distribution(self) -> Dict[int, float]:
         """PDF of node degree (Figure 4 of the paper)."""
-        counts = Counter(self.degrees())
+        values, counts = np.unique(self._degree_array(), return_counts=True)
         total = float(self.size)
-        return {deg: cnt / total for deg, cnt in sorted(counts.items())}
+        return {deg: cnt / total for deg, cnt in zip(values.tolist(), counts.tolist())}
 
     def max_degree(self) -> int:
         """Largest out-degree (Theorem 3's w.h.p. subject)."""
-        return max(self.degrees(), default=0)
+        return int(self._degree_array().max(initial=0))
 
     # ---------------------------------------------------------- ring lookups
 

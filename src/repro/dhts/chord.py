@@ -16,7 +16,7 @@ from typing import Dict, List, Set
 import numpy as np
 
 from ..core.idspace import IdSpace, successor_index
-from ..core.network import DHTNetwork
+from ..core.network import DHTNetwork, Edges
 
 
 def ring_finger_targets(node_id: int, space: IdSpace) -> List[int]:
@@ -39,25 +39,21 @@ def finger_links(node_id: int, sorted_ids: List[int], space: IdSpace) -> Set[int
     return links
 
 
-def bulk_finger_links(
-    sorted_ids: np.ndarray, space: IdSpace
-) -> Dict[int, Set[int]]:
-    """Vectorised :func:`finger_links` for every member of a ring at once."""
+def bulk_finger_links(sorted_ids: np.ndarray, space: IdSpace) -> Edges:
+    """Vectorised :func:`finger_links` for every member of a ring at once.
+
+    Returns ``(src, dst)`` positions into ``sorted_ids``, one entry per
+    (member, finger) — repeats and self-links included, which
+    :func:`repro.core.network.edges_to_csr` drops.
+    """
     n = len(sorted_ids)
-    if n <= 1:
-        return {int(i): set() for i in sorted_ids}
-    ks = (np.uint64(1) << np.arange(space.bits, dtype=np.uint64))
+    ks = np.uint64(1) << np.arange(space.bits, dtype=np.uint64)
     targets = (sorted_ids[:, None].astype(np.uint64) + ks[None, :]) % np.uint64(
         space.size
     )
     idx = np.searchsorted(sorted_ids, targets)
     idx[idx == n] = 0
-    succ = sorted_ids[idx]
-    out: Dict[int, Set[int]] = {}
-    for row, node in enumerate(sorted_ids):
-        node = int(node)
-        out[node] = {int(s) for s in succ[row] if int(s) != node}
-    return out
+    return np.repeat(np.arange(n), space.bits), idx.ravel()
 
 
 class ChordNetwork(DHTNetwork):
@@ -77,9 +73,8 @@ class ChordNetwork(DHTNetwork):
             for node in self.node_ids
         }
 
-    def _bulk_link_sets(self) -> Dict[int, Set[int]]:
-        arr = np.array(self.node_ids, dtype=np.uint64)
-        return bulk_finger_links(arr, self.space)
+    def _bulk_link_sets(self) -> Edges:
+        return bulk_finger_links(self.id_array, self.space)
 
     def successor_list(self, node_id: int, length: int = 4) -> List[int]:
         """The node's leaf set: its next ``length`` successors on the ring.

@@ -36,7 +36,7 @@ from typing import Dict, List, Optional, Set
 
 from ..core.hierarchy import DomainPath, Hierarchy
 from ..core.idspace import IdSpace, successor_index
-from ..core.network import DHTNetwork
+from ..core.network import DHTNetwork, Edges
 
 
 class CrescendoNetwork(DHTNetwork):
@@ -73,17 +73,18 @@ class CrescendoNetwork(DHTNetwork):
     def _reference_link_sets(self) -> Dict[int, Set[int]]:
         return self._merge_rings()
 
-    def _bulk_link_sets(self) -> Dict[int, Set[int]]:
+    def _bulk_link_sets(self) -> Edges:
         return self._sweep_rings(floor=0)
 
-    def _sweep_rings(self, floor: int) -> Dict[int, Set[int]]:
-        """Every ring at depth ``>= floor`` by the per-depth sweep."""
-        from ..perf.build import crescendo_link_sets
+    def _sweep_rings(self, floor: int) -> Edges:
+        """``(src, dst)`` positions of every ring at depth ``>= floor`` by
+        the per-depth sweep."""
+        from ..perf.build import crescendo_edges
 
-        link_sets, self.gap, self.level_successors = crescendo_link_sets(
+        edges, self.gap, self.level_successors = crescendo_edges(
             self.node_ids, self.space, self.hierarchy, floor
         )
-        return link_sets
+        return edges
 
     def _merge_rings(self) -> Dict[int, Set[int]]:
         """Build every ring bottom-up, one domain at a time."""

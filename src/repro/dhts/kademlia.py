@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ..core.hierarchy import Hierarchy
 from ..core.idspace import IdSpace, successor_index
-from ..core.network import DHTNetwork
+from ..core.network import DHTNetwork, Edges
 
 
 def bucket_bounds(node_id: int, k: int, space: IdSpace) -> Tuple[int, int]:
@@ -121,14 +121,14 @@ class KademliaNetwork(DHTNetwork):
         # have no bulk form; every other flavour does.
         return super()._use_bulk() and (self.rng is not None or self.bucket_size == 1)
 
-    def _bulk_link_sets(self) -> Dict[int, Set[int]]:
-        from ..perf.build import kandy_link_sets
+    def _bulk_link_sets(self) -> Edges:
+        from ..perf.build import kandy_edges
 
         # Flat Kademlia is Kandy's per-depth pass over the root ring alone.
-        link_sets, _ = kandy_link_sets(
+        edges, _ = kandy_edges(
             self.node_ids, self.space, None, self.rng, self.bucket_size
         )
-        return link_sets
+        return edges
 
     def _reference_link_sets(self) -> Dict[int, Set[int]]:
         members = self.node_ids

@@ -23,11 +23,13 @@ bit k and everything above it, strictly shrinking the XOR distance.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import Dict, List, Optional, Set
+
+import numpy as np
 
 from ..core.hierarchy import Hierarchy
 from ..core.idspace import IdSpace
-from ..core.network import DHTNetwork
+from ..core.network import DHTNetwork, Edges
 from .kademlia import bucket_members_range, choose_bucket_contact
 
 
@@ -47,9 +49,26 @@ class KandyNetwork(DHTNetwork):
         super().__init__(space, hierarchy)
         self.rng = rng
         self.bucket_size = bucket_size
-        #: node -> bucket index -> depth of the domain the contact came from
-        #: (exposed for the locality analysis and tests).
-        self.contact_depth: Dict[int, Dict[int, int]] = {}
+        self._contact_depth: Optional[Dict[int, Dict[int, int]]] = {}
+        # The bulk build's (bits x n) contact-depth matrix, until read.
+        self._contact_at: Optional[np.ndarray] = None
+
+    @property
+    def contact_depth(self) -> Dict[int, Dict[int, int]]:
+        """node -> bucket index -> depth of the domain the contact came from
+        (exposed for the locality analysis and tests; a bulk build makes the
+        dict on first read)."""
+        if self._contact_depth is None:
+            from ..perf.build import contact_depths
+
+            self._contact_depth = contact_depths(self.node_ids, self._contact_at)
+            self._contact_at = None
+        return self._contact_depth
+
+    @contact_depth.setter
+    def contact_depth(self, depths: Dict[int, Dict[int, int]]) -> None:
+        self._contact_depth = depths
+        self._contact_at = None
 
     def _use_bulk(self) -> bool:
         # Deterministic multi-contact buckets (rng None, bucket_size > 1)
@@ -62,17 +81,18 @@ class KandyNetwork(DHTNetwork):
             and composite_keys_fit(self.hierarchy, self.space.bits)
         )
 
-    def _bulk_link_sets(self) -> Dict[int, Set[int]]:
-        from ..perf.build import hierarchy_codes, kandy_link_sets
+    def _bulk_link_sets(self) -> Edges:
+        from ..perf.build import hierarchy_codes, kandy_edges
 
-        link_sets, self.contact_depth = kandy_link_sets(
+        edges, self._contact_at = kandy_edges(
             self.node_ids,
             self.space,
             hierarchy_codes(self.hierarchy, self.node_ids),
             self.rng,
             self.bucket_size,
         )
-        return link_sets
+        self._contact_depth = None
+        return edges
 
     def _reference_link_sets(self) -> Dict[int, Set[int]]:
         space = self.space

@@ -14,7 +14,7 @@ family's link table in array form:
   calls bound every open (member, bucket) pair of a depth, a vectorized
   binary-trie descent finds the deterministic XOR-closest contact
   (:func:`_xor_closest_in_ranges`), and each depth's contacts are resolved
-  in one call (:func:`kandy_link_sets`; Kademlia is its root ring alone).
+  in one call (:func:`kandy_edges`; Kademlia is its root ring alone).
 - Symphony/Cacophony: harmonic inverse-CDF draws in ``(nodes x count)``
   batches with distinct-rejection redraw rounds and one ``searchsorted``
   successor snap per batch (:func:`bulk_harmonic_draws`).
@@ -26,6 +26,20 @@ family's link table in array form:
   searches, with the ``count == 0`` full-ring/empty disambiguation of
   :func:`repro.dhts.ndchord.annulus_choice` applied vectorially.
 - mixed/naive: Chord-style finger matrices, one domain at a time.
+
+What a builder returns is what the network installs.  Crescendo and
+Kademlia/Kandy (like Chord's finger matrix,
+:func:`repro.dhts.chord.bulk_finger_links`) return ``(src, dst)`` position
+arrays into the sorted ids (:data:`~repro.core.network.Edges`; repeats and
+self-links allowed), and
+:meth:`~repro.core.network.DHTNetwork._finalize_links` turns them into the
+network's CSR with one sort (:func:`repro.core.network.edges_to_csr`).
+The other families still return per-node Python sets, and the installer
+takes those through the same sort, so every built network holds a CSR and
+no Python link dict exists until something reads ``links``.  Side outputs
+follow suit where a dict would cost a figure run time: Kandy keeps
+:func:`kandy_edges`' ``contact_at`` matrix and builds its ``contact_depth``
+dict on first read (:func:`contact_depths`).
 
 Randomized families draw from a numpy ``Generator`` derived from the
 caller's ``random.Random`` (:func:`derive_generator`): vectorization
@@ -55,7 +69,7 @@ import numpy as np
 
 from ..core.hierarchy import Hierarchy
 from ..core.idspace import IdSpace
-from ..core.network import BULK_THRESHOLD
+from ..core.network import BULK_THRESHOLD, Edges
 from ..dhts.symphony import _MAX_DRAWS, _note_short_draws
 
 __all__ = [
@@ -67,10 +81,11 @@ __all__ = [
     "canon_merge",
     "cancan_link_sets",
     "composite_keys_fit",
-    "crescendo_link_sets",
+    "contact_depths",
+    "crescendo_edges",
     "derive_generator",
     "hierarchy_codes",
-    "kandy_link_sets",
+    "kandy_edges",
     "lan_crescendo_link_sets",
     "naive_link_sets",
     "ndchord_link_sets",
@@ -313,20 +328,6 @@ def _bit_length(values: np.ndarray) -> np.ndarray:
     return np.searchsorted(_POWERS, values, side="right")
 
 
-def _link_sets(
-    ids: np.ndarray, src: List[np.ndarray], dst: List[np.ndarray]
-) -> Dict[int, Set[int]]:
-    """Per-node link-target sets from position arrays of (repeatable) links."""
-    n = int(ids.size)
-    edge = np.sort(np.concatenate(src).astype(np.int64) * n + np.concatenate(dst))
-    edge = edge[np.diff(edge, prepend=-1) != 0]
-    targets = ids[edge % n].tolist()
-    cuts = np.searchsorted(edge, np.arange(n + 1, dtype=np.int64) * n).tolist()
-    return {
-        node: set(targets[a:b]) for node, a, b in zip(ids.tolist(), cuts, cuts[1:])
-    }
-
-
 # ----------------------------------------------------------------- Crescendo
 
 
@@ -403,25 +404,26 @@ def canon_merge(
     return np.concatenate(src), np.concatenate(dst), successors, gap
 
 
-def crescendo_link_sets(
+def crescendo_edges(
     node_ids: Sequence[int], space: IdSpace, hierarchy: Hierarchy, floor: int = 0
-) -> Tuple[Dict[int, Set[int]], Dict[int, int], Dict[int, List[int]]]:
+) -> Tuple[Edges, Dict[int, int], Dict[int, List[int]]]:
     """Bulk Crescendo rings at depths ``>= floor`` (:func:`canon_merge`).
 
-    Returns ``(link_sets, gap, level_successors)`` in the reference's form:
-    gap as of the shallowest swept ring, successors leaf ring first.
+    Returns ``((src, dst), gap, level_successors)``: the links as position
+    arrays for :meth:`~repro.core.network.DHTNetwork._finalize_links`, and
+    the side outputs in the reference's form — gap as of the shallowest
+    swept ring, successors leaf ring first.
     """
     ids = _as_array(node_ids)
     codes = hierarchy_codes(hierarchy, node_ids)
     src, dst, successors, gap = canon_merge(ids, codes, space, floor)
-    link_sets = _link_sets(ids, [src], [dst])
     chains = ids[successors].T.tolist()  # -1 entries are never read
     leaf_depths = (codes >= 0).sum(axis=1).tolist()
     level_successors = {
         node: chain[floor : leaf + 1][::-1]
         for node, chain, leaf in zip(node_ids, chains, leaf_depths)
     }
-    return link_sets, dict(zip(node_ids, gap.tolist())), level_successors
+    return (src, dst), dict(zip(node_ids, gap.tolist())), level_successors
 
 
 # ----------------------------------------------------------- Kademlia / Kandy
@@ -532,18 +534,20 @@ def _resolve_contacts(
     return np.concatenate(src), np.concatenate(dst)
 
 
-def kandy_link_sets(
+def kandy_edges(
     node_ids: Sequence[int],
     space: IdSpace,
     codes: Optional[np.ndarray] = None,
     rng=None,
     bucket_size: int = 1,
-) -> Tuple[Dict[int, Set[int]], Optional[Dict[int, Dict[int, int]]]]:
+) -> Tuple[Edges, np.ndarray]:
     """Bulk Kandy, one pass per depth; with ``codes`` None, flat Kademlia.
 
     ``node_ids`` are sorted and ``codes`` is their :func:`hierarchy_codes`;
-    returns ``(link_sets, contact_depth)``, ``contact_depth`` None when
-    ``codes`` is.  A depth's rings are one sorted array of composite
+    returns ``((src, dst), contact_at)``: the links as position arrays, and
+    ``contact_at[k, p]``, the depth node ``p``'s bucket-``k`` contact comes
+    from (-1 for an empty bucket; :func:`contact_depths` turns it into the
+    reference's dict).  A depth's rings are one sorted array of composite
     (domain rank, id) keys, so the bucket bounds of every open (member,
     bucket) pair of the depth are two ``searchsorted`` calls.  Depths run
     deepest first, and a pair is resolved at the first depth where its
@@ -557,7 +561,6 @@ def kandy_link_sets(
     ids = _as_array(node_ids)
     gen = derive_generator(rng) if rng is not None else None
     bits = space.bits
-    # contact_at[k, p]: depth node p's bucket-k contact comes from, or -1.
     contact_at = np.full((bits, n), -1, dtype=np.int16)
     src: List[np.ndarray] = [np.zeros(0, dtype=np.int64)]
     dst: List[np.ndarray] = [np.zeros(0, dtype=np.int64)]
@@ -586,18 +589,21 @@ def kandy_link_sets(
         s, t = _resolve_contacts(keys, rank, rows, ks, lo, i, j, gen, bucket_size)
         src.append(order[s])
         dst.append(order[t])
-    link_sets = _link_sets(ids, src, dst)
-    if codes is None:
-        return link_sets, None
+    return (np.concatenate(src), np.concatenate(dst)), contact_at
+
+
+def contact_depths(
+    node_ids: Sequence[int], contact_at: np.ndarray
+) -> Dict[int, Dict[int, int]]:
+    """node -> bucket -> contact depth, from :func:`kandy_edges`' matrix."""
     pos, ks = np.nonzero(contact_at.T >= 0)
     depths = contact_at[ks, pos].tolist()
-    cuts = np.searchsorted(pos, np.arange(n + 1)).tolist()
+    cuts = np.searchsorted(pos, np.arange(len(node_ids) + 1)).tolist()
     ks = ks.tolist()
-    contact_depth = {
+    return {
         node: dict(zip(ks[a:b], depths[a:b]))
         for node, a, b in zip(node_ids, cuts, cuts[1:])
     }
-    return link_sets, contact_depth
 
 
 # ---------------------------------------------------------------- CAN family

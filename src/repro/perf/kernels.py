@@ -1,9 +1,10 @@
 """Vectorized batch routing kernels over a CSR link-table layout.
 
-:func:`compile_network` flattens a built :class:`~repro.core.network.DHTNetwork`
-into numpy arrays — sorted node ids, a flat neighbor array, per-node offsets
-into it (CSR style), and the index of every neighbor back into the id array
-— plus two per-metric search structures that turn the greedy step of each
+:func:`compile_network` adopts a built :class:`~repro.core.network.DHTNetwork`'s
+CSR (:meth:`~repro.core.network.DHTNetwork.link_csr`) as numpy arrays —
+sorted node ids, per-node offsets into the link arrays, the index of every
+neighbor back into the id array, and the neighbor ids themselves — plus
+two per-metric search structures that turn the greedy step of each
 scalar engine into a handful of vector ops over the whole active batch:
 
 - ring metric: a per-node matrix of clockwise neighbor distances, sorted
@@ -153,46 +154,44 @@ class CompiledNetwork:
     def __init__(self, network: DHTNetwork) -> None:
         network.require_built()
         bits = network.space.bits
-        ids = network.node_ids  # sorted ascending by construction
-        n = len(ids)
-        if n == 0:
-            raise ValueError("cannot compile an empty network")
+        n = network.size
         if bits + 1 + max(n - 1, 1).bit_length() > 64:
             raise ValueError(
                 f"augmented keys need {bits} + 1 id bits + "
                 f"{max(n - 1, 1).bit_length()} index bits > 64"
             )
+        # The network's own CSR, adopted as it stands.  Its index arrays are
+        # int32 whenever the population and edge count fit — half the
+        # memory traffic in the hot loops, half the bytes held.
+        indptr, nbr_pos = network.link_csr()
+        ids = network.id_array  # sorted ascending by construction
+        self._adopt(network, network.metric, bits, ids, indptr, ids[nbr_pos], nbr_pos)
+
+    def _adopt(
+        self,
+        network: Optional[DHTNetwork],
+        metric: str,
+        bits: int,
+        ids: np.ndarray,
+        indptr: np.ndarray,
+        neighbors: np.ndarray,
+        nbr_pos: np.ndarray,
+    ) -> None:
+        self.n = int(ids.shape[0])
+        if self.n == 0:
+            raise ValueError("cannot compile an empty network")
         self.network = network
-        self.metric = network.metric
-        self.bits = bits
-        self.n = n
-        self.ids = np.asarray(ids, dtype=_U64)
-        counts = np.fromiter(
-            (len(network.links[node]) for node in ids), dtype=np.int64, count=n
-        )
-        # Index arrays drop to int32 whenever the population and edge count
-        # fit — half the memory traffic in the hot loops, half the bytes
-        # held — with int64 kept as the >= 2**31 escape hatch.
-        idx_dt = np.int32 if n < 2**31 and int(counts.sum()) < 2**31 else np.int64
-        self.indptr = np.zeros(n + 1, dtype=idx_dt)
-        np.cumsum(counts, out=self.indptr[1:])
-        flat: List[int] = []
-        for node in ids:
-            flat.extend(network.links[node])
-        self.neighbors = np.asarray(flat, dtype=_U64)
+        self.metric = metric
+        self.bits = int(bits)
+        self.ids = ids
+        self.indptr = indptr
+        self.neighbors = neighbors
+        self.nbr_pos = nbr_pos
         # One extra key bit so per-node sentinels can sort strictly below
         # (key 0 -> last neighbor) and above (key mask+2 -> first neighbor)
         # every real entry (neighbor + 1).
-        self.shift = np.uint64(bits + 1)
-        self.mask = np.uint64((1 << bits) - 1)
-        if self.neighbors.size:
-            pos = np.searchsorted(self.ids, self.neighbors)
-            pos = np.minimum(pos, n - 1)
-            if np.any(self.ids[pos] != self.neighbors):
-                raise ValueError("link table references ids outside the network")
-            self.nbr_pos = pos.astype(idx_dt)
-        else:
-            self.nbr_pos = np.zeros(0, dtype=idx_dt)
+        self.shift = np.uint64(self.bits + 1)
+        self.mask = np.uint64((1 << self.bits) - 1)
         self._xor_tables: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
         self._ring_tables: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._live_table: Optional[
@@ -406,23 +405,7 @@ class CompiledNetwork:
         ``network`` stays ``None`` unless the caller has one.
         """
         self = cls.__new__(cls)
-        self.network = network
-        self.metric = metric
-        self.bits = int(bits)
-        self.n = int(ids.shape[0])
-        if self.n == 0:
-            raise ValueError("cannot compile an empty network")
-        self.ids = ids
-        self.indptr = indptr
-        self.neighbors = neighbors
-        self.nbr_pos = nbr_pos
-        self.shift = np.uint64(self.bits + 1)
-        self.mask = np.uint64((1 << self.bits) - 1)
-        self._xor_tables = None
-        self._ring_tables = None
-        self._live_table = None
-        self._carry = None
-        self._gaps = None
+        self._adopt(network, metric, bits, ids, indptr, neighbors, nbr_pos)
         return self
 
     # ------------------------------------------------------------- plumbing

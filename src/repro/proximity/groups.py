@@ -24,9 +24,11 @@ from __future__ import annotations
 import math
 from typing import Callable, Dict, List, Optional, Set
 
+import numpy as np
+
 from ..core.hierarchy import Hierarchy
 from ..core.idspace import IdSpace, predecessor_index, successor_index
-from ..core.network import DHTNetwork
+from ..core.network import DHTNetwork, Edges
 from ..core.routing import MAX_HOPS, Route, _traced
 from ..dhts.crescendo import CrescendoNetwork
 
@@ -164,13 +166,16 @@ class ProximityCrescendoNetwork(CrescendoNetwork):
         self.prefix_bits = group_prefix_bits(self.size, group_target)
         self.groups = _GroupIndex(space, self.node_ids, self.prefix_bits)
 
-    def _bulk_link_sets(self) -> Dict[int, Set[int]]:
+    def _bulk_link_sets(self) -> Edges:
         # The per-depth sweep builds every ring below the root; the root
-        # merge is this family's own.
-        link_sets = self._sweep_rings(floor=1)
-        self._build_top_domain(self.node_ids, link_sets)
+        # merge is this family's own, and its links join the sweep's
+        # before the one install.
+        src, dst = self._sweep_rings(floor=1)
+        top: Dict[int, Set[int]] = {node: set() for node in self.node_ids}
+        self._build_top_domain(self.node_ids, top)
         self._record_level(self.node_ids)
-        return link_sets
+        top_src, top_dst = self._set_edges(top)
+        return np.concatenate([src, top_src]), np.concatenate([dst, top_dst])
 
     def _build_top_domain(self, members, link_sets) -> None:
         groups = self.groups

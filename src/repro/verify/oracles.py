@@ -6,12 +6,12 @@ fuzzer checkpoint can call them:
 - :func:`compare_builders` builds the same network twice — scalar
   reference (``build_reference()``) vs. bulk numpy path (``build()``) —
   and compares the results.  Deterministic families compare link tables
-  exactly; randomized families consume randomness in a different order, so they
-  compare distributionally (mean degree, a two-sample Kolmogorov-Smirnov
-  test on link distances) plus exact equality of every RNG-independent
-  side output (``gap``, ``contact_depth``, ``edge_depth``, degree
-  sequences).  Both builds also pass
-  :meth:`~repro.core.network.DHTNetwork.check_links_valid`.
+  exactly, as the two builds' CSRs; randomized families consume randomness
+  in a different order, so they compare distributionally (mean degree, a
+  two-sample Kolmogorov-Smirnov test on link distances) plus exact
+  equality of every RNG-independent side output (``gap``,
+  ``contact_depth``, ``edge_depth``, degree sequences).  Both builds also
+  pass :meth:`~repro.core.network.DHTNetwork.check_links_valid`.
 
 - :func:`compare_routing` routes identical (source, key) pairs — with an
   optional alive-set — through the scalar engines of
@@ -51,6 +51,8 @@ import math
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from ..core.hierarchy import DomainPath, is_ancestor
 from ..core.idspace import predecessor_index
@@ -103,11 +105,6 @@ def link_distances(net: DHTNetwork) -> List[int]:
     ]
 
 
-def mean_degree(net: DHTNetwork) -> float:
-    """Average out-degree over the network's nodes."""
-    return sum(len(net.links[n]) for n in net.node_ids) / max(1, net.size)
-
-
 # ------------------------------------------------------- builder equivalence
 
 
@@ -138,6 +135,44 @@ def _count_check(extra_violations: int) -> None:
             registry.counter("verify.violations").inc(extra_violations)
 
 
+def _table_differences(
+    ref: DHTNetwork,
+    bulk: DHTNetwork,
+    violation: Callable[..., Violation],
+    max_reported: int,
+) -> List[Violation]:
+    """One violation per node whose link set differs, compared as CSRs.
+
+    Only the rows of the nodes named are turned into ids.  A table with a
+    link to no node has no CSR, and one whose rows repeat or run out of
+    order is not a set; the validity check reports both.
+    """
+    try:
+        tables = ref.link_csr(), bulk.link_csr()
+    except ValueError:
+        return []
+    n = ref.size
+    keys = [np.repeat(np.arange(n), np.diff(ptr)) * n + pos for ptr, pos in tables]
+    rows = np.unique(np.setxor1d(*keys) // n).tolist()
+    ids = ref.node_ids
+    out = []
+    for row in rows[:max_reported]:
+        want, have = (
+            {ids[p] for p in pos[ptr[row] : ptr[row + 1]].tolist()}
+            for ptr, pos in tables
+        )
+        out.append(
+            violation(
+                f"link tables differ (bulk missing {sorted(want - have)[:4]}, "
+                f"extra {sorted(have - want)[:4]})",
+                node=ids[row],
+            )
+        )
+    if len(rows) > max_reported:
+        out.append(violation("... further differing nodes suppressed"))
+    return out
+
+
 def compare_builders(
     factory: Callable[[], DHTNetwork],
     exact: bool = True,
@@ -152,8 +187,8 @@ def compare_builders(
     ``factory`` takes no arguments and returns a fresh unbuilt network whose
     input has a bulk form, so ``build()`` must take the bulk path (checked
     through ``built_with``).  With ``exact`` the link tables must match
-    node-for-node; otherwise set ``compare_degrees`` (exact
-    degree sequences), ``degree_tolerance`` (mean out-degree tolerance),
+    node-for-node (:func:`_table_differences`); otherwise set
+    ``compare_degrees`` (exact degree sequences), ``degree_tolerance`` (mean out-degree tolerance),
     ``ks_alpha`` (KS test on link distances) and ``side_attrs`` (attribute
     names that must compare equal, e.g. ``("gap",)``) as appropriate for
     the family.
@@ -170,6 +205,11 @@ def compare_builders(
         out.append(violation(f"reference build took the {ref.built_with} path"))
     if bulk.built_with != "numpy":
         out.append(violation(f"bulk build took the {bulk.built_with} path"))
+    same_population = ref.node_ids == bulk.node_ids
+    if not same_population:
+        out.append(violation("builds disagree on the node population"))
+    elif exact:
+        out.extend(_table_differences(ref, bulk, violation, max_reported))
     for net, label in ((ref, "reference"), (bulk, "bulk")):
         try:
             net.check_links_valid()
@@ -181,31 +221,11 @@ def compare_builders(
                     link=err.link,
                 )
             )
-    if ref.node_ids != bulk.node_ids:
-        out.append(violation("builds disagree on the node population"))
-    elif exact:
-        reported = 0
-        for node in ref.node_ids:
-            if ref.links[node] == bulk.links[node]:
-                continue
-            missing = set(ref.links[node]) - set(bulk.links[node])
-            extra = set(bulk.links[node]) - set(ref.links[node])
-            out.append(
-                violation(
-                    f"link tables differ (bulk missing {sorted(missing)[:4]}, "
-                    f"extra {sorted(extra)[:4]})",
-                    node=node,
-                )
-            )
-            reported += 1
-            if reported >= max_reported:
-                out.append(violation("... further differing nodes suppressed"))
-                break
-    else:
+    if same_population and not exact:
         if compare_degrees and ref.degrees() != bulk.degrees():
             out.append(violation("degree sequences differ"))
         if degree_tolerance is not None:
-            diff = abs(mean_degree(ref) - mean_degree(bulk))
+            diff = abs(ref.average_degree() - bulk.average_degree())
             if diff >= degree_tolerance:
                 out.append(violation(f"mean degrees differ by {diff:.3f}"))
         if ks_alpha is not None:

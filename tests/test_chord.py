@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import IdSpace, build_uniform_hierarchy
+from repro.core.network import edges_to_csr
 from repro.dhts.chord import (
     ChordNetwork,
     bulk_finger_links,
@@ -93,13 +94,16 @@ class TestBulkBuilder:
         space = IdSpace(16)
         ids = sorted(space.random_ids(200, random.Random(3)))
         arr = np.array(ids, dtype=np.uint64)
-        bulk = bulk_finger_links(arr, space)
-        for node in ids:
-            assert bulk[node] == finger_links(node, ids, space)
+        indptr, nbr_pos = edges_to_csr(len(ids), *bulk_finger_links(arr, space))
+        for row, node in enumerate(ids):
+            bulk = {ids[p] for p in nbr_pos[indptr[row] : indptr[row + 1]]}
+            assert bulk == finger_links(node, ids, space)
 
     def test_bulk_single_node(self):
         space = IdSpace(8)
-        assert bulk_finger_links(np.array([5], dtype=np.uint64), space) == {5: set()}
+        src, dst = bulk_finger_links(np.array([5], dtype=np.uint64), space)
+        indptr, nbr_pos = edges_to_csr(1, src, dst)
+        assert indptr.tolist() == [0, 0] and nbr_pos.size == 0
 
     def test_network_paths_agree(self):
         rng = random.Random(4)

@@ -147,7 +147,7 @@ class TestDeterministicEquality:
             assert cls(space, hierarchy, None, 3).build().built_with == "python"
         net = KademliaNetwork(space, hierarchy, None, 3)
         with pytest.raises(ValueError):
-            perf_build.kandy_link_sets(net.node_ids, space, None, bucket_size=3)
+            perf_build.kandy_edges(net.node_ids, space, None, bucket_size=3)
 
 
 # --------------------------------------------------------- randomized families
