@@ -19,37 +19,11 @@ from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..obs.profile import PROFILER
 from ..perf.kernels import CompiledNetwork, compile_network
-from ..perf.latency import LatencyTable
+from ..perf.latency import LatencyTable, latency_table_of
 from ..workloads.queries import random_pair
 
 Router = Callable[[DHTNetwork, int, int], Route]
 LatencyFn = Callable[[int, int], float]
-
-
-def _latency_table(latency_fn: Optional[LatencyFn]) -> Optional[LatencyTable]:
-    """The vectorized table behind ``latency_fn``, when one exists.
-
-    Recognizes a :class:`LatencyTable` passed directly, and the common case
-    of a bound ``node_latency`` method of a
-    :class:`~repro.topology.transit_stub.TransitStubTopology` (or anything
-    else exposing ``latency_table()``) — the scalar per-hop oracle then has
-    an exact vectorized twin the batch kernels can accumulate with.
-    """
-    if latency_fn is None:
-        return None
-    if isinstance(latency_fn, LatencyTable):
-        return latency_fn
-    owner = getattr(latency_fn, "__self__", None)
-    if (
-        owner is not None
-        and getattr(latency_fn, "__name__", "") == "node_latency"
-        and hasattr(owner, "latency_table")
-    ):
-        try:
-            return owner.latency_table()
-        except (KeyError, ValueError):
-            return None
-    return None
 
 
 @dataclass
@@ -183,7 +157,7 @@ def sample_routing(
     registry = obs_metrics.active_registry()
     workload = _workload(network, rng, samples, pairs)
     compiled = _batch_compiled(network, router)
-    table = _latency_table(latency_fn)
+    table = latency_table_of(latency_fn)
     track_slo = registry is not None and slo_label is not None
     hops: List[int] = []
     latencies: List[float] = []

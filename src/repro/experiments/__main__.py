@@ -27,7 +27,6 @@ from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..obs.profile import PROFILER
 from ..perf import dynamic as perf_dynamic
-from ..perf import cache as perf_cache
 from ..perf import executor as perf_executor
 from . import EXPERIMENTS
 
@@ -112,18 +111,6 @@ def main(argv=None) -> int:
         "results are bit-identical to a serial run)",
     )
     parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="rebuild every network instead of using the on-disk "
-        "built-network cache",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        help="built-network cache directory (default $REPRO_CACHE_DIR or "
-        "~/.cache/repro-canon/networks)",
-    )
-    parser.add_argument(
         "--engine",
         default="fast",
         choices=("fast", "reference"),
@@ -159,9 +146,6 @@ def main(argv=None) -> int:
         if (args.metrics or args.slo)
         else None
     )
-    cache = None
-    if not args.no_cache:
-        cache = perf_cache.enable(perf_cache.NetworkCache(args.cache_dir))
     if args.jobs < 0:
         parser.error(f"--jobs must be >= 0, got {args.jobs}")
     perf_executor.set_default_jobs(args.jobs)
@@ -177,16 +161,6 @@ def main(argv=None) -> int:
             set_auto_verify(False)
         perf_dynamic.set_engine_mode("fast")
         perf_executor.set_default_jobs(1)
-        if cache is not None:
-            stats = cache.stats()
-            logger.info(
-                "network cache (%s): %d hits, %d misses, %d stores",
-                cache.root,
-                stats["hits"],
-                stats["misses"],
-                stats["stores"],
-            )
-            perf_cache.disable()
         if tracer is not None:
             tracer.export_jsonl(args.trace)
             logger.info("wrote %d trace records to %s", len(tracer), args.trace)

@@ -19,12 +19,7 @@ from .common import Scale, build_crescendo, get_scale, seeded_rng
 def _grid_point(point: Tuple[int, int]) -> float:
     """Average degree at one (size, levels) grid point (worker-safe)."""
     size, levels = point
-    net = build_crescendo(
-        size,
-        levels,
-        seeded_rng("fig3", size, levels),
-        cache_token=("fig3", size, levels),
-    )
+    net = build_crescendo(size, levels, seeded_rng("fig3", size, levels))
     return net.average_degree()
 
 

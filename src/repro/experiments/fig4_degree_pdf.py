@@ -17,9 +17,7 @@ from .common import build_crescendo, get_scale, seeded_rng
 def _grid_point(point: Tuple[int, int]) -> Dict[int, float]:
     """Degree PDF at one (size, levels) grid point (worker-safe)."""
     size, levels = point
-    net = build_crescendo(
-        size, levels, seeded_rng("fig4", levels), cache_token=("fig4", size, levels)
-    )
+    net = build_crescendo(size, levels, seeded_rng("fig4", levels))
     return net.degree_distribution()
 
 

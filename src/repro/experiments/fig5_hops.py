@@ -5,8 +5,8 @@ with hierarchy depth, by at most 0.7 regardless of the number of levels —
 routing in Crescendo is almost as efficient as in flat Chord.
 
 Each grid point is one ``(size, levels, samples)`` tuple, and the worker
-that measures it builds its own network (cache hits make repeats nearly
-free), so ``--jobs N`` output is bit-identical to a serial run.
+that measures it builds its own network from its own seeded rng, so
+``--jobs N`` output is bit-identical to a serial run.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ def _grid_point(point: Tuple[int, int, int]) -> float:
     """Mean hops at one (size, levels, samples) grid point (worker-safe)."""
     size, levels, samples = point
     rng = seeded_rng("fig5", size, levels)
-    net = build_crescendo(size, levels, rng, cache_token=("fig5", size, levels))
+    net = build_crescendo(size, levels, rng)
     stats = sample_routing(net, rng, samples=samples)
     if stats.success_rate != 1.0:
         raise AssertionError(f"routing failures at n={size}, levels={levels}")

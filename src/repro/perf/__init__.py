@@ -1,7 +1,7 @@
-"""Fast-path layer: batch routing kernels, a parallel experiment executor
-and an on-disk built-network cache.
+"""Fast-path layer: batch routing kernels, a parallel experiment executor,
+bulk builders, a fast maintenance engine and the data-plane fast path.
 
-Six cooperating pieces, each individually optional and all bit-identical
+Five cooperating pieces, each individually optional and all bit-identical
 to the plain implementations they accelerate:
 
 - :mod:`repro.perf.kernels` — compile a built network's link tables into a
@@ -12,9 +12,6 @@ to the plain implementations they accelerate:
   :class:`~concurrent.futures.ProcessPoolExecutor`; per-point seeded RNGs
   keep results identical to serial runs, and child metrics registries are
   merged back via the obs snapshot/merge API.
-- :mod:`repro.perf.cache` — an on-disk cache of built link tables keyed by
-  (family, size, levels, seed token, id-space bits, builder version) so
-  repeated experiment runs skip network construction.
 - :mod:`repro.perf.build` — vectorized bulk link-table builders for every
   DHT family; a network's ``build()`` takes them whenever its input has a
   bulk form, and the scalar constructions in :mod:`repro.dhts` remain the
@@ -36,21 +33,10 @@ to the plain implementations they accelerate:
   :class:`~repro.simulation.data.DataLayer` under either dynamic engine;
   held to scalar equivalence by :func:`repro.verify.oracles.compare_storage`.
 
-See ``docs/performance.md`` for the layout, invalidation rules and
-benchmark methodology.
+See ``docs/performance.md`` for the layout and benchmark methodology.
 """
 
-from .build import BUILDER_VERSION, derive_generator
-from .cache import (
-    NetworkCache,
-    active_cache,
-    caching,
-    default_cache_dir,
-    disable,
-    enable,
-    install_network,
-    network_payload,
-)
+from .build import derive_generator
 from .dynamic import (
     ENGINE_MODES,
     FastSimulatedCrescendo,
@@ -87,7 +73,6 @@ from .storage import (
 )
 
 __all__ = [
-    "BUILDER_VERSION",
     "BatchResult",
     "BatchSearchResult",
     "CompiledNetwork",
@@ -96,26 +81,18 @@ __all__ = [
     "ENGINE_MODES",
     "FastDataLayer",
     "FastSimulatedCrescendo",
-    "NetworkCache",
     "NodeArena",
     "PutPlan",
     "RepairPlan",
-    "active_cache",
     "batch_route",
     "bulk_put",
     "bulk_put_replicated",
-    "caching",
     "compile_network",
-    "default_cache_dir",
     "derive_generator",
-    "disable",
-    "enable",
     "get_default_jobs",
     "get_engine_mode",
-    "install_network",
     "make_protocol",
     "map_points",
-    "network_payload",
     "plan_puts",
     "repair_scan",
     "resolve_engine",

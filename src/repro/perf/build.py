@@ -26,6 +26,11 @@ family's link table in array form:
   searches, with the ``count == 0`` full-ring/empty disambiguation of
   :func:`repro.dhts.ndchord.annulus_choice` applied vectorially.
 - mixed/naive: Chord-style finger matrices, one domain at a time.
+- Chord (Prox.) builds beside its reference
+  (:meth:`repro.proximity.groups.ProximityChordNetwork._bulk_link_sets`):
+  one repeat/offset pass for the dense groups, and per octave one
+  ``searchsorted`` for the target group and a masked ``argmin`` over its
+  members' latencies.
 
 What a builder returns is what the network installs.  Crescendo and
 Kademlia/Kandy (like Chord's finger matrix,
@@ -52,11 +57,11 @@ network's ``build()`` takes the bulk path when its id space has fewer than
 64 bits, it has more than :data:`BULK_THRESHOLD` nodes and its family has
 a bulk form for it (deterministic Kademlia/Kandy with ``bucket_size > 1``
 has none, and neither has a Crescendo or Kandy hierarchy whose composite
-keys exceed 64 bits, :func:`composite_keys_fit`).  The scalar
-construction stays reachable as ``build_reference()``, which the
-differential oracle :func:`repro.verify.oracles.compare_builders` holds
-every builder here to.  :data:`BUILDER_VERSION` is part of every network
-cache key (see :mod:`repro.perf.cache`).
+keys exceed 64 bits, :func:`composite_keys_fit`, nor a Chord (Prox.) whose
+latency picks would draw from its rng or have no latency table to gather
+from).  The scalar construction stays reachable as ``build_reference()``,
+which the differential oracle :func:`repro.verify.oracles.compare_builders`
+holds every builder here to.
 """
 
 from __future__ import annotations
@@ -73,7 +78,6 @@ from ..core.network import BULK_THRESHOLD, Edges
 from ..dhts.symphony import _MAX_DRAWS, _note_short_draws
 
 __all__ = [
-    "BUILDER_VERSION",
     "BULK_THRESHOLD",
     "bulk_harmonic_draws",
     "cacophony_link_sets",
@@ -92,11 +96,6 @@ __all__ = [
     "ndcrescendo_link_sets",
     "symphony_link_sets",
 ]
-
-#: Bump whenever any builder's output could change; part of every network
-#: cache key in :mod:`repro.experiments.common`.
-BUILDER_VERSION = 1
-
 
 def derive_generator(rng) -> np.random.Generator:
     """A numpy ``Generator`` seeded deterministically from ``rng``.

@@ -398,8 +398,8 @@ class CompiledNetwork:
     ) -> "CompiledNetwork":
         """Wrap pre-built CSR arrays without touching a Python link table.
 
-        This is how the ``.npz`` cache sidecar and the serving view compiler
-        (:func:`repro.serve.batcher.compile_protocol_view`) produce a usable
+        This is how the serving view compiler
+        (:func:`repro.serve.batcher.compile_protocol_view`) produces a usable
         compiled network: the arrays are adopted as-is (zero-copy), the
         metric search structures are built lazily on first use, and
         ``network`` stays ``None`` unless the caller has one.

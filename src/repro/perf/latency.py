@@ -20,11 +20,11 @@ strict left fold in hop order, so batch totals equal
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["LatencyTable"]
+__all__ = ["LatencyTable", "latency_table_of"]
 
 
 class LatencyTable:
@@ -166,3 +166,31 @@ class LatencyTable:
     def paths_ms(self, paths: Sequence[Sequence[int]]) -> List[float]:
         """Per-path latencies (one gather per path, scalar-fold totals)."""
         return [self.path_ms(path) for path in paths]
+
+
+def latency_table_of(
+    latency_fn: Optional[Callable[[int, int], float]]
+) -> Optional[LatencyTable]:
+    """The vectorized table behind ``latency_fn``, when one exists.
+
+    Recognizes a :class:`LatencyTable` passed directly, and the common case
+    of a bound ``node_latency`` method of a
+    :class:`~repro.topology.transit_stub.TransitStubTopology` (or anything
+    else exposing ``latency_table()``) — the scalar per-hop oracle then has
+    an exact vectorized twin that batch code can gather from.
+    """
+    if latency_fn is None:
+        return None
+    if isinstance(latency_fn, LatencyTable):
+        return latency_fn
+    owner = getattr(latency_fn, "__self__", None)
+    if (
+        owner is not None
+        and getattr(latency_fn, "__name__", "") == "node_latency"
+        and hasattr(owner, "latency_table")
+    ):
+        try:
+            return owner.latency_table()
+        except (KeyError, ValueError):
+            return None
+    return None

@@ -31,6 +31,7 @@ from ..core.idspace import IdSpace, predecessor_index, successor_index
 from ..core.network import DHTNetwork, Edges
 from ..core.routing import MAX_HOPS, Route, _traced
 from ..dhts.crescendo import CrescendoNetwork
+from ..perf.latency import latency_table_of
 
 LatencyFn = Callable[[int, int], float]
 
@@ -114,7 +115,50 @@ class ProximityChordNetwork(DHTNetwork):
         self.groups = _GroupIndex(space, self.node_ids, self.prefix_bits)
 
     def _use_bulk(self) -> bool:
-        return False  # latency-sampled links have no bulk form
+        # The bulk picks draw nothing, so they need inputs where the
+        # reference draws nothing either: no group outgrows ``sample``
+        # (``best_member`` then scans every member), and a latency table
+        # stands behind ``latency_fn`` to gather from.
+        return (
+            super()._use_bulk()
+            and self.prefix_bits > 0
+            and max(map(len, self.groups.members.values())) <= self.sample
+            and latency_table_of(self.latency_fn) is not None
+        )
+
+    def _bulk_link_sets(self) -> Edges:
+        # Groups are runs of one id prefix in the sorted ids.
+        n = self.size
+        shift = np.uint64(self.space.bits - self.prefix_bits)
+        own = (self.id_array >> shift).astype(np.int64)
+        group_ids, starts, group_of, counts = np.unique(
+            own, return_index=True, return_inverse=True, return_counts=True
+        )
+        # Dense intra-group links: each node to every member of its group
+        # (the self-link drops out at install).
+        fan = counts[group_of]
+        src = [np.repeat(np.arange(n), fan)]
+        offsets = np.arange(src[0].size) - np.repeat(np.cumsum(fan) - fan, fan)
+        dst = [np.repeat(starts[group_of], fan) + offsets]
+        # Octave k: the latency-best member of the next non-empty group at
+        # or after own + 2**k; argmin's first minimum is ``min``'s.
+        table = latency_table_of(self.latency_fn)
+        routers = table.aligned_routers(self.id_array)
+        span = np.arange(counts.max())
+        for k in range(self.prefix_bits):
+            want = (own + (1 << k)) % (1 << self.prefix_bits)
+            target = np.searchsorted(group_ids, want) % group_ids.size
+            far = np.flatnonzero(group_ids[target] != own)
+            target = target[far]
+            members = span < counts[target, None]
+            cand = starts[target, None] + np.where(members, span, 0)
+            ms = table.hop2_ms + table.matrix[
+                routers[far, None], routers[cand]
+            ].astype(np.float64)
+            ms[~members] = np.inf
+            src.append(far)
+            dst.append(cand[np.arange(far.size), ms.argmin(axis=1)])
+        return np.concatenate(src), np.concatenate(dst)
 
     def _reference_link_sets(self) -> Dict[int, Set[int]]:
         link_sets: Dict[int, Set[int]] = {node: set() for node in self.node_ids}

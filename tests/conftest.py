@@ -33,19 +33,6 @@ def pytest_collection_modifyitems(config, items):
             item.add_marker(slow)
 
 
-@pytest.fixture(scope="session", autouse=True)
-def _session_network_cache(tmp_path_factory):
-    """Point the on-disk network cache at a fresh per-session directory.
-
-    The experiments CLI caches built networks by default, under the user's
-    home directory; a test there could be served tables an older tree
-    stored under an unchanged cache key.
-    """
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setenv("REPRO_CACHE_DIR", str(tmp_path_factory.mktemp("networks")))
-        yield
-
-
 @pytest.fixture
 def space():
     return IdSpace(32)

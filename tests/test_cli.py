@@ -35,8 +35,7 @@ class TestCli:
         assert "heavy" in out
 
     def test_run_leaves_home_untouched(self, tmp_path, monkeypatch, capsys):
-        # The suite's network cache lives in a tmp dir (conftest), never
-        # under the user's home.
+        # A figure run writes nothing outside its explicit output paths.
         home = tmp_path / "home"
         home.mkdir()
         monkeypatch.setenv("HOME", str(home))

@@ -40,7 +40,8 @@ from repro.dhts.symphony import SymphonyNetwork, draw_long_links
 from repro.obs import metrics as obs_metrics
 from repro.perf import build as perf_build
 from repro.perf.build import BULK_THRESHOLD, hierarchy_codes
-from repro.proximity.groups import ProximityCrescendoNetwork
+from repro.proximity.groups import ProximityChordNetwork, ProximityCrescendoNetwork
+from repro.topology.transit_stub import TopologyParams, TransitStubTopology
 from repro.verify.oracles import DEGREE_TOLERANCE, KS_ALPHA, compare_builders
 
 SIZE = 300
@@ -250,6 +251,16 @@ def _fake_latency(a, b):
     return float((a ^ b) % 97)
 
 
+def _attached(hierarchy, seed=37):
+    """A 36-router transit-stub graph with every node attached: many nodes
+    share a router, so latency ties are common."""
+    rng = random.Random(seed)
+    topology = TransitStubTopology(TopologyParams(2, 2, 2, 4), rng=rng)
+    for node in hierarchy.node_ids:
+        topology.attach_node(node, rng)
+    return topology
+
+
 class TestRaggedHierarchies:
     """Paths of different lengths: a node joins the rings of every depth
     down to its own leaf domain, where it takes full Chord fingers."""
@@ -275,6 +286,32 @@ class TestRaggedHierarchies:
             ),
             side_attrs=("gap", "level_successors"),
         )
+
+    def test_chord_prox(self):
+        space, hierarchy = _ragged()
+        latency = _attached(hierarchy).node_latency
+        rngs = []
+
+        def factory():
+            rngs.append(random.Random(41))
+            return ProximityChordNetwork(space, hierarchy, latency, rngs[-1])
+
+        _exact(factory)
+        # Crescendo (Prox.) draws from the same rng next.
+        assert rngs[0].getstate() == rngs[1].getstate()
+
+    @pytest.mark.parametrize("case", ["plain-latency", "group-over-sample"])
+    def test_chord_prox_without_bulk_form(self, case):
+        space, hierarchy = _ragged()
+        latency, sample = _attached(hierarchy).node_latency, 32
+        if case == "plain-latency":
+            latency = _fake_latency
+        else:
+            sample = 4
+        net = ProximityChordNetwork(
+            space, hierarchy, latency, random.Random(41), sample=sample
+        )
+        assert net.build().built_with == "python"
 
     def test_kandy_deterministic(self):
         space, hierarchy = _ragged()
@@ -359,28 +396,6 @@ class TestShortDrawCounter:
             ).build()
         assert net.built_with == "numpy"
         assert registry.counter("build.symphony.short_draws").value > 0
-
-
-# ---------------------------------------------------------- cache interaction
-
-
-class TestCacheKeying:
-    def test_builder_version_bump_misses(self, tmp_path, monkeypatch):
-        from repro.experiments.common import build_crescendo, seeded_rng
-        from repro.perf import cache as perf_cache
-        from repro.perf.cache import NetworkCache
-
-        token = ("builder-version-test",)
-        with perf_cache.caching(NetworkCache(tmp_path / "networks")) as cache:
-            build_crescendo(128, 2, seeded_rng(*token), cache_token=token)
-            build_crescendo(128, 2, seeded_rng(*token), cache_token=token)
-            assert cache.stats() == {"hits": 1, "misses": 1, "stores": 1}
-            # Tables an older builder stored must not serve a newer one.
-            monkeypatch.setattr(
-                perf_build, "BUILDER_VERSION", perf_build.BUILDER_VERSION + 1
-            )
-            build_crescendo(128, 2, seeded_rng(*token), cache_token=token)
-            assert cache.stats() == {"hits": 1, "misses": 2, "stores": 2}
 
 
 # ---------------------------------------------------- dispatch and metrics

@@ -56,7 +56,7 @@ from repro.perf.storage import (
     store_domain_index,
 )
 from repro.obs import metrics as obs_metrics
-from repro.proximity.groups import ProximityCrescendoNetwork
+from repro.proximity.groups import ProximityChordNetwork, ProximityCrescendoNetwork
 from repro.serve import (
     SLOMiddleware,
     ServePolicy,
@@ -358,6 +358,9 @@ BUILD_NODES = 1024
 PINNED_BUILDS = {
     "chord": lambda s, h, t: ChordNetwork(s, h),
     "crescendo": lambda s, h, t: CrescendoNetwork(s, h),
+    "chord-prox": lambda s, h, t: ProximityChordNetwork(
+        s, h, t.node_latency, random.Random("chord-prox")
+    ),
     "crescendo-prox": lambda s, h, t: ProximityCrescendoNetwork(
         s, h, t.node_latency, random.Random("crescendo-prox")
     ),
@@ -379,6 +382,7 @@ PINNED_BUILDS = {
 
 BUILD_DIGESTS = {
     "chord": "00d87e1baeaf8b91ff486b45182554951917295cdd17ccc33a402c959df13882",
+    "chord-prox": "0732575e5166459fe938e6c176f31ccdf07de0db5734a288585584ea7f2e68b1",
     "crescendo": "d3a4911eacb976a15ff76b2fa78a909abff5980d8d79faa54117af0284fd3d4c",
     "crescendo-prox": "ca0f73398b7ab69cb5df9109ef85de1b4989bad507bb37c95ea1a25c2f1e64fa",
     "kademlia": "1bb31c6a333034a4d7877e39953ca66f695e30da32faed0588d16abe1de54ef0",
