@@ -26,7 +26,6 @@ import time
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..obs.profile import PROFILER
-from ..perf import dynamic as perf_dynamic
 from ..perf import executor as perf_executor
 from . import EXPERIMENTS
 
@@ -111,14 +110,6 @@ def main(argv=None) -> int:
         "results are bit-identical to a serial run)",
     )
     parser.add_argument(
-        "--engine",
-        default="fast",
-        choices=("fast", "reference"),
-        help="dynamic-maintenance engine for churn simulations: fast "
-        "(array-backed; default) or reference (the message-by-message "
-        "reference implementation)",
-    )
-    parser.add_argument(
         "--verify",
         action="store_true",
         help="run the repro.verify invariant registry on every network "
@@ -149,7 +140,6 @@ def main(argv=None) -> int:
     if args.jobs < 0:
         parser.error(f"--jobs must be >= 0, got {args.jobs}")
     perf_executor.set_default_jobs(args.jobs)
-    perf_dynamic.set_engine_mode(args.engine)
     if args.verify:
         from ..verify.invariants import set_auto_verify
 
@@ -159,7 +149,6 @@ def main(argv=None) -> int:
     finally:
         if args.verify:
             set_auto_verify(False)
-        perf_dynamic.set_engine_mode("fast")
         perf_executor.set_default_jobs(1)
         if tracer is not None:
             tracer.export_jsonl(args.trace)

@@ -34,13 +34,13 @@ from ..dhts.cancan import build_cancan
 from ..dhts.crescendo import CrescendoNetwork
 from ..dhts.naive import NaiveHierarchicalChord
 from ..dhts.symphony import SymphonyNetwork
+from ..perf.dynamic import make_protocol
 from ..proximity.groups import (
     ProximityChordNetwork,
     ProximityCrescendoNetwork,
     route_grouped,
 )
 from ..proximity.sampling import sampling_quality
-from ..simulation.protocol import SimulatedCrescendo
 from .common import build_topology_setup, get_scale, seeded_rng
 
 
@@ -124,7 +124,7 @@ def leaf_set_sweep(scale: str = "smoke") -> Dict[int, float]:
     for leaf_set in (1, 2, 4, 8):
         rng = seeded_rng("abl-leaf", leaf_set)
         space = IdSpace()
-        net = SimulatedCrescendo(space, leaf_set_size=leaf_set)
+        net = make_protocol(space, leaf_set_size=leaf_set)
         ids = space.random_ids(size, rng)
         for node_id in ids:
             net.join(node_id, (rng.choice("ab"), rng.choice("xy")))

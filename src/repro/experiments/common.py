@@ -93,11 +93,10 @@ def _maybe_verify(*networks) -> None:
     Imported lazily so the experiments package stays importable without
     pulling the verification subsystem into every run.
     """
-    from ..verify.invariants import auto_verify_enabled, verify_network
+    from ..verify.invariants import maybe_verify
 
-    if auto_verify_enabled():
-        for net in networks:
-            verify_network(net)
+    for net in networks:
+        maybe_verify(net)
 
 
 def build_crescendo(

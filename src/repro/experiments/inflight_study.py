@@ -15,9 +15,9 @@ from typing import Dict
 
 from ..analysis.tables import Table
 from ..core.idspace import IdSpace
+from ..perf.dynamic import make_protocol
 from ..simulation.async_lookup import AsyncEngine
 from ..simulation.events import ConstantLatency, Simulator
-from ..simulation.protocol import SimulatedCrescendo
 from .common import get_scale, seeded_rng
 
 PATHS = [("a", "x"), ("a", "y"), ("b", "x"), ("b", "y")]
@@ -41,7 +41,7 @@ def measurements(scale: str = "smoke") -> Dict[str, float]:
         rng = seeded_rng("inflight", label, size)
         space = IdSpace()
         sim = Simulator()
-        net = SimulatedCrescendo(space, sim=sim, latency_model=ConstantLatency(2.0))
+        net = make_protocol(space, sim=sim, latency_model=ConstantLatency(2.0))
         ids = space.random_ids(size, rng)
         for node_id in ids:
             net.join(node_id, PATHS[rng.randrange(len(PATHS))])

@@ -20,10 +20,10 @@ to the plain implementations they accelerate:
   array-backed membership state (:class:`~repro.perf.dynamic.NodeArena`),
   batched stabilization with quiescent-ring memoization, and bisect-based
   ring walks behind the exact protocol semantics of
-  :class:`~repro.simulation.protocol.SimulatedCrescendo`; selected per
-  process via :func:`~repro.perf.dynamic.set_engine_mode` or per instance
-  via :func:`~repro.perf.dynamic.make_protocol`, and held to bit-for-bit
-  equivalence by :func:`repro.verify.oracles.compare_protocols`.
+  :class:`~repro.simulation.protocol.SimulatedCrescendo`; the engine
+  every run uses (:func:`~repro.perf.dynamic.make_protocol`), held to
+  bit-for-bit equivalence with the reference by
+  :func:`repro.verify.oracles.compare_protocols` and the churn fuzzer.
 - :mod:`repro.perf.storage` — the data-plane fast path: vectorized replica
   placement and pointer location (:func:`~repro.perf.storage.plan_puts`),
   batch put/get over the compiled ring tables with access-domain checks as
@@ -38,13 +38,9 @@ See ``docs/performance.md`` for the layout and benchmark methodology.
 
 from .build import derive_generator
 from .dynamic import (
-    ENGINE_MODES,
     FastSimulatedCrescendo,
     NodeArena,
-    get_engine_mode,
     make_protocol,
-    resolve_engine,
-    set_engine_mode,
 )
 from .executor import (
     get_default_jobs,
@@ -78,7 +74,6 @@ __all__ = [
     "CompiledNetwork",
     "CompiledStore",
     "DomainIndex",
-    "ENGINE_MODES",
     "FastDataLayer",
     "FastSimulatedCrescendo",
     "NodeArena",
@@ -90,14 +85,11 @@ __all__ = [
     "compile_network",
     "derive_generator",
     "get_default_jobs",
-    "get_engine_mode",
     "make_protocol",
     "map_points",
     "plan_puts",
     "repair_scan",
-    "resolve_engine",
     "resolve_jobs",
     "scalar_search_latency",
     "set_default_jobs",
-    "set_engine_mode",
 ]

@@ -50,13 +50,10 @@ replaces only the primitives:
 Equivalence is not assumed but enforced:
 :func:`repro.verify.oracles.compare_protocols` replays identical schedules
 through both engines and requires identical delivery outcomes, per-kind
-message counts and final link tables; the churn fuzzer runs with either
-engine via ``--engine``.
-
-Engine selection is a process-wide mode (``fast``, the default, or
-``reference``) consulted by
-:func:`make_protocol`, plus the ``--engine`` flag on the experiments and
-verify CLIs.
+message counts and final link tables, and the churn fuzzer replays every
+schedule on both engines in lockstep.  The fast engine is the one that
+runs; the reference is built only by those oracles and by tests, through
+:func:`make_protocol`'s ``engine`` argument.
 """
 
 from __future__ import annotations
@@ -71,48 +68,22 @@ from ..core.idspace import IdSpace, successor_index
 from ..core.routing import MAX_HOPS, Route
 from ..simulation.protocol import ProtocolNode, SimulatedCrescendo, _dedup
 
-#: Recognized engine modes.
-ENGINE_MODES: Tuple[str, ...] = ("fast", "reference")
-
-_engine_mode = "fast"
-
-
-def set_engine_mode(mode: str) -> None:
-    """Select the process-wide maintenance engine (see :data:`ENGINE_MODES`)."""
-    global _engine_mode
-    if mode not in ENGINE_MODES:
-        raise ValueError(
-            f"unknown engine mode {mode!r}; expected one of {ENGINE_MODES}"
-        )
-    _engine_mode = mode
-
-
-def get_engine_mode() -> str:
-    """The current process-wide engine mode."""
-    return _engine_mode
-
-
-def resolve_engine(engine: Optional[str] = None) -> str:
-    """Resolve an explicit or process-wide mode to ``fast``/``reference``."""
-    mode = engine if engine is not None else _engine_mode
-    if mode not in ENGINE_MODES:
-        raise ValueError(
-            f"unknown engine mode {mode!r}; expected one of {ENGINE_MODES}"
-        )
-    return mode
-
-
 def make_protocol(
-    space: IdSpace, engine: Optional[str] = None, **kwargs
+    space: IdSpace, engine: str = "fast", **kwargs
 ) -> SimulatedCrescendo:
-    """A maintenance protocol instance for the resolved engine.
+    """A maintenance protocol instance on the named engine.
 
-    ``engine`` overrides the process-wide mode for this instance; keyword
-    arguments pass through to the protocol constructor.
+    ``engine`` is ``"fast"`` (:class:`FastSimulatedCrescendo`) or
+    ``"reference"`` (:class:`~repro.simulation.protocol.SimulatedCrescendo`);
+    keyword arguments pass through to the protocol constructor.
     """
-    if resolve_engine(engine) == "fast":
+    if engine == "fast":
         return FastSimulatedCrescendo(space, **kwargs)
-    return SimulatedCrescendo(space, **kwargs)
+    if engine == "reference":
+        return SimulatedCrescendo(space, **kwargs)
+    raise ValueError(
+        f"unknown engine {engine!r}; expected 'fast' or 'reference'"
+    )
 
 
 class NodeArena:

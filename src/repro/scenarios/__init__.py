@@ -14,10 +14,11 @@ them.  This package makes those shapes first-class:
 - :mod:`repro.scenarios.catalog` — the named scenarios: flash crowd,
   diurnal churn waves, correlated regional failure, partition/rejoin
   (plus its no-repair negative control), slow massive join;
-- :mod:`repro.scenarios.runner` — replay through either maintenance
-  engine with per-checkpoint invariant-registry, delivery and durability
-  oracles, latency-true ``slo.*`` accounting, and the family x scenario
-  matrix artifact behind ``python -m repro.scenarios``.
+- :mod:`repro.scenarios.runner` — replay on the fast maintenance engine
+  (both engines for the cross-check) with per-checkpoint
+  invariant-registry, delivery and durability oracles, latency-true
+  ``slo.*`` accounting, and the family x scenario matrix artifact behind
+  ``python -m repro.scenarios``.
 """
 
 from .catalog import CATALOG, scenario_names

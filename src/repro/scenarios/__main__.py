@@ -3,9 +3,9 @@
 Examples::
 
     python -m repro.scenarios list
-    python -m repro.scenarios run flash_crowd --scale smoke --engine fast
+    python -m repro.scenarios run flash_crowd --scale smoke --serve
     python -m repro.scenarios run partition_noheal --save fixture.json
-    python -m repro.scenarios replay fixture.json --engine reference
+    python -m repro.scenarios replay fixture.json
     python -m repro.scenarios crosscheck slow_join --scale smoke
     python -m repro.scenarios matrix --scale full --cross-check \\
         --out-json matrix.json --out-md matrix.md
@@ -22,7 +22,6 @@ import time
 from pathlib import Path
 
 from ..obs import metrics as obs_metrics
-from ..perf.dynamic import ENGINE_MODES
 from ..verify.builders import EXTRA_FAMILIES, FAMILIES
 from ..verify.violations import summarize
 from .catalog import CATALOG, SCALES
@@ -55,12 +54,6 @@ def _parse_scenarios(raw: str):
 def _common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--scale", choices=SCALES, default="smoke")
-    sub.add_argument(
-        "--engine",
-        choices=ENGINE_MODES,
-        default="fast",
-        help="maintenance engine (scenarios are engine-agnostic)",
-    )
     sub.add_argument(
         "--families",
         type=_parse_families,
@@ -180,7 +173,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         result = run_scenario(
             spec,
             seed=args.seed,
-            engine=args.engine,
             families=args.families,
             routing_pairs=args.routing_pairs,
             latency=not args.no_latency,
@@ -192,7 +184,6 @@ def _dispatch(args: argparse.Namespace) -> int:
             serving = serve_scenario(
                 spec,
                 seed=args.seed,
-                engine=args.engine,
                 latency=not args.no_latency,
             )
             counters = serving.report.counters
@@ -215,7 +206,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         result = run_scenario(
             document.spec,
             seed=document.seed,
-            engine=args.engine,
             families=args.families,
             routing_pairs=args.routing_pairs,
             events=document.events,
@@ -243,7 +233,6 @@ def _dispatch(args: argparse.Namespace) -> int:
             names=args.scenarios,
             scale=args.scale,
             seed=args.seed,
-            engine=args.engine,
             families=args.families,
             routing_pairs=args.routing_pairs,
             cross_check=args.cross_check,

@@ -224,7 +224,8 @@ def bootstrap_placement(
 def bootstrap_scenario(
     spec: ScenarioSpec, seed: int, engine: str = "fast"
 ) -> SimulatedCrescendo:
-    """A bootstrapped, converged network for the scenario (either engine)."""
+    """A bootstrapped, converged network for the scenario on the named
+    engine (see :func:`~repro.perf.dynamic.make_protocol`)."""
     from ..perf.dynamic import make_protocol
 
     net = make_protocol(IdSpace(spec.bits), engine=engine)

@@ -1,6 +1,6 @@
 """Replay scenarios with oracles attached; build the scenario matrix.
 
-:func:`run_scenario` replays one compiled schedule through either
+:func:`run_scenario` replays one compiled schedule on the fast
 maintenance engine with the full verify battery at every quiescent
 checkpoint — live protocol-state audit, static family rebuild through the
 invariant registry, scalar-vs-batch routing differential, durability
@@ -18,6 +18,9 @@ metrics registry active, delivered lookups land in the standard ``slo.*``
 instruments (scenario name as the label), so ``python -m repro.obs
 report`` renders scenario SLOs with no extra plumbing.
 
+:func:`crosscheck_scenario` replays it on both engines, data layer
+included, and demands they agree.
+
 :func:`run_matrix` runs a set of catalog scenarios and renders the
 scenario summary and scenario x family tables as text, JSON and markdown
 — the artifact the nightly CI job publishes.
@@ -30,21 +33,24 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.tables import Table
-from ..core.hierarchy import DomainPath, Hierarchy, lca
+from ..core.hierarchy import DomainPath, lca
 from ..obs import metrics as obs_metrics
 from ..obs.quantiles import percentile
 from ..perf.kernels import batch_route
 from ..simulation.churn import Event, ScheduleReport, run_schedule
 from ..simulation.protocol import SimulatedCrescendo
 from ..topology.transit_stub import TopologyParams, TransitStubTopology
-from ..verify.builders import PREFIX_FAMILIES, build_family
-from ..verify.fuzz import check_protocol_state
+from ..verify.builders import PREFIX_FAMILIES
+from ..verify.fuzz import (
+    check_protocol_state,
+    checkpoint_safety,
+    live_statics,
+)
 from ..verify.invariants import run_checks
 from ..verify.oracles import (
     DurabilityMonitor,
     ProtocolComparison,
-    check_durability,
-    compare_protocols,
+    compare_replays,
     compare_routing,
 )
 from ..verify.violations import Violation
@@ -115,7 +121,6 @@ class ScenarioResult:
 
     spec: ScenarioSpec
     seed: int
-    engine: str
     events: List[Event]
     report: ScheduleReport
     #: checkpoint-oracle findings (invariants, routing, durability, state).
@@ -155,7 +160,6 @@ class ScenarioResult:
         return {
             "scenario": self.spec.name,
             "seed": self.seed,
-            "engine": self.engine,
             "events": len(self.events),
             "population": self.report.final_population,
             "availability": self.availability,
@@ -194,34 +198,11 @@ def _checkpoint_oracles(
     """The per-checkpoint verify battery (the fuzzer's, plus sampling)."""
 
     def on_checkpoint(net: SimulatedCrescendo, index: int, converged: bool) -> None:
-        if not converged:
-            violations.append(
-                Violation(
-                    check="convergence",
-                    family="protocol",
-                    message=f"checkpoint {index}: stabilization did not converge",
-                    level=index,
-                )
-            )
-        violations.extend(check_protocol_state(net))
-        if data is not None:
-            violations.extend(check_durability(net, data, monitor))
-        live = sorted(n for n, node in net.nodes.items() if node.alive)
-        paths = [net.nodes[n].path for n in live]
-        hierarchy = Hierarchy()
-        for node_id, path in zip(live, paths):
-            hierarchy.place(node_id, path)
+        violations.extend(checkpoint_safety(net, index, converged, data, monitor))
         rng = random.Random(
             f"scenario-checkpoint:{spec.name}:{seed}:{index}"
         )
-        for family in families:
-            static = build_family(
-                family,
-                net.space,
-                hierarchy=None if family in PREFIX_FAMILIES else hierarchy,
-                rng=rng,
-                domain_paths=paths,
-            )
+        for family, static in live_statics(net, families, rng):
             fam = stats[family]
             found = run_checks(static)
             fam.checks += 1
@@ -277,10 +258,18 @@ def _record_slo(
         )
 
 
+def data_layer(spec: ScenarioSpec, net: SimulatedCrescendo):
+    """The scenario's content layer on ``net``, or None without replicas."""
+    if spec.data_replicas is None:
+        return None
+    from ..perf.storage import FastDataLayer
+
+    return FastDataLayer(net, replicas=spec.data_replicas)
+
+
 def run_scenario(
     spec: ScenarioSpec,
     seed: int = 0,
-    engine: str = "fast",
     families: Sequence[str] = MATRIX_FAMILIES,
     routing_pairs: int = 12,
     events: Optional[Sequence[Event]] = None,
@@ -302,13 +291,9 @@ def run_scenario(
     if latency:
         topology, node_paths = scenario_latency(spec, seed, event_list)
         table = topology.latency_table()
-    net = bootstrap_scenario(spec, seed, engine=engine)
-    data = monitor = None
-    if spec.data_replicas is not None:
-        from ..perf.storage import FastDataLayer
-
-        data = FastDataLayer(net, replicas=spec.data_replicas)
-        monitor = DurabilityMonitor(net, data)
+    net = bootstrap_scenario(spec, seed)
+    data = data_layer(spec, net)
+    monitor = None if data is None else DurabilityMonitor(net, data)
     violations: List[Violation] = []
     stats = {family: FamilyStats() for family in families}
     report = run_schedule(
@@ -339,7 +324,6 @@ def run_scenario(
     result = ScenarioResult(
         spec=spec,
         seed=seed,
-        engine=engine,
         events=event_list,
         report=report,
         violations=violations,
@@ -363,9 +347,11 @@ def crosscheck_scenario(
 ) -> ProtocolComparison:
     """Replay the scenario through *both* engines and demand equivalence.
 
-    Identical lookup outcomes, hop paths, per-kind message counts and
-    final protocol state — plus bit-identical per-lookup latency totals
-    (scalar fold vs. vectorized gather) when ``latency`` is on.
+    Each engine carries its own data layer when the scenario has one, so
+    ``put`` / ``get`` events replay too.  Identical lookup and data
+    outcomes, hop paths, checkpoint membership, per-kind message counts
+    and final protocol state — plus bit-identical per-lookup latency
+    totals (scalar fold vs. vectorized gather) when ``latency`` is on.
     """
     event_list = (
         compile_scenario(spec, seed) if events is None else list(events)
@@ -374,10 +360,13 @@ def crosscheck_scenario(
     if latency:
         topology, _ = scenario_latency(spec, seed, event_list)
         table = topology.latency_table()
-    return compare_protocols(
-        lambda engine: bootstrap_scenario(spec, seed, engine=engine),
-        event_list,
-        latency=table,
+
+    def replay_on(engine: str) -> Tuple[SimulatedCrescendo, ScheduleReport]:
+        net = bootstrap_scenario(spec, seed, engine=engine)
+        return net, run_schedule(net, event_list, data=data_layer(spec, net))
+
+    return compare_replays(
+        *replay_on("reference"), *replay_on("fast"), latency=table
     )
 
 
@@ -390,7 +379,6 @@ class MatrixResult:
 
     scale: str
     seed: int
-    engine: str
     results: Dict[str, ScenarioResult]
     #: scenario -> engines-equivalent verdict (empty unless cross-checked).
     crosschecks: Dict[str, bool] = field(default_factory=dict)
@@ -404,8 +392,7 @@ class MatrixResult:
     def summary_table(self) -> Table:
         """One row per scenario: availability, cost, p99, status."""
         table = Table(
-            f"Scenario matrix (scale={self.scale} seed={self.seed} "
-            f"engine={self.engine})",
+            f"Scenario matrix (scale={self.scale} seed={self.seed})",
             (
                 "scenario", "events", "pop", "avail", "p99 ms",
                 "messages", "violations", "status",
@@ -451,7 +438,6 @@ class MatrixResult:
         return {
             "scale": self.scale,
             "seed": self.seed,
-            "engine": self.engine,
             "ok": self.ok,
             "scenarios": {
                 name: {
@@ -477,8 +463,7 @@ class MatrixResult:
         lines = [
             "# Scenario matrix",
             "",
-            f"scale `{self.scale}` · seed `{self.seed}` · engine "
-            f"`{self.engine}` · overall: "
+            f"scale `{self.scale}` · seed `{self.seed}` · overall: "
             + ("**ok**" if self.ok else "**FAILED**"),
             "",
             self.summary_table().to_markdown(),
@@ -506,7 +491,6 @@ def run_matrix(
     names: Optional[Sequence[str]] = None,
     scale: str = "smoke",
     seed: int = 0,
-    engine: str = "fast",
     families: Sequence[str] = MATRIX_FAMILIES,
     routing_pairs: int = 12,
     cross_check: bool = False,
@@ -527,7 +511,6 @@ def run_matrix(
         results[name] = run_scenario(
             spec,
             seed=seed,
-            engine=engine,
             families=families,
             routing_pairs=routing_pairs,
             latency=latency,
@@ -540,7 +523,6 @@ def run_matrix(
     return MatrixResult(
         scale=scale,
         seed=seed,
-        engine=engine,
         results=results,
         crosschecks=crosschecks,
     )

@@ -35,10 +35,6 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--lookups", type=int, default=20000)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
-        "--engine", choices=("fast", "reference"), default=None,
-        help="protocol engine for the testbed build",
-    )
-    parser.add_argument(
         "--mode", choices=("closed", "open"), default="closed",
         help="closed: fixed concurrency; open: fixed offered rate",
     )
@@ -88,8 +84,7 @@ def main(argv=None) -> int:
         f"(seed {args.seed})...", flush=True
     )
     net, latency = build_serving_net(
-        args.nodes, args.seed, engine=args.engine,
-        with_latency=not args.no_latency,
+        args.nodes, args.seed, with_latency=not args.no_latency,
     )
     sources, keys = lookup_workload(net, args.lookups, args.seed)
     policy = ServePolicy(

@@ -450,6 +450,9 @@ class ServeRuntime:
     ) -> None:
         b = self.batcher
         policy = self.policy
+        # A slot _stage_complete already released this tick (its hedge twin
+        # won) must not be set WAITING again.
+        slots = slots[b.state[slots] != FREE]
         retryable = (b.attempt[slots] < policy.max_attempts) & ~b.is_hedge[slots]
         retry = slots[retryable]
         done = slots[~retryable]

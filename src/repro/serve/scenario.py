@@ -109,25 +109,20 @@ def serve_schedule(
 def serve_scenario(
     spec,
     seed: int = 0,
-    engine: str = "fast",
     policy: Optional[ServePolicy] = None,
     latency: bool = True,
 ) -> ServingScenarioResult:
     """Compile, bootstrap and serve one catalog scenario end to end."""
     from ..scenarios.dsl import bootstrap_scenario, compile_scenario
-    from ..scenarios.runner import scenario_latency
+    from ..scenarios.runner import data_layer, scenario_latency
 
     events = compile_scenario(spec, seed)
     table = None
     if latency:
         topology, _ = scenario_latency(spec, seed, events)
         table = topology.latency_table()
-    net = bootstrap_scenario(spec, seed, engine=engine)
-    data = None
-    if spec.data_replicas is not None:
-        from ..perf.storage import FastDataLayer
-
-        data = FastDataLayer(net, replicas=spec.data_replicas)
+    net = bootstrap_scenario(spec, seed)
+    data = data_layer(spec, net)
     report, sub_reports = serve_schedule(
         net,
         events,

@@ -9,7 +9,7 @@ network for the same ``(size, seed)`` and their numbers are comparable.
 from __future__ import annotations
 
 import random
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
@@ -40,19 +40,17 @@ SERVE_TOPOLOGY = TopologyParams(
 def build_serving_net(
     size: int,
     seed: int = 0,
-    engine: Optional[str] = None,
     with_latency: bool = True,
 ):
     """A settled ``size``-node protocol net (plus its latency table).
 
     Returns ``(net, latency)``; ``latency`` is None when
     ``with_latency`` is off.  Identical ``(size, seed)`` yield
-    bit-identical networks for any engine choice that is itself
-    deterministic.
+    bit-identical networks.
     """
     rng = random.Random(f"serve-testbed:{seed}")
     space = IdSpace(32)
-    net = make_protocol(space, engine=engine)
+    net = make_protocol(space)
     for node_id in space.random_ids(size, rng):
         net.join(node_id, FUZZ_PATHS[rng.randrange(len(FUZZ_PATHS))])
     net.stabilize_to_convergence()

@@ -229,6 +229,8 @@ class ScheduleReport:
     data_gets: int = 0
     #: Per-get (key token, value found) outcomes in schedule order.
     data_outcomes: List[Tuple[int, bool]] = field(default_factory=list)
+    #: Sorted live ids at each checkpoint, after its stabilization.
+    checkpoint_members: List[List[int]] = field(default_factory=list)
 
 
 def run_schedule(
@@ -359,6 +361,7 @@ def run_schedule(
             except RuntimeError:
                 converged = False
                 report.unconverged_checkpoints += 1
+            report.checkpoint_members.append(list(net.live_view()))
             if on_checkpoint is not None:
                 on_checkpoint(net, report.checkpoints, converged)
             report.checkpoints += 1

@@ -5,10 +5,12 @@ Three layers, designed to be called from tests, CLIs and each other:
 - :mod:`~repro.verify.invariants`: per-family structural checkers in a
   single registry (:func:`run_checks` / :func:`verify_network`).
 - :mod:`~repro.verify.oracles`: differential oracles comparing reference
-  vs. bulk builders, scalar vs. batch routing, scalar vs. vectorized
-  storage, plus the data-layer durability oracle.
+  vs. bulk builders, scalar vs. batch routing, reference vs. fast
+  maintenance engines, scalar vs. vectorized storage, plus the data-layer
+  durability oracle.
 - :mod:`~repro.verify.fuzz`: a deterministic, seed-driven churn fuzzer
-  that verifies at every quiescent point and shrinks failing schedules;
+  that replays on both maintenance engines in lockstep, verifies at every
+  quiescent point and shrinks failing schedules;
   :mod:`~repro.verify.mutate` keeps the checkers honest by corrupting
   tables and asserting detection.
 

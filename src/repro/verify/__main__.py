@@ -9,6 +9,10 @@ Examples::
     python -m repro.verify check --family kandy --size 200
     python -m repro.verify smoke
 
+``fuzz`` and ``replay`` replay each schedule on the fast and the
+reference maintenance engine in lockstep, so a divergence between the two
+fails the run like any other violation.
+
 Exit status 0 means the run matched expectations (clean, or — for
 mutation mode and fixtures expecting violations — corruption detected);
 1 means violations where none were expected, or an undetected mutation.
@@ -22,7 +26,6 @@ import time
 from pathlib import Path
 
 from ..obs import metrics as obs_metrics
-from ..perf.dynamic import ENGINE_MODES
 from .builders import EXTRA_FAMILIES, FAMILIES, small_network
 from .fuzz import FuzzConfig, generate_schedule, replay, run_fuzz, schedule_from_json, schedule_to_json
 from .invariants import checkers_for, run_checks
@@ -82,13 +85,6 @@ def main(argv=None) -> int:
         "--metrics", metavar="OUT.json", help="write a metrics snapshot JSON"
     )
     fuzz.add_argument(
-        "--engine",
-        choices=ENGINE_MODES,
-        default="fast",
-        help="maintenance engine for the replayed network (default: fast); "
-        "any failing schedule must reproduce under either engine",
-    )
-    fuzz.add_argument(
         "--data-replicas",
         type=int,
         metavar="N",
@@ -98,12 +94,6 @@ def main(argv=None) -> int:
 
     rep = sub.add_parser("replay", help="replay a saved counterexample fixture")
     rep.add_argument("fixture", help="path to a schedule JSON")
-    rep.add_argument(
-        "--engine",
-        choices=ENGINE_MODES,
-        default="fast",
-        help="maintenance engine to replay with (fixtures are engine-agnostic)",
-    )
 
     chk = sub.add_parser("check", help="build one family and run its checkers")
     chk.add_argument("--family", choices=ALL_FAMILIES, required=True)
@@ -144,7 +134,6 @@ def _dispatch(args: argparse.Namespace, registry) -> int:
             checkpoints=args.checkpoints,
             mutate_family=args.mutate,
             mutate_kind=args.mutate_kind,
-            engine=args.engine,
             data_replicas=args.data_replicas,
         )
         start = time.time()
@@ -192,7 +181,6 @@ def _dispatch(args: argparse.Namespace, registry) -> int:
         config, events, expect_violations = schedule_from_json(
             Path(args.fixture).read_text()
         )
-        config.engine = args.engine
         report = replay(config, events)
         print(
             f"replayed {len(events)} events: "

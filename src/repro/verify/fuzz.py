@@ -1,12 +1,14 @@
 """Seeded churn fuzzing: generate, replay, verify, shrink.
 
 The fuzzer derives a deterministic join/leave/crash/lookup schedule from a
-seed, replays it through :func:`repro.simulation.churn.run_schedule`, and
-at every quiescent checkpoint (a) checks the live protocol state — ring
-successor correctness and leaf-set symmetry at every level — and (b)
+seed and replays it on both maintenance engines in lockstep.  On the fast
+engine every quiescent checkpoint (a) checks the live protocol state —
+ring successor correctness and leaf-set symmetry at every level — and (b)
 rebuilds each requested static family over the current live membership
 and runs the invariant registry plus a scalar-vs-batch routing
-differential on it.
+differential on it.  The reference engine checks (a) at its own
+checkpoints, and the two replays must then agree on everything
+:func:`repro.verify.oracles.compare_replays` compares.
 
 Failing schedules shrink toward a minimal counterexample with a greedy
 delta-debugging pass over the event list; the result serializes to JSON
@@ -19,16 +21,22 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.hierarchy import DomainPath, Hierarchy
 from ..core.idspace import IdSpace
+from ..core.network import DHTNetwork
 from ..simulation.churn import Event, ScheduleReport, run_schedule
 from ..simulation.protocol import SimulatedCrescendo
 from .builders import FAMILIES, PREFIX_FAMILIES, build_family
 from .invariants import run_checks
 from .mutate import corrupt
-from .oracles import DurabilityMonitor, check_durability, compare_routing
+from .oracles import (
+    DurabilityMonitor,
+    check_durability,
+    compare_replays,
+    compare_routing,
+)
 from .violations import Violation
 
 #: Leaf domains of the fuzz hierarchy (two levels, 3 x 2).
@@ -74,10 +82,6 @@ class FuzzConfig:
     #: :class:`~repro.verify.oracles.DurabilityMonitor`, and every
     #: checkpoint runs :func:`~repro.verify.oracles.check_durability`.
     data_replicas: Optional[int] = None
-    #: maintenance engine to replay with ("fast"/"reference") —
-    #: runtime-only, deliberately not serialized into fixtures: any fixture
-    #: must replay identically under either engine.
-    engine: str = "fast"
 
 
 @dataclass
@@ -167,19 +171,13 @@ def generate_schedule(config: FuzzConfig) -> List[Event]:
     return out
 
 
-def bootstrap_network(
-    config: FuzzConfig, engine: Optional[str] = None
-) -> SimulatedCrescendo:
-    """The seed-derived initial population (fixed across shrinking).
-
-    ``engine`` overrides ``config.engine`` (the hook
-    :func:`repro.verify.oracles.compare_protocols` factories use).
-    """
+def bootstrap_network(config: FuzzConfig, engine: str = "fast") -> SimulatedCrescendo:
+    """The seed-derived initial population (fixed across shrinking)."""
     from ..perf.dynamic import make_protocol
 
     rng = random.Random(f"fuzz-bootstrap:{config.seed}")
     space = IdSpace(config.bits)
-    net = make_protocol(space, engine=engine if engine is not None else config.engine)
+    net = make_protocol(space, engine=engine)
     for node_id in space.random_ids(config.population, rng):
         net.join(node_id, FUZZ_PATHS[rng.randrange(len(FUZZ_PATHS))])
     net.stabilize_to_convergence()
@@ -251,41 +249,61 @@ def check_protocol_state(net: SimulatedCrescendo) -> List[Violation]:
 # ------------------------------------------------------------ one fuzz run
 
 
+def checkpoint_safety(
+    net: SimulatedCrescendo, index: int, converged: bool, data=None, monitor=None
+) -> List[Violation]:
+    """Convergence, protocol state and (with ``data``) durability at one
+    quiescent checkpoint — what every engine's replay must hold."""
+    out: List[Violation] = []
+    if not converged:
+        out.append(
+            Violation(
+                check="convergence",
+                family="protocol",
+                message=f"checkpoint {index}: stabilization did not converge",
+                level=index,
+            )
+        )
+    out.extend(check_protocol_state(net))
+    if data is not None:
+        out.extend(check_durability(net, data, monitor))
+    return out
+
+
+def live_statics(
+    net: SimulatedCrescendo, families: Sequence[str], rng: random.Random
+) -> Iterator[Tuple[str, DHTNetwork]]:
+    """Each of ``families`` built over the live membership, lazily, so a
+    caller's ``rng`` draws between builds keep their order."""
+    live = sorted(n for n, node in net.nodes.items() if node.alive)
+    paths = [net.nodes[n].path for n in live]
+    hierarchy = Hierarchy()
+    for node_id, path in zip(live, paths):
+        hierarchy.place(node_id, path)
+    for family in families:
+        yield family, build_family(
+            family,
+            net.space,
+            hierarchy=None if family in PREFIX_FAMILIES else hierarchy,
+            rng=rng,
+            domain_paths=paths,
+        )
+
+
 def _checkpoint_verifier(
     config: FuzzConfig,
     violations: List[Violation],
     data=None,
     monitor=None,
+    families: Sequence[str] = (),
 ) -> Callable[[SimulatedCrescendo, int, bool], None]:
-    """The callback run at each quiescent point of the schedule."""
+    """The callback run at each quiescent point of the schedule:
+    :func:`checkpoint_safety`, then the static rebuild of ``families``."""
 
     def on_checkpoint(net: SimulatedCrescendo, index: int, converged: bool) -> None:
-        if not converged:
-            violations.append(
-                Violation(
-                    check="convergence",
-                    family="protocol",
-                    message=f"checkpoint {index}: stabilization did not converge",
-                    level=index,
-                )
-            )
-        violations.extend(check_protocol_state(net))
-        if data is not None:
-            violations.extend(check_durability(net, data, monitor))
-        live = sorted(n for n, node in net.nodes.items() if node.alive)
-        paths = [net.nodes[n].path for n in live]
-        hierarchy = Hierarchy()
-        for node_id, path in zip(live, paths):
-            hierarchy.place(node_id, path)
+        violations.extend(checkpoint_safety(net, index, converged, data, monitor))
         rng = random.Random(f"fuzz-checkpoint:{config.seed}:{index}")
-        for family in config.families:
-            static = build_family(
-                family,
-                net.space,
-                hierarchy=None if family in PREFIX_FAMILIES else hierarchy,
-                rng=rng,
-                domain_paths=paths,
-            )
+        for family, static in live_statics(net, families, rng):
             mutated = family == config.mutate_family
             if mutated:
                 corrupt(static, rng, config.mutate_kind)
@@ -304,27 +322,36 @@ def _checkpoint_verifier(
 
 
 def replay(config: FuzzConfig, schedule: Sequence[Event]) -> FuzzReport:
-    """Replay one schedule from the seed-derived bootstrap and verify."""
-    net = bootstrap_network(config)
-    data = monitor = None
-    if config.data_replicas is not None:
-        from ..perf.storage import FastDataLayer
+    """Replay one schedule on both engines in lockstep and verify.
 
-        # Layer first, monitor second: the monitor's hooks must see the
-        # layer's post-handoff holder state to classify losses.
-        data = FastDataLayer(net, replicas=config.data_replicas)
-        monitor = DurabilityMonitor(net, data)
+    The fast engine runs the full checkpoint battery, the reference only
+    :func:`checkpoint_safety`; then
+    :func:`~repro.verify.oracles.compare_replays` demands that the two
+    replays agree.  The report carries the fast engine's replay.
+    """
     violations: List[Violation] = []
-    report = run_schedule(
-        net,
-        list(schedule),
-        on_checkpoint=_checkpoint_verifier(config, violations, data, monitor),
-        data=data,
-    )
+    replays: Dict[str, Tuple[SimulatedCrescendo, ScheduleReport]] = {}
+    for engine, families in (("fast", config.families), ("reference", ())):
+        net = bootstrap_network(config, engine)
+        data = monitor = None
+        if config.data_replicas is not None:
+            from ..perf.storage import FastDataLayer
+
+            # Layer first, monitor second: the monitor's hooks must see the
+            # layer's post-handoff holder state to classify losses.
+            data = FastDataLayer(net, replicas=config.data_replicas)
+            monitor = DurabilityMonitor(net, data)
+        on_checkpoint = _checkpoint_verifier(
+            config, violations, data, monitor, families
+        )
+        report = run_schedule(net, list(schedule), on_checkpoint, data=data)
+        replays[engine] = (net, report)
+    comparison = compare_replays(*replays["reference"], *replays["fast"])
+    violations.extend(comparison.violations)
     return FuzzReport(
         config=config,
         schedule=list(schedule),
-        replay=report,
+        replay=comparison.fast_report,
         violations=violations,
     )
 

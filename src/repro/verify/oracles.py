@@ -25,6 +25,9 @@ fuzzer checkpoint can call them:
   :class:`~repro.perf.dynamic.FastSimulatedCrescendo`) and requires
   identical delivery outcomes, identical per-kind message counts and
   identical final protocol state (link tables, leaf sets, predecessors).
+  Its judging half, :func:`compare_replays`, also serves the scenario
+  cross-check and the churn fuzzer, which replays every schedule on both
+  engines in lockstep.
 
 - :func:`compare_storage` drives one deterministic mixed-domain put/get
   workload (:func:`storage_workload`) through the scalar hierarchical
@@ -263,12 +266,6 @@ class ProtocolComparison:
     def equivalent(self) -> bool:
         return not self.violations
 
-    def raise_on_violations(self) -> "ProtocolComparison":
-        """Raise :class:`InvariantViolationError` unless equivalent."""
-        if self.violations:
-            raise InvariantViolationError(self.violations)
-        return self
-
 
 def compare_protocols(
     factory: Callable[[str], SimulatedCrescendo],
@@ -280,10 +277,30 @@ def compare_protocols(
 
     ``factory`` receives an engine name (``"reference"`` or ``"fast"``) and
     returns a bootstrapped network; both instances then replay ``events``
-    via :func:`~repro.simulation.churn.run_schedule`.  Equivalence demands:
+    via :func:`~repro.simulation.churn.run_schedule`, and
+    :func:`compare_replays` judges the pair.
+    """
+    ref, fast = factory("reference"), factory("fast")
+    ref_report = run_schedule(ref, list(events))
+    fast_report = run_schedule(fast, list(events))
+    return compare_replays(ref, ref_report, fast, fast_report, max_reported, latency)
+
+
+def compare_replays(
+    ref: SimulatedCrescendo,
+    ref_report: ScheduleReport,
+    fast: SimulatedCrescendo,
+    fast_report: ScheduleReport,
+    max_reported: int = 20,
+    latency: Optional[LatencyTable] = None,
+) -> ProtocolComparison:
+    """Judge a reference and a fast engine's replay of the same schedule.
+
+    Equivalence demands:
 
     - identical replay reports, including every per-lookup
-      (delivered, terminal node) outcome and hop path;
+      (delivered, terminal node) outcome and hop path and the live
+      membership at every checkpoint;
     - identical per-kind protocol message counts;
     - identical final protocol state: live membership, link tables, and
       per-level leaf sets and predecessor pointers;
@@ -293,8 +310,6 @@ def compare_protocols(
       with the table's vectorized gather — the engine-parity contract of
       the fused latency accumulator.
     """
-    ref = factory("reference")
-    fast = factory("fast")
 
     def violation(message: str, **kw) -> Violation:
         return Violation(
@@ -303,11 +318,9 @@ def compare_protocols(
 
     out: List[Violation] = []
     if ref.engine != "reference":
-        out.append(violation(f"reference factory built the {ref.engine} engine"))
+        out.append(violation(f"reference side ran the {ref.engine} engine"))
     if fast.engine != "fast":
-        out.append(violation(f"fast factory built the {fast.engine} engine"))
-    ref_report = run_schedule(ref, list(events))
-    fast_report = run_schedule(fast, list(events))
+        out.append(violation(f"fast side ran the {fast.engine} engine"))
     for field_name, ref_value in dataclasses.asdict(ref_report).items():
         fast_value = getattr(fast_report, field_name)
         if ref_value != fast_value:

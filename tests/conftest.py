@@ -18,6 +18,9 @@ from repro import (
     IdSpace,
     build_uniform_hierarchy,
 )
+from repro.perf.dynamic import make_protocol
+from repro.serve.testbed import build_serving_net
+from repro.verify.fuzz import FUZZ_PATHS
 
 
 def pytest_collection_modifyitems(config, items):
@@ -79,6 +82,22 @@ def scalar_view(compiled):
         links={node: row.tolist() for node, row in zip(ids, rows)},
         hierarchy=None,
     )
+
+
+def serving_net(size, seed, engine):
+    """``build_serving_net(size, seed)``'s settled net, without latency, on
+    the named maintenance engine.  The testbed runs the fast engine; the
+    reference twin replays its join recipe on ``make_protocol(space,
+    "reference")`` so serving tests can hold both engines' views."""
+    if engine == "fast":
+        return build_serving_net(size, seed=seed, with_latency=False)[0]
+    rng = random.Random(f"serve-testbed:{seed}")
+    space = IdSpace(32)
+    net = make_protocol(space, "reference")
+    for node_id in space.random_ids(size, rng):
+        net.join(node_id, FUZZ_PATHS[rng.randrange(len(FUZZ_PATHS))])
+    net.stabilize_to_convergence()
+    return net
 
 
 @pytest.fixture(scope="session")

@@ -6,10 +6,12 @@ seed 0; negative controls additionally ddmin-shrunk).  The ``expect``
 block pins every observable of the replay — event counts, final
 population, lookup/data outcome digests, total message cost, residual
 oracle violations and the exact latency sum — computed on the reference
-engine.  Replaying on *either* engine must reproduce all of it: any
-regression in the DSL substrate, the churn replay, either maintenance
-engine, the latency attach or the oracle stack shows up as a digest
-mismatch here without re-running the compiler.
+engine.  The fast engine must reproduce all of it, and the reference
+engine must replay the same events (data layer and latency included) in
+lockstep with the fast one: any regression in the DSL substrate, the
+churn replay, either maintenance engine, the latency attach or the
+oracle stack shows up as a digest mismatch or a divergence here without
+re-running the compiler.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ import pytest
 from repro.scenarios import __main__ as scenarios_cli
 from repro.scenarios.catalog import CATALOG
 from repro.scenarios.dsl import scenario_from_json
-from repro.scenarios.runner import run_scenario
+from repro.scenarios.runner import crosscheck_scenario, run_scenario
+from repro.verify.fuzz import check_protocol_state
 
 FIXTURES = Path(__file__).parent / "fixtures"
 NAMES = sorted(CATALOG)
@@ -40,26 +43,9 @@ def _load(name):
     return document, expect
 
 
-def test_every_catalog_scenario_has_a_fixture():
-    on_disk = {p.stem[len("scenario_"):] for p in FIXTURES.glob("scenario_*.json")}
-    assert on_disk == set(NAMES)
-
-
-@pytest.mark.parametrize("engine", ["reference", "fast"])
-@pytest.mark.parametrize("name", NAMES)
-def test_fixture_replays_bit_for_bit(name, engine):
-    document, expect = _load(name)
-    result = run_scenario(
-        document.spec,
-        seed=document.seed,
-        engine=engine,
-        families=(),
-        routing_pairs=0,
-        events=document.events,
-        latency=True,
-    )
-    report = result.report
-    observed = {
+def _report_digest(report, messages, residual):
+    """The ``expect`` fields a bare replay report determines."""
+    return {
         "joins": report.joins,
         "leaves": report.leaves,
         "crashes": report.crashes,
@@ -75,10 +61,51 @@ def test_fixture_replays_bit_for_bit(name, engine):
         "outcomes_sha256": _digest(report.lookup_outcomes),
         "paths_sha256": _digest(report.lookup_paths),
         "data_outcomes_sha256": _digest(report.data_outcomes),
-        "messages": result.message_total,
-        "residual_violations": len(result.residual),
-        "lookup_ms_sum": sum(result.lookup_ms),
+        "messages": messages,
+        "residual_violations": residual,
     }
+
+
+def test_every_catalog_scenario_has_a_fixture():
+    on_disk = {p.stem[len("scenario_"):] for p in FIXTURES.glob("scenario_*.json")}
+    assert on_disk == set(NAMES)
+
+
+@pytest.mark.parametrize("engine", ["reference", "fast"])
+@pytest.mark.parametrize("name", NAMES)
+def test_fixture_replays_bit_for_bit(name, engine):
+    document, expect = _load(name)
+    if engine == "reference":
+        # The reference engine is an oracle: it replays the fixture's
+        # events beside the fast engine, data layer and latency included.
+        comparison = crosscheck_scenario(
+            document.spec, seed=document.seed, events=document.events
+        )
+        assert comparison.equivalent, comparison.violations[:5]
+        residual = check_protocol_state(comparison.ref)
+        observed = _report_digest(
+            comparison.ref_report,
+            sum(comparison.ref.msgs.stats.counts.values()),
+            len(residual),
+        )
+        # Per-lookup latency: the crosscheck holds the reference's scalar
+        # fold to the fast gather, whose sum the fast case pins.
+        expect = {k: v for k, v in expect.items() if k != "lookup_ms_sum"}
+        assert observed == expect, f"{name} no longer replays on {engine}"
+        assert bool(residual) == document.expect_violations
+        return
+    result = run_scenario(
+        document.spec,
+        seed=document.seed,
+        families=(),
+        routing_pairs=0,
+        events=document.events,
+        latency=True,
+    )
+    observed = _report_digest(
+        result.report, result.message_total, len(result.residual)
+    )
+    observed["lookup_ms_sum"] = sum(result.lookup_ms)
     assert observed == expect, f"{name} no longer replays on {engine}"
     assert result.failed == document.expect_violations
 

@@ -14,7 +14,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import scalar_view
+from conftest import scalar_view, serving_net
 from repro.core.routing import LiveSet, route_ring
 from repro.serve import (
     STATUS_LOST,
@@ -354,9 +354,7 @@ class TestDifferentialAsync:
         deliver exactly the lookups the discrete-event engine does."""
 
         def factory():
-            return build_serving_net(
-                300, seed=13, engine="reference", with_latency=False
-            )[0]
+            return serving_net(300, 13, "reference")
 
         net = factory()
         live = sorted(net.live_view())
@@ -394,7 +392,7 @@ class TestDifferentialAsync:
         fail and deliver exactly what the discrete-event engine does."""
 
         def factory():
-            return build_serving_net(300, seed=14, engine=engine, with_latency=False)[0]
+            return serving_net(300, 14, engine)
 
         net = factory()
         live = sorted(net.live_view())

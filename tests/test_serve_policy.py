@@ -453,11 +453,6 @@ class TestStagingMatchesScalarLoop:
         assert report.counters["hedge_cancelled"] == 1
         assert runtime.in_flight == 0
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="ROADMAP aim 3, found by reading: _fail_or_retry sets a slot "
-        "WAITING that _stage_complete released earlier in the same tick",
-    )
     def test_primary_failing_in_the_tick_its_hedge_wins_is_not_retried(self):
         # Node 10 has no contacts and key 25 is node 20's: the primary stops
         # short at 10 (FAIL, one attempt left), its hedge is stuck at the

@@ -16,6 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import serving_net
+
 from repro.core.idspace import IdSpace
 from repro.obs.metrics import collecting
 from repro.perf.dynamic import make_protocol
@@ -233,7 +235,7 @@ def test_an_untouched_net_gets_the_same_view_back(engine):
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_a_rejected_alive_array_leaves_the_old_view_installed(engine):
-    net, _ = build_serving_net(64, seed=2, engine=engine, with_latency=False)
+    net = serving_net(64, 2, engine)
     runtime = ServeRuntime(*compile_protocol_view(net))
     installed = (runtime.compiled, runtime.alive)
     net.crash(net.live_view()[5])

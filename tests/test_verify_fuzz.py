@@ -10,6 +10,10 @@ import json
 
 import pytest
 
+from repro.perf import dynamic as perf_dynamic
+from repro.perf.dynamic import FastSimulatedCrescendo
+from repro.scenarios.catalog import CATALOG
+from repro.scenarios.runner import crosscheck_scenario
 from repro.simulation.churn import Event, run_schedule
 from repro.verify.fuzz import (
     FuzzConfig,
@@ -282,3 +286,45 @@ class TestEndToEnd:
         parsed_config, parsed_events, expect = schedule_from_json(doc)
         assert expect
         assert replay(parsed_config, parsed_events).failed
+
+
+def _one_extra(kind):
+    """A fast-engine subclass that sends one stray ``kind`` message, the
+    first time it sends that kind at all."""
+
+    class OneExtra(FastSimulatedCrescendo):
+        _extra_sent = False
+
+        def _count(self, sent, hops=1):
+            if sent == kind and not self._extra_sent:
+                self._extra_sent = True
+                hops += 1
+            super()._count(sent, hops)
+
+    return OneExtra
+
+
+class TestLockstep:
+    """Every replay runs the reference engine beside the fast one."""
+
+    def test_an_extra_stabilize_message_fails_the_replay(self, monkeypatch):
+        monkeypatch.setattr(perf_dynamic, "FastSimulatedCrescendo", _one_extra("ping"))
+        config = FuzzConfig(seed=5, events=120, families=("chord",))
+        report = replay(config, generate_schedule(config))
+        assert report.failed
+        diverged = [v for v in report.violations if v.check == "oracle-protocol"]
+        assert any("'ping'" in v.message for v in diverged), diverged
+
+    def test_crosscheck_compares_the_scenarios_data_events(self, monkeypatch):
+        # One stray message on the first put: only a crosscheck that replays
+        # the scenario's put events on both engines can see it.
+        monkeypatch.setattr(perf_dynamic, "FastSimulatedCrescendo", _one_extra("store"))
+        spec = CATALOG["flash_crowd"]("smoke")
+        assert spec.data_replicas is not None
+        comparison = crosscheck_scenario(spec, seed=0, latency=False)
+        assert comparison.ref_report.puts > 0
+        assert not comparison.equivalent
+        assert any(
+            v.check == "oracle-protocol" and "'store'" in v.message
+            for v in comparison.violations
+        ), comparison.violations
