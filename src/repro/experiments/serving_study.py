@@ -4,9 +4,10 @@ A closed-loop burst is served while nodes keep crashing *mid-run* (a
 deterministic slice every few ticks, view recompiled each time — the
 regime where in-flight lookups genuinely get lost), once per policy: no
 policy, bounded retries from the source, retries via alternate first
-hops, hedged requests, and a tight deadline.  The table reports delivered
-fraction, loss/expiry accounting and tail latency per policy — the
-serving-layer analogue of the in-flight crash study.
+hops, hedged requests at the p90 and the p50 latency, and a tight
+deadline.  The table reports delivered fraction, loss/expiry accounting,
+hedges sent and won, and tail latency per policy — the serving-layer
+analogue of the in-flight crash study.
 
 Run: ``python -m repro.experiments serve --scale smoke``.
 """
@@ -26,6 +27,7 @@ POLICIES = {
     "retry x3 (same source)": ServePolicy(max_attempts=3),
     "retry x3 (alternates)": ServePolicy(max_attempts=3, retry_alternates=True),
     "hedge p90": ServePolicy(hedge_quantile=0.9, hedge_min_ms=4.0),
+    "hedge p50": ServePolicy(hedge_quantile=0.5, hedge_min_ms=4.0),
     "deadline 40 ticks": ServePolicy(deadline_ms=40.0),
 }
 
@@ -60,6 +62,7 @@ def measurements(scale: str = "smoke") -> Dict[str, Dict[str, float]]:
             "expired": float(counters["expired"]),
             "retries": float(counters["retries"]),
             "hedges": float(counters["hedges"]),
+            "hedge_wins": float(counters["hedge_wins"]),
             "p99_ms": report.quantile_ms(0.99),
         }
     return out
@@ -70,7 +73,10 @@ def run(scale: str = "smoke") -> Table:
     data = measurements(scale)
     table = Table(
         "Serving policy under failures — delivery, losses and tails",
-        ["policy", "delivered", "lost", "expired", "retries", "hedges", "p99 ms"],
+        [
+            "policy", "delivered", "lost", "expired", "retries", "hedges",
+            "hedge_wins", "p99 ms",
+        ],
     )
     for label in POLICIES:
         row = data[label]
@@ -81,6 +87,7 @@ def run(scale: str = "smoke") -> Table:
             int(row["expired"]),
             int(row["retries"]),
             int(row["hedges"]),
+            int(row["hedge_wins"]),
             round(row["p99_ms"], 1),
         )
     return table

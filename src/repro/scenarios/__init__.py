@@ -14,11 +14,10 @@ them.  This package makes those shapes first-class:
 - :mod:`repro.scenarios.catalog` — the named scenarios: flash crowd,
   diurnal churn waves, correlated regional failure, partition/rejoin
   (plus its no-repair negative control), slow massive join;
-- :mod:`repro.scenarios.runner` — replay on the fast maintenance engine
-  (both engines for the cross-check) with per-checkpoint
-  invariant-registry, delivery and durability oracles, latency-true
-  ``slo.*`` accounting, and the family x scenario matrix artifact behind
-  ``python -m repro.scenarios``.
+- :mod:`repro.scenarios.runner` — replay on both maintenance engines in
+  the fuzzer's lockstep with per-checkpoint invariant-registry, delivery
+  and durability oracles, latency-true ``slo.*`` accounting, and the
+  family x scenario matrix artifact behind ``python -m repro.scenarios``.
 """
 
 from .catalog import CATALOG, scenario_names
@@ -35,7 +34,6 @@ from .runner import (
     MATRIX_FAMILIES,
     MatrixResult,
     ScenarioResult,
-    crosscheck_scenario,
     run_matrix,
     run_scenario,
 )
@@ -50,7 +48,6 @@ __all__ = [
     "bootstrap_placement",
     "bootstrap_scenario",
     "compile_scenario",
-    "crosscheck_scenario",
     "run_matrix",
     "run_scenario",
     "scenario_from_json",

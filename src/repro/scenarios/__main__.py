@@ -1,4 +1,4 @@
-"""CLI: list, run, replay, cross-check and the scenario matrix.
+"""CLI: list, run, replay and the scenario matrix.
 
 Examples::
 
@@ -6,12 +6,13 @@ Examples::
     python -m repro.scenarios run flash_crowd --scale smoke --serve
     python -m repro.scenarios run partition_noheal --save fixture.json
     python -m repro.scenarios replay fixture.json
-    python -m repro.scenarios crosscheck slow_join --scale smoke
-    python -m repro.scenarios matrix --scale full --cross-check \\
+    python -m repro.scenarios matrix --scale full \\
         --out-json matrix.json --out-md matrix.md
 
-Exit status 0 means every run matched its expectation (clean scenarios
-clean, negative controls tripped, engines equivalent when cross-checked).
+Every run and replay is a two-engine lockstep: the fast and the reference
+maintenance engine replay the schedule side by side and must agree.  Exit
+status 0 means every run matched its expectation (clean scenarios clean,
+negative controls tripped, engines equivalent always).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from ..verify.builders import EXTRA_FAMILIES, FAMILIES
 from ..verify.violations import summarize
 from .catalog import CATALOG, SCALES
 from .dsl import scenario_from_json, scenario_to_json
-from .runner import MATRIX_FAMILIES, crosscheck_scenario, run_matrix, run_scenario
+from .runner import MATRIX_FAMILIES, run_matrix, run_scenario
 
 ALL_FAMILIES = FAMILIES + EXTRA_FAMILIES
 
@@ -80,7 +81,9 @@ def main(argv=None) -> int:
 
     sub.add_parser("list", help="catalog names and descriptions")
 
-    run = sub.add_parser("run", help="run one scenario with oracles")
+    run = sub.add_parser(
+        "run", help="run one scenario on both engines with oracles"
+    )
     run.add_argument("scenario", choices=sorted(CATALOG))
     _common(run)
     run.add_argument(
@@ -100,12 +103,6 @@ def main(argv=None) -> int:
     rep.add_argument("fixture", help="path to a scenario JSON")
     _common(rep)
 
-    cross = sub.add_parser(
-        "crosscheck", help="replay through both engines, demand equivalence"
-    )
-    cross.add_argument("scenario", choices=sorted(CATALOG))
-    _common(cross)
-
     matrix = sub.add_parser("matrix", help="the scenario x family matrix")
     _common(matrix)
     matrix.add_argument(
@@ -113,11 +110,6 @@ def main(argv=None) -> int:
         type=_parse_scenarios,
         default=None,
         help="comma-separated catalog subset (default: everything)",
-    )
-    matrix.add_argument(
-        "--cross-check",
-        action="store_true",
-        help="also replay every schedule through both engines",
     )
     matrix.add_argument("--out-json", metavar="OUT.json")
     matrix.add_argument("--out-md", metavar="OUT.md")
@@ -152,6 +144,7 @@ def _print_result(result) -> None:
         )
     print("  checkpoint oracles: " + summarize(result.violations))
     print("  final-state audit:  " + summarize(result.residual))
+    print("  engine lockstep:    " + summarize(result.divergence))
     if result.spec.expect_violations:
         print(
             "  negative control: "
@@ -214,19 +207,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         _print_result(result)
         return 0 if result.ok else 1
 
-    if args.command == "crosscheck":
-        spec = CATALOG[args.scenario](args.scale)
-        comparison = crosscheck_scenario(
-            spec, seed=args.seed, latency=not args.no_latency
-        )
-        print(
-            f"{spec.name}: reference vs fast — "
-            + ("equivalent" if comparison.equivalent else "DIVERGED")
-        )
-        if not comparison.equivalent:
-            print(summarize(comparison.violations))
-        return 0 if comparison.equivalent else 1
-
     if args.command == "matrix":
         start = time.time()
         matrix = run_matrix(
@@ -235,7 +215,6 @@ def _dispatch(args: argparse.Namespace) -> int:
             seed=args.seed,
             families=args.families,
             routing_pairs=args.routing_pairs,
-            cross_check=args.cross_check,
             latency=not args.no_latency,
         )
         print(matrix.render())

@@ -1,14 +1,18 @@
 """Replay scenarios with oracles attached; build the scenario matrix.
 
-:func:`run_scenario` replays one compiled schedule on the fast
-maintenance engine with the full verify battery at every quiescent
-checkpoint — live protocol-state audit, static family rebuild through the
-invariant registry, scalar-vs-batch routing differential, durability
-oracle when a data layer rides along — plus a post-replay protocol audit
-of the *final* state, stabilized or not.  That last audit is what the
-partition negative control trips: its schedule ends right after the
-``heal`` event, so the rejoined subtree's stale ring state is still
-visible.
+:func:`run_scenario` replays one compiled schedule on both maintenance
+engines through :func:`repro.verify.fuzz.lockstep`, the same lockstep the
+churn fuzzer uses.  The fast engine runs the full verify battery at every
+quiescent checkpoint — live protocol-state audit, static family rebuild
+through the invariant registry, scalar-vs-batch routing differential,
+durability oracle when a data layer rides along — and the reference
+engine runs the protocol-state and durability half.  The two replays must
+agree on reports, message counts, final ring state, data holders and
+per-lookup latency; any divergence fails the run, negative controls
+included.  A post-replay protocol audit of the *final* state, stabilized
+or not, is what the partition negative control trips: its schedule ends
+right after the ``heal`` event, so the rejoined subtree's stale ring
+state is still visible.
 
 Latency is real: every node id the schedule can route through (bootstrap
 plus compiled joins) is attached to a seed-derived transit-stub topology
@@ -17,9 +21,6 @@ up front, and per-lookup milliseconds come from the cached
 metrics registry active, delivered lookups land in the standard ``slo.*``
 instruments (scenario name as the label), so ``python -m repro.obs
 report`` renders scenario SLOs with no extra plumbing.
-
-:func:`crosscheck_scenario` replays it on both engines, data layer
-included, and demands they agree.
 
 :func:`run_matrix` runs a set of catalog scenarios and renders the
 scenario summary and scenario x family tables as text, JSON and markdown
@@ -30,29 +31,19 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.tables import Table
 from ..core.hierarchy import DomainPath, lca
 from ..obs import metrics as obs_metrics
 from ..obs.quantiles import percentile
 from ..perf.kernels import batch_route
-from ..simulation.churn import Event, ScheduleReport, run_schedule
+from ..simulation.churn import Event, ScheduleReport
 from ..simulation.protocol import SimulatedCrescendo
 from ..topology.transit_stub import TopologyParams, TransitStubTopology
 from ..verify.builders import PREFIX_FAMILIES
-from ..verify.fuzz import (
-    check_protocol_state,
-    checkpoint_safety,
-    live_statics,
-)
-from ..verify.invariants import run_checks
-from ..verify.oracles import (
-    DurabilityMonitor,
-    ProtocolComparison,
-    compare_replays,
-    compare_routing,
-)
+from ..verify.fuzz import check_protocol_state, lockstep, static_checks
+from ..verify.oracles import ProtocolComparison
 from ..verify.violations import Violation
 from .catalog import CATALOG
 from .dsl import ScenarioSpec, bootstrap_placement, bootstrap_scenario, compile_scenario
@@ -122,7 +113,8 @@ class ScenarioResult:
     spec: ScenarioSpec
     seed: int
     events: List[Event]
-    report: ScheduleReport
+    #: both engines' replays and every divergence between them.
+    comparison: ProtocolComparison
     #: checkpoint-oracle findings (invariants, routing, durability, state).
     violations: List[Violation]
     #: the post-replay audit of the final (possibly unstabilized) state.
@@ -130,7 +122,21 @@ class ScenarioResult:
     families: Dict[str, FamilyStats]
     lookup_ms: List[float]
     lookup_levels: List[int]
-    messages: Dict[str, int]
+
+    @property
+    def report(self) -> ScheduleReport:
+        """The fast engine's replay report."""
+        return self.comparison.fast_report
+
+    @property
+    def messages(self) -> Dict[str, int]:
+        """The fast engine's per-kind message counts."""
+        return dict(self.comparison.fast.msgs.stats.counts)
+
+    @property
+    def divergence(self) -> List[Violation]:
+        """Engine disagreements (``oracle-protocol`` findings)."""
+        return self.comparison.violations
 
     @property
     def availability(self) -> float:
@@ -147,13 +153,22 @@ class ScenarioResult:
         return percentile(sorted(self.lookup_ms), 0.99)
 
     @property
+    def findings(self) -> int:
+        """Checkpoint, final-state and engine-divergence findings."""
+        return len(self.violations) + len(self.residual) + len(self.divergence)
+
+    @property
     def failed(self) -> bool:
-        return bool(self.violations or self.residual)
+        return bool(self.findings)
 
     @property
     def ok(self) -> bool:
-        """Did the run match the spec's expectation (clean, or tripped)?"""
-        return self.failed == self.spec.expect_violations
+        """Did the run match the spec's expectation (clean, or tripped)?
+
+        A divergence between the engines is never expected, not even on
+        a negative control.
+        """
+        return not self.divergence and self.failed == self.spec.expect_violations
 
     def to_dict(self) -> Dict[str, object]:
         """The JSON-artifact row for this replay."""
@@ -170,6 +185,7 @@ class ScenarioResult:
             "p99_ms": self.p99_ms(),
             "checkpoint_violations": len(self.violations),
             "residual_violations": len(self.residual),
+            "engine_divergences": len(self.divergence),
             "expect_violations": self.spec.expect_violations,
             "ok": self.ok,
             "families": {
@@ -182,51 +198,6 @@ class ScenarioResult:
                 for name, stats in sorted(self.families.items())
             },
         }
-
-
-def _checkpoint_oracles(
-    spec: ScenarioSpec,
-    seed: int,
-    families: Sequence[str],
-    routing_pairs: int,
-    violations: List[Violation],
-    stats: Dict[str, FamilyStats],
-    latency,
-    data=None,
-    monitor=None,
-) -> Callable[[SimulatedCrescendo, int, bool], None]:
-    """The per-checkpoint verify battery (the fuzzer's, plus sampling)."""
-
-    def on_checkpoint(net: SimulatedCrescendo, index: int, converged: bool) -> None:
-        violations.extend(checkpoint_safety(net, index, converged, data, monitor))
-        rng = random.Random(
-            f"scenario-checkpoint:{spec.name}:{seed}:{index}"
-        )
-        for family, static in live_statics(net, families, rng):
-            fam = stats[family]
-            found = run_checks(static)
-            fam.checks += 1
-            fam.violations += len(found)
-            violations.extend(found)
-            if routing_pairs and static.size >= 2:
-                ids = static.node_ids
-                pairs = [
-                    (ids[rng.randrange(len(ids))], ids[rng.randrange(len(ids))])
-                    for _ in range(routing_pairs)
-                ]
-                differences = compare_routing(static, pairs)
-                fam.violations += len(differences)
-                violations.extend(differences)
-                table = None if family in PREFIX_FAMILIES else latency
-                batch = batch_route(static, pairs, paths=True, latency=table)
-                for idx, route in enumerate(batch.routes()):
-                    if not route.success:
-                        continue
-                    fam.hops.append(len(route.path) - 1)
-                    if table is not None:
-                        fam.ms.append(float(batch.latency_ms[idx]))
-
-    return on_checkpoint
 
 
 def _record_slo(
@@ -258,15 +229,6 @@ def _record_slo(
         )
 
 
-def data_layer(spec: ScenarioSpec, net: SimulatedCrescendo):
-    """The scenario's content layer on ``net``, or None without replicas."""
-    if spec.data_replicas is None:
-        return None
-    from ..perf.storage import FastDataLayer
-
-    return FastDataLayer(net, replicas=spec.data_replicas)
-
-
 def run_scenario(
     spec: ScenarioSpec,
     seed: int = 0,
@@ -276,7 +238,7 @@ def run_scenario(
     latency: bool = True,
     slo_label: Optional[str] = None,
 ) -> ScenarioResult:
-    """Replay one scenario with the oracle battery attached.
+    """Replay one scenario on both engines in lockstep, oracles attached.
 
     ``events`` overrides the compiled schedule (fixture replay, shrunk
     sub-schedules); ``latency=False`` skips the topology attach and all
@@ -291,21 +253,38 @@ def run_scenario(
     if latency:
         topology, node_paths = scenario_latency(spec, seed, event_list)
         table = topology.latency_table()
-    net = bootstrap_scenario(spec, seed)
-    data = data_layer(spec, net)
-    monitor = None if data is None else DurabilityMonitor(net, data)
-    violations: List[Violation] = []
     stats = {family: FamilyStats() for family in families}
-    report = run_schedule(
-        net,
+
+    def statics(net: SimulatedCrescendo, index: int) -> List[Violation]:
+        rng = random.Random(f"scenario-checkpoint:{spec.name}:{seed}:{index}")
+        out: List[Violation] = []
+        for family, static, pairs, found in static_checks(
+            net, families, routing_pairs, rng
+        ):
+            fam = stats[family]
+            fam.checks += 1
+            fam.violations += len(found)
+            out.extend(found)
+            if not pairs:
+                continue
+            hop_table = None if family in PREFIX_FAMILIES else table
+            batch = batch_route(static, pairs, paths=True, latency=hop_table)
+            for idx, route in enumerate(batch.routes()):
+                if not route.success:
+                    continue
+                fam.hops.append(len(route.path) - 1)
+                if hop_table is not None:
+                    fam.ms.append(float(batch.latency_ms[idx]))
+        return out
+
+    comparison, violations = lockstep(
+        lambda engine: bootstrap_scenario(spec, seed, engine=engine),
         event_list,
-        on_checkpoint=_checkpoint_oracles(
-            spec, seed, families, routing_pairs, violations, stats,
-            table, data, monitor,
-        ),
-        data=data,
+        statics,
+        spec.data_replicas,
+        latency=table,
     )
-    residual = check_protocol_state(net)
+    report = comparison.fast_report
     lookup_ms: List[float] = []
     lookup_levels: List[int] = []
     direct_ms: List[float] = []
@@ -325,49 +304,17 @@ def run_scenario(
         spec=spec,
         seed=seed,
         events=event_list,
-        report=report,
+        comparison=comparison,
         violations=violations,
-        residual=residual,
+        residual=check_protocol_state(comparison.fast),
         families=stats,
         lookup_ms=lookup_ms,
         lookup_levels=lookup_levels,
-        messages=dict(net.msgs.stats.counts),
     )
     _record_slo(
         slo_label or spec.name, report, lookup_ms, lookup_levels, direct_ms
     )
     return result
-
-
-def crosscheck_scenario(
-    spec: ScenarioSpec,
-    seed: int = 0,
-    events: Optional[Sequence[Event]] = None,
-    latency: bool = True,
-) -> ProtocolComparison:
-    """Replay the scenario through *both* engines and demand equivalence.
-
-    Each engine carries its own data layer when the scenario has one, so
-    ``put`` / ``get`` events replay too.  Identical lookup and data
-    outcomes, hop paths, checkpoint membership, per-kind message counts
-    and final protocol state — plus bit-identical per-lookup latency
-    totals (scalar fold vs. vectorized gather) when ``latency`` is on.
-    """
-    event_list = (
-        compile_scenario(spec, seed) if events is None else list(events)
-    )
-    table = None
-    if latency:
-        topology, _ = scenario_latency(spec, seed, event_list)
-        table = topology.latency_table()
-
-    def replay_on(engine: str) -> Tuple[SimulatedCrescendo, ScheduleReport]:
-        net = bootstrap_scenario(spec, seed, engine=engine)
-        return net, run_schedule(net, event_list, data=data_layer(spec, net))
-
-    return compare_replays(
-        *replay_on("reference"), *replay_on("fast"), latency=table
-    )
 
 
 # -------------------------------------------------------------- the matrix
@@ -380,14 +327,10 @@ class MatrixResult:
     scale: str
     seed: int
     results: Dict[str, ScenarioResult]
-    #: scenario -> engines-equivalent verdict (empty unless cross-checked).
-    crosschecks: Dict[str, bool] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
-        return all(r.ok for r in self.results.values()) and all(
-            self.crosschecks.values()
-        )
+        return all(r.ok for r in self.results.values())
 
     def summary_table(self) -> Table:
         """One row per scenario: availability, cost, p99, status."""
@@ -402,8 +345,6 @@ class MatrixResult:
             status = "ok" if r.ok else "FAIL"
             if r.spec.expect_violations and r.ok:
                 status = "tripped (expected)"
-            if name in self.crosschecks and not self.crosschecks[name]:
-                status = "ENGINES DIVERGE"
             table.add_row(
                 name,
                 len(r.events),
@@ -411,7 +352,7 @@ class MatrixResult:
                 f"{r.availability:.3f}",
                 r.p99_ms(),
                 r.message_total,
-                len(r.violations) + len(r.residual),
+                r.findings,
                 status,
             )
         return table
@@ -440,15 +381,7 @@ class MatrixResult:
             "seed": self.seed,
             "ok": self.ok,
             "scenarios": {
-                name: {
-                    **r.to_dict(),
-                    **(
-                        {"engines_equivalent": self.crosschecks[name]}
-                        if name in self.crosschecks
-                        else {}
-                    ),
-                }
-                for name, r in self.results.items()
+                name: r.to_dict() for name, r in self.results.items()
             },
         }
 
@@ -470,12 +403,6 @@ class MatrixResult:
             "",
             self.family_table().to_markdown(),
         ]
-        if self.crosschecks:
-            verdicts = ", ".join(
-                f"{name}: {'equivalent' if ok else 'DIVERGED'}"
-                for name, ok in self.crosschecks.items()
-            )
-            lines += ["", f"Engine cross-check — {verdicts}"]
         return "\n".join(lines) + "\n"
 
     def render(self) -> str:
@@ -493,7 +420,6 @@ def run_matrix(
     seed: int = 0,
     families: Sequence[str] = MATRIX_FAMILIES,
     routing_pairs: int = 12,
-    cross_check: bool = False,
     latency: bool = True,
 ) -> MatrixResult:
     """Run catalog scenarios and collect the matrix artifact."""
@@ -504,25 +430,14 @@ def run_matrix(
         raise ValueError(
             f"unknown scenarios {unknown} (known: {', '.join(CATALOG)})"
         )
-    results: Dict[str, ScenarioResult] = {}
-    crosschecks: Dict[str, bool] = {}
-    for name in names:
-        spec = CATALOG[name](scale)
-        results[name] = run_scenario(
-            spec,
+    results = {
+        name: run_scenario(
+            CATALOG[name](scale),
             seed=seed,
             families=families,
             routing_pairs=routing_pairs,
             latency=latency,
         )
-        if cross_check:
-            comparison = crosscheck_scenario(
-                spec, seed=seed, events=results[name].events, latency=latency
-            )
-            crosschecks[name] = comparison.equivalent
-    return MatrixResult(
-        scale=scale,
-        seed=seed,
-        results=results,
-        crosschecks=crosschecks,
-    )
+        for name in names
+    }
+    return MatrixResult(scale=scale, seed=seed, results=results)

@@ -114,7 +114,8 @@ def serve_scenario(
 ) -> ServingScenarioResult:
     """Compile, bootstrap and serve one catalog scenario end to end."""
     from ..scenarios.dsl import bootstrap_scenario, compile_scenario
-    from ..scenarios.runner import data_layer, scenario_latency
+    from ..perf.storage import FastDataLayer
+    from ..scenarios.runner import scenario_latency
 
     events = compile_scenario(spec, seed)
     table = None
@@ -122,7 +123,9 @@ def serve_scenario(
         topology, _ = scenario_latency(spec, seed, events)
         table = topology.latency_table()
     net = bootstrap_scenario(spec, seed)
-    data = data_layer(spec, net)
+    data = None
+    if spec.data_replicas is not None:
+        data = FastDataLayer(net, replicas=spec.data_replicas)
     report, sub_reports = serve_schedule(
         net,
         events,

@@ -231,6 +231,8 @@ class ScheduleReport:
     data_outcomes: List[Tuple[int, bool]] = field(default_factory=list)
     #: Sorted live ids at each checkpoint, after its stabilization.
     checkpoint_members: List[List[int]] = field(default_factory=list)
+    #: Stabilize rounds each checkpoint took to converge (-1: it did not).
+    checkpoint_rounds: List[int] = field(default_factory=list)
 
 
 def run_schedule(
@@ -355,15 +357,15 @@ def run_schedule(
             net.stabilize()
             report.stabilize_rounds += 1
         elif event.kind == "checkpoint":
-            converged = True
             try:
-                net.stabilize_to_convergence()
+                rounds = net.stabilize_to_convergence()
             except RuntimeError:
-                converged = False
+                rounds = -1
                 report.unconverged_checkpoints += 1
+            report.checkpoint_rounds.append(rounds)
             report.checkpoint_members.append(list(net.live_view()))
             if on_checkpoint is not None:
-                on_checkpoint(net, report.checkpoints, converged)
+                on_checkpoint(net, report.checkpoints, rounds >= 0)
             report.checkpoints += 1
         else:
             raise ValueError(f"unknown event kind {event.kind!r}")

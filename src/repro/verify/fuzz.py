@@ -1,12 +1,13 @@
 """Seeded churn fuzzing: generate, replay, verify, shrink.
 
 The fuzzer derives a deterministic join/leave/crash/lookup schedule from a
-seed and replays it on both maintenance engines in lockstep.  On the fast
-engine every quiescent checkpoint (a) checks the live protocol state —
-ring successor correctness and leaf-set symmetry at every level — and (b)
-rebuilds each requested static family over the current live membership
-and runs the invariant registry plus a scalar-vs-batch routing
-differential on it.  The reference engine checks (a) at its own
+seed and replays it on both maintenance engines through :func:`lockstep`,
+which the scenario zoo's runner shares.  On the fast engine every
+quiescent checkpoint (a) checks the live protocol state — ring successor
+correctness and leaf-set symmetry at every level — and (b) rebuilds each
+requested static family over the current live membership and runs the
+invariant registry plus a scalar-vs-batch routing differential on it
+(:func:`static_checks`).  The reference engine checks (a) at its own
 checkpoints, and the two replays must then agree on everything
 :func:`repro.verify.oracles.compare_replays` compares.
 
@@ -26,6 +27,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 from ..core.hierarchy import DomainPath, Hierarchy
 from ..core.idspace import IdSpace
 from ..core.network import DHTNetwork
+from ..perf.latency import LatencyTable
 from ..simulation.churn import Event, ScheduleReport, run_schedule
 from ..simulation.protocol import SimulatedCrescendo
 from .builders import FAMILIES, PREFIX_FAMILIES, build_family
@@ -33,6 +35,7 @@ from .invariants import run_checks
 from .mutate import corrupt
 from .oracles import (
     DurabilityMonitor,
+    ProtocolComparison,
     check_durability,
     compare_replays,
     compare_routing,
@@ -77,9 +80,8 @@ class FuzzConfig:
     routing_pairs: int = 32
     #: replication degree of the data layer riding the schedule, or None
     #: for a bare network.  When set, the schedule gains ``put``/``get``
-    #: events, replay attaches a
-    #: :class:`~repro.perf.storage.FastDataLayer` plus a
-    #: :class:`~repro.verify.oracles.DurabilityMonitor`, and every
+    #: events, each engine in the :func:`lockstep` carries a data layer
+    #: plus a :class:`~repro.verify.oracles.DurabilityMonitor`, and every
     #: checkpoint runs :func:`~repro.verify.oracles.check_durability`.
     data_replicas: Optional[int] = None
 
@@ -290,69 +292,126 @@ def live_statics(
         )
 
 
-def _checkpoint_verifier(
-    config: FuzzConfig,
-    violations: List[Violation],
-    data=None,
-    monitor=None,
-    families: Sequence[str] = (),
-) -> Callable[[SimulatedCrescendo, int, bool], None]:
-    """The callback run at each quiescent point of the schedule:
-    :func:`checkpoint_safety`, then the static rebuild of ``families``."""
+def _intact(family: str, static: DHTNetwork, rng: random.Random) -> bool:
+    return False
 
-    def on_checkpoint(net: SimulatedCrescendo, index: int, converged: bool) -> None:
-        violations.extend(checkpoint_safety(net, index, converged, data, monitor))
-        rng = random.Random(f"fuzz-checkpoint:{config.seed}:{index}")
-        for family, static in live_statics(net, families, rng):
-            mutated = family == config.mutate_family
-            if mutated:
-                corrupt(static, rng, config.mutate_kind)
-            violations.extend(run_checks(static))
-            # No routing differential on a deliberately corrupted table:
-            # the batch kernels (rightly) refuse to compile bogus targets.
-            if not mutated and config.routing_pairs and static.size >= 2:
-                ids = static.node_ids
-                pairs = [
-                    (ids[rng.randrange(len(ids))], ids[rng.randrange(len(ids))])
-                    for _ in range(config.routing_pairs)
-                ]
-                violations.extend(compare_routing(static, pairs))
 
-    return on_checkpoint
+def static_checks(
+    net: SimulatedCrescendo,
+    families: Sequence[str],
+    routing_pairs: int,
+    rng: random.Random,
+    tamper: Callable[[str, DHTNetwork, random.Random], bool] = _intact,
+) -> Iterator[Tuple[str, DHTNetwork, List[Tuple[int, int]], List[Violation]]]:
+    """The static half of the checkpoint battery, one family at a time.
+
+    Each family is rebuilt over the live membership, handed to ``tamper``
+    (which may corrupt it and returns whether it did), checked by the
+    invariant registry and, unless tampered with, routed scalar vs batch
+    on ``routing_pairs`` sampled pairs.  Yields ``(family, static, pairs,
+    violations)`` so callers can tally or sample per family.
+    """
+    for family, static in live_statics(net, families, rng):
+        tampered = tamper(family, static, rng)
+        found = run_checks(static)
+        pairs: List[Tuple[int, int]] = []
+        # No routing differential on a deliberately corrupted table:
+        # the batch kernels (rightly) refuse to compile bogus targets.
+        if not tampered and routing_pairs and static.size >= 2:
+            ids = static.node_ids
+            pairs = [
+                (ids[rng.randrange(len(ids))], ids[rng.randrange(len(ids))])
+                for _ in range(routing_pairs)
+            ]
+            found = found + compare_routing(static, pairs)
+        yield family, static, pairs, found
+
+
+def lockstep(
+    bootstrap: Callable[[str], SimulatedCrescendo],
+    events: Sequence[Event],
+    statics: Callable[[SimulatedCrescendo, int], List[Violation]],
+    data_replicas: Optional[int] = None,
+    latency: Optional[LatencyTable] = None,
+) -> Tuple[ProtocolComparison, List[Violation]]:
+    """Replay ``events`` on both maintenance engines and judge the pair.
+
+    ``bootstrap(engine)`` builds each engine's initial network.  With
+    ``data_replicas`` the fast engine carries a
+    :class:`~repro.perf.storage.FastDataLayer` and the reference the
+    scalar :class:`~repro.simulation.data.DataLayer`, each watched by a
+    :class:`~repro.verify.oracles.DurabilityMonitor`.  At every checkpoint
+    both engines run :func:`checkpoint_safety`, and the fast engine also
+    runs ``statics(net, index)``.  Then
+    :func:`~repro.verify.oracles.compare_replays` judges the pair (final
+    data holders included, and per-lookup latency with a ``latency``
+    table).  Returns the comparison and the checkpoint findings.
+    """
+    from ..perf.storage import FastDataLayer
+    from ..simulation.data import DataLayer
+
+    violations: List[Violation] = []
+
+    def replay_on(engine, layer, battery):
+        net = bootstrap(engine)
+        data = monitor = None
+        if data_replicas is not None:
+            # Layer first, monitor second: the monitor's hooks must see the
+            # layer's post-handoff holder state to classify losses.
+            data = layer(net, replicas=data_replicas)
+            monitor = DurabilityMonitor(net, data)
+
+        def on_checkpoint(net, index: int, converged: bool) -> None:
+            violations.extend(
+                checkpoint_safety(net, index, converged, data, monitor)
+            )
+            violations.extend(battery(net, index))
+
+        return net, run_schedule(net, list(events), on_checkpoint, data=data), data
+
+    fast, fast_report, fast_data = replay_on("fast", FastDataLayer, statics)
+    ref, ref_report, ref_data = replay_on(
+        "reference", DataLayer, lambda net, index: []
+    )
+    comparison = compare_replays(
+        ref, ref_report, fast, fast_report, latency=latency,
+        data=None if data_replicas is None else (ref_data, fast_data),
+    )
+    return comparison, violations
 
 
 def replay(config: FuzzConfig, schedule: Sequence[Event]) -> FuzzReport:
-    """Replay one schedule on both engines in lockstep and verify.
+    """Replay one schedule on both engines in :func:`lockstep` and verify.
 
-    The fast engine runs the full checkpoint battery, the reference only
-    :func:`checkpoint_safety`; then
-    :func:`~repro.verify.oracles.compare_replays` demands that the two
-    replays agree.  The report carries the fast engine's replay.
+    The fast engine's static battery rebuilds every configured family and
+    corrupts ``config.mutate_family`` first when set.  The report carries
+    the fast engine's replay.
     """
-    violations: List[Violation] = []
-    replays: Dict[str, Tuple[SimulatedCrescendo, ScheduleReport]] = {}
-    for engine, families in (("fast", config.families), ("reference", ())):
-        net = bootstrap_network(config, engine)
-        data = monitor = None
-        if config.data_replicas is not None:
-            from ..perf.storage import FastDataLayer
 
-            # Layer first, monitor second: the monitor's hooks must see the
-            # layer's post-handoff holder state to classify losses.
-            data = FastDataLayer(net, replicas=config.data_replicas)
-            monitor = DurabilityMonitor(net, data)
-        on_checkpoint = _checkpoint_verifier(
-            config, violations, data, monitor, families
+    def tamper(family: str, static: DHTNetwork, rng: random.Random) -> bool:
+        if family != config.mutate_family:
+            return False
+        corrupt(static, rng, config.mutate_kind)
+        return True
+
+    def statics(net: SimulatedCrescendo, index: int) -> List[Violation]:
+        rng = random.Random(f"fuzz-checkpoint:{config.seed}:{index}")
+        checks = static_checks(
+            net, config.families, config.routing_pairs, rng, tamper
         )
-        report = run_schedule(net, list(schedule), on_checkpoint, data=data)
-        replays[engine] = (net, report)
-    comparison = compare_replays(*replays["reference"], *replays["fast"])
-    violations.extend(comparison.violations)
+        return [v for *_, found in checks for v in found]
+
+    comparison, violations = lockstep(
+        lambda engine: bootstrap_network(config, engine),
+        schedule,
+        statics,
+        config.data_replicas,
+    )
     return FuzzReport(
         config=config,
         schedule=list(schedule),
         replay=comparison.fast_report,
-        violations=violations,
+        violations=violations + comparison.violations,
     )
 
 

@@ -25,9 +25,10 @@ fuzzer checkpoint can call them:
   :class:`~repro.perf.dynamic.FastSimulatedCrescendo`) and requires
   identical delivery outcomes, identical per-kind message counts and
   identical final protocol state (link tables, leaf sets, predecessors).
-  Its judging half, :func:`compare_replays`, also serves the scenario
-  cross-check and the churn fuzzer, which replays every schedule on both
-  engines in lockstep.
+  Its judging half, :func:`compare_replays`, also serves
+  :func:`repro.verify.fuzz.lockstep`, through which the churn fuzzer and
+  the scenario zoo run every schedule; given both engines' data layers,
+  it also compares their final holders.
 
 - :func:`compare_storage` drives one deterministic mixed-domain put/get
   workload (:func:`storage_workload`) through the scalar hierarchical
@@ -293,6 +294,7 @@ def compare_replays(
     fast_report: ScheduleReport,
     max_reported: int = 20,
     latency: Optional[LatencyTable] = None,
+    data: Optional[Tuple[object, object]] = None,
 ) -> ProtocolComparison:
     """Judge a reference and a fast engine's replay of the same schedule.
 
@@ -308,7 +310,9 @@ def compare_replays(
       route through): bit-identical per-lookup latency totals, computing
       the reference side with the scalar per-hop fold and the fast side
       with the table's vectorized gather — the engine-parity contract of
-      the fused latency accumulator.
+      the fused latency accumulator;
+    - with ``data``, a (reference, fast) pair of data layers: identical
+      final holders for every key, and so identical lost keys.
     """
 
     def violation(message: str, **kw) -> Violation:
@@ -357,6 +361,21 @@ def compare_replays(
                 violation(
                     f"message counts disagree for {kind!r}: "
                     f"reference {a} vs fast {b}"
+                )
+            )
+    if data is not None:
+        ref_holders, fast_holders = data[0].holders, data[1].holders
+        differing = [
+            key_hash
+            for key_hash in sorted(set(ref_holders) | set(fast_holders))
+            if ref_holders.get(key_hash) != fast_holders.get(key_hash)
+        ]
+        for key_hash in differing[:max_reported]:
+            out.append(
+                violation(
+                    f"data holders of key {key_hash} disagree: reference "
+                    f"{ref_holders.get(key_hash)} vs fast "
+                    f"{fast_holders.get(key_hash)}"
                 )
             )
     ref_links = ref.static_links()

@@ -13,7 +13,7 @@ import pytest
 
 from repro.scenarios.catalog import CATALOG
 from repro.scenarios.dsl import bootstrap_scenario, compile_scenario
-from repro.scenarios.runner import crosscheck_scenario, run_scenario
+from repro.scenarios.runner import run_scenario
 from repro.simulation.churn import Event, run_schedule
 from repro.verify.fuzz import check_protocol_state
 
@@ -21,7 +21,8 @@ from repro.verify.fuzz import check_protocol_state
 @pytest.mark.parametrize("name", sorted(CATALOG))
 def test_engines_agree_on_every_scenario(name):
     spec = CATALOG[name]("smoke")
-    comparison = crosscheck_scenario(spec, seed=0)
+    result = run_scenario(spec, seed=0, families=(), routing_pairs=0)
+    comparison = result.comparison
     assert comparison.equivalent, comparison.violations[:5]
     assert comparison.ref_report.lookup_outcomes == (
         comparison.fast_report.lookup_outcomes
@@ -42,7 +43,7 @@ class TestNegativeControl:
         assert checks & {"protocol-successor", "leafset-symmetry"}
         assert result.failed and result.ok  # expected to trip
         # The reference engine ends in the same (stale) state.
-        comparison = crosscheck_scenario(spec, seed=0, events=result.events)
+        comparison = result.comparison
         assert comparison.equivalent, comparison.violations[:5]
         assert check_protocol_state(comparison.ref) == result.residual
 
@@ -52,7 +53,7 @@ class TestNegativeControl:
         assert result.report.revived == result.report.suspended > 0
         assert not result.violations and not result.residual
         assert result.ok
-        comparison = crosscheck_scenario(spec, seed=0, events=result.events)
+        comparison = result.comparison
         assert comparison.equivalent, comparison.violations[:5]
         assert check_protocol_state(comparison.ref) == []
 

@@ -16,6 +16,7 @@ re-running the compiler.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from pathlib import Path
@@ -25,7 +26,7 @@ import pytest
 from repro.scenarios import __main__ as scenarios_cli
 from repro.scenarios.catalog import CATALOG
 from repro.scenarios.dsl import scenario_from_json
-from repro.scenarios.runner import crosscheck_scenario, run_scenario
+from repro.scenarios.runner import run_scenario
 from repro.verify.fuzz import check_protocol_state
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -71,30 +72,11 @@ def test_every_catalog_scenario_has_a_fixture():
     assert on_disk == set(NAMES)
 
 
-@pytest.mark.parametrize("engine", ["reference", "fast"])
-@pytest.mark.parametrize("name", NAMES)
-def test_fixture_replays_bit_for_bit(name, engine):
-    document, expect = _load(name)
-    if engine == "reference":
-        # The reference engine is an oracle: it replays the fixture's
-        # events beside the fast engine, data layer and latency included.
-        comparison = crosscheck_scenario(
-            document.spec, seed=document.seed, events=document.events
-        )
-        assert comparison.equivalent, comparison.violations[:5]
-        residual = check_protocol_state(comparison.ref)
-        observed = _report_digest(
-            comparison.ref_report,
-            sum(comparison.ref.msgs.stats.counts.values()),
-            len(residual),
-        )
-        # Per-lookup latency: the crosscheck holds the reference's scalar
-        # fold to the fast gather, whose sum the fast case pins.
-        expect = {k: v for k, v in expect.items() if k != "lookup_ms_sum"}
-        assert observed == expect, f"{name} no longer replays on {engine}"
-        assert bool(residual) == document.expect_violations
-        return
-    result = run_scenario(
+@functools.lru_cache(maxsize=None)
+def _lockstep(name):
+    """One lockstep replay of the fixture, judged once per engine."""
+    document, _ = _load(name)
+    return run_scenario(
         document.spec,
         seed=document.seed,
         families=(),
@@ -102,6 +84,30 @@ def test_fixture_replays_bit_for_bit(name, engine):
         events=document.events,
         latency=True,
     )
+
+
+@pytest.mark.parametrize("engine", ["reference", "fast"])
+@pytest.mark.parametrize("name", NAMES)
+def test_fixture_replays_bit_for_bit(name, engine):
+    document, expect = _load(name)
+    result = _lockstep(name)
+    if engine == "reference":
+        # The reference engine is an oracle: it replays the fixture's
+        # events beside the fast engine, data layer and latency included.
+        comparison = result.comparison
+        assert comparison.equivalent, comparison.violations[:5]
+        residual = check_protocol_state(comparison.ref)
+        observed = _report_digest(
+            comparison.ref_report,
+            sum(comparison.ref.msgs.stats.counts.values()),
+            len(residual),
+        )
+        # Per-lookup latency: the lockstep holds the reference's scalar
+        # fold to the fast gather, whose sum the fast case pins.
+        expect = {k: v for k, v in expect.items() if k != "lookup_ms_sum"}
+        assert observed == expect, f"{name} no longer replays on {engine}"
+        assert bool(residual) == document.expect_violations
+        return
     observed = _report_digest(
         result.report, result.message_total, len(result.residual)
     )

@@ -11,21 +11,25 @@ import json
 import pytest
 
 from repro.perf import dynamic as perf_dynamic
+from repro.perf import storage as perf_storage
 from repro.perf.dynamic import FastSimulatedCrescendo
+from repro.perf.storage import FastDataLayer
 from repro.scenarios.catalog import CATALOG
-from repro.scenarios.runner import crosscheck_scenario
+from repro.scenarios.runner import run_matrix, run_scenario
 from repro.simulation.churn import Event, run_schedule
 from repro.verify.fuzz import (
     FuzzConfig,
     bootstrap_network,
     event_from_dict,
     generate_schedule,
+    lockstep,
     replay,
     run_fuzz,
     schedule_from_json,
     schedule_to_json,
     shrink_schedule,
 )
+from repro.verify.oracles import compare_replays
 
 
 class TestScheduleGeneration:
@@ -194,6 +198,29 @@ class TestRunSchedule:
         assert report.joins == 0
         assert report.skipped_joins == 1
 
+    def test_checkpoints_record_rounds_to_converge(self, monkeypatch):
+        config = FuzzConfig(seed=16, events=0, population=8)
+        net = bootstrap_network(config)
+        converged = []
+
+        def on_checkpoint(net, index, ok):
+            converged.append(ok)
+
+        events = [Event("crash", rank=0), Event("checkpoint"), Event("checkpoint")]
+        report = run_schedule(net, events, on_checkpoint)
+        assert report.checkpoint_rounds[0] >= 1
+        assert report.checkpoint_rounds[1] == 1  # nothing left to repair
+        assert converged == [True, True]
+
+        def give_up(max_rounds=20):
+            raise RuntimeError("not converged")
+
+        monkeypatch.setattr(net, "stabilize_to_convergence", give_up)
+        report = run_schedule(net, [Event("checkpoint")], on_checkpoint)
+        assert report.checkpoint_rounds == [-1]
+        assert report.unconverged_checkpoints == 1
+        assert converged[-1] is False
+
 
 class TestShrinking:
     def test_shrinks_to_single_culprit(self):
@@ -288,6 +315,19 @@ class TestEndToEnd:
         assert replay(parsed_config, parsed_events).failed
 
 
+class _DropsAHolder(FastDataLayer):
+    """A fast data layer that forgets one holder on its first handoff."""
+
+    _dropped = False
+
+    def node_leaving(self, node_id):
+        super().node_leaving(node_id)
+        for holders in self.holders.values():
+            if not self._dropped and len(holders) > 1:
+                holders.pop()
+                self._dropped = True
+
+
 def _one_extra(kind):
     """A fast-engine subclass that sends one stray ``kind`` message, the
     first time it sends that kind at all."""
@@ -316,15 +356,73 @@ class TestLockstep:
         assert any("'ping'" in v.message for v in diverged), diverged
 
     def test_crosscheck_compares_the_scenarios_data_events(self, monkeypatch):
-        # One stray message on the first put: only a crosscheck that replays
+        # One stray message on the first put: only a lockstep that replays
         # the scenario's put events on both engines can see it.
         monkeypatch.setattr(perf_dynamic, "FastSimulatedCrescendo", _one_extra("store"))
         spec = CATALOG["flash_crowd"]("smoke")
         assert spec.data_replicas is not None
-        comparison = crosscheck_scenario(spec, seed=0, latency=False)
+        result = run_scenario(spec, seed=0, families=(), latency=False)
+        comparison = result.comparison
         assert comparison.ref_report.puts > 0
-        assert not comparison.equivalent
+        assert not comparison.equivalent and not result.ok
         assert any(
             v.check == "oracle-protocol" and "'store'" in v.message
             for v in comparison.violations
         ), comparison.violations
+
+    def test_divergence_fails_even_a_negative_control(self, monkeypatch):
+        monkeypatch.setattr(perf_dynamic, "FastSimulatedCrescendo", _one_extra("ping"))
+        spec = CATALOG["partition_noheal"]("smoke")
+        result = run_scenario(spec, families=(), routing_pairs=0, latency=False)
+        assert result.residual  # the control still trips ...
+        assert any("'ping'" in v.message for v in result.divergence)
+        assert not result.ok  # ... but a divergence is never expected
+        matrix = run_matrix(
+            names=["partition_noheal"], families=(), routing_pairs=0,
+            latency=False,
+        )
+        assert matrix.summary_table().column("status") == ["FAIL"]
+        assert not matrix.ok
+
+    def test_fast_data_layer_is_checked_against_the_scalar_one(
+        self, monkeypatch
+    ):
+        # The reference engine carries the scalar DataLayer, so a bug in
+        # the fast layer alone shows up as a difference.
+        monkeypatch.setattr(perf_storage, "FastDataLayer", _DropsAHolder)
+        config = FuzzConfig(
+            seed=1, events=100, population=16, families=(), data_replicas=2
+        )
+        report = replay(config, generate_schedule(config))
+        assert report.replay.puts and report.replay.joins
+        assert report.failed
+        assert {v.check for v in report.violations} == {"oracle-protocol"}
+
+    def test_holders_are_compared(self):
+        config = FuzzConfig(
+            seed=1, events=100, population=16, families=(), data_replicas=2
+        )
+        comparison, _ = lockstep(
+            lambda engine: bootstrap_network(config, engine),
+            generate_schedule(config),
+            lambda net, index: [],
+            config.data_replicas,
+        )
+        assert comparison.equivalent
+        # Each engine's first listener is its data layer.
+        ref_layer = comparison.ref.listeners[0]
+        fast_layer = comparison.fast.listeners[0]
+        assert isinstance(fast_layer, FastDataLayer)
+        assert not isinstance(ref_layer, FastDataLayer)
+        key_hash = next(k for k, h in fast_layer.holders.items() if h)
+        fast_layer.holders[key_hash] = fast_layer.holders[key_hash][1:]
+        rejudged = compare_replays(
+            comparison.ref, comparison.ref_report,
+            comparison.fast, comparison.fast_report,
+            data=(ref_layer, fast_layer),
+        )
+        assert [v.message for v in rejudged.violations] == [
+            f"data holders of key {key_hash} disagree: reference "
+            f"{ref_layer.holders[key_hash]} vs fast "
+            f"{fast_layer.holders[key_hash]}"
+        ]
