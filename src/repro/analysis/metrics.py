@@ -18,6 +18,7 @@ from ..core.routing import Route, route_ring, route_xor
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..obs.profile import PROFILER
+from ..obs.slo import record_slo
 from ..perf.kernels import CompiledNetwork, compile_network
 from ..perf.latency import LatencyTable, latency_table_of
 from ..workloads.queries import random_pair
@@ -257,42 +258,27 @@ def _record_slo(
     domain; the per-domain counters attribute each delivered lookup to its
     top-level LCA domain (``root`` for cross-domain traffic).
     """
-    registry.counter(f"slo.samples.{label}").inc(offered)
-    registry.counter(f"slo.delivered.{label}").inc(len(delivered_pairs))
-    if not delivered_pairs or not latencies:
-        return
-    registry.histogram(f"slo.lookup_ms.{label}").observe_many(latencies)
-    if table is not None:
-        import numpy as np
+    directs: Optional[List[float]] = None
+    levels: List[int] = []
+    domains: List[str] = []
+    if latencies:
+        if table is not None:
+            import numpy as np
 
-        directs = table.hop_ms(
-            np.asarray([p[0] for p in delivered_pairs], dtype=np.uint64),
-            np.asarray([p[1] for p in delivered_pairs], dtype=np.uint64),
-        ).tolist()
-    elif latency_fn is not None:
-        directs = [latency_fn(src, dst) for src, dst in delivered_pairs]
-    else:
-        directs = []
-    if directs:
-        registry.histogram(f"slo.direct_ms.{label}").observe_many(directs)
-    hierarchy = network.hierarchy
-    by_level: Dict[int, List[float]] = {}
-    direct_by_level: Dict[int, List[float]] = {}
-    domain_counts: Dict[str, int] = {}
-    for i, (src, dst) in enumerate(delivered_pairs):
-        common = lca(hierarchy.path_of(src), hierarchy.path_of(dst))
-        level = len(common)
-        by_level.setdefault(level, []).append(latencies[i])
-        if directs:
-            direct_by_level.setdefault(level, []).append(directs[i])
-        top = format_name(common[:1]) if common else "root"
-        domain_counts[top] = domain_counts.get(top, 0) + 1
-    for level, values in sorted(by_level.items()):
-        registry.histogram(f"slo.lookup_ms.{label}.L{level}").observe_many(values)
-    for level, values in sorted(direct_by_level.items()):
-        registry.histogram(f"slo.direct_ms.{label}.L{level}").observe_many(values)
-    for domain, count in sorted(domain_counts.items()):
-        registry.counter(f"slo.domain.{label}.{domain}").inc(count)
+            directs = table.hop_ms(
+                np.asarray([p[0] for p in delivered_pairs], dtype=np.uint64),
+                np.asarray([p[1] for p in delivered_pairs], dtype=np.uint64),
+            ).tolist()
+        elif latency_fn is not None:
+            directs = [latency_fn(src, dst) for src, dst in delivered_pairs]
+        hierarchy = network.hierarchy
+        for src, dst in delivered_pairs:
+            common = lca(hierarchy.path_of(src), hierarchy.path_of(dst))
+            levels.append(len(common))
+            domains.append(format_name(common[:1]) if common else "root")
+    record_slo(
+        registry, label, offered, len(delivered_pairs), latencies, directs, levels, domains
+    )
 
 
 def stretch(

@@ -23,6 +23,7 @@ from typing import Dict
 from ..core.idspace import IdSpace
 from ..analysis.tables import Table
 from ..obs import metrics as obs_metrics
+from ..obs.slo import record_slo
 from ..perf.dynamic import make_protocol
 from ..simulation.churn import ChurnConfig, run_churn
 from ..topology.transit_stub import TopologyParams, TransitStubTopology
@@ -70,20 +71,14 @@ def measurements(scale: str = "smoke") -> Dict[str, Dict[str, float]]:
             attach=topology.attach_node,
         )
         if registry is not None:
-            family = f"churn.{label}"
-            registry.counter(f"slo.samples.{family}").inc(report.lookups_attempted)
-            registry.counter(f"slo.delivered.{family}").inc(report.lookups_delivered)
-            if report.lookup_ms:
-                registry.histogram(f"slo.lookup_ms.{family}").observe_many(
-                    report.lookup_ms
-                )
-                by_level: Dict[int, list] = {}
-                for level, ms in zip(report.lookup_levels, report.lookup_ms):
-                    by_level.setdefault(level, []).append(ms)
-                for level, values in sorted(by_level.items()):
-                    registry.histogram(
-                        f"slo.lookup_ms.{family}.L{level}"
-                    ).observe_many(values)
+            record_slo(
+                registry,
+                f"churn.{label}",
+                report.lookups_attempted,
+                report.lookups_delivered,
+                report.lookup_ms,
+                levels=report.lookup_levels,
+            )
         total_events = config.joins + config.leaves + config.crashes
         out[label] = {
             "events": float(total_events),

@@ -1,8 +1,9 @@
 """Family x level SLO tables from metrics snapshots.
 
-The measurement harness (:func:`repro.analysis.metrics.sample_routing` with
-an ``slo_label``, and :func:`repro.simulation.churn.run_churn` with a
-latency oracle) records, per family label:
+:func:`record_slo` is the one writer of these instruments (routing
+samples, scenario and churn runs, and the serving runtime's
+:class:`~repro.serve.middleware.SLOMiddleware` all call it), per family
+label:
 
 - ``slo.lookup_ms.<label>`` — end-to-end lookup latency histogram (ms),
   delivered lookups only, with a reservoir sample for true quantiles;
@@ -12,7 +13,9 @@ latency oracle) records, per family label:
 - ``slo.direct_ms.<label>`` (and ``.L<k>``) — the direct source→target
   link latency for the same pairs, the paper's stretch denominator;
 - counters ``slo.samples.<label>`` / ``slo.delivered.<label>`` — offered
-  vs delivered lookups, giving availability.
+  vs delivered lookups, giving availability;
+- counters ``slo.domain.<label>.<domain>`` — delivered lookups per
+  top-level domain of their lowest common domain (``root`` across roots).
 
 :class:`SLOReport` parses those names back out of a
 :class:`~repro.obs.metrics.MetricsSnapshot` and renders the family x
@@ -24,12 +27,13 @@ text, JSON, or CSV.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .metrics import MetricsSnapshot
+from .metrics import MetricsRegistry, MetricsSnapshot
 
-__all__ = ["SLORow", "SLOReport"]
+__all__ = ["SLORow", "SLOReport", "record_slo"]
 
 _LOOKUP_PREFIX = "slo.lookup_ms."
 _DIRECT_PREFIX = "slo.direct_ms."
@@ -41,6 +45,46 @@ def _split_level(rest: str) -> Tuple[str, str]:
     if dot and len(tail) > 1 and tail[0] == "L" and tail[1:].isdigit():
         return head, tail
     return rest, "all"
+
+
+def record_slo(
+    registry: MetricsRegistry,
+    label: str,
+    offered: int,
+    delivered: int,
+    lookup_ms: Sequence[float] = (),
+    direct_ms: Optional[Sequence[float]] = None,
+    levels: Optional[Sequence[int]] = None,
+    domains: Optional[Sequence[str]] = None,
+) -> None:
+    """Record one family's ``slo.*`` instruments.
+
+    ``lookup_ms`` holds the delivered lookups' latencies and, aligned with
+    it, ``direct_ms`` their direct source-to-target latencies, ``levels``
+    their common-domain depths (splitting both histograms per level) and
+    ``domains`` their top-level common domains.  Histograms and domain
+    counters are written only when ``lookup_ms`` is non-empty.
+    """
+    registry.counter(f"slo.samples.{label}").inc(offered)
+    registry.counter(f"slo.delivered.{label}").inc(delivered)
+    if not len(lookup_ms):
+        return
+    registry.histogram(f"slo.lookup_ms.{label}").observe_many(lookup_ms)
+    if direct_ms is not None:
+        registry.histogram(f"slo.direct_ms.{label}").observe_many(direct_ms)
+    by_level: Dict[int, List[int]] = {}
+    for i, level in enumerate(levels or ()):
+        by_level.setdefault(level, []).append(i)
+    for level, rows in sorted(by_level.items()):
+        registry.histogram(f"slo.lookup_ms.{label}.L{level}").observe_many(
+            [lookup_ms[i] for i in rows]
+        )
+        if direct_ms is not None:
+            registry.histogram(f"slo.direct_ms.{label}.L{level}").observe_many(
+                [direct_ms[i] for i in rows]
+            )
+    for domain, count in sorted(Counter(domains or ()).items()):
+        registry.counter(f"slo.domain.{label}.{domain}").inc(count)
 
 
 @dataclass

@@ -37,6 +37,7 @@ from ..analysis.tables import Table
 from ..core.hierarchy import DomainPath, lca
 from ..obs import metrics as obs_metrics
 from ..obs.quantiles import percentile
+from ..obs.slo import record_slo
 from ..perf.kernels import batch_route
 from ..simulation.churn import Event, ScheduleReport
 from ..simulation.protocol import SimulatedCrescendo
@@ -200,35 +201,6 @@ class ScenarioResult:
         }
 
 
-def _record_slo(
-    label: str,
-    report: ScheduleReport,
-    lookup_ms: Sequence[float],
-    lookup_levels: Sequence[int],
-    direct_ms: Sequence[float],
-) -> None:
-    """Land delivered-lookup latencies in the standard slo.* instruments."""
-    registry = obs_metrics.active_registry()
-    if registry is None:
-        return
-    registry.counter(f"slo.samples.{label}").inc(report.lookups_attempted)
-    registry.counter(f"slo.delivered.{label}").inc(report.lookups_delivered)
-    if not lookup_ms:
-        return
-    registry.histogram(f"slo.lookup_ms.{label}").observe_many(lookup_ms)
-    registry.histogram(f"slo.direct_ms.{label}").observe_many(direct_ms)
-    by_level: Dict[int, List[int]] = {}
-    for idx, level in enumerate(lookup_levels):
-        by_level.setdefault(level, []).append(idx)
-    for level, indices in sorted(by_level.items()):
-        registry.histogram(f"slo.lookup_ms.{label}.L{level}").observe_many(
-            [lookup_ms[i] for i in indices]
-        )
-        registry.histogram(f"slo.direct_ms.{label}.L{level}").observe_many(
-            [direct_ms[i] for i in indices]
-        )
-
-
 def run_scenario(
     spec: ScenarioSpec,
     seed: int = 0,
@@ -311,9 +283,17 @@ def run_scenario(
         lookup_ms=lookup_ms,
         lookup_levels=lookup_levels,
     )
-    _record_slo(
-        slo_label or spec.name, report, lookup_ms, lookup_levels, direct_ms
-    )
+    registry = obs_metrics.active_registry()
+    if registry is not None:
+        record_slo(
+            registry,
+            slo_label or spec.name,
+            report.lookups_attempted,
+            report.lookups_delivered,
+            lookup_ms,
+            direct_ms,
+            lookup_levels,
+        )
     return result
 
 

@@ -4,7 +4,8 @@ Quickstart (static net, closed loop)::
 
     python -m repro.serve --nodes 2048 --lookups 20000
 
-The CI serving gate (live churn, every admitted lookup must complete)::
+The CI serving gate (live churn, the slot table checked every tick, every
+admitted lookup must complete)::
 
     python -m repro.serve --nodes 1024 --lookups 10000 --churn-every 5 \
         --max-attempts 3 --assert-complete
@@ -19,11 +20,12 @@ import time
 
 from ..obs.metrics import collecting
 from ..obs.slo import SLOReport
+from ..verify.invariants import verify_serving_state
 from .batcher import compile_protocol_view
 from .middleware import DomainACL, SLOMiddleware, TracingMiddleware
 from .policy import ServePolicy
 from .runtime import ServeRuntime, run_closed_loop, run_open_loop
-from .testbed import build_serving_net, crash_fraction, domain_labeler, lookup_workload
+from .testbed import build_serving_net, domain_labeler, lookup_workload
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -70,7 +72,8 @@ def _parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--assert-complete", action="store_true",
-        help="exit nonzero unless every submitted lookup completed "
+        help="check the slot-table invariant after every tick and exit "
+        "nonzero unless every submitted lookup completed "
         "(the zero-lost-acknowledged-completions gate)",
     )
     parser.add_argument("--slo-report", action="store_true")
@@ -78,7 +81,22 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    parser = _parser()
+    args = parser.parse_args(argv)
+    try:
+        policy = ServePolicy(
+            deadline_ms=(
+                float("inf") if args.deadline_ms is None else args.deadline_ms
+            ),
+            max_attempts=args.max_attempts,
+            retry_alternates=args.retry_alternates,
+            hedge_quantile=args.hedge_quantile,
+            hedge_min_ms=args.hedge_min_ms,
+            admit_rate=args.admit_rate,
+            admit_burst=args.admit_burst,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
     print(
         f"building {args.nodes}-node serving testbed "
         f"(seed {args.seed})...", flush=True
@@ -87,17 +105,6 @@ def main(argv=None) -> int:
         args.nodes, args.seed, with_latency=not args.no_latency,
     )
     sources, keys = lookup_workload(net, args.lookups, args.seed)
-    policy = ServePolicy(
-        deadline_ms=(
-            float("inf") if args.deadline_ms is None else args.deadline_ms
-        ),
-        max_attempts=args.max_attempts,
-        retry_alternates=args.retry_alternates,
-        hedge_quantile=args.hedge_quantile,
-        hedge_min_ms=args.hedge_min_ms,
-        admit_rate=args.admit_rate,
-        admit_burst=args.admit_burst,
-    )
     middlewares = [TracingMiddleware(), SLOMiddleware("serve.cli")]
     if args.deny_domain:
         middlewares.insert(0, DomainACL(args.deny_domain))
@@ -119,6 +126,8 @@ def main(argv=None) -> int:
             for victim in victims:
                 net.crash(victim)
             rt.set_view(*compile_protocol_view(net))
+        if args.assert_complete:
+            verify_serving_state(rt)
 
     started = time.perf_counter()
     with collecting() as registry:
@@ -150,7 +159,7 @@ def main(argv=None) -> int:
         print(SLOReport.from_snapshot(snapshot).render())
     if args.assert_complete:
         submitted = report.counters["submitted"]
-        if served != submitted or runtime.outstanding != 0:
+        if runtime.outstanding:
             print(
                 f"FAIL: {submitted} submitted but {served} completed "
                 f"({runtime.outstanding} outstanding)",

@@ -23,6 +23,7 @@ import numpy as np
 
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
+from ..obs.slo import record_slo
 
 __all__ = [
     "CompletionBatch",
@@ -141,13 +142,12 @@ class SLOMiddleware(Middleware):
     def after_complete(self, batch: CompletionBatch) -> None:
         """Record samples/delivered counters and the delivered-ms histogram."""
         registry = obs_metrics.active_registry()
-        if registry is None:
-            return
-        registry.counter(f"slo.samples.{self.label}").inc(batch.size)
-        delivered = batch.delivered
-        count = int(np.count_nonzero(delivered))
-        registry.counter(f"slo.delivered.{self.label}").inc(count)
-        if count:
-            registry.histogram(f"slo.lookup_ms.{self.label}").observe_many(
-                batch.latency_ms[delivered]
+        if registry is not None:
+            delivered = batch.delivered
+            record_slo(
+                registry,
+                self.label,
+                batch.size,
+                int(np.count_nonzero(delivered)),
+                batch.latency_ms[delivered],
             )

@@ -10,6 +10,7 @@ static network, differing only in latency and counters.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
@@ -59,9 +60,25 @@ class ServePolicy:
     #: Token-bucket capacity (burst) per top-level domain.
     admit_burst: float = 64.0
 
-    def backoff_ms(self, attempt: int) -> float:
-        """Exponential backoff before the given (second or later) attempt."""
-        return self.retry_backoff_ms * (2.0 ** max(attempt - 2, 0))
+    def __post_init__(self) -> None:
+        """``ValueError`` naming the field for a knob out of its range (a
+        NaN compares false, so it is out of every range)."""
+        q, rate = self.hedge_quantile, self.admit_rate
+        for name, ok, need in (
+            ("deadline_ms", not math.isnan(self.deadline_ms), "a number"),
+            ("hop_cap", self.hop_cap >= 1, "at least 1"),
+            ("tick_ms", self.tick_ms > 0, "positive"),
+            ("hop_ms", self.hop_ms > 0, "positive"),
+            ("max_attempts", self.max_attempts >= 1, "at least 1"),
+            ("retry_backoff_ms", self.retry_backoff_ms >= 0, "non-negative"),
+            ("hedge_quantile", q is None or 0 <= q <= 1, "in [0, 1]"),
+            ("hedge_min_ms", self.hedge_min_ms >= 0, "non-negative"),
+            ("admit_rate", rate is None or rate >= 0, "non-negative"),
+            ("admit_burst", self.admit_burst >= 0, "non-negative"),
+        ):
+            if not ok:
+                value = getattr(self, name)
+                raise ValueError(f"ServePolicy.{name} must be {need}, got {value!r}")
 
 
 #: The identity policy: no deadlines, retries, hedging or admission.

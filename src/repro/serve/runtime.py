@@ -33,11 +33,16 @@ node ids are what survives a swap: ``set_view`` re-resolves the open
 slots when the new view's ``ids`` is another array, and only then.
 Lookups parked on nodes that died or were forgotten resolve as LOST
 exactly like AsyncEngine's in-flight message losses.
+
+The completion log is the one ledger: each tick's batch joins
+:attr:`ServeRuntime.log` before any middleware sees it, the outcome
+counters are read off its status column there alone, and
+:meth:`ServeRuntime.report` is the log concatenated.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -72,18 +77,22 @@ STATUS_DEADLINE = 4  # end-to-end deadline expired
 STATUS_SHED = 5  # admission control: no token for the source's domain
 STATUS_DENIED = 6  # vetoed by a before-submit middleware (ACL)
 
-_STATUS_NAMES = {
-    STATUS_OK: "ok",
-    STATUS_FAIL: "fail",
-    STATUS_LOST: "lost",
-    STATUS_HOPCAP: "hop_limit",
-    STATUS_DEADLINE: "deadline",
-    STATUS_SHED: "shed",
-    STATUS_DENIED: "denied",
-}
+#: The counter each status code adds to, indexed by code (every completion
+#: also adds to ``completed``).
+_STATUS_COUNTERS = (
+    "delivered", "failed", "lost", "hop_limit", "expired", "shed", "denied",
+)
 
 #: Statuses that carry a routing outcome (the lookup was actually served).
 SERVED_STATUSES = (STATUS_OK, STATUS_FAIL)
+
+#: The per-lookup columns a completion batch and a report share.
+_COLUMNS = tuple(f.name for f in fields(CompletionBatch))
+#: What a report concatenates before anything has completed.
+_NO_COMPLETIONS = CompletionBatch(*(np.zeros(0, dtype) for dtype in (
+    np.int64, np.uint64, np.uint64, np.uint64, np.int64, np.float64, np.int32,
+    bool, np.int16,
+)))
 
 
 @dataclass
@@ -108,11 +117,6 @@ class ServeReport:
     @property
     def delivered(self) -> np.ndarray:
         return self.success.copy()
-
-    @property
-    def served(self) -> np.ndarray:
-        """Lookups that got a routing outcome (not shed/denied/expired)."""
-        return np.isin(self.status, SERVED_STATUSES)
 
     def quantile_ms(self, q: float) -> float:
         """Latency quantile over delivered lookups (NaN when none)."""
@@ -193,8 +197,6 @@ class ServeRuntime:
             self.buckets = DomainBuckets(
                 self.policy.admit_rate, self.policy.admit_burst
             )
-        self._next_ticket = 0
-        self.completed_tickets = 0
         self.counters: Dict[str, int] = {
             key: 0
             for key in (
@@ -204,13 +206,8 @@ class ServeRuntime:
                 "ticks",
             )
         }
-        self._done: Dict[str, List[np.ndarray]] = {
-            key: []
-            for key in (
-                "tickets", "sources", "keys", "terminals", "hops",
-                "latency_ms", "attempts", "success", "status",
-            )
-        }
+        #: Every completion batch emitted so far, in completion order.
+        self.log: List[CompletionBatch] = []
 
     # ------------------------------------------------------------- views
 
@@ -254,7 +251,7 @@ class ServeRuntime:
     @property
     def outstanding(self) -> int:
         """Tickets admitted but not yet completed."""
-        return self._next_ticket - self.completed_tickets
+        return self.counters["submitted"] - self.counters["completed"]
 
     def node_ids(self, slots: np.ndarray) -> np.ndarray:
         """The node id each slot stands on (the one it was last resolved
@@ -293,15 +290,7 @@ class ServeRuntime:
             raise ValueError(f"{src.size} sources vs {dst.size} keys")
         c = self.compiled
         at = c._positions(src) if self.alive is None else c._locate(src)
-        if deadline_ms is not None and np.isfinite(deadline_ms):
-            self._finite_deadlines = True
         n = int(src.size)
-        tickets = np.arange(
-            self._next_ticket, self._next_ticket + n, dtype=np.int64
-        )
-        self._next_ticket += n
-        self.counters["submitted"] += n
-        self._inc_obs("serve.submitted", n)
         deny = np.zeros(n, dtype=bool)
         domains: List[str] = []
         if self.middlewares or self.buckets is not None:
@@ -312,44 +301,57 @@ class ServeRuntime:
                 mask = mw.before_submit(batch)
                 if mask is not None:
                     deny |= mask
+        # Nothing above wrote to the runtime: a check that raises leaves no
+        # ticket, counter or slot behind.
+        if deadline_ms is not None and np.isfinite(deadline_ms):
+            self._finite_deadlines = True
+        first = self.counters["submitted"]
+        tickets = np.arange(first, first + n, dtype=np.int64)
+        self.counters["submitted"] += n
+        self._inc_obs("serve.submitted", n)
         stage = _CompletionStage()
-        denied_idx = np.flatnonzero(deny)
-        if denied_idx.size:
-            self.counters["denied"] += int(denied_idx.size)
-            self._inc_obs("serve.denied", int(denied_idx.size))
-            stage.add_immediate(tickets, src, dst, denied_idx, STATUS_DENIED)
+        stage.add_immediate(tickets, src, dst, np.flatnonzero(deny), STATUS_DENIED)
         passed = np.flatnonzero(~deny)
         if self.buckets is not None and passed.size:
             if passed.size < n:
                 domains = [domains[i] for i in passed.tolist()]
             admitted = self.buckets.admit(self.buckets.codes(domains))
-            shed_idx = passed[~admitted]
-            if shed_idx.size:
-                self.counters["shed"] += int(shed_idx.size)
-                self._inc_obs("serve.shed", int(shed_idx.size))
-                stage.add_immediate(tickets, src, dst, shed_idx, STATUS_SHED)
+            stage.add_immediate(tickets, src, dst, passed[~admitted], STATUS_SHED)
             passed = passed[admitted]
         if passed.size:
             self.counters["admitted"] += int(passed.size)
-            slots = self.batcher.alloc(int(passed.size))
-            b = self.batcher
-            b.ticket[slots] = tickets[passed]
-            b.src[slots] = src[passed]
-            b.pos[slots] = at[passed]
-            b.cur[slots] = src[passed]
-            b.dest[slots] = dst[passed]
-            b.hops[slots] = 0
-            b.elapsed_ms[slots] = 0.0
-            b.deadline_ms[slots] = (
-                self.policy.deadline_ms if deadline_ms is None else deadline_ms
+            if deadline_ms is None:
+                deadline_ms = self.policy.deadline_ms
+            self._launch(
+                tickets[passed], src[passed], at[passed], dst[passed], 0.0, deadline_ms
             )
-            b.attempt[slots] = 1
-            b.wait[slots] = 0
-            b.twin[slots] = -1
-            b.is_hedge[slots] = False
-            b.state[slots] = RUNNING
         self._emit(stage)
         return tickets
+
+    def _launch(
+        self, tickets, src, pos, dest, elapsed_ms, deadline_ms, twin=None
+    ) -> None:
+        """Start one RUNNING runner per ticket on its first attempt at
+        ``pos``; with ``twin``, each is the hedge of the runner there."""
+        b = self.batcher
+        slots = b.alloc(int(tickets.size))
+        b.ticket[slots] = tickets
+        b.src[slots] = src
+        b.pos[slots] = pos
+        b.cur[slots] = src
+        b.dest[slots] = dest
+        b.hops[slots] = 0
+        b.elapsed_ms[slots] = elapsed_ms
+        b.deadline_ms[slots] = deadline_ms
+        b.attempt[slots] = 1
+        b.wait[slots] = 0
+        b.is_hedge[slots] = twin is not None
+        if twin is None:
+            b.twin[slots] = -1
+        else:
+            b.twin[slots] = twin
+            b.twin[twin] = slots
+        b.state[slots] = RUNNING
 
     # -------------------------------------------------------------- tick
 
@@ -406,9 +408,7 @@ class ServeRuntime:
                 b.elapsed_ms[open_slots] > b.deadline_ms[open_slots]
             ]
             if expired.size:
-                self.counters["expired"] += self._stage_complete(
-                    stage, expired, STATUS_DEADLINE, False
-                )
+                self._stage_complete(stage, expired, STATUS_DEADLINE, False)
         self._maybe_hedge()
         self._emit(stage)
         return moved_count
@@ -424,23 +424,13 @@ class ServeRuntime:
 
     def report(self) -> ServeReport:
         """Snapshot of all completions so far (completion order)."""
-        def cat(key: str, dtype) -> np.ndarray:
-            parts = self._done[key]
-            return (
-                np.concatenate(parts) if parts else np.zeros(0, dtype=dtype)
-            )
-
+        log = self.log or [_NO_COMPLETIONS]
         return ServeReport(
             counters=dict(self.counters),
-            tickets=cat("tickets", np.int64),
-            sources=cat("sources", np.uint64),
-            keys=cat("keys", np.uint64),
-            terminals=cat("terminals", np.uint64),
-            hops=cat("hops", np.int64),
-            latency_ms=cat("latency_ms", np.float64),
-            attempts=cat("attempts", np.int32),
-            success=cat("success", bool),
-            status=cat("status", np.int16),
+            **{
+                name: np.concatenate([getattr(batch, name) for batch in log])
+                for name in _COLUMNS
+            },
         )
 
     # ------------------------------------------------------------ policy
@@ -470,21 +460,14 @@ class ServeRuntime:
                 2.0, b.attempt[retry].astype(np.float64) - 2.0
             )
             b.wait[retry] = np.maximum(
-                np.ceil(backoff / max(policy.tick_ms, 1e-9)), 1.0
+                np.ceil(backoff / policy.tick_ms), 1.0
             ).astype(np.int32)
             b.state[retry] = WAITING
         if done.size:
             # A failing runner whose hedge twin is still in flight does not
             # doom the ticket: drop it silently and let the twin race on.
             done = self._drop_if_twin_alive(done)
-        if done.size:
-            count = self._stage_complete(stage, done, status, False)
-            key = {
-                STATUS_LOST: "lost",
-                STATUS_HOPCAP: "hop_limit",
-                STATUS_FAIL: "failed",
-            }[status]
-            self.counters[key] += count
+            self._stage_complete(stage, done, status, False)
 
     def _live_twins(self, slots: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """``(twin, linked)``: each slot's hedge sibling and whether that
@@ -553,21 +536,11 @@ class ServeRuntime:
         n = int(eligible.size)
         self.counters["hedges"] += n
         self._inc_obs("serve.hedges", n)
-        slots = b.alloc(n)
-        b.ticket[slots] = b.ticket[eligible]
-        b.src[slots] = b.src[eligible]
-        b.pos[slots] = self.compiled._locate(b.src[eligible])
-        b.cur[slots] = b.src[eligible]
-        b.dest[slots] = b.dest[eligible]
-        b.hops[slots] = 0
-        b.elapsed_ms[slots] = b.elapsed_ms[eligible]
-        b.deadline_ms[slots] = b.deadline_ms[eligible]
-        b.attempt[slots] = 1
-        b.wait[slots] = 0
-        b.is_hedge[slots] = True
-        b.twin[slots] = eligible
-        b.twin[eligible] = slots
-        b.state[slots] = RUNNING
+        src = b.src[eligible]
+        self._launch(
+            b.ticket[eligible], src, self.compiled._locate(src), b.dest[eligible],
+            b.elapsed_ms[eligible], b.deadline_ms[eligible], twin=eligible,
+        )
 
     # ------------------------------------------------------- completions
 
@@ -608,14 +581,22 @@ class ServeRuntime:
         batch = stage.batch()
         if batch is None:
             return
-        self.completed_tickets += batch.size
+        self.log.append(batch)
+        by_status = np.bincount(
+            batch.status, minlength=len(_STATUS_COUNTERS)
+        ).tolist()
         self.counters["completed"] += batch.size
-        delivered = int(np.count_nonzero(batch.delivered))
-        self.counters["delivered"] += delivered
+        for key, count in zip(_STATUS_COUNTERS, by_status):
+            self.counters[key] += count
         registry = obs_metrics.active_registry()
         if registry is not None:
             registry.counter("serve.completed").inc(batch.size)
-            registry.counter("serve.delivered").inc(delivered)
+            registry.counter("serve.delivered").inc(by_status[STATUS_OK])
+            for status in (STATUS_DENIED, STATUS_SHED):
+                if by_status[status]:
+                    registry.counter(f"serve.{_STATUS_COUNTERS[status]}").inc(
+                        by_status[status]
+                    )
             served = np.isin(batch.status, SERVED_STATUSES)
             if np.any(served):
                 registry.histogram("serve.latency_ms").observe_many(
@@ -624,16 +605,6 @@ class ServeRuntime:
                 registry.histogram("serve.hops").observe_many(batch.hops[served])
         for mw in self.middlewares:
             mw.after_complete(batch)
-        done = self._done
-        done["tickets"].append(batch.tickets)
-        done["sources"].append(batch.sources)
-        done["keys"].append(batch.keys)
-        done["terminals"].append(batch.terminals)
-        done["hops"].append(batch.hops)
-        done["latency_ms"].append(batch.latency_ms)
-        done["attempts"].append(batch.attempts)
-        done["success"].append(batch.success)
-        done["status"].append(batch.status)
 
     def _inc_obs(self, name: str, n: int) -> None:
         registry = obs_metrics.active_registry()
@@ -713,22 +684,9 @@ def run_closed_loop(
     ``on_tick(runtime, tick_index)`` runs after every tick — the hook for
     injecting churn and swapping in a recompiled view mid-run.
     """
-    src = np.asarray(sources, dtype=np.uint64)
-    dst = np.asarray(keys, dtype=np.uint64)
-    total = int(src.size)
-    i = 0
-    ticks = 0
-    while i < total or runtime.in_flight:
-        room = concurrency - runtime.outstanding
-        if room > 0 and i < total:
-            take = min(room, total - i)
-            runtime.submit_many(src[i : i + take], dst[i : i + take])
-            i += take
-        runtime.tick()
-        ticks += 1
-        if on_tick is not None:
-            on_tick(runtime, ticks)
-    return runtime.report()
+    return _drive(
+        runtime, sources, keys, lambda: concurrency - runtime.outstanding, on_tick
+    )
 
 
 def run_open_loop(
@@ -740,14 +698,26 @@ def run_open_loop(
 ) -> ServeReport:
     """Offered-rate driver: ``per_tick`` lookups submitted every tick,
     regardless of completions (admission control does the protecting)."""
+    return _drive(runtime, sources, keys, lambda: per_tick, on_tick)
+
+
+def _drive(
+    runtime: ServeRuntime,
+    sources: Sequence[int],
+    keys: Sequence[int],
+    room: Callable[[], int],
+    on_tick: Optional[Callable[[ServeRuntime, int], None]],
+) -> ServeReport:
+    """Submit up to ``room()`` of the remaining lookups, tick, repeat until
+    every lookup is submitted and none is in flight."""
     src = np.asarray(sources, dtype=np.uint64)
     dst = np.asarray(keys, dtype=np.uint64)
     total = int(src.size)
     i = 0
     ticks = 0
     while i < total or runtime.in_flight:
-        if i < total:
-            take = min(per_tick, total - i)
+        take = min(room(), total - i)
+        if take > 0:
             runtime.submit_many(src[i : i + take], dst[i : i + take])
             i += take
         runtime.tick()

@@ -67,6 +67,16 @@ def serve_schedule(
     Returns the runtime's :class:`ServeReport` plus the per-slice
     :class:`ScheduleReport` list from the delegated non-lookup events.
     """
+    runtime, sub_reports = _serve(
+        net, events, policy, latency, label, data, min_population
+    )
+    return runtime.report(), sub_reports
+
+
+def _serve(
+    net, events, policy=None, latency=None, label=None, data=None, min_population=3
+) -> Tuple[ServeRuntime, List[ScheduleReport]]:
+    """:func:`serve_schedule` up to its report: the drained runtime."""
     middlewares = [SLOMiddleware(label)] if label else []
     runtime = ServeRuntime(
         *compile_protocol_view(net),
@@ -103,7 +113,7 @@ def serve_schedule(
             )
         )
     flush()
-    return runtime.report(), sub_reports
+    return runtime, sub_reports
 
 
 def serve_scenario(
@@ -112,10 +122,13 @@ def serve_scenario(
     policy: Optional[ServePolicy] = None,
     latency: bool = True,
 ) -> ServingScenarioResult:
-    """Compile, bootstrap and serve one catalog scenario end to end."""
+    """Compile, bootstrap and serve one catalog scenario end to end, then
+    hold the drained runtime to
+    :func:`~repro.verify.invariants.verify_serving_state`."""
     from ..scenarios.dsl import bootstrap_scenario, compile_scenario
     from ..perf.storage import FastDataLayer
     from ..scenarios.runner import scenario_latency
+    from ..verify.invariants import verify_serving_state
 
     events = compile_scenario(spec, seed)
     table = None
@@ -126,7 +139,7 @@ def serve_scenario(
     data = None
     if spec.data_replicas is not None:
         data = FastDataLayer(net, replicas=spec.data_replicas)
-    report, sub_reports = serve_schedule(
+    runtime, sub_reports = _serve(
         net,
         events,
         policy=policy,
@@ -134,6 +147,7 @@ def serve_scenario(
         label=f"{spec.name}.serve",
         data=data,
     )
+    verify_serving_state(runtime)
     return ServingScenarioResult(
-        name=spec.name, report=report, sub_reports=sub_reports
+        name=spec.name, report=runtime.report(), sub_reports=sub_reports
     )

@@ -9,7 +9,7 @@ network for the same ``(size, seed)`` and their numbers are comparable.
 from __future__ import annotations
 
 import random
-from typing import Callable, Sequence, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from ..verify.fuzz import FUZZ_PATHS
 __all__ = [
     "SERVE_TOPOLOGY",
     "build_serving_net",
-    "crash_fraction",
     "domain_labeler",
     "lookup_workload",
 ]
@@ -90,17 +89,3 @@ def lookup_workload(
         [rng.randrange(net.space.size) for _ in range(count)], dtype=np.uint64
     )
     return sources, keys
-
-
-def crash_fraction(net, fraction: float, seed: int = 0) -> Sequence[int]:
-    """Crash a deterministic ``fraction`` of live nodes; returns victims.
-
-    No stabilization afterwards: the degraded regime where serving policy
-    (lost detection, retries, hedging) actually has work to do.
-    """
-    rng = random.Random(f"serve-crash:{seed}")
-    live = sorted(net.live_view())
-    victims = rng.sample(live, int(len(live) * fraction))
-    for victim in victims:
-        net.crash(victim)
-    return victims

@@ -28,12 +28,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from ..core.hierarchy import lca_depth
 from ..core.idspace import predecessor_index, successor_index
 from ..core.network import DHTNetwork
 from ..dhts.chord import finger_links
 from ..dhts.kademlia import bucket_members_range
 from ..obs import metrics as obs_metrics
+from ..serve.batcher import FREE
 from .violations import InvariantViolationError, Violation
 
 CheckFn = Callable[[DHTNetwork], Iterator[Violation]]
@@ -614,3 +617,91 @@ def check_lan_complete(network: DHTNetwork) -> Iterator[Violation]:
                     level=domain.depth,
                     domain=domain.path,
                 )
+
+
+# ---------------------------------------------------------- serving state
+
+
+def check_serving_state(runtime) -> List[Violation]:
+    """The slot table of a :class:`~repro.serve.runtime.ServeRuntime`
+    against its completion log, in any state between two calls:
+
+    - the free list has no duplicates and is exactly the FREE slots;
+    - every other slot holds a ticket in ``[0, submitted)`` that the log
+      has not completed;
+    - a ticket held by two slots is a hedge pair (mutual ``twin`` links,
+      exactly one ``is_hedge``), and none is held by three;
+    - the log completes no ticket twice;
+    - ``submitted`` is the log's rows plus the distinct held tickets, and
+      ``completed`` is the log's rows.
+    """
+    b = runtime.batcher
+    counters = runtime.counters
+    out: List[Violation] = []
+
+    def fail(check: str, message: str, where: Optional[np.ndarray] = None) -> None:
+        if where is not None:
+            message += f": {where[:5].tolist()}" + (" ..." if where.size > 5 else "")
+        out.append(Violation(check=f"serve-{check}", family="serve", message=message))
+
+    free = np.asarray(b._free, dtype=np.int64)
+    listed, copies = np.unique(free, return_counts=True)
+    if np.any(copies > 1):
+        fail("free-list", "slots listed free twice", listed[copies > 1])
+    free_state = np.flatnonzero(b.state == FREE)
+    stray = np.setxor1d(listed, free_state)
+    if stray.size:
+        fail("free-list", "free list and FREE states disagree at slots", stray)
+
+    held = np.flatnonzero(b.state != FREE)
+    tickets = b.ticket[held]
+    bad = held[(tickets < 0) | (tickets >= counters["submitted"])]
+    if bad.size:
+        fail("held-ticket", "slots hold a ticket never issued", bad)
+    logged = np.concatenate(
+        [batch.tickets for batch in runtime.log] or [np.zeros(0, np.int64)]
+    )
+    done, twice = np.unique(logged, return_counts=True)
+    if np.any(twice > 1):
+        fail("log", "tickets completed more than once", done[twice > 1])
+    bad = held[np.isin(tickets, done)]
+    if bad.size:
+        fail("held-ticket", "slots hold a completed ticket", bad)
+
+    order = np.argsort(tickets, kind="stable")
+    slots = held[order]
+    distinct, first, runners = np.unique(
+        tickets[order], return_index=True, return_counts=True
+    )
+    if np.any(runners > 2):
+        fail("hedge-pair", "tickets held by 3+ slots", distinct[runners > 2])
+    pair = first[runners == 2]
+    one, two = slots[pair], slots[pair + 1]
+    broken = (
+        (b.twin[one] != two)
+        | (b.twin[two] != one)
+        | (b.is_hedge[one] == b.is_hedge[two])
+    )
+    if np.any(broken):
+        fail("hedge-pair", "slots share a ticket but are no hedge pair", one[broken])
+
+    if counters["submitted"] != logged.size + distinct.size:
+        fail(
+            "accounting",
+            f"{counters['submitted']} submitted but {logged.size} completed "
+            f"+ {distinct.size} held",
+        )
+    if counters["completed"] != logged.size:
+        fail(
+            "accounting",
+            f"{counters['completed']} counted complete, {logged.size} logged",
+        )
+    return out
+
+
+def verify_serving_state(runtime) -> None:
+    """Raise :class:`InvariantViolationError` if
+    :func:`check_serving_state` finds anything."""
+    violations = check_serving_state(runtime)
+    if violations:
+        raise InvariantViolationError(violations)

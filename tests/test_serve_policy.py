@@ -444,7 +444,7 @@ class TestStagingMatchesScalarLoop:
         b.src[:2] = staging_view[1][:2]
         _place(runtime, [0, 1], b.src[:2])
         b.deadline_ms[:2] = 0.25  # both runners are already past it
-        runtime._next_ticket = 8
+        runtime.counters["submitted"] = 8
         runtime.tick()
         report = runtime.report()
         assert report.tickets.tolist() == [7]
@@ -478,7 +478,7 @@ class TestStagingMatchesScalarLoop:
         b.deadline_ms[[primary, hedge]] = np.inf
         b.is_hedge[hedge] = True
         b.twin[[primary, hedge]] = hedge, primary
-        runtime._next_ticket = 1
+        runtime.counters["submitted"] = 1
         runtime.tick()
         report = runtime.report()
         assert report.tickets.tolist() == [0]
@@ -626,7 +626,7 @@ class TestRestartPoints:
         b.wait[:2] = 5
         b.elapsed_ms[:2] = 9.0, 9.5
         b.deadline_ms[:2] = 10.0
-        runtime._next_ticket = 2
+        runtime.counters["submitted"] = 2
         runtime.tick()
         assert b.elapsed_ms[0] == b.deadline_ms[0] == 10.0
         assert b.state[:2].tolist() == [WAITING, FREE]
