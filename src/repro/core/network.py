@@ -109,9 +109,10 @@ class DHTNetwork:
     """Base class: an ID space, a hierarchy, and a per-node link table.
 
     Subclasses supply their construction rule: ``_reference_link_sets`` is
-    the scalar reference, ``_bulk_link_sets`` the vectorized form of the
-    same rule (:mod:`repro.perf.build`), and the input alone picks between
-    them (:meth:`_use_bulk`).  Either returns a :data:`LinkSource`, and
+    the scalar reference, and the families the figure runs build at scale
+    also define ``_bulk_link_sets``, the vectorized form of the same rule
+    (:mod:`repro.perf.build`); the input alone picks between them
+    (:meth:`_use_bulk`).  Either returns a :data:`LinkSource`, and
     :meth:`_finalize_links` installs it as the network's CSR (see the
     module docstring for the CSR contract and when ``links`` exists).
     ``metric`` declares which greedy routing engine applies ("ring" for
@@ -170,18 +171,21 @@ class DHTNetwork:
     def _use_bulk(self) -> bool:
         """Whether :meth:`build` takes the bulk path — a function of the input.
 
-        Ids must fit numpy's uint64 arithmetic (under 64 bits) and the network
-        must exceed :data:`BULK_THRESHOLD` nodes; families whose input can
-        lack a bulk form narrow this further.
+        The class itself must define ``_bulk_link_sets``: a family without a
+        bulk form of its own, including a subclass of a family that has
+        one, builds by its reference.  Ids must fit numpy's uint64
+        arithmetic (under 64 bits) and the network must exceed
+        :data:`BULK_THRESHOLD` nodes; families whose input can lack a bulk
+        form narrow this further.
         """
-        return self.space.bits < 64 and self.size > BULK_THRESHOLD
+        return (
+            "_bulk_link_sets" in vars(type(self))
+            and self.space.bits < 64
+            and self.size > BULK_THRESHOLD
+        )
 
     def _reference_link_sets(self) -> LinkSource:
         """Per-node link sets by the scalar reference construction."""
-        raise NotImplementedError
-
-    def _bulk_link_sets(self) -> LinkSource:
-        """Links by the vectorized construction of the same rule."""
         raise NotImplementedError
 
     def _finalize_links(self, links: LinkSource) -> None:

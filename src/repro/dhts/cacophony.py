@@ -34,14 +34,6 @@ class CacophonyNetwork(DHTNetwork):
         #: Clockwise distance to the node's own-ring successor (see Crescendo).
         self.gap: Dict[int, int] = {}
 
-    def _bulk_link_sets(self) -> Dict[int, Set[int]]:
-        from ..perf.build import cacophony_link_sets
-
-        link_sets, self.gap = cacophony_link_sets(
-            self.node_ids, self.space, self.hierarchy, self.rng
-        )
-        return link_sets
-
     def _reference_link_sets(self) -> Dict[int, Set[int]]:
         space = self.space
         link_sets: Dict[int, Set[int]] = {node: set() for node in self.node_ids}

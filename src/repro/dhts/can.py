@@ -220,12 +220,6 @@ class CANNetwork(DHTNetwork):
             raise ValueError(f"no prefix registered for nodes {sorted(missing)[:5]}")
         self.prefixes = prefixes
 
-    def _bulk_link_sets(self) -> Dict[int, Set[int]]:
-        from ..perf.build import can_link_sets
-
-        lengths = [self.prefixes[node].length for node in self.node_ids]
-        return can_link_sets(self.node_ids, lengths, self.space.bits)
-
     def _reference_link_sets(self) -> Dict[int, Set[int]]:
         ids = self.node_ids
         link_sets: Dict[int, Set[int]] = {node: set() for node in ids}

@@ -57,15 +57,6 @@ class CanCanNetwork(CANNetwork):
         #: node -> bit position -> depth of the domain the edge came from.
         self.edge_depth: Dict[int, Dict[int, int]] = {}
 
-    def _bulk_link_sets(self) -> Dict[int, Set[int]]:
-        from ..perf.build import cancan_link_sets
-
-        lengths = [self.prefixes[node].length for node in self.node_ids]
-        link_sets, self.edge_depth = cancan_link_sets(
-            self.node_ids, lengths, self.space, self.hierarchy, self.rng
-        )
-        return link_sets
-
     def _reference_link_sets(self) -> Dict[int, Set[int]]:
         link_sets: Dict[int, Set[int]] = {node: set() for node in self.node_ids}
         self.edge_depth = {}

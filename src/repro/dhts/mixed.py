@@ -33,14 +33,6 @@ class LanCrescendoNetwork(DHTNetwork):
         super().__init__(space, hierarchy)
         self.gap: Dict[int, int] = {}
 
-    def _bulk_link_sets(self) -> Dict[int, Set[int]]:
-        from ..perf.build import lan_crescendo_link_sets
-
-        link_sets, self.gap = lan_crescendo_link_sets(
-            self.node_ids, self.space, self.hierarchy
-        )
-        return link_sets
-
     def _reference_link_sets(self) -> Dict[int, Set[int]]:
         space = self.space
         link_sets: Dict[int, Set[int]] = {node: set() for node in self.node_ids}

@@ -25,11 +25,6 @@ class NaiveHierarchicalChord(DHTNetwork):
     metric = "ring"
     family = "naive"
 
-    def _bulk_link_sets(self) -> Dict[int, Set[int]]:
-        from ..perf.build import naive_link_sets
-
-        return naive_link_sets(self.node_ids, self.space, self.hierarchy)
-
     def _reference_link_sets(self) -> Dict[int, Set[int]]:
         space = self.space
         link_sets: Dict[int, Set[int]] = {node: set() for node in self.node_ids}

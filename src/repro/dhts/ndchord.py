@@ -70,11 +70,6 @@ class NDChordNetwork(DHTNetwork):
         super().__init__(space, hierarchy)
         self.rng = rng
 
-    def _bulk_link_sets(self) -> Dict[int, Set[int]]:
-        from ..perf.build import ndchord_link_sets
-
-        return ndchord_link_sets(self.node_ids, self.space, self.rng)
-
     def _reference_link_sets(self) -> Dict[int, Set[int]]:
         members = self.node_ids
         population = len(members)
@@ -104,14 +99,6 @@ class NDCrescendoNetwork(DHTNetwork):
         super().__init__(space, hierarchy)
         self.rng = rng
         self.gap: Dict[int, int] = {}
-
-    def _bulk_link_sets(self) -> Dict[int, Set[int]]:
-        from ..perf.build import ndcrescendo_link_sets
-
-        link_sets, self.gap = ndcrescendo_link_sets(
-            self.node_ids, self.space, self.hierarchy, self.rng
-        )
-        return link_sets
 
     def _reference_link_sets(self) -> Dict[int, Set[int]]:
         space = self.space

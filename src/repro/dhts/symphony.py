@@ -20,21 +20,6 @@ from ..core.network import DHTNetwork
 _MAX_DRAWS = 64
 
 
-def _note_short_draws(missing: int) -> None:
-    """Count long links abandoned because the distinctness budget ran out.
-
-    Tiny or clustered rings can exhaust ``_MAX_DRAWS`` attempts per link and
-    come up short; that silently thins the degree distribution, so both the
-    scalar and bulk builders report it via the ``build.symphony.short_draws``
-    counter for post-hoc inspection (``repro.obs.metrics``).
-    """
-    from ..obs.metrics import active_registry
-
-    registry = active_registry()
-    if registry is not None:
-        registry.counter("build.symphony.short_draws").inc(missing)
-
-
 def harmonic_distance(space: IdSpace, population: int, rng) -> int:
     """Draw a clockwise distance from Symphony's harmonic distribution.
 
@@ -68,7 +53,13 @@ def draw_long_links(
         if succ != node_id:
             links.add(succ)
     if len(links) < count:
-        _note_short_draws(count - len(links))
+        # Tiny or clustered rings can exhaust the attempt budget and come up
+        # short, silently thinning the degree distribution; count it.
+        from ..obs.metrics import active_registry
+
+        registry = active_registry()
+        if registry is not None:
+            registry.counter("build.symphony.short_draws").inc(count - len(links))
     return links
 
 
@@ -118,13 +109,6 @@ class SymphonyNetwork(DHTNetwork):
 
     def _link_count(self) -> int:
         return self.links_per_node or max(1, int(math.log2(max(2, self.size))))
-
-    def _bulk_link_sets(self) -> Dict[int, Set[int]]:
-        from ..perf.build import symphony_link_sets
-
-        return symphony_link_sets(
-            self.node_ids, self._link_count(), self.space, self.rng
-        )
 
     def _reference_link_sets(self) -> Dict[int, Set[int]]:
         members = self.node_ids

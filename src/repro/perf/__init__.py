@@ -12,10 +12,12 @@ to the plain implementations they accelerate:
   :class:`~concurrent.futures.ProcessPoolExecutor`; per-point seeded RNGs
   keep results identical to serial runs, and child metrics registries are
   merged back via the obs snapshot/merge API.
-- :mod:`repro.perf.build` — vectorized bulk link-table builders for every
-  DHT family; a network's ``build()`` takes them whenever its input has a
-  bulk form, and the scalar constructions in :mod:`repro.dhts` remain the
-  cross-checked reference behind ``build_reference()``.
+- :mod:`repro.perf.build` — vectorized bulk link-table builders for the
+  families the figures build at scale (Chord, Crescendo, Kademlia, Kandy
+  and the proximity variants); a network's ``build()`` takes them
+  whenever its input has a bulk form, and the scalar constructions in
+  :mod:`repro.dhts` remain the cross-checked reference behind
+  ``build_reference()`` (and the only construction of the other families).
 - :mod:`repro.perf.dynamic` — the fast dynamic-maintenance engine:
   array-backed membership state (:class:`~repro.perf.dynamic.NodeArena`),
   batched stabilization with quiescent-ring memoization, and bisect-based

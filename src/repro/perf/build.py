@@ -1,11 +1,13 @@
-"""Vectorized bulk builders for every DHT family's link-table construction.
+"""Vectorized bulk builders for the families the figure runs build at scale.
 
 The scalar constructions in :mod:`repro.dhts` are the semantic reference:
 one node at a time, one draw / binary search at a time.  At the paper's
-32K-65K node scales that makes *building* the networks — not routing them —
-the dominant cost of every experiment grid.  This module rebuilds each
-family's link table in array form:
+4K-65K node figure scales that makes *building* the networks — not routing
+them — the dominant cost of a figure run.  So the families those runs
+build have a second, array-form construction beside their reference:
 
+- Chord: one finger matrix over the sorted ids
+  (:func:`repro.dhts.chord.bulk_finger_links`).
 - Crescendo: one array pass per hierarchy depth (:func:`canon_merge`).
   A depth's rings are one sorted array of composite (domain rank, id)
   keys, so one ``searchsorted`` finds the fingers of every member of every
@@ -15,58 +17,48 @@ family's link table in array form:
   binary-trie descent finds the deterministic XOR-closest contact
   (:func:`_xor_closest_in_ranges`), and each depth's contacts are resolved
   in one call (:func:`kandy_edges`; Kademlia is its root ring alone).
-- Symphony/Cacophony: harmonic inverse-CDF draws in ``(nodes x count)``
-  batches with distinct-rejection redraw rounds and one ``searchsorted``
-  successor snap per batch (:func:`bulk_harmonic_draws`).
-- CAN/Can-Can: a neighbor of leaf ``x`` at flipped bit ``p`` is exactly a
-  leaf whose interval overlaps ``x``'s sibling interval at depth ``p`` — a
-  contiguous range of the padded-id order, so adjacency needs no pairwise
-  prefix comparisons at all.
-- ND-Chord/ND-Crescendo: annulus member ranges via cyclic successor
-  searches, with the ``count == 0`` full-ring/empty disambiguation of
-  :func:`repro.dhts.ndchord.annulus_choice` applied vectorially.
-- mixed/naive: Chord-style finger matrices, one domain at a time.
-- Chord (Prox.) builds beside its reference
-  (:meth:`repro.proximity.groups.ProximityChordNetwork._bulk_link_sets`):
-  one repeat/offset pass for the dense groups, and per octave one
-  ``searchsorted`` for the target group and a masked ``argmin`` over its
-  members' latencies.
+- Chord (Prox.) and Crescendo (Prox.) build beside their references in
+  :mod:`repro.proximity.groups`: one repeat/offset pass for the dense
+  groups, and per octave one ``searchsorted`` for the target group and a
+  masked ``argmin`` over its members' latencies; Crescendo (Prox.) sweeps
+  the rings below the root with :func:`crescendo_edges`.
 
-What a builder returns is what the network installs.  Crescendo and
-Kademlia/Kandy (like Chord's finger matrix,
-:func:`repro.dhts.chord.bulk_finger_links`) return ``(src, dst)`` position
-arrays into the sorted ids (:data:`~repro.core.network.Edges`; repeats and
-self-links allowed), and
+The paper's other families (Symphony, Cacophony, ND-Chord, ND-Crescendo,
+CAN, Can-Can, the naive and mixed-level networks) have no bulk form: no
+figure or benchmark builds them past about 2,000 nodes, where their
+reference builds take 0.1-0.7 s each (2-3 s for the all-pairs CAN and
+Can-Can, which the experiments build at 600 nodes at most).
+
+A builder returns ``(src, dst)`` position arrays into the sorted ids
+(:data:`~repro.core.network.Edges`; repeats and self-links allowed), and
 :meth:`~repro.core.network.DHTNetwork._finalize_links` turns them into the
-network's CSR with one sort (:func:`repro.core.network.edges_to_csr`).
-The other families still return per-node Python sets, and the installer
-takes those through the same sort, so every built network holds a CSR and
+network's CSR with one sort (:func:`repro.core.network.edges_to_csr`), so
 no Python link dict exists until something reads ``links``.  Side outputs
 follow suit where a dict would cost a figure run time: Kandy keeps
 :func:`kandy_edges`' ``contact_at`` matrix and builds its ``contact_depth``
 dict on first read (:func:`contact_depths`).
 
-Randomized families draw from a numpy ``Generator`` derived from the
+Randomized Kademlia/Kandy draw from a numpy ``Generator`` derived from the
 caller's ``random.Random`` (:func:`derive_generator`): vectorization
 reorders RNG consumption, so streams cannot match the reference draw for
-draw — the bulk output is *distributionally* identical (tested) while the
-deterministic families are *exactly* identical (also tested).
+draw, and the oracle compares what does not depend on the draws.  The
+deterministic builds are *exactly* the reference's tables.
 
 Dispatch is a function of the input, with nothing to configure: a
-network's ``build()`` takes the bulk path when its id space has fewer than
-64 bits, it has more than :data:`BULK_THRESHOLD` nodes and its family has
-a bulk form for it (deterministic Kademlia/Kandy with ``bucket_size > 1``
-has none, and neither has a Crescendo or Kandy hierarchy whose composite
-keys exceed 64 bits, :func:`composite_keys_fit`, nor a Chord (Prox.) whose
-latency picks would draw from its rng or have no latency table to gather
-from).  The scalar construction stays reachable as ``build_reference()``,
-which the differential oracle :func:`repro.verify.oracles.compare_builders`
-holds every builder here to.
+network's ``build()`` takes the bulk path when its own class defines one,
+its id space has fewer than 64 bits, it has more than
+:data:`BULK_THRESHOLD` nodes and its family has a bulk form for that input
+(deterministic Kademlia/Kandy with ``bucket_size > 1`` has none, and
+neither has a Crescendo or Kandy hierarchy whose composite keys exceed 64
+bits, :func:`composite_keys_fit`, nor a Chord (Prox.) whose latency picks
+would draw from its rng or have no latency table to gather from).  The
+scalar construction stays reachable as ``build_reference()``, which the
+differential oracle :func:`repro.verify.oracles.compare_builders` holds
+every builder here to.
 """
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -75,27 +67,18 @@ import numpy as np
 from ..core.hierarchy import Hierarchy
 from ..core.idspace import IdSpace
 from ..core.network import BULK_THRESHOLD, Edges
-from ..dhts.symphony import _MAX_DRAWS, _note_short_draws
 
 __all__ = [
     "BULK_THRESHOLD",
-    "bulk_harmonic_draws",
-    "cacophony_link_sets",
-    "can_link_sets",
     "canon_merge",
-    "cancan_link_sets",
     "composite_keys_fit",
     "contact_depths",
     "crescendo_edges",
     "derive_generator",
     "hierarchy_codes",
     "kandy_edges",
-    "lan_crescendo_link_sets",
-    "naive_link_sets",
-    "ndchord_link_sets",
-    "ndcrescendo_link_sets",
-    "symphony_link_sets",
 ]
+
 
 def derive_generator(rng) -> np.random.Generator:
     """A numpy ``Generator`` seeded deterministically from ``rng``.
@@ -114,122 +97,6 @@ def derive_generator(rng) -> np.random.Generator:
 
 def _as_array(members: Sequence[int]) -> np.ndarray:
     return np.asarray(members, dtype=np.uint64)
-
-
-def _depth_of(hierarchy: Hierarchy, node_ids: Sequence[int]) -> Dict[int, int]:
-    return {node: len(hierarchy.path_of(node)) for node in node_ids}
-
-
-def _domains_deepest_first(hierarchy: Hierarchy):
-    return sorted(hierarchy.domains(), key=lambda d: -d.depth)
-
-
-# ------------------------------------------------------- Symphony / Cacophony
-
-
-def bulk_harmonic_draws(
-    arr: np.ndarray, count: int, space: IdSpace, gen: np.random.Generator
-) -> List[Set[int]]:
-    """Per-member sets of up to ``count`` distinct harmonic long links.
-
-    Vectorized :func:`repro.dhts.symphony.draw_long_links` over one ring:
-    inverse-CDF distances for a whole batch at once, one ``searchsorted``
-    successor snap per round, then distinct-rejection — only rows still
-    short of ``count`` distinct non-self links redraw, each within the same
-    ``count * _MAX_DRAWS`` attempt budget as the scalar loop.  Rows whose
-    budget runs out emit the ``build.symphony.short_draws`` counter.
-    """
-    n = int(arr.size)
-    sets: List[Set[int]] = [set() for _ in range(n)]
-    if n < 2 or count <= 0:
-        return sets
-    size = np.uint64(space.size)
-    scale = float(space.size)
-    budget = count * _MAX_DRAWS
-    rows = np.arange(n)
-    spent = 0
-    while rows.size and spent < budget:
-        cols = min(count, budget - spent)
-        u = gen.random((rows.size, cols))
-        dist = (np.power(float(n), u - 1.0) * scale).astype(np.uint64)
-        np.maximum(dist, np.uint64(1), out=dist)
-        targets = (arr[rows][:, None] + dist) % size
-        idx = np.searchsorted(arr, targets)
-        idx[idx == n] = 0
-        snapped = arr[idx].tolist()
-        own = arr[rows].tolist()
-        short = []
-        for row, me, values in zip(rows.tolist(), own, snapped):
-            links = sets[row]
-            if not links and len(values) == count:
-                # Fast path: a full round of all-distinct non-self draws is
-                # the whole answer (order among iid draws is irrelevant).
-                distinct = set(values)
-                distinct.discard(me)
-                if len(distinct) == count:
-                    sets[row] = distinct
-                    continue
-            for value in values:
-                if value != me and len(links) < count:
-                    links.add(value)
-            if len(links) < count:
-                short.append(row)
-        spent += cols
-        rows = np.asarray(short, dtype=np.int64)
-    if rows.size:
-        missing = sum(count - len(sets[row]) for row in rows.tolist())
-        if missing > 0:
-            _note_short_draws(missing)
-    return sets
-
-
-def symphony_link_sets(
-    node_ids: Sequence[int], count: int, space: IdSpace, rng
-) -> Dict[int, Set[int]]:
-    """Bulk Symphony: harmonic long links plus the successor short link."""
-    arr = _as_array(node_ids)
-    sets = bulk_harmonic_draws(arr, count, space, derive_generator(rng))
-    n = len(node_ids)
-    out: Dict[int, Set[int]] = {}
-    for pos, node in enumerate(node_ids):
-        links = sets[pos]
-        links.add(node_ids[(pos + 1) % n])
-        out[node] = links
-    return out
-
-
-def cacophony_link_sets(
-    node_ids: Sequence[int], space: IdSpace, hierarchy: Hierarchy, rng
-) -> Tuple[Dict[int, Set[int]], Dict[int, int]]:
-    """Bulk Cacophony: per-domain harmonic draws, gap-filtered at merges."""
-    gen = derive_generator(rng)
-    out: Dict[int, Set[int]] = {node: set() for node in node_ids}
-    gap = {node: space.size for node in node_ids}
-    depth_of = _depth_of(hierarchy, node_ids)
-    for domain in _domains_deepest_first(hierarchy):
-        members = hierarchy.sorted_members(domain.path)
-        if not members:
-            continue
-        population = len(members)
-        count = max(1, int(math.log2(population))) if population > 1 else 0
-        arr = _as_array(members)
-        drawn = bulk_harmonic_draws(arr, count, space, gen)
-        for pos, node in enumerate(members):
-            links = drawn[pos]
-            if depth_of[node] == domain.depth:
-                out[node].update(links)
-            else:
-                g = gap[node]
-                out[node].update(
-                    link for link in links if space.ring_distance(node, link) < g
-                )
-            successor = members[(pos + 1) % population]
-            if successor != node:
-                out[node].add(successor)
-                gap[node] = space.ring_distance(node, successor)
-            else:
-                gap[node] = space.size
-    return out, gap
 
 
 # ------------------------------------------------- hierarchy levels as arrays
@@ -325,6 +192,20 @@ _POWERS = np.uint64(1) << np.arange(64, dtype=np.uint64)
 def _bit_length(values: np.ndarray) -> np.ndarray:
     """``int.bit_length`` of each uint64 value, exactly."""
     return np.searchsorted(_POWERS, values, side="right")
+
+
+def _ranges_concat(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Concatenation of ``arange(starts[r], ends[r])`` for every row."""
+    counts = ends - starts
+    total = int(counts.sum())
+    if total == 0:
+        return np.empty(0, dtype=np.int64)
+    cum = np.cumsum(counts)
+    return (
+        np.arange(total, dtype=np.int64)
+        - np.repeat(cum - counts, counts)
+        + np.repeat(starts, counts)
+    )
 
 
 # ----------------------------------------------------------------- Crescendo
@@ -603,314 +484,3 @@ def contact_depths(
         node: dict(zip(ks[a:b], depths[a:b]))
         for node, a, b in zip(node_ids, cuts, cuts[1:])
     }
-
-
-# ---------------------------------------------------------------- CAN family
-
-
-def _ranges_concat(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """Concatenation of ``arange(starts[r], ends[r])`` for every row."""
-    counts = ends - starts
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    cum = np.cumsum(counts)
-    return (
-        np.arange(total, dtype=np.int64)
-        - np.repeat(cum - counts, counts)
-        + np.repeat(starts, counts)
-    )
-
-
-def can_link_sets(
-    node_ids: Sequence[int], lengths: Sequence[int], bits: int
-) -> Dict[int, Set[int]]:
-    """Bulk CAN adjacency over sorted padded prefixes.
-
-    For leaf ``x`` of prefix length ``L``, the neighbors differing at bit
-    ``p < L`` are exactly the leaves whose interval overlaps ``x``'s sibling
-    interval at depth ``p`` — a contiguous run of the padded order: every
-    leaf *starting* inside it, plus possibly the one leaf covering its low
-    end from below.  Each undirected edge is discovered from both sides
-    (the differing bit is within both prefixes), so one directed insert per
-    discovery yields the full symmetric table.
-    """
-    arr = _as_array(node_ids)
-    lens = np.asarray(lengths, dtype=np.uint64)
-    out: Dict[int, Set[int]] = {node: set() for node in node_ids}
-    n = arr.size
-    if n < 2:
-        return out
-    one = np.uint64(1)
-    width = one << (np.uint64(bits) - lens)
-    ends = arr + width
-    for p in range(int(lens.max())):
-        act = np.flatnonzero(lens > p)
-        if act.size == 0:
-            break
-        flip = one << np.uint64(bits - 1 - p)
-        lo = arr[act] ^ flip
-        hi = lo + width[act]
-        first = np.searchsorted(arr, lo, side="right").astype(np.int64) - 1
-        last = np.searchsorted(arr, hi, side="left").astype(np.int64)
-        # arr[first] starts at or below lo; include it only if it actually
-        # reaches lo (always true when the leaves partition the space).
-        covers = (first >= 0) & (ends[np.maximum(first, 0)] > lo)
-        first = first + 1 - covers
-        counts = last - first
-        valid = counts > 0
-        srcs = np.repeat(act[valid], counts[valid])
-        cands = _ranges_concat(first[valid], last[valid])
-        for s, c in zip(srcs.tolist(), cands.tolist()):
-            out[node_ids[s]].add(node_ids[c])
-    return out
-
-
-def cancan_link_sets(
-    node_ids: Sequence[int],
-    lengths: Sequence[int],
-    space: IdSpace,
-    hierarchy: Hierarchy,
-    rng=None,
-) -> Tuple[Dict[int, Set[int]], Dict[int, Dict[int, int]]]:
-    """Bulk Can-Can: lowest-domain hypercube edge per identifier bit.
-
-    Same interval characterization as :func:`can_link_sets`, restricted to
-    each domain's member list: candidates at bit ``p`` are the members
-    starting inside the sibling interval, or the single member covering it
-    from below (its dyadic interval then contains the whole sibling
-    interval, so no other member can overlap).  Deterministic choice is the
-    first candidate in member order, exactly as the reference's
-    ``options[0]``.
-    """
-    bits = space.bits
-    out: Dict[int, Set[int]] = {node: set() for node in node_ids}
-    edge_depth: Dict[int, Dict[int, int]] = {node: {} for node in node_ids}
-    n = len(node_ids)
-    if n < 2:
-        return out, edge_depth
-    garr = _as_array(node_ids)
-    glen = dict(zip(node_ids, lengths))
-    maxlen = int(max(lengths))
-    gen = derive_generator(rng) if rng is not None else None
-    one = np.uint64(1)
-    resolved = np.zeros((n, maxlen), dtype=bool)
-    for domain in _domains_deepest_first(hierarchy):
-        members = hierarchy.sorted_members(domain.path)
-        if len(members) < 2:
-            continue
-        arr = _as_array(members)
-        lens = np.asarray([glen[m] for m in members], dtype=np.uint64)
-        ends = arr + (one << (np.uint64(bits) - lens))
-        gpos = np.searchsorted(garr, arr)
-        depth = len(domain.path)
-        for p in range(int(lens.max())):
-            rows = np.flatnonzero((lens > p) & ~resolved[gpos, p])
-            if rows.size == 0:
-                continue
-            flip = one << np.uint64(bits - 1 - p)
-            lo = arr[rows] ^ flip
-            hi = lo + (one << (np.uint64(bits) - lens[rows]))
-            lb = np.searchsorted(arr, lo, side="left").astype(np.int64)
-            ub = np.searchsorted(arr, hi, side="left").astype(np.int64)
-            pred = lb - 1
-            covers = (lb > 0) & (ends[np.maximum(pred, 0)] > lo)
-            sel = np.flatnonzero(covers | (ub > lb))
-            if sel.size == 0:
-                continue
-            if gen is None:
-                pick = np.where(covers[sel], pred[sel], lb[sel])
-            else:
-                spans = np.where(covers[sel], 1, ub[sel] - lb[sel])
-                pick = np.where(
-                    covers[sel], pred[sel], lb[sel] + gen.integers(0, spans)
-                )
-            resolved[gpos[rows[sel]], p] = True
-            for r, c in zip(rows[sel].tolist(), pick.tolist()):
-                node = members[r]
-                out[node].add(members[c])
-                edge_depth[node][p] = depth
-    return out, edge_depth
-
-
-# ------------------------------------------------------- ND-Chord / Crescendo
-
-
-def _annulus_counts(
-    arr: np.ndarray,
-    rows: np.ndarray,
-    lo: int,
-    hi: np.ndarray,
-    size: np.uint64,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Cyclic member ranges ``(start, count)`` of per-row annuli ``[lo, hi)``.
-
-    Mirrors :func:`repro.dhts.ndchord.annulus_choice`: ``count == 0`` is
-    disambiguated by testing whether the first candidate actually lies in
-    the annulus (then every member does).
-    """
-    n = int(arr.size)
-    base = arr[rows]
-    start = np.searchsorted(arr, (base + np.uint64(lo)) % size)
-    start[start == n] = 0
-    end = np.searchsorted(arr, (base + hi) % size)
-    end[end == n] = 0
-    count = (end - start) % n
-    zero = np.flatnonzero(count == 0)
-    if zero.size:
-        dist = (arr[start[zero]] - base[zero]) % size
-        count[zero] = np.where((dist >= np.uint64(lo)) & (dist < hi[zero]), n, 0)
-    return start, count
-
-
-def ndchord_link_sets(
-    node_ids: Sequence[int], space: IdSpace, rng
-) -> Dict[int, Set[int]]:
-    """Bulk nondeterministic Chord: one random link per distance octave."""
-    out: Dict[int, Set[int]] = {node: set() for node in node_ids}
-    n = len(node_ids)
-    if n == 0:
-        return out
-    arr = _as_array(node_ids)
-    gen = derive_generator(rng)
-    size = np.uint64(space.size)
-    if n >= 2:
-        rows = np.arange(n)
-        for k in range(space.bits):
-            lo = 1 << k
-            hi = min(1 << (k + 1), space.size)
-            if hi <= lo:
-                continue
-            hi_arr = np.full(n, np.uint64(hi))
-            start, count = _annulus_counts(arr, rows, lo, hi_arr, size)
-            act = np.flatnonzero(count > 0)
-            if act.size == 0:
-                continue
-            pick = (start[act] + gen.integers(0, count[act])) % n
-            good = arr[pick] != arr[act]
-            for row, p in zip(act[good].tolist(), pick[good].tolist()):
-                out[node_ids[row]].add(node_ids[p])
-    for pos, node in enumerate(node_ids):
-        successor = node_ids[(pos + 1) % n]
-        if successor != node:
-            out[node].add(successor)
-    return out
-
-
-def ndcrescendo_link_sets(
-    node_ids: Sequence[int], space: IdSpace, hierarchy: Hierarchy, rng
-) -> Tuple[Dict[int, Set[int]], Dict[int, int]]:
-    """Bulk nondeterministic Crescendo: gap-clipped octaves per domain."""
-    out: Dict[int, Set[int]] = {node: set() for node in node_ids}
-    gap = {node: space.size for node in node_ids}
-    depth_of = _depth_of(hierarchy, node_ids)
-    gen = derive_generator(rng)
-    size = np.uint64(space.size)
-    for domain in _domains_deepest_first(hierarchy):
-        members = hierarchy.sorted_members(domain.path)
-        if not members:
-            continue
-        population = len(members)
-        arr = _as_array(members)
-        if population >= 2:
-            gaps = np.asarray([gap[m] for m in members], dtype=np.uint64)
-            leaf = np.asarray(
-                [depth_of[m] == domain.depth for m in members], dtype=bool
-            )
-            for k in range(space.bits):
-                lo = 1 << k
-                if lo >= space.size:
-                    break
-                hi = np.uint64(min(1 << (k + 1), space.size))
-                hi_eff = np.where(leaf, hi, np.minimum(hi, gaps))
-                rows = np.flatnonzero(
-                    (leaf | (np.uint64(lo) < gaps)) & (hi_eff > np.uint64(lo))
-                )
-                if rows.size == 0:
-                    continue
-                start, count = _annulus_counts(arr, rows, lo, hi_eff[rows], size)
-                have = np.flatnonzero(count > 0)
-                if have.size == 0:
-                    continue
-                pick = (start[have] + gen.integers(0, count[have])) % population
-                chosen_rows = rows[have]
-                good = arr[pick] != arr[chosen_rows]
-                for r, p in zip(chosen_rows[good].tolist(), pick[good].tolist()):
-                    out[members[r]].add(members[p])
-        for pos, node in enumerate(members):
-            successor = members[(pos + 1) % population]
-            if successor != node:
-                new_gap = space.ring_distance(node, successor)
-                if depth_of[node] == domain.depth or new_gap < gap[node]:
-                    out[node].add(successor)
-                gap[node] = new_gap
-            else:
-                gap[node] = space.size
-    return out, gap
-
-
-# ------------------------------------------------------------- mixed / naive
-
-
-def _finger_matrix(
-    arr: np.ndarray, base: np.ndarray, space: IdSpace
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(succ, dist, ks)`` Chord finger snaps of ``base`` over ring ``arr``."""
-    size = np.uint64(space.size)
-    ks = np.uint64(1) << np.arange(space.bits, dtype=np.uint64)
-    targets = (base[:, None] + ks[None, :]) % size
-    idx = np.searchsorted(arr, targets)
-    idx[idx == arr.size] = 0
-    succ = arr[idx]
-    dist = (succ - base[:, None]) % size
-    return succ, dist, ks
-
-
-def lan_crescendo_link_sets(
-    node_ids: Sequence[int], space: IdSpace, hierarchy: Hierarchy
-) -> Tuple[Dict[int, Set[int]], Dict[int, int]]:
-    """Bulk mixed-level network: complete-graph LANs, Crescendo merges."""
-    out: Dict[int, Set[int]] = {node: set() for node in node_ids}
-    gap = {node: space.size for node in node_ids}
-    depth_of = _depth_of(hierarchy, node_ids)
-    for domain in _domains_deepest_first(hierarchy):
-        members = hierarchy.sorted_members(domain.path)
-        if not members:
-            continue
-        population = len(members)
-        leaf_nodes = [m for m in members if depth_of[m] == domain.depth]
-        merge_nodes = [m for m in members if depth_of[m] > domain.depth]
-        for node in leaf_nodes:
-            out[node].update(members)  # self-link dropped by _finalize_links
-        if merge_nodes and population >= 2:
-            arr = _as_array(members)
-            base = _as_array(merge_nodes)
-            gaps = np.asarray([gap[m] for m in merge_nodes], dtype=np.uint64)
-            succ, dist, ks = _finger_matrix(arr, base, space)
-            keep = (dist != 0) & (dist < gaps[:, None]) & (ks[None, :] < gaps[:, None])
-            for row, node in enumerate(merge_nodes):
-                out[node].update(succ[row][keep[row]].tolist())
-        for pos, node in enumerate(members):
-            successor = members[(pos + 1) % population]
-            gap[node] = (
-                space.ring_distance(node, successor)
-                if successor != node
-                else space.size
-            )
-    return out, gap
-
-
-def naive_link_sets(
-    node_ids: Sequence[int], space: IdSpace, hierarchy: Hierarchy
-) -> Dict[int, Set[int]]:
-    """Bulk naive hierarchical Chord: full fingers in every ancestor ring."""
-    out: Dict[int, Set[int]] = {node: set() for node in node_ids}
-    for domain in hierarchy.domains():
-        members = hierarchy.sorted_members(domain.path)
-        if len(members) < 2:
-            continue
-        arr = _as_array(members)
-        succ, _, _ = _finger_matrix(arr, arr, space)
-        for node, row in zip(members, succ.tolist()):
-            out[node].update(row)  # self-links dropped by _finalize_links
-    return out

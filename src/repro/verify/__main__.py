@@ -15,7 +15,8 @@ fails the run like any other violation.
 
 Exit status 0 means the run matched expectations (clean, or — for
 mutation mode and fixtures expecting violations — corruption detected);
-1 means violations where none were expected, or an undetected mutation.
+1 means violations where none were expected, or an undetected mutation;
+2 means a usage error, such as ``fuzz --population 0``.
 """
 
 from __future__ import annotations
@@ -107,6 +108,17 @@ def main(argv=None) -> int:
     )
 
     args = parser.parse_args(argv)
+    if args.command == "fuzz":
+        # A bad number is a usage error (exit 2) before any bootstrap, not
+        # a traceback that exits 1 like a run that found violations.
+        for flag, value, minimum in (
+            ("--population", args.population, 1),
+            ("--events", args.events, 0),
+            ("--checkpoints", args.checkpoints, 1),
+            ("--data-replicas", args.data_replicas, 1),
+        ):
+            if value is not None and value < minimum:
+                fuzz.error(f"{flag} must be >= {minimum}, got {value}")
     registry = obs_metrics.activate(obs_metrics.MetricsRegistry())
     try:
         code = _dispatch(args, registry)

@@ -2,15 +2,13 @@
 
 The comparisons themselves live in :mod:`repro.verify.oracles` (so the
 fuzzer and CLI share them); this module pins the per-family comparison
-profile.  Deterministic families (naive, LanCrescendo, deterministic
-Kademlia/Kandy, CAN, deterministic Can-Can, and Crescendo with its
-proximity variant on ragged hierarchies) must produce *identical* link
-tables on both paths.  Randomized families consume randomness in a
-different order, so their tables are compared distributionally — mean
-degree, and a two-sample Kolmogorov-Smirnov test on the link-distance
-samples — while every RNG-independent side output (Cacophony/ND-Crescendo
-``gap``, Kandy ``contact_depth``, Can-Can ``edge_depth``, Kademlia/Kandy
-degree sequences) must still match exactly.
+profile.  Six families have a bulk form: Chord, Crescendo, Kademlia, Kandy
+and the two proximity variants.  Their deterministic builds must produce
+*identical* link tables on both paths (Crescendo and Kandy on ragged
+hierarchies too).  Randomized Kademlia/Kandy consume randomness in a
+different order, so they compare every RNG-independent output exactly
+instead: degree sequences and Kandy's ``contact_depth``.  Every other
+family builds by its reference (:class:`TestDispatch`).
 """
 
 from __future__ import annotations
@@ -22,27 +20,23 @@ import statistics
 import numpy as np
 import pytest
 
-import repro.dhts
 from repro.analysis.metrics import DegreeStats
 from repro.core.hierarchy import Hierarchy, build_uniform_hierarchy
 from repro.core.idspace import IdSpace
 from repro.core.network import DHTNetwork
-from repro.dhts.cacophony import CacophonyNetwork
 from repro.dhts.can import CANNetwork, PrefixTree
-from repro.dhts.cancan import CanCanNetwork
+from repro.dhts.chord import ChordNetwork
 from repro.dhts.crescendo import CrescendoNetwork
 from repro.dhts.kademlia import KademliaNetwork
 from repro.dhts.kandy import KandyNetwork
-from repro.dhts.mixed import LanCrescendoNetwork
 from repro.dhts.naive import NaiveHierarchicalChord
-from repro.dhts.ndchord import NDChordNetwork, NDCrescendoNetwork
-from repro.dhts.symphony import SymphonyNetwork, draw_long_links
+from repro.dhts.symphony import draw_long_links
 from repro.obs import metrics as obs_metrics
 from repro.perf import build as perf_build
 from repro.perf.build import BULK_THRESHOLD, hierarchy_codes
 from repro.proximity.groups import ProximityChordNetwork, ProximityCrescendoNetwork
 from repro.topology.transit_stub import TopologyParams, TransitStubTopology
-from repro.verify.oracles import DEGREE_TOLERANCE, KS_ALPHA, compare_builders
+from repro.verify.oracles import compare_builders
 
 SIZE = 300
 BITS = 32
@@ -77,21 +71,12 @@ def _exact(factory, side_attrs=()):
     return comparison
 
 
-def _distributional(factory, side_attrs=(), compare_degrees=False, ks=True):
-    """Oracle profile for randomized families: KS + side-output equality.
-
-    ``compare_degrees`` switches to exact degree-sequence equality (the
-    id population fixes degrees for the bucket families); ``ks=False``
-    keeps only the mean-degree tolerance (Can-Can's two build paths grow
-    different prefix trees, so link distances are not comparable).
-    """
+def _randomized(factory, side_attrs=()):
+    """Oracle profile for randomized Kademlia/Kandy: the id population fixes
+    the degree sequence whichever contacts the rng picked, so it and every
+    other RNG-independent side output must match exactly."""
     comparison = compare_builders(
-        factory,
-        exact=False,
-        compare_degrees=compare_degrees,
-        degree_tolerance=None if compare_degrees else DEGREE_TOLERANCE,
-        ks_alpha=KS_ALPHA if ks and not compare_degrees else None,
-        side_attrs=side_attrs,
+        factory, exact=False, compare_degrees=True, side_attrs=side_attrs
     )
     comparison.raise_on_violations()
     return comparison
@@ -101,17 +86,6 @@ def _distributional(factory, side_attrs=(), compare_degrees=False, ks=True):
 
 
 class TestDeterministicEquality:
-    def test_naive(self):
-        space, hierarchy = _hierarchy(SIZE)
-        _exact(lambda: NaiveHierarchicalChord(space, hierarchy))
-
-    def test_lan_crescendo(self):
-        space, hierarchy = _hierarchy(SIZE)
-        _exact(
-            lambda: LanCrescendoNetwork(space, hierarchy),
-            side_attrs=("gap",),
-        )
-
     def test_kademlia_deterministic(self):
         space, hierarchy = _hierarchy(SIZE)
         _exact(lambda: KademliaNetwork(space, hierarchy, None, 1))
@@ -121,23 +95,6 @@ class TestDeterministicEquality:
         _exact(
             lambda: KandyNetwork(space, hierarchy, None, 1),
             side_attrs=("contact_depth",),
-        )
-
-    @pytest.mark.parametrize("policy", ["random", "largest"])
-    def test_can(self, policy):
-        space = _space()
-        leaves = PrefixTree(space.bits).grow(SIZE, random.Random(5), policy)
-        hierarchy, prefixes = _prefix_input(leaves, [()] * SIZE)
-        _exact(lambda: CANNetwork(space, hierarchy, prefixes))
-
-    def test_cancan_deterministic(self):
-        space = _space()
-        paths = [("lan%d" % (i % 5),) for i in range(SIZE)]
-        leaves = PrefixTree(space.bits).grow_aligned(paths, random.Random(6))
-        hierarchy, prefixes = _prefix_input(leaves, paths)
-        _exact(
-            lambda: CanCanNetwork(space, hierarchy, prefixes, None),
-            side_attrs=("edge_depth",),
         )
 
     def test_deterministic_kademlia_wide_bucket_stays_reference(self):
@@ -155,65 +112,21 @@ class TestDeterministicEquality:
 
 
 class TestRandomizedEquivalence:
-    def test_symphony_distribution(self):
-        space, hierarchy = _hierarchy(512, levels=1)
-        _distributional(
-            lambda: SymphonyNetwork(space, hierarchy, random.Random(21))
-        )
-
-    def test_cacophony_distribution_and_gap(self):
-        space, hierarchy = _hierarchy(512)
-        # The successor structure (gap) is rng-independent: exact equality.
-        _distributional(
-            lambda: CacophonyNetwork(space, hierarchy, random.Random(22)),
-            side_attrs=("gap",),
-        )
-
-    def test_ndchord_distribution(self):
-        space, hierarchy = _hierarchy(512)
-        _distributional(
-            lambda: NDChordNetwork(space, hierarchy, random.Random(23))
-        )
-
-    def test_ndcrescendo_distribution_and_gap(self):
-        space, hierarchy = _hierarchy(512)
-        _distributional(
-            lambda: NDCrescendoNetwork(space, hierarchy, random.Random(24)),
-            side_attrs=("gap",),
-        )
-
     @pytest.mark.parametrize("bucket_size", [1, 3])
     def test_kademlia_random_degree_sequence(self, bucket_size):
-        # Degree is the number of occupied (bucket, slot) pairs, which the
-        # id population fixes regardless of which contacts the rng picked.
+        # Degree is the number of occupied (bucket, slot) pairs.
         space, hierarchy = _hierarchy(SIZE)
-        _distributional(
-            lambda: KademliaNetwork(
-                space, hierarchy, random.Random(25), bucket_size
-            ),
-            compare_degrees=True,
+        _randomized(
+            lambda: KademliaNetwork(space, hierarchy, random.Random(25), bucket_size)
         )
 
     @pytest.mark.parametrize("bucket_size", [1, 3])
     def test_kandy_random_contact_depth(self, bucket_size):
         space, hierarchy = _hierarchy(SIZE)
-        _distributional(
+        _randomized(
             lambda: KandyNetwork(space, hierarchy, random.Random(26), bucket_size),
             side_attrs=("contact_depth",),
-            compare_degrees=True,
         )
-
-    def test_cancan_random_edge_depth(self):
-        space = _space()
-        paths = [("lan%d" % (i % 5),) for i in range(SIZE)]
-
-        def factory():  # build_cancan's input, left unbuilt
-            rng = random.Random(27)
-            leaves = PrefixTree(space.bits).grow_aligned(paths, rng)
-            return CanCanNetwork(space, *_prefix_input(leaves, paths), rng)
-
-        _distributional(factory, side_attrs=("edge_depth",), ks=False)
-
 
 # ------------------------------------------------------------ ragged depths
 
@@ -323,10 +236,9 @@ class TestRaggedHierarchies:
     @pytest.mark.parametrize("bucket_size", [1, 3])
     def test_kandy_random_contact_depth(self, bucket_size):
         space, hierarchy = _ragged()
-        _distributional(
+        _randomized(
             lambda: KandyNetwork(space, hierarchy, random.Random(42), bucket_size),
             side_attrs=("contact_depth",),
-            compare_degrees=True,
         )
 
     def test_hierarchy_codes(self):
@@ -388,26 +300,25 @@ class TestShortDrawCounter:
         assert len(links) < 5
         assert registry.counter("build.symphony.short_draws").value >= 5 - len(links)
 
-    def test_bulk_reports_exhausted_budget(self):
-        space, hierarchy = _hierarchy(70, levels=1)
-        with obs_metrics.collecting() as registry:
-            net = SymphonyNetwork(
-                space, hierarchy, random.Random(3), links_per_node=80
-            ).build()
-        assert net.built_with == "numpy"
-        assert registry.counter("build.symphony.short_draws").value > 0
-
-
 # ---------------------------------------------------- dispatch and metrics
 
-NETWORK_CLASSES = sorted(
-    (
-        obj
-        for obj in map(vars(repro.dhts).get, repro.dhts.__all__)
-        if isinstance(obj, type) and issubclass(obj, DHTNetwork)
-    ),
-    key=lambda cls: cls.__name__,
-)
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+#: Every network class the package defines (importing it loads them all).
+NETWORK_CLASSES = sorted(set(_subclasses(DHTNetwork)), key=lambda cls: cls.__name__)
+#: The families with a bulk form; every other class builds by its reference.
+BULK_CLASSES = {
+    ChordNetwork,
+    CrescendoNetwork,
+    KademliaNetwork,
+    KandyNetwork,
+    ProximityChordNetwork,
+    ProximityCrescendoNetwork,
+}
 
 
 def _unbuilt(cls, size, bits=BITS):
@@ -420,17 +331,29 @@ def _unbuilt(cls, size, bits=BITS):
         leaves = PrefixTree(bits).grow_aligned(paths, rng)
         return cls(space, *_prefix_input(leaves, paths, bits), **kwargs)
     ids = space.random_ids(size, rng)
-    return cls(space, build_uniform_hierarchy(ids, 4, 2, rng), **kwargs)
+    hierarchy = build_uniform_hierarchy(ids, 4, 2, rng)
+    if "latency_fn" in inspect.signature(cls).parameters:
+        kwargs["latency_fn"] = _attached(hierarchy).node_latency
+    return cls(space, hierarchy, **kwargs)
 
 
 class TestDispatch:
     @pytest.mark.parametrize("cls", NETWORK_CLASSES, ids=lambda cls: cls.__name__)
     def test_input_picks_the_builder(self, cls):
         assert _unbuilt(cls, BULK_THRESHOLD).build().built_with == "python"
-        assert _unbuilt(cls, BULK_THRESHOLD + 1).build().built_with == "numpy"
-        assert _unbuilt(cls, BULK_THRESHOLD + 1, bits=64).build().built_with == "python"
+        built = _unbuilt(cls, BULK_THRESHOLD + 1).build()
         reference = _unbuilt(cls, BULK_THRESHOLD + 1).build_reference()
         assert reference.built_with == "python"
+        if cls in BULK_CLASSES:
+            assert built.built_with == "numpy"
+            wide = _unbuilt(cls, BULK_THRESHOLD + 1, bits=64).build()
+            assert wide.built_with == "python"
+            return
+        # No bulk form of its own, inherited or not: build() is the reference.
+        assert built.built_with == "python"
+        assert built.links == reference.links
+        for attr in ("gap", "edge_depth"):
+            assert getattr(built, attr, None) == getattr(reference, attr, None)
 
     def test_degree_stats_vectorized_path_matches_scalar(self):
         space, hierarchy = _hierarchy(SIZE)

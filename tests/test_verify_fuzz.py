@@ -171,6 +171,35 @@ class TestScheduleParsing:
         assert parsed == events
 
 
+class TestCliNumbers:
+    """``python -m repro.verify fuzz`` rejects a bad number as a usage error
+    (exit 2, naming the flag) before it bootstraps anything."""
+
+    def _rejects(self, monkeypatch, capsys, flag, value, message):
+        from repro.verify import __main__ as verify_cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("ran the fuzzer on a bad number")
+
+        monkeypatch.setattr(verify_cli, "run_fuzz", refuse)
+        with pytest.raises(SystemExit) as exit_info:
+            verify_cli.main(["fuzz", flag, value])
+        assert exit_info.value.code == 2
+        assert f"{flag} must be >= {message}" in capsys.readouterr().err
+
+    def test_population_below_one(self, monkeypatch, capsys):
+        self._rejects(monkeypatch, capsys, "--population", "0", "1, got 0")
+
+    def test_data_replicas_below_one(self, monkeypatch, capsys):
+        self._rejects(monkeypatch, capsys, "--data-replicas", "0", "1, got 0")
+
+    def test_negative_events(self, monkeypatch, capsys):
+        self._rejects(monkeypatch, capsys, "--events", "-5", "0, got -5")
+
+    def test_checkpoints_below_one(self, monkeypatch, capsys):
+        self._rejects(monkeypatch, capsys, "--checkpoints", "-3", "1, got -3")
+
+
 class TestRunSchedule:
     def test_replays_are_deterministic(self):
         config = FuzzConfig(seed=13, events=150, families=("chord",))

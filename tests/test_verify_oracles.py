@@ -19,90 +19,77 @@ from repro.verify.oracles import (
     BuildComparison,
     compare_builders,
     compare_routing,
-    ks_critical,
-    ks_distance,
 )
 
 
-def _sabotage_bulk_naive(monkeypatch, corrupt):
-    """Make the naive family's bulk link-set builder pass its output through
-    ``corrupt`` (in place); the reference construction is untouched."""
-    from repro.perf import build as perf_build
+def _chord_input(seed):
+    """A 200-node id space and hierarchy (Chord's build ignores the latter)."""
+    from repro.core.hierarchy import build_uniform_hierarchy
+    from repro.core.idspace import IdSpace
 
-    honest = perf_build.naive_link_sets
+    rng = random.Random(seed)
+    space = IdSpace(32)
+    ids = space.random_ids(200, rng)
+    return space, build_uniform_hierarchy(ids, 4, 2, rng)
 
-    def sabotaged(*args):
-        link_sets = honest(*args)
+
+def _sabotage_bulk_chord(monkeypatch, corrupt):
+    """Make Chord's bulk finger builder hand its links to ``corrupt`` as
+    per-node id sets (changed in place); the reference is untouched."""
+    from repro.dhts import chord
+
+    honest = chord.bulk_finger_links
+
+    def sabotaged(sorted_ids, space):
+        src, dst = honest(sorted_ids, space)
+        ids = sorted_ids.tolist()
+        link_sets = {node: set() for node in ids}
+        for s, d in zip(src.tolist(), dst.tolist()):
+            link_sets[ids[s]].add(ids[d])
         corrupt(link_sets)
         return link_sets
 
-    monkeypatch.setattr(perf_build, "naive_link_sets", sabotaged)
+    monkeypatch.setattr(chord, "bulk_finger_links", sabotaged)
 
 
 class TestBuilderOracle:
     def test_equivalent_builds_pass(self):
-        from repro.core.hierarchy import build_uniform_hierarchy
-        from repro.core.idspace import IdSpace
-        from repro.dhts.naive import NaiveHierarchicalChord
+        from repro.dhts.chord import ChordNetwork
 
-        rng = random.Random(31)
-        space = IdSpace(32)
-        ids = space.random_ids(200, rng)
-        hierarchy = build_uniform_hierarchy(ids, 4, 2, rng)
-        comparison = compare_builders(
-            lambda: NaiveHierarchicalChord(space, hierarchy)
-        )
+        space, hierarchy = _chord_input(31)
+        comparison = compare_builders(lambda: ChordNetwork(space, hierarchy))
         assert comparison.equivalent
         assert comparison.ref.built_with == "python"
         assert comparison.bulk.built_with == "numpy"
 
     def test_injected_divergence_is_reported(self, monkeypatch):
-        from repro.core.hierarchy import build_uniform_hierarchy
-        from repro.core.idspace import IdSpace
-        from repro.dhts.naive import NaiveHierarchicalChord
+        from repro.dhts.chord import ChordNetwork
 
-        rng = random.Random(32)
-        space = IdSpace(32)
-        ids = space.random_ids(200, rng)
-        hierarchy = build_uniform_hierarchy(ids, 4, 2, rng)
-        node = sorted(ids)[7]
+        space, hierarchy = _chord_input(32)
+        node = hierarchy.sorted_members(())[7]
 
         def drop_one(link_sets):  # sabotage the bulk build only
             link_sets[node].discard(min(link_sets[node] - {node}))
 
-        _sabotage_bulk_naive(monkeypatch, drop_one)
-        comparison = compare_builders(
-            lambda: NaiveHierarchicalChord(space, hierarchy)
-        )
+        _sabotage_bulk_chord(monkeypatch, drop_one)
+        comparison = compare_builders(lambda: ChordNetwork(space, hierarchy))
         assert not comparison.equivalent
         assert any("link tables differ" in v.message for v in comparison.violations)
 
     def test_invalid_table_in_either_build_is_flagged(self, monkeypatch):
-        from repro.core.hierarchy import build_uniform_hierarchy
-        from repro.core.idspace import IdSpace
-        from repro.dhts.naive import NaiveHierarchicalChord
+        from repro.dhts.chord import ChordNetwork
 
-        rng = random.Random(33)
-        space = IdSpace(32)
-        ids = space.random_ids(200, rng)
-        hierarchy = build_uniform_hierarchy(ids, 4, 2, rng)
+        space, hierarchy = _chord_input(33)
+        ids = hierarchy.sorted_members(())
+
         def link_a_stranger(link_sets):
-            link_sets[min(ids)].add(max(ids) + 1)
+            link_sets[ids[0]].add(ids[-1] + 1)
 
-        _sabotage_bulk_naive(monkeypatch, link_a_stranger)
-        comparison = compare_builders(
-            lambda: NaiveHierarchicalChord(space, hierarchy)
-        )
+        _sabotage_bulk_chord(monkeypatch, link_a_stranger)
+        comparison = compare_builders(lambda: ChordNetwork(space, hierarchy))
         assert any(
             "invalid link table" in v.message for v in comparison.violations
         )
-
-    def test_ks_helpers(self):
-        rng = random.Random(34)
-        same = [rng.random() for _ in range(500)]
-        other = [rng.random() ** 3 for _ in range(500)]
-        assert ks_distance(same, same) < ks_critical(500, 500)
-        assert ks_distance(same, other) > ks_critical(500, 500)
 
 
 class TestRoutingOracle:
