@@ -7,7 +7,7 @@ paper reports.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import List, Sequence
 
 
 class Table:

@@ -15,7 +15,7 @@ A domain is identified by its *path*, a tuple of labels from the root, e.g.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 DomainPath = Tuple[str, ...]
 

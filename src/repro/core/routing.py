@@ -13,7 +13,7 @@ hops, latencies, path overlap and domain crossings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Set
 
 from .idspace import predecessor_index, successor_index

@@ -14,7 +14,7 @@ routing with a one-step lookahead for O(log n / log log n) hops.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Set
+from typing import Dict, Set
 
 from ..core.hierarchy import Hierarchy
 from ..core.idspace import IdSpace

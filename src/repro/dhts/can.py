@@ -22,7 +22,7 @@ of Section 4.3.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..core.hierarchy import Hierarchy
 from ..core.idspace import IdSpace

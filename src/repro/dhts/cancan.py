@@ -20,8 +20,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ..core.hierarchy import Hierarchy
 from ..core.idspace import IdSpace
-from ..core.network import DHTNetwork
-from .can import CANNetwork, PrefixId, PrefixTree, are_adjacent
+from .can import CANNetwork, PrefixId, PrefixTree
 
 
 def differing_bit(a: PrefixId, b: PrefixId) -> Optional[int]:

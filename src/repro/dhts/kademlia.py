@@ -14,7 +14,7 @@ list, which makes construction O(n log n) per bucket.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from ..core.hierarchy import Hierarchy
 from ..core.idspace import IdSpace, successor_index

@@ -23,7 +23,7 @@ bit k and everything above it, strictly shrinking the XOR distance.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, Optional, Set
 
 import numpy as np
 

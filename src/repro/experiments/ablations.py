@@ -20,7 +20,6 @@ Run: ``python -m repro.experiments ablations --scale smoke``.
 
 from __future__ import annotations
 
-import random
 import statistics
 from typing import Dict, List, Tuple
 
@@ -35,13 +34,9 @@ from ..dhts.crescendo import CrescendoNetwork
 from ..dhts.naive import NaiveHierarchicalChord
 from ..dhts.symphony import SymphonyNetwork
 from ..perf.dynamic import make_protocol
-from ..proximity.groups import (
-    ProximityChordNetwork,
-    ProximityCrescendoNetwork,
-    route_grouped,
-)
+from ..proximity.groups import route_grouped
 from ..proximity.sampling import sampling_quality
-from .common import build_topology_setup, get_scale, seeded_rng
+from .common import build_topology_setup, seeded_rng
 
 
 def merge_economy(scale: str = "smoke") -> Dict[str, float]:

@@ -20,7 +20,7 @@ Run: ``python -m repro.experiments caching --scale smoke``.
 from __future__ import annotations
 
 import statistics
-from typing import Dict, Tuple
+from typing import Dict
 
 from ..analysis.tables import Table
 from ..core.idspace import IdSpace

@@ -27,7 +27,7 @@ from ..obs.slo import record_slo
 from ..perf.dynamic import make_protocol
 from ..simulation.churn import ChurnConfig, run_churn
 from ..topology.transit_stub import TopologyParams, TransitStubTopology
-from .common import get_scale, seeded_rng
+from .common import seeded_rng
 
 PATHS = [("a", "x"), ("a", "y"), ("b", "x"), ("b", "y"), ("c", "x")]
 

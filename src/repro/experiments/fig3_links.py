@@ -13,7 +13,7 @@ from typing import Dict, Optional, Tuple
 
 from ..analysis.tables import Table
 from ..perf.executor import map_points
-from .common import Scale, build_crescendo, get_scale, seeded_rng
+from .common import build_crescendo, get_scale, seeded_rng
 
 
 def _grid_point(point: Tuple[int, int]) -> float:

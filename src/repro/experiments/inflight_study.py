@@ -18,7 +18,7 @@ from ..core.idspace import IdSpace
 from ..perf.dynamic import make_protocol
 from ..simulation.async_lookup import AsyncEngine
 from ..simulation.events import ConstantLatency, Simulator
-from .common import get_scale, seeded_rng
+from .common import seeded_rng
 
 PATHS = [("a", "x"), ("a", "y"), ("b", "x"), ("b", "y")]
 

@@ -20,7 +20,6 @@ from typing import Dict
 from ..analysis.tables import Table
 from ..serve import ServePolicy, ServeRuntime, compile_protocol_view, run_closed_loop
 from ..serve.testbed import build_serving_net, lookup_workload
-from .common import get_scale
 
 POLICIES = {
     "no policy": ServePolicy(),

@@ -20,7 +20,6 @@ from ..analysis.theory import (
     crescendo_degree_bound,
     crescendo_hops_bound,
     whp_degree_envelope,
-    whp_hops_envelope,
 )
 from ..core.idspace import IdSpace
 from ..core.hierarchy import build_uniform_hierarchy

@@ -12,7 +12,6 @@ Run: ``python -m repro.experiments zoo --scale smoke``.
 
 from __future__ import annotations
 
-import random
 import statistics
 from typing import Dict, Tuple
 

@@ -25,8 +25,10 @@ construction and :mod:`repro.perf.kernels` gave routing:
   :class:`~repro.perf.kernels.CompiledNetwork`, with access-domain
   visibility as integer prefix-code compares (see :class:`DomainIndex`) and
   pointer indirections resolved through a single batched fetch-leg routing
-  call.  The returned :class:`BatchSearchResult` reconstructs scalar
-  :class:`~repro.storage.store.SearchResult` objects field-for-field;
+  call.  The returned :class:`BatchSearchResult` is columnar (paths and
+  answers as CSR arrays, per-query lists built only when read) and
+  reconstructs scalar :class:`~repro.storage.store.SearchResult` objects
+  field-for-field;
   ``repro.verify.compare_storage`` holds them hop-for-hop and (with a
   latency table) bit-for-bit equal to the scalar walk.
 
@@ -343,6 +345,14 @@ def bulk_put_replicated(
 class BatchSearchResult:
     """Outcome of one batch hierarchical lookup, aligned index-for-index.
 
+    The record is columnar.  Paths are CSR: query ``i`` walked
+    ``path_ids[path_ends[i - 1]:path_ends[i]]`` (from ``0`` for the first
+    query), and ``hops`` is each path's length minus one.  Answers are CSR
+    too: ``value_entries`` indexes ``value_column``, the snapshot's value
+    column, under the row ends ``value_ends``.  ``paths`` and ``values``
+    are the same records as per-query lists, built on first read and then
+    cached, so a caller that only reads columns never pays for them.
+
     ``found_at`` / ``content_node`` hold ``-1`` where the scalar result is
     ``None``; :meth:`results` reconstructs the scalar
     :class:`~repro.storage.store.SearchResult` objects field-for-field.
@@ -356,14 +366,23 @@ class BatchSearchResult:
     keys: List[object]
     key_hashes: np.ndarray
     origins: np.ndarray
-    paths: List[List[int]]
+    path_ids: np.ndarray
+    path_ends: np.ndarray
     found_at: np.ndarray
     via_pointer: np.ndarray
     pointer_hops: np.ndarray
     content_node: np.ndarray
-    values: List[List[object]]
+    value_entries: np.ndarray
+    value_ends: np.ndarray
+    value_column: Sequence[object] = field(repr=False)
     latency_ms: Optional[np.ndarray] = None
     probes: int = 0
+    hops: np.ndarray = field(init=False)
+    _paths: Optional[List[List[int]]] = field(default=None, init=False, repr=False)
+    _values: Optional[List[List[object]]] = field(default=None, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.hops = np.diff(self.path_ends, prepend=0) - 1
 
     @property
     def size(self) -> int:
@@ -373,15 +392,32 @@ class BatchSearchResult:
     def found(self) -> np.ndarray:
         return self.found_at >= 0
 
+    @property
+    def paths(self) -> List[List[int]]:
+        """Every query's walk as a list of node ids (built once, cached)."""
+        if self._paths is None:
+            self._paths = _split(self.path_ids.tolist(), self.path_ends.tolist())
+        return self._paths
+
+    @property
+    def values(self) -> List[List[object]]:
+        """Every query's answer values as a list (built once, cached)."""
+        if self._values is None:
+            column = self.value_column
+            flat = list(map(column.__getitem__, self.value_entries.tolist()))
+            self._values = _split(flat, self.value_ends.tolist())
+        return self._values
+
     def results(self) -> Iterator[SearchResult]:
         """Scalar :class:`SearchResult` objects, index-aligned."""
+        paths, values = self.paths, self.values
         for i in range(self.size):
             found_at = int(self.found_at[i])
             content = int(self.content_node[i])
             yield SearchResult(
                 self.keys[i],
-                self.values[i],
-                self.paths[i],
+                values[i],
+                paths[i],
                 found_at if found_at >= 0 else None,
                 bool(self.via_pointer[i]),
                 int(self.pointer_hops[i]),
@@ -412,19 +448,19 @@ def _expand_ranges(lo: np.ndarray, count: np.ndarray) -> Tuple[np.ndarray, np.nd
 
 def _regroup(
     row_chunks: List[np.ndarray], index_chunks: List[np.ndarray], m: int
-) -> Tuple[np.ndarray, List[int]]:
-    """Hop-major ``(row, index)`` records regrouped per row.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Hop-major ``(row, index)`` records regrouped per row, as CSR.
 
     Returns the indices grouped by ascending row, each row's kept in hop
-    order, and the end offset of every one of the ``m`` rows' runs (rows
-    without a record get an empty run).  The chunk lists are emptied as
+    order, and the int64 end offset of every one of the ``m`` rows' runs
+    (rows without a record get an empty run).  The chunk lists are emptied as
     they are concatenated — into int32, which query rows, node positions
     and item entries all fit — so the records are never held twice.
     """
     empty = [np.zeros(0, dtype=np.int32)]
     rows = np.concatenate(row_chunks or empty, dtype=np.int32)
     row_chunks.clear()
-    ends = np.cumsum(np.bincount(rows, minlength=m)).tolist()
+    ends = np.cumsum(np.bincount(rows, minlength=m), dtype=np.int64)
     order = np.argsort(rows, kind="stable")
     del rows
     index = np.concatenate(index_chunks or empty, dtype=np.int32)
@@ -484,7 +520,8 @@ class CompiledStore:
     flat ``(row, entry)`` arrays, and access is one prefix-code compare over
     those arrays.  Nothing in the walk visits a row or an entry in Python:
     answers are kept as entry indices and paths as per-hop position records,
-    and both become Python lists once, after the last hop.
+    regrouped once after the last hop into the CSR columns of a
+    :class:`BatchSearchResult`, which builds Python lists only when read.
 
     The snapshot covers keys as well as content: every stored key is
     interned with the ``key_hash`` its :class:`StoredItem` carries, so a
@@ -758,10 +795,8 @@ class CompiledStore:
             compiled.ids[np.maximum(content_pos, 0)].astype(np.int64),
             np.int64(-1),
         )
-        positions, ends = _regroup(step_rows, step_pos, m)
-        paths = _split(compiled.ids[positions].tolist(), ends)
-        entries, ends = _regroup(value_rows, value_entries, m)
-        values = _split(list(map(self._item_value.__getitem__, entries.tolist())), ends)
+        positions, path_ends = _regroup(step_rows, step_pos, m)
+        entries, value_ends = _regroup(value_rows, value_entries, m)
         _record("storage.gets", m)
         _record("storage.pointer_resolutions", int(resolved_rows.size))
         _record("storage.batch.probes", probes)
@@ -769,12 +804,15 @@ class CompiledStore:
             keys=keys,
             key_hashes=key_hashes,
             origins=origin_arr,
-            paths=paths,
+            path_ids=compiled.ids[positions],
+            path_ends=path_ends,
             found_at=found_at,
             via_pointer=via_pointer,
             pointer_hops=pointer_hops,
             content_node=content_node,
-            values=values,
+            value_entries=entries,
+            value_ends=value_ends,
+            value_column=self._item_value,
             latency_ms=lat,
             probes=probes,
         )

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from ..simulation.churn import Event, ScheduleReport, run_schedule
+from ..simulation.churn import ScheduleReport, run_schedule
 from .batcher import compile_protocol_view
 from .middleware import SLOMiddleware
 from .policy import NO_POLICY, ServePolicy

@@ -11,8 +11,8 @@ on the same clock — the regime where mid-flight failures are visible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Callable, List, Optional
 
 from ..core.routing import MAX_HOPS
 from ..obs.metrics import record_counter

@@ -15,7 +15,7 @@ shrink bit-for-bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..core.hierarchy import DomainPath, lca as _lca
 from .protocol import SimulatedCrescendo

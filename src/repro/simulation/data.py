@@ -18,7 +18,7 @@ and copy is counted as ``transfer`` / ``replicate`` messages.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional
 
 from ..core.hierarchy import DomainPath, ROOT, is_ancestor
 from ..core.idspace import predecessor_index

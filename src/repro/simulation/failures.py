@@ -14,7 +14,7 @@ traffic, for any ring-metric network.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Set
+from typing import List, Sequence, Set
 
 from ..core.hierarchy import DomainPath
 from ..core.network import DHTNetwork

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set
 
 from ..core.hierarchy import DomainPath, Hierarchy
 from ..core.idspace import IdSpace, predecessor_index

@@ -15,8 +15,8 @@ copy is likely re-served by the copy one level up.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 
 from ..core.hierarchy import DomainPath, lca
 from ..obs.metrics import record_counter

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
 from ..core.hierarchy import DomainPath, Hierarchy
 from ..core.idspace import IdSpace, predecessor_index

@@ -16,10 +16,9 @@ placed at the convergence proxy) quantifies the paper's argument.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
-from ..core.routing import _best_ring_step
 from .store import HierarchicalStore, SearchResult
 
 

@@ -12,11 +12,9 @@ replicas outside the domain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from ..core.hierarchy import DomainPath, ROOT
-from ..core.idspace import successor_index
 from ..obs.metrics import record_counter
 from .store import HierarchicalStore, SearchResult, StoredItem
 

@@ -23,11 +23,11 @@ access.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..core.hierarchy import DomainPath, ROOT, is_ancestor, lca
-from ..core.routing import MAX_HOPS, Route
+from ..core.routing import MAX_HOPS
 from ..dhts.crescendo import CrescendoNetwork
 from ..obs.metrics import record_counter
 

@@ -16,8 +16,7 @@ of which are exposed here.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -25,7 +24,6 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
 from ..core.hierarchy import DomainPath, Hierarchy
-from ..core.idspace import IdSpace
 from ..obs import metrics as obs_metrics
 
 TRANSIT_TRANSIT_MS = 100.0

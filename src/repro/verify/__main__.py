@@ -28,7 +28,7 @@ from pathlib import Path
 
 from ..obs import metrics as obs_metrics
 from .builders import EXTRA_FAMILIES, FAMILIES, small_network
-from .fuzz import FuzzConfig, generate_schedule, replay, run_fuzz, schedule_from_json, schedule_to_json
+from .fuzz import FuzzConfig, replay, run_fuzz, schedule_from_json, schedule_to_json
 from .invariants import checkers_for, run_checks
 from .mutate import KINDS, mutation_smoke
 from .violations import summarize
@@ -38,6 +38,11 @@ ALL_FAMILIES = FAMILIES + EXTRA_FAMILIES
 
 def _parse_families(raw: str):
     families = tuple(f.strip() for f in raw.split(",") if f.strip())
+    if not families:
+        # An empty list would run no static battery and report "no violations".
+        raise argparse.ArgumentTypeError(
+            f"needs at least one family; known: {', '.join(ALL_FAMILIES)}"
+        )
     unknown = [f for f in families if f not in ALL_FAMILIES]
     if unknown:
         raise argparse.ArgumentTypeError(
@@ -119,6 +124,12 @@ def main(argv=None) -> int:
         ):
             if value is not None and value < minimum:
                 fuzz.error(f"{flag} must be >= {minimum}, got {value}")
+    if args.command == "replay":
+        # So is an unreadable or malformed fixture (an empty family list too).
+        try:
+            args.schedule = schedule_from_json(Path(args.fixture).read_text())
+        except (OSError, ValueError) as err:
+            rep.error(str(err))
     registry = obs_metrics.activate(obs_metrics.MetricsRegistry())
     try:
         code = _dispatch(args, registry)
@@ -190,9 +201,7 @@ def _dispatch(args: argparse.Namespace, registry) -> int:
         return 1 if report.failed else 0
 
     if args.command == "replay":
-        config, events, expect_violations = schedule_from_json(
-            Path(args.fixture).read_text()
-        )
+        config, events, expect_violations = args.schedule
         report = replay(config, events)
         print(
             f"replayed {len(events)} events: "

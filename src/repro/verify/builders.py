@@ -9,7 +9,7 @@ adding a family means touching one table (plus registering its checkers in
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from ..core.hierarchy import Hierarchy, build_uniform_hierarchy
 from ..core.idspace import IdSpace

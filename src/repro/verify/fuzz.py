@@ -608,8 +608,9 @@ def schedule_from_json(text: str) -> Tuple[FuzzConfig, List[Event], bool]:
     """Parse a fixture; returns (config, events, expect_violations).
 
     The document is fully validated — unknown event kinds, malformed
-    event fields, unknown families and ill-typed config values all raise
-    :class:`ValueError` with a message naming the offending entry.
+    event fields, an empty or unknown family list and ill-typed config
+    values all raise :class:`ValueError` with a message naming the
+    offending entry.
     """
     from .builders import EXTRA_FAMILIES
     from .mutate import KINDS as MUTATION_KINDS
@@ -632,6 +633,8 @@ def schedule_from_json(text: str) -> Tuple[FuzzConfig, List[Event], bool]:
         isinstance(f, str) for f in families
     ):
         raise ValueError(f"fixture: families must be a list of names, got {families!r}")
+    if not families:
+        raise ValueError("fixture: families must name at least one family")
     unknown = [f for f in families if f not in known_families]
     if unknown:
         raise ValueError(

@@ -26,7 +26,7 @@ When a :mod:`repro.obs.metrics` registry is active, ``verify.checks`` and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Set
 
 import numpy as np
 

@@ -9,7 +9,7 @@ guaranteed to cover it — and checks the registry reports it.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from ..core.idspace import successor_index
 from ..core.network import DHTNetwork

@@ -9,7 +9,7 @@ asserting; callers decide whether to collect, count or raise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 

@@ -10,7 +10,7 @@ expensive, bottleneck-prone ones.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Sequence, Set, Tuple
+from typing import Callable, Dict, Sequence, Set, Tuple
 
 from ..core.hierarchy import Hierarchy
 from ..core.network import DHTNetwork

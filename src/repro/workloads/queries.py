@@ -8,7 +8,7 @@ source's transit domain; and so on down the hierarchy.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 from ..core.hierarchy import Hierarchy
 

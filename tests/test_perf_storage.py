@@ -10,6 +10,7 @@ never ``pytest.approx``.
 
 from __future__ import annotations
 
+import gc
 import random
 
 import numpy as np
@@ -341,6 +342,7 @@ class TestBatchGetCrowdedBuckets:
         batch = CompiledStore(store).batch_get([], [], latency=topology.latency_table())
         assert batch.size == 0 and batch.probes == 0
         assert batch.paths == [] and batch.values == []
+        assert batch.hops.size == 0 and batch.hops.dtype == np.int64
         assert batch.found_at.size == batch.latency_ms.size == 0
         assert list(batch.results()) == []
 
@@ -426,6 +428,69 @@ class TestBatchGetCrowdedBuckets:
         assert stale.path == store.get(origin, "late").path
         fresh = next(CompiledStore(store).batch_get([origin], ["late"]).results())
         assert fresh.found and fresh.values == ["v1"]
+
+
+# ------------------------------------------------- columnar batch results
+
+
+@pytest.fixture(scope="module")
+def mixed_batch(attached):
+    """A compiled store and 4,096 gets over it: item hits, pointer answers
+    and misses (keys never stored) all present."""
+    _, net = attached
+    store = HierarchicalStore(net)
+    rng = random.Random("columnar")
+    put_ops, get_ops = storage_workload(net, rng, puts=200, gets=4000)
+    for op in put_ops:
+        store.put(*op)
+    ids = list(net.node_ids)
+    get_ops += [(rng.choice(ids), f"never-stored-{i}") for i in range(96)]
+    return CompiledStore(store), [o for o, _ in get_ops], [k for _, k in get_ops]
+
+
+class TestColumnarResult:
+    def test_hops_is_path_length_minus_one(self, mixed_batch):
+        compiled, origins, keys = mixed_batch
+        batch = compiled.batch_get(origins, keys)
+        assert batch.hops.dtype == np.int64
+        assert batch.hops.tolist() == [len(p) - 1 for p in batch.paths]
+        assert batch.via_pointer.any()
+        assert (batch.found & ~batch.via_pointer).any()
+        assert (~batch.found).any()
+
+    def test_csr_columns_hold_the_lists(self, mixed_batch):
+        compiled, origins, keys = mixed_batch
+        batch = compiled.batch_get(origins, keys)
+        assert batch.path_ends.size == batch.value_ends.size == batch.size
+        assert batch.path_ids.tolist() == [n for p in batch.paths for n in p]
+        column = batch.value_column
+        flat = [column[e] for e in batch.value_entries.tolist()]
+        assert flat == [v for vs in batch.values for v in vs]
+
+    def test_lists_are_built_once(self, mixed_batch):
+        compiled, origins, keys = mixed_batch
+        batch = compiled.batch_get(origins[:50], keys[:50])
+        assert batch.paths is batch.paths
+        assert batch.values is batch.values
+        rows = list(batch.results())
+        assert all(r.path is p for r, p in zip(rows, batch.paths))
+        assert all(r.values is v for r, v in zip(rows, batch.values))
+
+    def test_no_per_query_objects_until_read(self, mixed_batch):
+        """The walk's result is a few arrays: per-query lists appear only
+        once ``paths`` or ``values`` is read."""
+        compiled, origins, keys = mixed_batch
+        m = len(keys)
+        assert m == 4096
+        compiled.batch_get(origins[:8], keys[:8])  # warm any lazy imports
+        gc.collect()
+        before = len(gc.get_objects())
+        batch = compiled.batch_get(origins, keys)
+        assert len(gc.get_objects()) - before < m // 8
+        batch.paths
+        assert len(gc.get_objects()) - before >= m
+        batch.values
+        assert len(gc.get_objects()) - before >= 2 * m
 
 
 # ------------------------------------------------------------- repair scans

@@ -122,6 +122,9 @@ class TestScheduleParsing:
             doc = self._doc(events=[{"kind": "crash", "rank": bad}])
             self._expect(doc, "rank must be a non-negative integer")
 
+    def test_rejects_empty_families(self):
+        self._expect(self._doc(families=[]), "at least one family")
+
     def test_rejects_ill_typed_path(self):
         doc = self._doc(events=[{"kind": "kill_domain", "path": "a"}])
         self._expect(doc, "path must be a list of domain-name strings")
@@ -198,6 +201,52 @@ class TestCliNumbers:
 
     def test_checkpoints_below_one(self, monkeypatch, capsys):
         self._rejects(monkeypatch, capsys, "--checkpoints", "-3", "1, got -3")
+
+
+class TestCliFamilies:
+    """An empty family list is a usage error (exit 2), not a clean run of
+    no static battery that reports "no violations"."""
+
+    @pytest.mark.parametrize("command", ["fuzz", "smoke"])
+    @pytest.mark.parametrize("raw", ["", " , ,"])
+    def test_empty_list_is_rejected(self, monkeypatch, capsys, command, raw):
+        from repro.verify import __main__ as verify_cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("ran on an empty family list")
+
+        monkeypatch.setattr(verify_cli, "run_fuzz", refuse)
+        monkeypatch.setattr(verify_cli, "mutation_smoke", refuse)
+        with pytest.raises(SystemExit) as exit_info:
+            verify_cli.main([command, "--families", raw])
+        assert exit_info.value.code == 2
+        assert "needs at least one family" in capsys.readouterr().err
+
+    def test_replay_of_an_empty_list_is_rejected(self, monkeypatch, capsys, tmp_path):
+        from repro.verify import __main__ as verify_cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("replayed an empty family list")
+
+        monkeypatch.setattr(verify_cli, "replay", refuse)
+        doc = json.loads(
+            schedule_to_json(FuzzConfig(seed=1, events=0), [Event("checkpoint")])
+        )
+        doc["families"] = []
+        fixture = tmp_path / "empty.json"
+        fixture.write_text(json.dumps(doc))
+        with pytest.raises(SystemExit) as exit_info:
+            verify_cli.main(["replay", str(fixture)])
+        assert exit_info.value.code == 2
+        assert "at least one family" in capsys.readouterr().err
+
+    def test_replay_of_a_missing_fixture_is_rejected(self, capsys, tmp_path):
+        from repro.verify import __main__ as verify_cli
+
+        with pytest.raises(SystemExit) as exit_info:
+            verify_cli.main(["replay", str(tmp_path / "absent.json")])
+        assert exit_info.value.code == 2
+        assert "absent.json" in capsys.readouterr().err
 
 
 class TestRunSchedule:
