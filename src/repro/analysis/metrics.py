@@ -8,9 +8,12 @@ grouped-proximity routing).
 
 from __future__ import annotations
 
+import itertools
 import statistics
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from ..core.hierarchy import format_name, lca
 from ..core.network import DHTNetwork
@@ -36,25 +39,14 @@ class DegreeStats:
 
     @classmethod
     def of(cls, network: DHTNetwork) -> "DegreeStats":
-        degrees = network.degrees()
-        if len(degrees) > 64:
-            import numpy as np
-
-            arr = np.asarray(degrees, dtype=np.int64)
-            values, counts = np.unique(arr, return_counts=True)
-            n = arr.size
-            return cls(
-                # Integer-sum division matches statistics.mean exactly.
-                mean=float(int(arr.sum())) / n,
-                maximum=int(values[-1]),
-                minimum=int(values[0]),
-                pdf={int(v): int(c) / n for v, c in zip(values, counts)},
-            )
+        arr = np.asarray(network.degrees(), dtype=np.int64)
+        values, counts = np.unique(arr, return_counts=True)
+        n = arr.size
         return cls(
-            mean=statistics.mean(degrees),
-            maximum=max(degrees),
-            minimum=min(degrees),
-            pdf=network.degree_distribution(),
+            mean=float(exact_mean(arr)),
+            maximum=int(values[-1]),
+            minimum=int(values[0]),
+            pdf={int(v): int(c) / n for v, c in zip(values, counts)},
         )
 
 
@@ -68,6 +60,46 @@ class RoutingStats:
     @property
     def success_rate(self) -> float:
         return self.delivered / self.samples if self.samples else 0.0
+
+
+def exact_mean(values: np.ndarray) -> Union[int, float]:
+    """``statistics.mean(values.tolist())`` bit for bit, type included,
+    with no Python object per value.
+
+    ``statistics.mean`` sums exactly and rounds once, and so does this.  An
+    integer array divides its int64 sum: an ``int`` when the division is
+    exact, else the correctly rounded ``float``.  A float array is split by
+    ``np.frexp`` into 53-bit integer mantissas, which are summed per binary
+    exponent in int64 halves of 27 and 26 bits (no group sum overflows
+    below 2**36 values); the group sums are shifted together as Python ints
+    and divided by ``n`` once.  ``np.mean`` or ``math.fsum(x) / n`` round
+    twice.  Empty, non-finite or overflow-prone input defers to
+    ``statistics.mean``.
+    """
+    n = values.size
+    if values.dtype.kind in "iu":
+        if n and max(-int(values.min()), int(values.max())) * n < 1 << 63:
+            total = int(values.sum(dtype=np.int64))
+            quotient, remainder = divmod(total, n)
+            return total / n if remainder else quotient
+    elif values.dtype.kind == "f" and 0 < n < 1 << 36 and np.isfinite(values).all():
+        fractions, exponents = np.frexp(values.astype(np.float64, copy=False))
+        mantissas = (fractions * 2.0**53).astype(np.int64)  # exact: < 2**53
+        base = int(exponents.min())
+        group = exponents - base
+        width = int(group.max()) + 1
+        high = np.zeros(width, dtype=np.int64)
+        low = np.zeros(width, dtype=np.int64)
+        np.add.at(high, group, mantissas >> 26)
+        np.add.at(low, group, mantissas & ((1 << 26) - 1))
+        total = 0
+        for shift, (high_sum, low_sum) in enumerate(zip(high.tolist(), low.tolist())):
+            total += ((high_sum << 26) + low_sum) << shift
+        # The exact sum is total * 2**(base - 53).
+        if base >= 53:
+            return (total << (base - 53)) / n
+        return total / (n << (53 - base))
+    return statistics.mean(values.tolist())
 
 
 def _workload(
@@ -160,8 +192,9 @@ def sample_routing(
     compiled = _batch_compiled(network, router)
     table = latency_table_of(latency_fn)
     track_slo = registry is not None and slo_label is not None
-    hops: List[int] = []
-    latencies: List[float] = []
+    mean: Callable[..., Union[int, float]] = statistics.mean
+    hops: Union[List[int], np.ndarray] = []
+    latencies: Union[List[float], np.ndarray] = []
     crossings: List[int] = []
     delivered_pairs: List[Tuple[int, int]] = []
     delivered = 0
@@ -176,19 +209,26 @@ def sample_routing(
                 or registry is not None
                 or (latency_fn is not None and table is None)
             )
-            batch = compiled.route(
-                [p[0] for p in workload],
-                [p[1] for p in workload],
-                paths=need_paths,
-                latency=table,
+            # The (src, key) pairs become two uint64 columns in one pass.
+            sources, keys = (
+                np.fromiter(
+                    itertools.chain.from_iterable(workload),
+                    dtype=np.uint64,
+                    count=2 * total,
+                )
+                .reshape(total, 2)
+                .T.copy()
             )
+            batch = compiled.route(sources, keys, paths=need_paths, latency=table)
         if batch is not None and batch.paths is None:
-            # Nothing observes single routes: account in arrays.
+            # Nothing observes single routes: account in arrays, with the
+            # exact means statistics.mean would give over their lists.
             ok = batch.success & (batch.terminals == batch.dest_keys)
             delivered = int(ok.sum())
-            hops = batch.hops[ok].tolist()
+            mean = exact_mean
+            hops = batch.hops[ok]
             if table is not None:
-                latencies = batch.latency_ms[ok].tolist()
+                latencies = batch.latency_ms[ok]
         else:
             # One accounting loop over (route, kernel latency or None),
             # whichever engine routed.
@@ -236,8 +276,8 @@ def sample_routing(
     return RoutingStats(
         samples=total,
         delivered=delivered,
-        mean_hops=statistics.mean(hops) if hops else 0.0,
-        mean_latency=statistics.mean(latencies) if latencies else None,
+        mean_hops=mean(hops) if len(hops) else 0.0,
+        mean_latency=mean(latencies) if len(latencies) else None,
     )
 
 
@@ -263,8 +303,6 @@ def _record_slo(
     domains: List[str] = []
     if latencies:
         if table is not None:
-            import numpy as np
-
             directs = table.hop_ms(
                 np.asarray([p[0] for p in delivered_pairs], dtype=np.uint64),
                 np.asarray([p[1] for p in delivered_pairs], dtype=np.uint64),

@@ -26,6 +26,9 @@ from repro.dhts.symphony import SymphonyNetwork
 from repro.obs.metrics import collecting
 from repro.obs.trace import Tracer, tracing
 from repro.proximity.groups import ProximityChordNetwork, route_grouped
+from repro.topology.transit_stub import TopologyParams, TransitStubTopology
+from repro.verify.builders import build_family as build_over
+from repro.workloads.queries import random_pair
 
 FAMILIES = {
     "chord": (lambda s, h, r: ChordNetwork(s, h).build(), route_ring),
@@ -110,3 +113,41 @@ def test_sample_routing_stats_invariant_under_observability():
     assert len(tracer) == len(pairs)
     assert registry.counter("route.samples").value == len(pairs)
     assert registry.histogram("route.hops").count == plain.delivered
+
+
+@pytest.mark.parametrize("family", ["crescendo", "kademlia"])
+def test_array_and_list_accounting_agree_with_latency_table(family):
+    """The bare run accounts in arrays, the observed run per route in lists:
+    equal RoutingStats, and equal types of both means (``6 == 6.0`` would
+    hide an int/float drift)."""
+    rng = random.Random(f"accounting:{family}")
+    params = TopologyParams(
+        transit_domains=2,
+        transit_per_domain=2,
+        stub_domains_per_transit=2,
+        stub_per_domain=4,
+    )
+    topology = TransitStubTopology(params, rng=rng)
+    space = IdSpace(32)
+    ids = space.random_ids(150, rng)
+    net = build_over(family, space, hierarchy=topology.attach_nodes(ids, rng), rng=rng)
+    router = route_ring if net.metric == "ring" else route_xor
+    pairs = [random_pair(ids, rng) for _ in range(300)]
+    pairs += [(src, src) for src in ids[:8]]  # zero-hop lookups
+    table = topology.latency_table()
+    bare = sample_routing(net, None, router=router, latency_fn=table, pairs=pairs)
+    with tracing() as tracer, collecting():
+        observed = sample_routing(
+            net, None, router=router, latency_fn=table, pairs=pairs
+        )
+    assert len(tracer) == len(pairs)
+    assert bare == observed
+    assert type(bare.mean_hops) is type(observed.mean_hops)
+    assert type(bare.mean_latency) is type(observed.mean_latency) is float
+    # Only the zero-hop lookups: a divisible hop sum is an int both ways.
+    zero = pairs[-8:]
+    bare = sample_routing(net, None, router=router, latency_fn=table, pairs=zero)
+    with collecting():
+        observed = sample_routing(net, None, router=router, latency_fn=table, pairs=zero)
+    assert bare == observed
+    assert type(bare.mean_hops) is type(observed.mean_hops) is int
