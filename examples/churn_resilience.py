@@ -1,9 +1,11 @@
 """Dynamic maintenance under churn, plus fault isolation.
 
 Grows a Crescendo network node by node through the Section 2.3 join
-protocol, subjects it to leaves and crashes while measuring lookup delivery,
-verifies the repaired link tables against the static oracle construction,
-and demonstrates fault isolation: killing every node outside a domain leaves
+protocol and checks its link tables against the static oracle
+construction.  Then a churn scenario (joins, leaves, crashes and lookups)
+replays on both maintenance engines in lockstep while measuring lookup
+delivery, and its checkpoint stabilizes the network back to the oracle.
+Last, fault isolation: killing every node outside a domain leaves
 intra-domain routing completely untouched (unlike flat Chord).
 
 Run:  python examples/churn_resilience.py
@@ -13,18 +15,14 @@ import random
 import statistics
 
 from repro import ChordNetwork, CrescendoNetwork, IdSpace, build_uniform_hierarchy
-from repro.simulation import (
-    ChurnConfig,
-    SimulatedCrescendo,
-    intra_domain_isolation,
-    run_churn,
-)
+from repro.scenarios import Phase, ScenarioSpec, run_scenario
+from repro.simulation import SimulatedCrescendo, intra_domain_isolation
 
-PATHS = [
+PATHS = (
     ("us", "west"), ("us", "east"),
     ("eu", "north"), ("eu", "south"),
     ("asia", "east"),
-]
+)
 
 
 def main() -> None:
@@ -44,16 +42,29 @@ def main() -> None:
     exact = net.static_links() == net.oracle_links()
     print(f"link tables equal the static oracle construction: {exact}")
 
-    # --- churn ----------------------------------------------------------
-    report = run_churn(
-        net, rng, PATHS,
-        ChurnConfig(joins=60, leaves=30, crashes=15, lookups=300),
+    # --- churn: a compiled schedule, replayed on both engines -----------
+    spec = ScenarioSpec(
+        name="churn_resilience",
+        population=300,
+        domains=PATHS,
+        phases=(
+            Phase("mix", count=410, weights=Phase.mix_weights(
+                {"join": 60, "leave": 30, "crash": 15, "lookup": 300,
+                 "stabilize": 5})),
+            Phase("checkpoint"),
+        ),
     )
-    print(f"\nchurn: +60 joins, -30 leaves, -15 crashes, 300 live lookups")
-    print(f"  delivery rate during churn: {report.delivery_rate:.3f}")
-    print(f"  protocol traffic: join={report.join_messages} "
-          f"leave={report.leave_messages} stabilize={report.stabilize_messages}")
-    print(f"  converged back to the oracle: {report.converged_to_oracle}")
+    result = run_scenario(spec, seed=3, families=("crescendo",))
+    report = result.report
+    print(f"\nchurn: +{report.joins} joins, -{report.leaves} leaves, "
+          f"-{report.crashes} crashes, {report.lookups_attempted} live lookups")
+    print(f"  delivery rate during churn: {result.availability:.3f} "
+          f"(p99 {result.p99_ms():.0f} ms on a transit-stub topology)")
+    print("  protocol traffic: " + ", ".join(
+        f"{kind}={count}" for kind, count in report.messages.items()))
+    print(f"  converged back to the oracle in {report.checkpoint_rounds[0]} "
+          f"rounds: {not report.unconverged_checkpoints}")
+    print(f"  both engines agree, no oracle findings: {not result.findings}")
 
     # --- fault isolation (static networks, same placements) -------------
     rng2 = random.Random(4)

@@ -1,121 +1,115 @@
 """Churn study: delivery, maintenance traffic and lookup latency vs churn.
 
 Not a paper figure — the paper treats dynamic maintenance analytically
-(§2.3: O(log n) messages per join, leaf sets for departures).  This study
-exercises that machinery end-to-end: a 150-node Crescendo absorbs rising
-churn (joins + graceful leaves + crashes interleaved with a fixed
-stabilization budget) while application lookups run, and we record the
-delivery rate, per-join message cost, whether the network converges back
-to the static oracle, and — through a small transit-stub topology serving
-as the latency oracle — p50/p99 lookup milliseconds under churn.  The
-protocol's abstract domain hierarchy (``PATHS``) is unchanged; the
-topology only prices hops, with joining nodes attached on the fly.
+(§2.3: O(log n) messages per join, leaf sets for departures).  Each churn
+intensity is a :class:`~repro.scenarios.dsl.ScenarioSpec`: a 150-node
+(smoke) or 400-node Crescendo over ``PATHS`` absorbs one ``mix`` phase of
+joins, leaves, crashes, stabilize rounds and lookups, then a checkpoint.
+:func:`~repro.scenarios.runner.run_scenario` replays it on both
+maintenance engines in lockstep with the checkpoint battery, pricing each
+lookup on a transit-stub topology; any finding raises, naming the
+intensity.  Join cost counts ``join_lookup`` + ``join_finger`` messages
+per executed join; maintenance counts ``ping`` + ``verify`` +
+``refresh_finger`` + ``repair_lookup``.  Joins and stabilization both
+send ``notify`` and ``fetch_hints``, so neither column counts those.
 
 Run: ``python -m repro.experiments churn --scale smoke``.  With a metrics
-registry active (``--metrics``/``--slo``), per-intensity latencies are
-recorded as ``slo.*`` instruments under the ``churn.<intensity>`` family.
+registry active (``--metrics``/``--slo``), latencies and stretch land in
+the ``slo.*`` instruments labelled ``churn.<intensity>``.
 """
 
 from __future__ import annotations
 
 from typing import Dict
 
-from ..core.idspace import IdSpace
 from ..analysis.tables import Table
-from ..obs import metrics as obs_metrics
-from ..obs.slo import record_slo
-from ..perf.dynamic import make_protocol
-from ..simulation.churn import ChurnConfig, run_churn
-from ..topology.transit_stub import TopologyParams, TransitStubTopology
-from .common import seeded_rng
+from ..obs.quantiles import percentile
+from ..scenarios.dsl import Phase, ScenarioSpec
+from ..scenarios.runner import run_scenario
+from ..verify.violations import summarize
 
-PATHS = [("a", "x"), ("a", "y"), ("b", "x"), ("b", "y"), ("c", "x")]
+PATHS = (("a", "x"), ("a", "y"), ("b", "x"), ("b", "y"), ("c", "x"))
 
+#: intensity -> event weights of its ``mix`` phase, which draws as many
+#: events as the weights sum to.
 INTENSITIES = {
-    "light": ChurnConfig(joins=10, leaves=5, crashes=2, lookups=150),
-    "moderate": ChurnConfig(joins=40, leaves=20, crashes=8, lookups=150),
-    "heavy": ChurnConfig(joins=80, leaves=50, crashes=20, lookups=150),
+    "light": {"join": 10, "leave": 5, "crash": 2, "lookup": 150, "stabilize": 5},
+    "moderate": {"join": 40, "leave": 20, "crash": 8, "lookup": 150, "stabilize": 5},
+    "heavy": {"join": 80, "leave": 50, "crash": 20, "lookup": 150, "stabilize": 5},
 }
 
-#: Small transit-stub graph (120 routers) — ample stub diversity for a few
-#: hundred nodes without the 2040-router all-pairs cost per intensity.
-TOPOLOGY_PARAMS = TopologyParams(
-    transit_domains=2,
-    transit_per_domain=5,
-    stub_domains_per_transit=2,
-    stub_per_domain=11,
-)
+JOIN_KINDS = ("join_lookup", "join_finger")
+MAINTENANCE_KINDS = ("ping", "verify", "refresh_finger", "repair_lookup")
+
+
+def scenario(label: str, scale: str = "smoke") -> ScenarioSpec:
+    """One churn intensity as a scenario: a weighted mix, then a checkpoint."""
+    weights = INTENSITIES[label]
+    return ScenarioSpec(
+        name=f"churn_{label}",
+        description=f"churn study, {label} intensity",
+        population=150 if scale == "smoke" else 400,
+        domains=PATHS,
+        phases=(
+            Phase(
+                "mix",
+                count=sum(weights.values()),
+                weights=Phase.mix_weights(weights),
+            ),
+            Phase("checkpoint"),
+        ),
+    )
 
 
 def measurements(scale: str = "smoke") -> Dict[str, Dict[str, float]]:
     """intensity -> delivery/traffic/convergence/latency metrics."""
-    size = 150 if scale == "smoke" else 400
-    registry = obs_metrics.active_registry()
     out: Dict[str, Dict[str, float]] = {}
-    for label, config in INTENSITIES.items():
-        rng = seeded_rng("churn", label, size)
-        space = IdSpace()
-        topology = TransitStubTopology(
-            TOPOLOGY_PARAMS, rng=seeded_rng("churn-topo", label, size)
+    for label in INTENSITIES:
+        result = run_scenario(
+            scenario(label, scale), 0, slo_label=f"churn.{label}"
         )
-        net = make_protocol(space)
-        for node_id in space.random_ids(size, rng):
-            topology.attach_node(node_id)
-            net.join(node_id, PATHS[rng.randrange(len(PATHS))])
-        report = run_churn(
-            net,
-            rng,
-            PATHS,
-            config,
-            latency=topology,
-            attach=topology.attach_node,
-        )
-        if registry is not None:
-            record_slo(
-                registry,
-                f"churn.{label}",
-                report.lookups_attempted,
-                report.lookups_delivered,
-                report.lookup_ms,
-                levels=report.lookup_levels,
+        if result.findings:
+            found = result.violations + result.residual + result.divergence
+            raise RuntimeError(
+                f"churn study, {label} intensity: {summarize(found)}"
             )
-        total_events = config.joins + config.leaves + config.crashes
+        report = result.report
+        messages = report.messages
         out[label] = {
-            "events": float(total_events),
-            "delivery_rate": report.delivery_rate,
-            "join_msgs_per_join": report.join_messages / max(1, config.joins),
-            "stabilize_msgs": float(report.stabilize_messages),
-            "converged": float(report.converged_to_oracle),
-            "p50_ms": report.p50_ms,
-            "p99_ms": report.p99_ms,
+            "events": float(report.joins + report.leaves + report.crashes),
+            "delivery_rate": result.availability,
+            "join_msgs_per_join": sum(messages.get(k, 0) for k in JOIN_KINDS)
+            / max(1, report.joins),
+            "maintenance_msgs": float(
+                sum(messages.get(k, 0) for k in MAINTENANCE_KINDS)
+            ),
+            "checkpoint_rounds": float(report.checkpoint_rounds[0]),
+            "converged": float(not report.unconverged_checkpoints),
+            "findings": float(result.findings),
+            "p50_ms": percentile(sorted(result.lookup_ms), 0.50),
+            "p99_ms": result.p99_ms(),
         }
     return out
 
 
 def run(scale: str = "smoke") -> Table:
     """Render the churn-intensity table."""
-    data = measurements(scale)
     table = Table(
         "Churn study — delivery, maintenance traffic and latency vs intensity",
         [
-            "intensity",
-            "events",
-            "delivery",
-            "msgs/join",
-            "stabilize msgs",
-            "converged",
-            "p50 ms",
+            "intensity", "events", "delivery", "join msgs/join",
+            "maintenance msgs", "checkpoint rounds", "converged", "p50 ms",
             "p99 ms",
         ],
     )
-    for label in ("light", "moderate", "heavy"):
-        row = data[label]
+    for label, row in measurements(scale).items():
         table.add_row(
             label,
             int(row["events"]),
             row["delivery_rate"],
             row["join_msgs_per_join"],
-            int(row["stabilize_msgs"]),
+            int(row["maintenance_msgs"]),
+            int(row["checkpoint_rounds"]),
             bool(row["converged"]),
             row["p50_ms"],
             row["p99_ms"],

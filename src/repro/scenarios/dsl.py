@@ -18,6 +18,7 @@ ids) picks plausible hot keys without touching replay-time state.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -185,6 +186,14 @@ def _validate_phase(spec: ScenarioSpec, phase: Phase, where: str) -> None:
         ):
             raise ValueError(
                 f"{where}: weights must be (kind, positive weight) pairs"
+            )
+        try:
+            total = math.fsum(w for _, w in phase.weights)
+        except OverflowError:
+            total = math.inf
+        if not math.isfinite(total):
+            raise ValueError(
+                f"{where}: weights must be finite, with a finite total"
             )
         data_kinds = () if spec.data_replicas is not None else ("put", "get")
         for kind, _ in phase.weights:

@@ -131,7 +131,7 @@ class ScenarioResult:
 
     @property
     def messages(self) -> Dict[str, int]:
-        """The fast engine's per-kind message counts."""
+        """The fast engine's per-kind message counts, bootstrap included."""
         return dict(self.comparison.fast.msgs.stats.counts)
 
     @property

@@ -2,7 +2,6 @@
 failure injection / fault-isolation measurements."""
 
 from .async_lookup import AsyncEngine, AsyncResult
-from .churn import ChurnConfig, ChurnReport, run_churn
 from .data import DataItem, DataLayer
 from .events import (
     ConstantLatency,
@@ -23,8 +22,6 @@ from .protocol import ProtocolNode, RingState, SimulatedCrescendo
 __all__ = [
     "AsyncEngine",
     "AsyncResult",
-    "ChurnConfig",
-    "ChurnReport",
     "ConstantLatency",
     "DataItem",
     "DataLayer",
@@ -39,6 +36,5 @@ __all__ = [
     "fail_random",
     "intra_domain_isolation",
     "path_stays_inside",
-    "run_churn",
     "survival_under_random_failures",
 ]

@@ -1,165 +1,25 @@
 """Churn workloads over the dynamic protocol (Section 2.3 in motion).
 
-Drives a :class:`~repro.simulation.protocol.SimulatedCrescendo` with
-interleaved joins, graceful leaves, crashes, periodic stabilization and
-application lookups on the virtual clock, and reports delivery rates and
-protocol traffic.
-
-Two drivers share the event vocabulary: :func:`run_churn` shuffles a
-random mix onto the virtual clock, while :func:`run_schedule` replays an
-*explicit* :class:`Event` list deterministically — the substrate of the
-:mod:`repro.verify` fuzzer, whose failing schedules must replay and
-shrink bit-for-bit.
+:func:`run_schedule` drives a
+:class:`~repro.simulation.protocol.SimulatedCrescendo` through an
+explicit :class:`Event` list — interleaved joins, graceful leaves,
+crashes, correlated failures, partitions, stabilization, application
+lookups and data-layer traffic — deterministically, with no RNG.  Every
+churn workload replays through it: the :mod:`repro.verify` fuzzer (whose
+failing schedules must replay and shrink bit-for-bit), the scenario zoo
+and the churn study, all three through
+:func:`repro.verify.fuzz.lockstep`, and the serving scenarios.  Its
+:class:`ScheduleReport` counts what executed and what the replay cost,
+per message kind.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..core.hierarchy import DomainPath, lca as _lca
+from ..core.hierarchy import DomainPath
 from .protocol import SimulatedCrescendo
-
-
-@dataclass
-class ChurnConfig:
-    """Event mix for one churn run (counts, not rates: runs are bounded)."""
-
-    joins: int = 50
-    leaves: int = 25
-    crashes: int = 10
-    lookups: int = 200
-    #: stabilization rounds interleaved through the run.
-    stabilize_rounds: int = 5
-    duration: float = 1000.0
-
-
-@dataclass
-class ChurnReport:
-    lookups_attempted: int = 0
-    lookups_delivered: int = 0
-    join_messages: int = 0
-    leave_messages: int = 0
-    stabilize_messages: int = 0
-    lookup_messages: int = 0
-    final_population: int = 0
-    converged_to_oracle: bool = False
-    #: Per delivered lookup: end-to-end latency (ms) and the hierarchy
-    #: level of the source/terminal lowest common domain.  Populated only
-    #: when :func:`run_churn` is given a latency oracle.
-    lookup_ms: List[float] = field(default_factory=list)
-    lookup_levels: List[int] = field(default_factory=list)
-
-    @property
-    def delivery_rate(self) -> float:
-        if not self.lookups_attempted:
-            return 1.0
-        return self.lookups_delivered / self.lookups_attempted
-
-    def latency_quantile(self, q: float) -> float:
-        """Quantile of the delivered-lookup latencies (0.0 without data)."""
-        from ..obs.quantiles import percentile
-
-        return percentile(sorted(self.lookup_ms), q)
-
-    @property
-    def p50_ms(self) -> float:
-        return self.latency_quantile(0.50)
-
-    @property
-    def p99_ms(self) -> float:
-        return self.latency_quantile(0.99)
-
-
-def run_churn(
-    net: SimulatedCrescendo,
-    rng,
-    domain_paths: Sequence[DomainPath],
-    config: ChurnConfig = ChurnConfig(),
-    latency: Optional[Callable[[int, int], float]] = None,
-    attach: Optional[Callable[[int], None]] = None,
-) -> ChurnReport:
-    """Run an interleaved churn schedule; the network must be non-empty.
-
-    Events (joins, leaves, crashes, lookups, stabilize rounds) are shuffled
-    onto the virtual clock uniformly over ``config.duration``.  Lookups are
-    only counted against nodes alive at lookup time; a lookup is *delivered*
-    when it terminates at the live node responsible for the key.
-
-    ``latency`` turns on latency accounting: per delivered lookup, the
-    end-to-end milliseconds of its hop path land in
-    :attr:`ChurnReport.lookup_ms` (and ``slo.*``-style level tags in
-    :attr:`ChurnReport.lookup_levels` — the depth of the source/terminal
-    lowest common domain).  Pass a
-    :class:`~repro.perf.latency.LatencyTable` to accumulate each path with
-    one vectorized gather instead of a Python call per hop, or any
-    ``(a, b) -> ms`` callable for the scalar fold — the totals are
-    bit-identical either way.  ``attach`` is called with each joining node
-    id *before* the join, so a topology latency oracle can attach nodes
-    that enter after the initial population.
-    """
-    if not net.nodes:
-        raise ValueError("bootstrap the network before running churn")
-    report = ChurnReport()
-    path_ms = getattr(latency, "path_ms", None)
-
-    events: List[Tuple[float, int, str]] = []
-    for kind, count in (
-        ("join", config.joins),
-        ("leave", config.leaves),
-        ("crash", config.crashes),
-        ("lookup", config.lookups),
-    ):
-        events.extend((rng.random() * config.duration, i, kind) for i in range(count))
-    for i in range(config.stabilize_rounds):
-        events.append(((i + 1) * config.duration / (config.stabilize_rounds + 1), i, "stab"))
-    events.sort()
-
-    for when, _, kind in events:
-        live = net.live_view()
-        if kind == "join":
-            new_id = net.space.random_id(rng)
-            while new_id in net.nodes:
-                new_id = net.space.random_id(rng)
-            path = domain_paths[rng.randrange(len(domain_paths))]
-            if attach is not None:
-                attach(new_id)
-            report.join_messages += net.join(new_id, path)
-        elif kind == "leave" and len(live) > 2:
-            report.leave_messages += net.leave(rng.choice(live))
-        elif kind == "crash" and len(live) > 2:
-            net.crash(rng.choice(live))
-        elif kind == "stab":
-            report.stabilize_messages += net.stabilize()
-        elif kind == "lookup" and len(live) >= 2:
-            src = rng.choice(live)
-            key = net.space.random_id(rng)
-            before = net.msgs.stats.counts["lookup"]
-            result = net.lookup(src, key)
-            report.lookup_messages += net.msgs.stats.counts["lookup"] - before
-            report.lookups_attempted += 1
-            report.lookups_delivered += bool(result.success)
-            if latency is not None and result.success:
-                report.lookup_ms.append(
-                    path_ms(result.path)
-                    if path_ms is not None
-                    else result.latency(latency)
-                )
-                terminal = result.path[-1]
-                report.lookup_levels.append(
-                    len(_lca(net.nodes[src].path, net.nodes[terminal].path))
-                )
-
-    try:
-        net.stabilize_to_convergence()
-        report.converged_to_oracle = True
-    except RuntimeError:
-        report.converged_to_oracle = False
-    report.final_population = len(net.nodes)
-    return report
-
-
-# ---------------------------------------------------- replayable schedules
 
 
 @dataclass(frozen=True)
@@ -233,6 +93,10 @@ class ScheduleReport:
     checkpoint_members: List[List[int]] = field(default_factory=list)
     #: Stabilize rounds each checkpoint took to converge (-1: it did not).
     checkpoint_rounds: List[int] = field(default_factory=list)
+    #: Protocol messages the replay sent, per kind (checkpoint
+    #: stabilization included; whatever the network sent before the
+    #: replay, such as its bootstrap, is not).
+    messages: Dict[str, int] = field(default_factory=dict)
 
 
 def run_schedule(
@@ -268,6 +132,8 @@ def run_schedule(
     if not net.nodes:
         raise ValueError("bootstrap the network before replaying a schedule")
     report = ScheduleReport()
+    counts = net.msgs.stats.counts
+    before = dict(counts)
     for event in events:
         live = net.live_view()
         if event.kind == "join":
@@ -372,4 +238,9 @@ def run_schedule(
     report.final_population = sum(
         1 for node in net.nodes.values() if node.alive
     )
+    report.messages = {
+        kind: counts[kind] - before.get(kind, 0)
+        for kind in sorted(counts)
+        if counts[kind] != before.get(kind, 0)
+    }
     return report

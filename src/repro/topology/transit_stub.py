@@ -225,16 +225,6 @@ class TransitStubTopology:
             self._latency_table = LatencyTable.from_topology(self)
         return self._latency_table
 
-    def path_ms(self, path: Sequence[int]) -> float:
-        """Latency of a hop path over the *current* attachment.
-
-        Delegates to the cached latency table (rebuilt after attachments),
-        so churn drivers can hand the topology itself to
-        :func:`repro.simulation.churn.run_churn` as the latency oracle and
-        keep vectorized accumulation while nodes join dynamically.
-        """
-        return self.latency_table().path_ms(path)
-
     def average_direct_latency(self, samples: int, rng=None) -> float:
         """Mean node-to-node shortest-path latency over random pairs.
 

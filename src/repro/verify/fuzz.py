@@ -195,7 +195,10 @@ def check_protocol_state(net: SimulatedCrescendo) -> List[Violation]:
     At a quiescent point each live node's per-ring view must name the next
     live member of that ring as successor, and that successor must name
     the node back as predecessor (Zave's mutual leaf-set consistency, per
-    hierarchy level).
+    hierarchy level).  A ring whose successor pointers all stay among its
+    live members yet form more than one cycle also gets one ``ring-loops``
+    row naming the loop sizes: Zave's disjoint loops, each consistent
+    inside, which stabilization alone cannot merge.
     """
     out: List[Violation] = []
     live = {n: node for n, node in net.nodes.items() if node.alive}
@@ -245,7 +248,43 @@ def check_protocol_state(net: SimulatedCrescendo) -> List[Violation]:
                         domain=prefix,
                     )
                 )
+    for (prefix, depth), members in members_cache.items():
+        loops = _successor_loops(
+            {m: live[m].rings[depth].successor for m in members}
+        )
+        if len(loops) > 1:
+            out.append(
+                Violation(
+                    check="ring-loops",
+                    family="protocol",
+                    message=(
+                        f"successor pointers form {len(loops)} loops "
+                        f"of sizes {loops}"
+                    ),
+                    level=depth,
+                    domain=prefix,
+                )
+            )
     return out
+
+
+def _successor_loops(successor: Dict[int, Optional[int]]) -> List[int]:
+    """Cycle sizes (largest first) of a ring's successor map, or ``[]``
+    when some successor is not a key (a pointer leaving the ring)."""
+    if not all(succ in successor for succ in successor.values()):
+        return []
+    loops: List[int] = []
+    seen: set = set()
+    for start in successor:
+        walk: Dict[int, int] = {}
+        node = start
+        while node not in seen and node not in walk:
+            walk[node] = len(walk)
+            node = successor[node]
+        if node in walk:
+            loops.append(len(walk) - walk[node])
+        seen.update(walk)
+    return sorted(loops, reverse=True)
 
 
 # ------------------------------------------------------------ one fuzz run

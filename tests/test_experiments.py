@@ -27,6 +27,7 @@ from repro.experiments import (
     zoo,
 )
 from repro.experiments.common import get_scale, seeded_rng
+from repro.verify.violations import Violation
 
 
 class TestScaffolding:
@@ -287,12 +288,31 @@ class TestAblations:
 
 class TestStudies:
     def test_churn_resilience(self):
-        """Delivery stays high and the network re-converges at every
-        churn intensity."""
+        """Delivery stays high, both engines agree with the checkpoint
+        battery clean, and the network re-converges at every churn
+        intensity."""
         data = churn_study.measurements("smoke")
         for label in ("light", "moderate", "heavy"):
             assert data[label]["delivery_rate"] > 0.9, label
             assert data[label]["converged"] == 1.0, label
+            assert data[label]["findings"] == 0, label
+            assert data[label]["join_msgs_per_join"] > 0, label
+            assert data[label]["maintenance_msgs"] > 0, label
+
+    def test_churn_finding_names_the_intensity(self, monkeypatch):
+        real = churn_study.run_scenario
+
+        def planted(spec, seed, slo_label):
+            result = real(spec, seed, families=(), latency=False)
+            result.residual.append(
+                Violation(check="ring-loops", family="protocol", message="x")
+            )
+            return result
+
+        monkeypatch.setattr(churn_study, "run_scenario", planted)
+        with pytest.raises(RuntimeError, match="light intensity") as err:
+            churn_study.measurements("smoke")
+        assert "ring-loops(protocol): 1" in str(err.value)
 
     def test_zoo_canon_keeps_state_and_hops_and_gains_locality(self):
         """The paper's §3 thesis for every family: the Canonical version

@@ -130,8 +130,8 @@ def test_cached_table_invalidated_by_attachment(attached):
     topology.attach_node(newcomer, random.Random(4))
     second = topology.latency_table()
     assert second is not first
-    assert topology.path_ms([node_ids[0], newcomer]) == topology.node_latency(
-        node_ids[0], newcomer
+    assert topology.latency_table().path_ms([node_ids[0], newcomer]) == (
+        topology.node_latency(node_ids[0], newcomer)
     )
 
 

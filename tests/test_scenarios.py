@@ -110,6 +110,26 @@ class TestValidation:
     def test_rejects_empty_phases(self):
         self._expect("at least one phase", phases=())
 
+    def test_rejects_non_finite_mix_weights(self):
+        for weight in (float("inf"), 10**400):
+            phases = (Phase("mix", count=5, weights=(("join", weight),)),)
+            self._expect(
+                r"phase 0 \(mix\): weights must be finite", phases=phases
+            )
+            with pytest.raises(ValueError, match="weights must be finite"):
+                compile_scenario(_spec(phases=phases), 0)
+        # Finite weights whose total overflows are refused the same way.
+        self._expect(
+            "with a finite total",
+            phases=(
+                Phase(
+                    "mix",
+                    count=5,
+                    weights=Phase.mix_weights({"join": 1e308, "lookup": 1e308}),
+                ),
+            ),
+        )
+
 
 class TestCompilation:
     def test_same_seed_same_schedule(self):
@@ -208,6 +228,17 @@ class TestJsonRoundTrip:
         with pytest.raises(ValueError, match="missing required field"):
             scenario_from_json(json.dumps(doc))
 
+    def test_rejects_non_finite_mix_weight(self):
+        spec = _spec(phases=(Phase("mix", count=5, weights=(("join", 1.0),)),))
+        doc = json.loads(scenario_to_json(spec, 0, []))
+        doc["phases"][0]["weights"]["join"] = float("inf")
+        text = json.dumps(doc)
+        assert '"join": Infinity' in text
+        with pytest.raises(
+            ValueError, match=r"phase 0 \(mix\): weights must be finite"
+        ):
+            scenario_from_json(text)
+
     def test_rejects_missing_keys_and_bad_types(self):
         spec = CATALOG["diurnal"]("smoke")
         text = scenario_to_json(spec, 0, [])
@@ -225,7 +256,7 @@ class TestJsonRoundTrip:
 
 class TestReplayDeterminism:
     def test_replaying_twice_is_identical(self):
-        # Same seed, two full runs with oracles: identical ChurnReport
+        # Same seed, two full runs with oracles: identical ScheduleReport
         # fields, oracle outcomes and latency accounting.
         spec = CATALOG["regional_failure"]("smoke")
         a = run_scenario(spec, seed=4, families=("chord",), routing_pairs=6)
@@ -255,3 +286,12 @@ class TestReplayDeterminism:
             direct.report
         )
         assert replayed.messages == direct.messages
+
+
+def test_availability_without_lookups_is_one():
+    spec = _spec(phases=(Phase("join_wave", count=3), Phase("checkpoint")))
+    result = run_scenario(spec, families=(), routing_pairs=0, latency=False)
+    assert result.report.joins == 3
+    assert result.report.lookups_attempted == 0
+    assert result.availability == 1.0
+    assert not result.findings

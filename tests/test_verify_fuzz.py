@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+from repro.core.idspace import IdSpace
 from repro.perf import dynamic as perf_dynamic
 from repro.perf import storage as perf_storage
 from repro.perf.dynamic import FastSimulatedCrescendo
@@ -17,9 +18,11 @@ from repro.perf.storage import FastDataLayer
 from repro.scenarios.catalog import CATALOG
 from repro.scenarios.runner import run_matrix, run_scenario
 from repro.simulation.churn import Event, run_schedule
+from repro.simulation.protocol import SimulatedCrescendo
 from repro.verify.fuzz import (
     FuzzConfig,
     bootstrap_network,
+    check_protocol_state,
     event_from_dict,
     generate_schedule,
     lockstep,
@@ -250,6 +253,32 @@ class TestCliFamilies:
 
 
 class TestRunSchedule:
+    def test_requires_bootstrap(self):
+        net = SimulatedCrescendo(IdSpace(32))
+        with pytest.raises(ValueError, match="bootstrap the network"):
+            run_schedule(net, [Event("stabilize")])
+
+    def test_report_counts_the_replays_own_messages(self):
+        config = FuzzConfig(seed=17, events=200, population=16)
+        schedule = generate_schedule(config)
+        zeroed = bootstrap_network(config)
+        zeroed.msgs.stats.reset()
+        report = run_schedule(zeroed, schedule)
+        assert report.messages == {
+            kind: count
+            for kind, count in sorted(zeroed.msgs.stats.counts.items())
+            if count
+        }
+        # The bootstrap's traffic before the replay is not counted.
+        assert run_schedule(bootstrap_network(config), schedule) == report
+        assert {
+            "join_lookup", "join_finger", "leave_notify", "ping", "lookup",
+        } <= set(report.messages)
+        assert report.joins and report.leaves and report.crashes
+        assert report.final_population == (
+            config.population + report.joins - report.leaves - report.crashes
+        )
+
     def test_replays_are_deterministic(self):
         config = FuzzConfig(seed=13, events=150, families=("chord",))
         schedule = generate_schedule(config)
@@ -298,6 +327,43 @@ class TestRunSchedule:
         assert report.checkpoint_rounds == [-1]
         assert report.unconverged_checkpoints == 1
         assert converged[-1] is False
+
+
+class TestRingLoops:
+    """``ring-loops``: a ring whose pointers stay inside it yet split it."""
+
+    def _rewire(self, net, node, successor):
+        ring = net.nodes[node].rings[0]
+        ring.successors = [successor] + ring.successors[1:]
+
+    def test_converged_net_has_no_rows(self):
+        assert check_protocol_state(bootstrap_network(FuzzConfig(seed=1))) == []
+
+    def test_a_split_ring_is_named_with_its_loop_sizes(self):
+        net = bootstrap_network(FuzzConfig(seed=1))
+        members = sorted(net.nodes)
+        # Close the global ring's first five members into their own loop,
+        # and the rest into another.
+        self._rewire(net, members[4], members[0])
+        self._rewire(net, members[-1], members[5])
+        found = check_protocol_state(net)
+        loops = [v for v in found if v.check == "ring-loops"]
+        assert [(v.level, v.domain) for v in loops] == [(0, ())]
+        assert loops[0].message == (
+            f"successor pointers form 2 loops of sizes [{len(members) - 5}, 5]"
+        )
+        assert {
+            v.node for v in found if v.check == "protocol-successor"
+        } == {members[4], members[-1]}
+
+    def test_a_pointer_leaving_the_ring_is_only_a_successor_row(self):
+        net = bootstrap_network(FuzzConfig(seed=1))
+        members = sorted(net.nodes)
+        self._rewire(net, members[4], members[0])
+        net.crash(members[-1])  # its predecessor now points at a dead node
+        checks = {v.check for v in check_protocol_state(net)}
+        assert "ring-loops" not in checks
+        assert "protocol-successor" in checks
 
 
 class TestShrinking:
