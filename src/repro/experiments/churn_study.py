@@ -11,7 +11,7 @@ lookup on a transit-stub topology; any finding raises, naming the
 intensity.  Join cost counts ``join_lookup`` + ``join_finger`` messages
 per executed join; maintenance counts ``ping`` + ``verify`` +
 ``refresh_finger`` + ``repair_lookup``.  Joins and stabilization both
-send ``notify`` and ``fetch_hints``, so neither column counts those.
+send ``notify``, so neither column counts it.
 
 Run: ``python -m repro.experiments churn --scale smoke``.  With a metrics
 registry active (``--metrics``/``--slo``), latencies and stretch land in

@@ -18,11 +18,11 @@ to the plain implementations they accelerate:
   whenever its input has a bulk form, and the scalar constructions in
   :mod:`repro.dhts` remain the cross-checked reference behind
   ``build_reference()`` (and the only construction of the other families).
-- :mod:`repro.perf.dynamic` — the fast dynamic-maintenance engine:
-  array-backed membership state (:class:`~repro.perf.dynamic.NodeArena`),
-  batched stabilization with quiescent-ring memoization, and bisect-based
-  ring walks behind the exact protocol semantics of
-  :class:`~repro.simulation.protocol.SimulatedCrescendo`; the engine
+- :mod:`repro.perf.dynamic` — the fast dynamic-maintenance engine: the
+  protocol of :class:`~repro.simulation.protocol.SimulatedCrescendo` on
+  faster primitives — array-backed membership queries
+  (:class:`~repro.perf.dynamic.NodeArena`), a bisected greedy next hop
+  and quiescent-ring memoization of stabilize steps; the engine
   every run uses (:func:`~repro.perf.dynamic.make_protocol`), held to
   bit-for-bit equivalence with the reference by
   :func:`repro.verify.oracles.compare_protocols` and the churn fuzzer.

@@ -1,51 +1,39 @@
 """Fast path for dynamic maintenance: the churn counterpart of ``perf.build``.
 
 The reference engine (:class:`repro.simulation.protocol.SimulatedCrescendo`)
-answers every membership question by scanning Python dicts and re-sorting
-the population, and every ring walk by scanning a contact *set* per hop.
-This module keeps the protocol logic — every branch, every message — and
-replaces only the primitives:
+answers every membership question by scanning the hierarchy and every
+greedy hop by scanning a contact *set*.  Every protocol routine — joins,
+leaves, stabilization, lookups, every branch and every message — exists
+once, in the base class.  :class:`FastSimulatedCrescendo` overrides only
+the primitives those routines call:
 
-- :class:`NodeArena` — structure-of-arrays membership state: one sorted
-  live-id array per ring (every hierarchy prefix, i.e. per level), kept in
-  sync incrementally via the base class's membership hooks, plus
-  insertion-order member tables mirroring the bootstrap directory.  Live
-  views, ring-emptiness checks and nearest-peer queries become O(log n)
-  array searches instead of O(n) scans.
-- Batched stabilization: each :meth:`FastSimulatedCrescendo.stabilize`
-  round starts with one vectorized searchsorted sweep per level over the
-  arena's sorted arrays (``numpy.roll`` on each ring array), yielding the
-  true live successor of every member at every level at once; the
-  per-node repair consults this table instead of running a per-node
-  directory scan.  The round still visits nodes and levels in the
-  reference order — under damage, intra-round order is observable in the
-  message accounting, and identical accounting is the contract.
-- Greedy walks (:meth:`_find_predecessor`, :meth:`lookup`) run as binary
-  searches over cached sorted contact arrays: the reference's argmax over
-  ``(contact - cur) % size <= remaining`` is exactly the cyclic
-  predecessor of the key among the contacts, found with one bisect and a
-  short backward scan over dead entries.  Hop sequences — and therefore
-  message counts — are identical by construction.
-- Convergence checks compute the static oracle once per
-  :meth:`stabilize_to_convergence` call (live membership cannot change
-  during stabilization) and build it through the vectorized bulk
-  constructor, which is link-for-link identical for Crescendo.
-- Quiescent-ring memoization: a per-``(node, level)`` stabilization step
-  that wrote nothing is a pure function of the node states it read.  The
-  fast engine records that read set (every aliveness check and every
-  contact list consulted, collected through the base class's
-  :meth:`~repro.simulation.protocol.SimulatedCrescendo._observe_live`
-  hook and the walk primitives) together with the per-kind message counts
-  the step emitted.  As long as no node in the read set is touched,
-  crashed or purged, re-executing the step would read identical state and
-  therefore do exactly what it did before — so the engine replays the
-  recorded counts and skips the walks.  Any write anywhere fires
-  ``_touch`` on the written node, which eagerly invalidates exactly the
-  memos that read it; ring-emptiness (the one membership read on the
-  quiescent path) is re-validated in O(1) at replay time.  After churn
-  quiesces, a stabilization round costs one dictionary probe per ring
-  view instead of a finger rebuild — while still reporting the exact
-  message counts the reference engine pays.
+- Membership queries (``live_view``, ``_ring_has_live_peer``,
+  ``_first_live_member``, ``_nearest_live_peer``) read :class:`NodeArena`:
+  one sorted live-id array per ring (every hierarchy prefix), kept in sync
+  through the base class's membership hooks, plus insertion-order member
+  tables mirroring the bootstrap directory.  O(n) scans become array
+  searches.
+- The greedy next hop (``_best_hop``, the one primitive under both
+  ``_find_predecessor`` and ``lookup``) and the finger hints
+  (``_finger_hints``) read a cached sorted contact array per node and
+  level.  The reference's argmax over ``(contact - cur) % size <=
+  remaining`` is exactly the cyclic predecessor of the key among the
+  contacts, found with one bisect and a short backward scan over dead
+  entries, so hop sequences — and message counts — are identical.
+- Quiescent-ring memoization (``_stabilize_ring``): a per-``(node,
+  level)`` stabilization step that wrote nothing is a pure function of
+  the node states it read.  The engine records that read set (every
+  aliveness check through ``_observe_live`` and every node whose contacts
+  ``_best_hop`` consulted) with the per-kind message counts the step
+  emitted.  While no node in the read set is touched, crashed or purged,
+  re-executing the step would do exactly what it did before, so the
+  engine replays the recorded counts and skips the walks.  Any write fires
+  ``_touch`` on the written node, which drops exactly the memos that read
+  it; ring-emptiness (the one membership read on the quiescent path) is
+  re-validated in O(1) at replay time.
+- Link caches: ``static_links`` is cached until the next state write and
+  ``oracle_links`` (built by the vectorized bulk constructor, link-for-link
+  identical for Crescendo) until the next membership change.
 
 Equivalence is not assumed but enforced:
 :func:`repro.verify.oracles.compare_protocols` replays identical schedules
@@ -61,12 +49,9 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-import numpy as np
-
 from ..core.hierarchy import DomainPath
 from ..core.idspace import IdSpace, successor_index
-from ..core.routing import MAX_HOPS, Route
-from ..simulation.protocol import ProtocolNode, SimulatedCrescendo, _dedup
+from ..simulation.protocol import ProtocolNode, SimulatedCrescendo
 
 def make_protocol(
     space: IdSpace, engine: str = "fast", **kwargs
@@ -161,23 +146,6 @@ class NodeArena:
         """Members of ``prefix`` in insertion order (crashed included)."""
         return self._order.get(prefix, {}).keys()
 
-    def successor_table(self) -> Dict[DomainPath, Dict[int, int]]:
-        """Per level, every live member's true ring successor, at once.
-
-        One vectorized sweep per ring — ``numpy.roll`` over the sorted
-        member array — instead of a directory scan per node: this is the
-        batched successor repair a stabilization round starts from.
-        """
-        out: Dict[DomainPath, Dict[int, int]] = {}
-        for prefix, ring in self._rings.items():
-            if len(ring) < 2:
-                continue
-            arr = np.asarray(ring)
-            out[prefix] = dict(
-                zip(arr.tolist(), np.roll(arr, -1).tolist())
-            )
-        return out
-
 
 class FastSimulatedCrescendo(SimulatedCrescendo):
     """:class:`SimulatedCrescendo` on array-backed state — same protocol,
@@ -191,7 +159,6 @@ class FastSimulatedCrescendo(SimulatedCrescendo):
         self.arena = NodeArena()
         #: node id -> depth -> sorted contact array (dropped on _touch).
         self._contact_cache: Dict[int, Dict[int, List[int]]] = {}
-        self._round_successors: Optional[Dict[DomainPath, Dict[int, int]]] = None
         #: bumped on every state write (touch or membership change).
         self._epoch = 0
         #: bumped on membership changes only (keys the oracle cache).
@@ -289,40 +256,25 @@ class FastSimulatedCrescendo(SimulatedCrescendo):
         return None
 
     def _nearest_live_peer(self, prefix: DomainPath, node_id: int) -> int:
-        table = self._round_successors
-        if table is not None:
-            succ = table.get(prefix, {}).get(node_id)
-            if succ is not None:
-                return succ
+        # The first member clockwise past node_id: it is node_id itself only
+        # when node_id is the ring's sole member, which callers rule out.
         ring = self.arena.ring_members(prefix)
-        idx = successor_index(ring, self.space.add(node_id, 1))
-        if ring[idx] == node_id:
-            idx = (idx + 1) % len(ring)
-        return ring[idx]
-
-    def _ordered_leafset(self, node_id: int, entries: List[int]) -> List[int]:
-        # Same result as the base; the sort key inlines the modular
-        # arithmetic instead of going through the IdSpace property.
-        cleaned = _dedup(entries, node_id)
-        size = self.space.size
-        cleaned.sort(key=lambda x: (x - node_id) % size)
-        return cleaned[: self.leaf_set_size]
+        return ring[successor_index(ring, self.space.add(node_id, 1))]
 
     # ------------------------------------------------------------ navigation
 
     def _sorted_contacts(self, node_id: int, depth: int) -> List[int]:
+        """The node's ring contacts (see ``_ring_contacts``) as a sorted
+        list, cached until the node's next ``_touch``."""
         per_node = self._contact_cache.get(node_id)
         if per_node is None:
             per_node = self._contact_cache[node_id] = {}
         out = per_node.get(depth)
         if out is None:
             out = per_node[depth] = sorted(
-                SimulatedCrescendo._ring_contacts(self, self.nodes[node_id], depth)
+                self._ring_contacts(self.nodes[node_id], depth)
             )
         return out
-
-    def _ring_contacts(self, node: ProtocolNode, depth: int) -> Set[int]:
-        return set(self._sorted_contacts(node.node_id, depth))
 
     def _finger_hints(
         self, node: ProtocolNode, pred_id: int, depth: int
@@ -339,33 +291,33 @@ class FastSimulatedCrescendo(SimulatedCrescendo):
         return hints
 
     def _best_hop(
-        self,
-        contacts: List[int],
-        cur_id: int,
-        key: int,
-        remaining: int,
-        exclude: Optional[int],
+        self, node_id: int, depth: int, key: int, exclude: Optional[int]
     ) -> Optional[int]:
-        """The reference walk's argmax as a binary search.
+        """The reference's argmax scan as a binary search.
 
-        The contact maximizing ``(c - cur) % size`` subject to that
+        The contact maximizing ``(c - node_id) % size`` subject to that
         distance being in ``(0, remaining]`` is the cyclic predecessor of
         ``key`` among the contacts; dead or excluded entries are skipped
         by stepping further backward, which visits candidates in strictly
-        decreasing distance until the arc ``(cur, key]`` is exhausted.
+        decreasing distance until the arc ``(node_id, key]`` is exhausted.
+        The node and every candidate aliveness read join the read set.
         """
+        reads = self._reads
+        if reads is not None:
+            reads.add(node_id)
+        contacts = self._sorted_contacts(node_id, depth)
         if not contacts:
             return None
         nodes = self.nodes
         size = self.space.size
-        reads = self._reads
+        remaining = (key - node_id) % size
         # bisect_right - 1 is predecessor_index at C speed: -1 (all
         # contacts above the key) is the cyclic wrap to the last entry,
         # which Python's negative indexing already performs.
         idx = bisect_right(contacts, key) - 1
         for back in range(len(contacts)):
             cand = contacts[idx - back]
-            if not 0 < (cand - cur_id) % size <= remaining:
+            if not 0 < (cand - node_id) % size <= remaining:
                 break
             if cand == exclude:
                 continue
@@ -377,107 +329,7 @@ class FastSimulatedCrescendo(SimulatedCrescendo):
             return cand
         return None
 
-    def _find_predecessor(
-        self,
-        prefix: DomainPath,
-        key: int,
-        start: int,
-        kind: str,
-        exclude: Optional[int] = None,
-    ) -> int:
-        depth = len(prefix)
-        cur_id = start
-        size = self.space.size
-        reads = self._reads
-        for _ in range(MAX_HOPS):
-            if reads is not None:
-                reads.add(cur_id)
-            best = self._best_hop(
-                self._sorted_contacts(cur_id, depth),
-                cur_id,
-                key,
-                (key - cur_id) % size,
-                exclude,
-            )
-            if best is None:
-                return cur_id
-            self._count(kind)
-            cur_id = best
-        raise RuntimeError("ring walk exceeded hop bound")
-
-    def _find_successor_from(
-        self,
-        prefix: DomainPath,
-        target: int,
-        hint: int,
-        kind: str,
-        exclude: Optional[int] = None,
-    ) -> int:
-        # Same as the base, with the zero-distance test inlined (ids are
-        # validated into [0, size), so ring_distance == 0 iff equality).
-        pred = self._find_predecessor(prefix, target, hint, kind, exclude)
-        if pred == target:
-            return pred
-        succ = self.nodes[pred].rings[len(prefix)].successor
-        return succ if succ is not None else pred
-
-    def _gap(self, node: ProtocolNode, depth: int) -> int:
-        if depth >= node.leaf_depth:
-            return self.space.size
-        lower = node.rings[depth + 1].successor
-        if lower is None or lower == node.node_id:
-            return self.space.size
-        return (lower - node.node_id) % self.space.size
-
-    def _build_fingers(
-        self, node: ProtocolNode, depth: int, pred_id: int, kind: str
-    ) -> None:
-        # Line-for-line the base implementation (same walks, same message
-        # accounting — compare_protocols enforces it) with the modular
-        # arithmetic and the hint bisection inlined; this is the hottest
-        # maintenance routine once quiescent rings replay from the memo.
-        self._count("fetch_hints")
-        prefix = node.path[:depth]
-        gap = self._gap(node, depth)
-        node_id = node.node_id
-        size = self.space.size
-        fingers: Set[int] = set()
-        hints = self._finger_hints(node, pred_id, depth)
-        last_succ: Optional[int] = None
-        for k in range(self.space.bits):
-            step = 1 << k
-            if step >= gap:
-                break
-            if last_succ is not None and (last_succ - node_id) % size >= step:
-                continue
-            target = (node_id + step) % size
-            # hints[bisect_right - 1] is the cyclic predecessor of the
-            # target among the hints (negative indexing handles the wrap).
-            start = hints[bisect_right(hints, target) - 1]
-            succ = self._find_successor_from(prefix, target, start, kind)
-            if succ == node_id:
-                continue
-            dist = (succ - node_id) % size
-            if step <= dist < gap:
-                fingers.add(succ)
-                last_succ = succ
-                if succ not in hints:
-                    insort(hints, succ)
-        if fingers != node.rings[depth].fingers:
-            node.rings[depth].fingers = fingers
-            self._touch(node_id)
-
     # ---------------------------------------------------------- maintenance
-
-    def stabilize(self) -> int:
-        """Run one stabilization round with batched successor repair."""
-        # Batched successor repair: one vectorized sweep per level up
-        # front; the per-node round then reads repairs out of the table.
-        self._round_successors = self.arena.successor_table()
-        try:
-            return super().stabilize()
-        finally:
-            self._round_successors = None
 
     def _stabilize_ring(self, node: ProtocolNode, depth: int) -> None:
         # Quiescent-ring fast path (see module docstring): replay the
@@ -522,18 +374,6 @@ class FastSimulatedCrescendo(SimulatedCrescendo):
                 bucket = deps[read] = set()
             bucket.add(key)
 
-    def stabilize_to_convergence(self, max_rounds: int = 20) -> int:
-        """Stabilize until the link tables match the static oracle."""
-        # Stabilization never changes the live membership (it only purges
-        # already-dead state), so the static oracle is loop-invariant:
-        # compute it once instead of once per round.
-        oracle = self.oracle_links()
-        for round_number in range(1, max_rounds + 1):
-            self.stabilize()
-            if self.static_links() == oracle:
-                return round_number
-        raise RuntimeError(f"not converged after {max_rounds} stabilize rounds")
-
     def static_links(self) -> Dict[int, List[int]]:
         """Protocol-built link tables, cached until the next state write."""
         # The link tables are a pure function of the protocol state, so
@@ -564,27 +404,3 @@ class FastSimulatedCrescendo(SimulatedCrescendo):
         out = {n: list(links) for n, links in oracle.links.items()}
         self._oracle_cache = (self._members_epoch, out)
         return out
-
-    # ---------------------------------------------------------------- lookup
-
-    def lookup(self, src: int, key: int) -> Route:
-        """Route ``key`` from ``src`` using the bisect walk primitives."""
-        cur_id = src
-        path = [src]
-        size = self.space.size
-        try:
-            for _ in range(MAX_HOPS):
-                remaining = (key - cur_id) % size
-                if remaining == 0:
-                    return Route(path, True, key)
-                best = self._best_hop(
-                    self._sorted_contacts(cur_id, 0), cur_id, key, remaining, None
-                )
-                if best is None:
-                    return Route(path, self._responsible_live(cur_id, key), key)
-                self._count("lookup")
-                path.append(best)
-                cur_id = best
-            raise RuntimeError("lookup exceeded hop bound")
-        finally:
-            self.msgs.stats.flush()

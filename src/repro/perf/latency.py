@@ -20,7 +20,7 @@ strict left fold in hop order, so batch totals equal
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -162,10 +162,6 @@ class LatencyTable:
         nodes = np.asarray(path, dtype=np.uint64)
         vals = self.hop_ms(nodes[:-1], nodes[1:])
         return sum(vals.tolist())
-
-    def paths_ms(self, paths: Sequence[Sequence[int]]) -> List[float]:
-        """Per-path latencies (one gather per path, scalar-fold totals)."""
-        return [self.path_ms(path) for path in paths]
 
 
 def latency_table_of(

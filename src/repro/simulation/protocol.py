@@ -89,8 +89,11 @@ class SimulatedCrescendo:
     below — :meth:`_membership_added` / :meth:`_membership_crashed` /
     :meth:`_membership_removed` fire on every membership change, and
     :meth:`_touch` fires after every mutation of a node's contact-bearing
-    ring state (fingers or leaf sets).  The protocol logic itself never
-    branches on the engine.
+    ring state (fingers or leaf sets).  It also answers the membership
+    queries and the greedy next hop (:meth:`_best_hop`, under both
+    :meth:`_find_predecessor` and :meth:`lookup`) from that state; the
+    scans here are the oracle it is held to.  The protocol logic itself
+    exists only here and never branches on the engine.
 
     Every one of those hooks also records the node id in ``_view_dirty``:
     the ids whose row of the compiled serving view may differ from the
@@ -210,7 +213,8 @@ class SimulatedCrescendo:
         displace a closer, correct entry.
         """
         cleaned = _dedup(entries, node_id)
-        cleaned.sort(key=lambda x: self.space.ring_distance(node_id, x))
+        size = self.space.size
+        cleaned.sort(key=lambda x: (x - node_id) % size)
         return cleaned[: self.leaf_set_size]
 
     def _count(self, kind: str, hops: int = 1) -> None:
@@ -230,7 +234,7 @@ class SimulatedCrescendo:
         lower = node.rings[depth + 1].successor
         if lower is None or lower == node.node_id:
             return self.space.size
-        return self.space.ring_distance(node.node_id, lower)
+        return (lower - node.node_id) % self.space.size
 
     # ---------------------------------------------------- membership queries
 
@@ -278,6 +282,30 @@ class SimulatedCrescendo:
         out.discard(node.node_id)
         return out
 
+    def _best_hop(
+        self, node_id: int, depth: int, key: int, exclude: Optional[int]
+    ) -> Optional[int]:
+        """The greedy next hop from ``node_id`` towards ``key``, or ``None``.
+
+        The live contact of the node's depth-``depth`` ring (depth 0: every
+        contact) farthest clockwise from it without passing ``key``, never
+        ``exclude``.  ``None`` means the node itself precedes ``key``.
+        """
+        size = self.space.size
+        remaining = (key - node_id) % size
+        best: Optional[int] = None
+        best_dist = 0
+        for contact in self._ring_contacts(self.nodes[node_id], depth):
+            if contact == exclude:
+                continue
+            peer = self.nodes.get(contact)
+            if peer is None or not peer.alive:
+                continue
+            dist = (contact - node_id) % size
+            if 0 < dist <= remaining and dist > best_dist:
+                best, best_dist = contact, dist
+        return best
+
     def _find_predecessor(
         self,
         prefix: DomainPath,
@@ -293,24 +321,13 @@ class SimulatedCrescendo:
         itself.
         """
         depth = len(prefix)
-        cur = self.nodes[start]
+        cur = start
         for _ in range(MAX_HOPS):
-            remaining = self.space.ring_distance(cur.node_id, key)
-            best: Optional[int] = None
-            best_dist = 0
-            for contact in self._ring_contacts(cur, depth):
-                if contact == exclude:
-                    continue
-                peer = self.nodes.get(contact)
-                if peer is None or not peer.alive:
-                    continue
-                dist = self.space.ring_distance(cur.node_id, contact)
-                if 0 < dist <= remaining and dist > best_dist:
-                    best, best_dist = contact, dist
+            best = self._best_hop(cur, depth, key, exclude)
             if best is None:
-                return cur.node_id
+                return cur
             self._count(kind)
-            cur = self.nodes[best]
+            cur = best
         raise RuntimeError("ring walk exceeded hop bound")
 
     def _find_successor_from(
@@ -323,11 +340,9 @@ class SimulatedCrescendo:
     ) -> int:
         """Successor of ``target`` in a ring, walking from a hint node."""
         pred = self._find_predecessor(prefix, target, hint, kind, exclude)
-        node = self.nodes[pred]
-        depth = len(prefix)
-        if self.space.ring_distance(pred, target) == 0:
+        if pred == target:
             return pred
-        succ = node.rings[depth].successor
+        succ = self.nodes[pred].rings[len(prefix)].successor
         return succ if succ is not None else pred
 
     # ----------------------------------------------------------------- joins
@@ -435,9 +450,11 @@ class SimulatedCrescendo:
         only union fingers strictly inside the own-ring gap survive —
         conditions (a) and (b) of the Canon merge.
         """
-        self._count("fetch_hints")  # copy the predecessor's link list
+        self._count(kind)  # fetch the predecessor's link list (the hints)
         prefix = node.path[:depth]
         gap = self._gap(node, depth)
+        node_id = node.node_id
+        size = self.space.size
         fingers: Set[int] = set()
         # The predecessor is ring-adjacent, so its finger table is within a
         # step or two of ours: start every search from the best hint instead
@@ -452,20 +469,19 @@ class SimulatedCrescendo:
             # The previous finger already covers this octave: no probe needed
             # (this is what makes the number of *messages* O(log n) even
             # though N octaves are considered).
-            if (
-                last_succ is not None
-                and self.space.ring_distance(node.node_id, last_succ) >= step
-            ):
+            if last_succ is not None and (last_succ - node_id) % size >= step:
                 continue
-            target = self.space.add(node.node_id, step)
-            start = hints[predecessor_index(hints, target)]
+            target = (node_id + step) % size
+            # hints[bisect_right - 1] is the cyclic predecessor of the
+            # target among the hints (negative indexing handles the wrap).
+            start = hints[bisect.bisect_right(hints, target) - 1]
             # No exclusion here: the node itself may be the target's ring
             # predecessor (its splice is already done), and its successor
             # pointer is then exactly the finger we need.
             succ = self._find_successor_from(prefix, target, start, kind)
-            if succ == node.node_id:
+            if succ == node_id:
                 continue
-            dist = self.space.ring_distance(node.node_id, succ)
+            dist = (succ - node_id) % size
             if step <= dist < gap:
                 fingers.add(succ)
                 last_succ = succ
@@ -473,7 +489,7 @@ class SimulatedCrescendo:
                     bisect.insort(hints, succ)
         if fingers != node.rings[depth].fingers:
             node.rings[depth].fingers = fingers
-            self._touch(node.node_id)
+            self._touch(node_id)
 
     # ------------------------------------------------------------ departures
 
@@ -725,9 +741,12 @@ class SimulatedCrescendo:
         one position per round (as in Chord), so heavily damaged rings can
         need several; raises if ``max_rounds`` is not enough.
         """
+        # Stabilization only purges already-dead state and never changes
+        # the live membership, so the oracle is loop-invariant.
+        oracle = self.oracle_links()
         for round_number in range(1, max_rounds + 1):
             self.stabilize()
-            if self.static_links() == self.oracle_links():
+            if self.static_links() == oracle:
                 return round_number
         raise RuntimeError(f"not converged after {max_rounds} stabilize rounds")
 
@@ -735,29 +754,20 @@ class SimulatedCrescendo:
 
     def lookup(self, src: int, key: int) -> Route:
         """Greedy clockwise lookup with leaf-set fallback around failures."""
-        cur = self.nodes[src]
+        cur = src
         path = [src]
+        size = self.space.size
         try:
             for _ in range(MAX_HOPS):
-                remaining = self.space.ring_distance(cur.node_id, key)
-                if remaining == 0:
+                if (key - cur) % size == 0:
                     return Route(path, True, key)
-                best: Optional[int] = None
-                best_dist = 0
-                for contact in cur.routing_contacts():
-                    peer = self.nodes.get(contact)
-                    if peer is None or not peer.alive:
-                        continue
-                    dist = self.space.ring_distance(cur.node_id, contact)
-                    if 0 < dist <= remaining and dist > best_dist:
-                        best, best_dist = contact, dist
+                # Depth 0: every contact, i.e. the node's routing_contacts().
+                best = self._best_hop(cur, 0, key, None)
                 if best is None:
-                    return Route(
-                        path, self._responsible_live(cur.node_id, key), key
-                    )
+                    return Route(path, self._responsible_live(cur, key), key)
                 self._count("lookup")
                 path.append(best)
-                cur = self.nodes[best]
+                cur = best
             raise RuntimeError("lookup exceeded hop bound")
         finally:
             self.msgs.stats.flush()

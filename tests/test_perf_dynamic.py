@@ -79,16 +79,6 @@ class TestNodeArena:
         arena.add(2, ("a",))
         assert list(arena.ordered_members(("a",))) == [1, 3, 2]
 
-    def test_successor_table_is_the_rolled_ring(self):
-        arena = NodeArena()
-        for node_id in (40, 10, 99, 70):
-            arena.add(node_id, ("a",))
-        arena.add(7, ("b",))
-        table = arena.successor_table()
-        assert table[("a",)] == {10: 40, 40: 70, 70: 99, 99: 10}
-        assert table[()] == {7: 10, 10: 40, 40: 70, 70: 99, 99: 7}
-        assert ("b",) not in table  # singleton rings have no successor
-
 
 def _twin_networks(size=48, seed=3):
     """The same bootstrap joined into both engines, in the same order."""
@@ -114,6 +104,99 @@ def _ring_state(net):
         for node_id, node in net.nodes.items()
         if node.alive
     }
+
+
+#: Every ring prefix of ``FUZZ_PATHS`` plus one that holds no node.
+PREFIXES = sorted({path[:depth] for path in FUZZ_PATHS for depth in range(3)})
+PREFIXES.append(("z",))
+
+#: The base methods the fast engine answers its own way; every other
+#: protocol routine exists once, in ``SimulatedCrescendo``.
+FAST_PRIMITIVES = {
+    "_membership_added", "_membership_crashed", "_membership_revived",
+    "_membership_removed", "_touch", "_observe_live", "_stabilize_ring",
+    "live_view", "_ring_has_live_peer", "_first_live_member",
+    "_nearest_live_peer", "_finger_hints", "_best_hop",
+    "static_links", "oracle_links",
+}
+
+
+def test_fast_engine_redefines_only_its_primitives():
+    redefined = {
+        name
+        for name, value in vars(FastSimulatedCrescendo).items()
+        if callable(value)
+        and not name.startswith("__")
+        and hasattr(SimulatedCrescendo, name)
+    }
+    assert redefined == FAST_PRIMITIVES
+
+
+def _primitive_answers(net, keys):
+    """Every membership and next-hop answer the two engines compute apart."""
+    live = list(net.live_view())
+    out = {}
+    for prefix in PREFIXES:
+        out[prefix] = net._first_live_member(prefix)
+        for node_id in live:
+            has_peer = net._ring_has_live_peer(prefix, node_id)
+            out[prefix, node_id] = (
+                has_peer,
+                net._first_live_member(prefix, exclude=node_id),
+                net._nearest_live_peer(prefix, node_id) if has_peer else None,
+            )
+    for node_id in live:
+        for depth in range(net.nodes[node_id].leaf_depth + 1):
+            for key in keys:
+                hop = net._best_hop(node_id, depth, key, None)
+                out[node_id, depth, key] = (
+                    hop,
+                    net._best_hop(node_id, depth, key, hop),
+                )
+    return out
+
+
+class TestMembershipPrimitives:
+    """The primitives the fast engine answers from its arena and sorted
+    contacts agree with the reference's scans after every event."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_engines_answer_alike_through_churn(self, seed):
+        ref, fast = _twin_networks(size=32, seed=seed)
+        rng = random.Random(f"primitives:{seed}")
+        departed = []
+        for _ in range(60):
+            live = list(ref.live_view())
+            suspended = ref.suspended_ids()
+            op = rng.choice(
+                ["join", "rejoin", "leave", "crash", "suspend", "revive",
+                 "stabilize"]
+            )
+            if op == "rejoin" and departed:
+                node_id = departed.pop(rng.randrange(len(departed)))
+            else:
+                node_id = ref.space.random_id(rng)
+            victim = live[rng.randrange(len(live))]
+            path = FUZZ_PATHS[rng.randrange(len(FUZZ_PATHS))]
+            for net in (ref, fast):
+                if op in ("join", "rejoin") and node_id not in net.nodes:
+                    net.join(node_id, path)
+                elif op == "leave" and len(live) > 3:
+                    net.leave(victim)
+                elif op == "crash" and len(live) > 3:
+                    net.crash(victim)
+                elif op == "suspend" and len(live) > 3:
+                    net.suspend(victim)
+                elif op == "revive" and suspended:
+                    net.revive(suspended[0])
+                elif op == "stabilize":
+                    net.stabilize()
+            if op in ("leave", "crash") and len(live) > 3:
+                departed.append(victim)
+            keys = [ref.space.random_id(rng) for _ in range(3)]
+            assert _primitive_answers(ref, keys) == _primitive_answers(
+                fast, keys
+            ), op
 
 
 class TestEngineEquivalence:

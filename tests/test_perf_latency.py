@@ -107,7 +107,6 @@ def test_path_ms_is_the_scalar_left_fold(attached):
             fold += topology.node_latency(a, b)
         assert table.path_ms(path) == fold
     assert table.path_ms([node_ids[0]]) == 0.0
-    assert table.paths_ms([]) == []
 
 
 def test_hop_ms_vectorized_matches_scalar(attached):

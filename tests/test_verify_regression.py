@@ -15,10 +15,21 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import pytest
+
 from repro.verify import __main__ as verify_cli
-from repro.verify.fuzz import replay, schedule_from_json
+from repro.verify.fuzz import (
+    bootstrap_network,
+    lockstep,
+    replay,
+    schedule_from_json,
+)
 
 FIXTURE = Path(__file__).parent / "fixtures" / "fuzz_counterexample.json"
+#: Zave's disjoint-loop failure, minimal: fuzz seed 1's bootstrap, partition
+#: ``("b",)``, three joins into ``("b", "x")``, checkpoint, heal ``("b",)``,
+#: checkpoint.  Written with ``schedule_to_json``.
+LOOPS_FIXTURE = Path(__file__).parent / "fixtures" / "partition_heal_loops.json"
 
 
 def test_counterexample_reproduces():
@@ -40,3 +51,27 @@ def test_cli_replay_exits_zero(capsys):
     assert code == 0
     assert "expected violations: reproduced" in out
     assert "verify.checks=" in out
+
+
+@pytest.fixture(scope="module")
+def loops_replay():
+    config, events, _ = schedule_from_json(LOOPS_FIXTURE.read_text())
+    return lockstep(
+        lambda engine: bootstrap_network(config, engine),
+        events,
+        lambda net, index: [],
+    )
+
+
+def test_partition_heal_engines_agree(loops_replay):
+    comparison, _ = loops_replay
+    assert comparison.equivalent, comparison.violations[:5]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: stabilize cannot merge the loops a heal leaves",
+)
+def test_partition_heal_merges_the_loops(loops_replay):
+    _, findings = loops_replay
+    assert findings == []
