@@ -31,9 +31,10 @@ to the plain implementations they accelerate:
   batch put/get over the compiled ring tables with access-domain checks as
   integer prefix compares (:class:`~repro.perf.storage.CompiledStore`),
   vectorized churn repair scans (:func:`~repro.perf.storage.repair_scan`)
-  and :class:`~repro.perf.storage.FastDataLayer`, a drop-in for the scalar
-  :class:`~repro.simulation.data.DataLayer` under either dynamic engine;
-  held to scalar equivalence by :func:`repro.verify.oracles.compare_storage`.
+  and :class:`~repro.perf.storage.FastDataLayer`, the scalar
+  :class:`~repro.simulation.data.DataLayer` with that scan as its repair
+  sweep and nothing else redefined; held to scalar equivalence by
+  :func:`repro.verify.oracles.compare_storage`.
 
 See ``docs/performance.md`` for the layout and benchmark methodology.
 """

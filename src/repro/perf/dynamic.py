@@ -7,8 +7,8 @@ leaves, stabilization, lookups, every branch and every message — exists
 once, in the base class.  :class:`FastSimulatedCrescendo` overrides only
 the primitives those routines call:
 
-- Membership queries (``live_view``, ``_ring_has_live_peer``,
-  ``_first_live_member``, ``_nearest_live_peer``) read :class:`NodeArena`:
+- Membership queries (``live_view``, ``live_members``,
+  ``_ring_has_live_peer``, ``_first_live_member``) read :class:`NodeArena`:
   one sorted live-id array per ring (every hierarchy prefix), kept in sync
   through the base class's membership hooks, plus insertion-order member
   tables mirroring the bootstrap directory.  O(n) scans become array
@@ -50,7 +50,7 @@ from bisect import bisect_left, bisect_right, insort
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.hierarchy import DomainPath
-from ..core.idspace import IdSpace, successor_index
+from ..core.idspace import IdSpace
 from ..simulation.protocol import ProtocolNode, SimulatedCrescendo
 
 def make_protocol(
@@ -255,11 +255,9 @@ class FastSimulatedCrescendo(SimulatedCrescendo):
                 return n
         return None
 
-    def _nearest_live_peer(self, prefix: DomainPath, node_id: int) -> int:
-        # The first member clockwise past node_id: it is node_id itself only
-        # when node_id is the ring's sole member, which callers rule out.
-        ring = self.arena.ring_members(prefix)
-        return ring[successor_index(ring, self.space.add(node_id, 1))]
+    def live_members(self, prefix: DomainPath) -> List[int]:
+        """Sorted live members of a ring: the arena's array, shared."""
+        return self.arena.ring_members(prefix)
 
     # ------------------------------------------------------------ navigation
 

@@ -33,11 +33,13 @@ construction and :mod:`repro.perf.kernels` gave routing:
   latency table) bit-for-bit equal to the scalar walk.
 
 - **Vectorized repair scans** (:func:`repair_scan` / :class:`FastDataLayer`):
-  after a churn era, responsibility and surviving-copy counts over the whole
-  keyspace are recomputed in one pass per storage domain, emitting the same
-  ``replicate`` / ``transfer`` message counts and holder assignments as the
-  scalar :class:`~repro.simulation.data.DataLayer`, but with one aggregated
-  ``_count`` per event instead of one per copy.
+  at each rebalance, responsibility and surviving copies over the whole
+  keyspace are recomputed in one pass per storage domain, giving the same
+  holder assignments and ``replicate`` count as the scalar
+  :meth:`~repro.simulation.data.DataLayer._rebalance` in one aggregated
+  ``_count``.  :class:`FastDataLayer` is
+  :class:`~repro.simulation.data.DataLayer` with that sweep as its only
+  redefinition; puts, gets and the leave handoff are the scalar layer's.
 
 The visibility compare rests on an exact identity: with ``lca(o, c)`` the
 longest common prefix of the origin's and current node's paths,
@@ -57,6 +59,7 @@ import numpy as np
 from ..core.hierarchy import DomainPath, ROOT, is_ancestor
 from ..core.routing import MAX_HOPS
 from ..obs import metrics as obs_metrics
+from ..simulation.data import DataLayer
 from ..storage.store import HierarchicalStore, Pointer, SearchResult, StoredItem
 from ..storage.replication import ReplicatedStore
 from .kernels import CompiledNetwork, _in_sorted, _ring_hop, compile_network
@@ -90,6 +93,13 @@ def _predecessor_positions(members: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """
     pos = np.searchsorted(members, keys, side="right").astype(np.int64) - 1
     return np.where(pos < 0, members.size - 1, pos)
+
+
+def _replica_runs(members: np.ndarray, start: np.ndarray, replicas: int) -> np.ndarray:
+    """Per-key holder runs: row ``i`` is ``members[start[i]]`` then its ring
+    predecessors, ``min(replicas, members.size)`` entries in all."""
+    offsets = np.arange(min(replicas, int(members.size)), dtype=np.int64)
+    return members[(start[:, None] - offsets) % members.size]
 
 
 class DomainIndex:
@@ -224,9 +234,7 @@ def plan_puts(
         pointer_nodes = access_members[_predecessor_positions(access_members, keys)]
     replica_sets: Optional[np.ndarray] = None
     if replicas is not None:
-        count = min(int(replicas), int(members.size))
-        offsets = np.arange(count, dtype=np.int64)
-        replica_sets = members[(start[:, None] - offsets) % members.size]
+        replica_sets = _replica_runs(members, start, int(replicas))
     return PutPlan(keys, storage_domain, access_domain, homes, pointer_nodes, replica_sets)
 
 
@@ -850,7 +858,6 @@ class RepairPlan:
     """
 
     key_hashes: np.ndarray
-    survivors: np.ndarray
     lost: np.ndarray
     desired: np.ndarray
     desired_count: np.ndarray
@@ -887,8 +894,7 @@ def repair_scan(
             holder_matrix[i, : len(row)] = row
     live_sorted = np.asarray(sorted(live_ids), dtype=_U64)
     live_mask = _in_sorted(live_sorted, holder_matrix.astype(_U64))
-    survivors = live_mask.sum(axis=1).astype(np.int64)
-    lost = survivors == 0
+    lost = ~live_mask.any(axis=1)
     live_holders = np.where(live_mask, holder_matrix, -1)
 
     groups: Dict[DomainPath, List[int]] = {}
@@ -908,209 +914,39 @@ def repair_scan(
         if members.size == 0:
             continue  # no live member: scalar path also empties the holders
         start = _predecessor_positions(members, keys[idx])
-        count = min(int(replicas), int(members.size))
-        offsets = np.arange(count, dtype=np.int64)
-        targets = members[(start[:, None] - offsets) % members.size].astype(np.int64)
+        targets = _replica_runs(members, start, int(replicas)).astype(np.int64)
+        count = targets.shape[1]
         missing = ~(targets[:, :, None] == live_holders[idx][:, None, :]).any(axis=2)
         replicate_msgs += int(missing.sum())
         desired[idx, :count] = targets
         desired_count[idx] = count
-    return RepairPlan(keys, survivors, lost, desired, desired_count, replicate_msgs)
+    return RepairPlan(keys, lost, desired, desired_count, replicate_msgs)
 
 
-class FastDataLayer:
-    """Vectorized drop-in for :class:`~repro.simulation.data.DataLayer`.
+class FastDataLayer(DataLayer):
+    """:class:`~repro.simulation.data.DataLayer` with a vectorized repair.
 
-    The public surface, holder assignments and every ``store`` /
-    ``transfer`` / ``replicate`` message count match the scalar layer
-    exactly (message counts are issued aggregated — equivalent, since
+    Everything but the repair sweep is the scalar layer's own code; the
+    sweep runs as one :func:`repair_scan` over the protocol's sorted live
+    ring arrays (:meth:`~repro.simulation.protocol.SimulatedCrescendo.live_members`)
+    and issues the same holder assignments and ``replicate`` count in one
+    aggregated ``_count`` (equivalent, since
     :meth:`~repro.simulation.events.MessageStats.record_many` is additive).
-    Rebalances and graceful-departure handoffs run as :func:`repair_scan`
-    sweeps over per-domain sorted member arrays, cached between membership
-    events; listener hooks invalidate the cache, so the layer rides both the
-    reference and the fast dynamic engines at 16K+ event schedules.
     """
-
-    def __init__(self, net, replicas: int = 2) -> None:
-        if replicas < 1:
-            raise ValueError("need at least one copy")
-        self.net = net
-        self.replicas = replicas
-        self.items: Dict[int, "DataItem"] = {}
-        self.holders: Dict[int, List[int]] = {}
-        self._member_arrays: Dict[DomainPath, np.ndarray] = {}
-        self._live_sorted: Optional[np.ndarray] = None
-        net.listeners.append(self)
-
-    # -------------------------------------------------------------- placement
-
-    def _invalidate(self) -> None:
-        self._member_arrays.clear()
-        self._live_sorted = None
-
-    def _members(self, domain: DomainPath) -> np.ndarray:
-        arr = self._member_arrays.get(domain)
-        if arr is None:
-            arr = np.asarray(
-                sorted(
-                    n
-                    for n in self.net.hierarchy.members(domain)
-                    if self.net.nodes[n].alive
-                ),
-                dtype=_U64,
-            )
-            self._member_arrays[domain] = arr
-        return arr
-
-    def _live(self) -> np.ndarray:
-        if self._live_sorted is None:
-            self._live_sorted = np.asarray(
-                sorted(n for n, node in self.net.nodes.items() if node.alive),
-                dtype=_U64,
-            )
-        return self._live_sorted
-
-    def _desired_holders(self, item) -> List[int]:
-        members = self._members(item.storage_domain)
-        if members.size == 0:
-            return []
-        start = int(
-            np.searchsorted(members, _U64(item.key_hash), side="right")
-        ) - 1
-        if start < 0:
-            start = int(members.size) - 1
-        count = min(self.replicas, int(members.size))
-        return [int(members[(start - i) % members.size]) for i in range(count)]
-
-    # ------------------------------------------------------------------- API
-
-    def put(self, origin, key, value, storage_domain=None) -> List[int]:
-        """Store a key-value pair; returns its holders (responsible first)."""
-        from ..simulation.data import DataItem
-
-        storage_domain = ROOT if storage_domain is None else storage_domain
-        origin_path = self.net.hierarchy.path_of(origin)
-        if not is_ancestor(storage_domain, origin_path):
-            raise ValueError(
-                f"storage domain {storage_domain!r} does not contain {origin}"
-            )
-        key_hash = self.net.space.hash_key(key)
-        item = DataItem(key, key_hash, value, storage_domain)
-        self.items[key_hash] = item
-        holders = self._desired_holders(item)
-        self.holders[key_hash] = holders
-        self.net._count("store", max(1, len(holders)))
-        _record("storage.puts", 1)
-        return holders
-
-    def get(self, origin, key):
-        """Lookup through the live network; replicas mask dead primaries."""
-        key_hash = self.net.space.hash_key(key)
-        route = self.net.lookup(origin, key_hash)
-        _record("storage.gets", 1)
-        item = self.items.get(key_hash)
-        if item is None:
-            return None, route
-        holders = set(self.holders.get(key_hash, []))
-        if holders.intersection(route.path):
-            return item.value, route
-        return None, route
-
-    def value_available(self, key) -> bool:
-        """Whether at least one live holder still has a copy of ``key``."""
-        key_hash = self.net.space.hash_key(key)
-        return any(
-            holder in self.net.nodes and self.net.nodes[holder].alive
-            for holder in self.holders.get(key_hash, [])
-        )
-
-    def lost_keys(self) -> List[object]:
-        """Keys whose every copy crashed before re-replication."""
-        return [
-            self.items[kh].key
-            for kh, holders in self.holders.items()
-            if not holders
-        ]
-
-    # ------------------------------------------------------------- listeners
-
-    def node_joined(self, node_id: int) -> None:
-        """The joiner takes over the keys in its new range (handoff)."""
-        self._invalidate()
-        self._rebalance()
-
-    def node_leaving(self, node_id: int) -> None:
-        """Graceful departure: hand keys to the nodes inheriting the range."""
-        # The hook fires before the protocol forgets the leaver, so member
-        # arrays cached during the handoff still list it: drop them again
-        # afterwards rather than serve them to a later put or rebalance.
-        self._invalidate()
-        try:
-            self._handoff(node_id)
-        finally:
-            self._invalidate()
-
-    def node_crashed(self, node_id: int) -> None:
-        """Silent failure: surviving copies keep the data alive; repair
-        happens at the next stabilization round."""
-        self._invalidate()
-
-    def stabilized(self) -> None:
-        """Stabilization hook: restore the replication degree everywhere."""
-        self._invalidate()
-        self._rebalance()
-
-    # -------------------------------------------------------------- internals
 
     def _rebalance(self) -> None:
         if not self.items:
             return
+        net = self.net
         key_list = list(self.items)
         plan = repair_scan(
             key_list,
             [self.items[kh].storage_domain for kh in key_list],
             [self.holders.get(kh, []) for kh in key_list],
-            self._members,
-            self._live(),
+            lambda domain: np.asarray(net.live_members(domain), dtype=_U64),
+            net.live_view(),
             self.replicas,
         )
-        self.net._count("replicate", plan.replicate_msgs)
+        net._count("replicate", plan.replicate_msgs)
         for row, key_hash in enumerate(key_list):
             self.holders[key_hash] = plan.holders_of(row)
-
-    def _handoff(self, node_id: int) -> None:
-        """Graceful departure: desired runs excluding the leaver, with one
-        ``transfer`` per desired holder not already in the key's holder list
-        (dead or not — matching the scalar layer's count)."""
-        affected = [
-            kh for kh, holders in self.holders.items() if node_id in holders
-        ]
-        if not affected:
-            return
-        leaver = _U64(node_id)
-        transfer_msgs = 0
-        new_rows: Dict[int, List[int]] = {}
-        groups: Dict[DomainPath, List[int]] = {}
-        for key_hash in affected:
-            groups.setdefault(self.items[key_hash].storage_domain, []).append(key_hash)
-        for domain, key_hashes in groups.items():
-            full = self._members(domain)
-            members = full[full != leaver]
-            if members.size == 0:
-                for key_hash in key_hashes:
-                    new_rows[key_hash] = []
-                continue
-            keys = np.asarray(key_hashes, dtype=_U64)
-            start = _predecessor_positions(members, keys)
-            count = min(self.replicas, int(members.size))
-            offsets = np.arange(count, dtype=np.int64)
-            targets = members[(start[:, None] - offsets) % members.size].astype(np.int64)
-            rows = targets.tolist()
-            for i, key_hash in enumerate(key_hashes):
-                old = self.holders[key_hash]
-                desired = rows[i]
-                transfer_msgs += sum(1 for t in desired if t not in old)
-                new_rows[key_hash] = desired
-        self.net._count("transfer", transfer_msgs)
-        for key_hash, row in new_rows.items():
-            self.holders[key_hash] = row

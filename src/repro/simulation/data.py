@@ -12,7 +12,13 @@ degree.
 :class:`~repro.simulation.protocol.SimulatedCrescendo` and maintains, per
 stored key: the responsible holder in its storage domain's ring, plus
 ``replicas - 1`` copies on that ring's predecessors.  Every ownership move
-and copy is counted as ``transfer`` / ``replicate`` messages.
+and copy is counted as ``transfer`` / ``replicate`` messages.  Ring
+membership is read from the protocol
+(:meth:`~repro.simulation.protocol.SimulatedCrescendo.live_members`), so a
+node dark behind a partition holds no new copies while it is suspended.
+This class is the only copy of the content logic:
+:class:`~repro.perf.storage.FastDataLayer` inherits it and redefines only
+the repair sweep.
 """
 
 from __future__ import annotations
@@ -49,16 +55,14 @@ class DataLayer:
 
     # -------------------------------------------------------------- placement
 
-    def _ring_members(self, domain: DomainPath) -> List[int]:
-        return sorted(
-            n
-            for n in self.net.hierarchy.members(domain)
-            if self.net.nodes[n].alive
-        )
-
-    def _desired_holders(self, item: DataItem) -> List[int]:
-        """Responsible node plus ring predecessors in the storage domain."""
-        members = self._ring_members(item.storage_domain)
+    def _desired_holders(
+        self, item: DataItem, exclude: Optional[int] = None
+    ) -> List[int]:
+        """Responsible node plus ring predecessors in the storage domain,
+        among its live members other than ``exclude``."""
+        members = self.net.live_members(item.storage_domain)
+        if exclude is not None:
+            members = [m for m in members if m != exclude]
         if not members:
             return []
         start = predecessor_index(members, item.key_hash)
@@ -125,25 +129,7 @@ class DataLayer:
 
     def node_leaving(self, node_id: int) -> None:
         """Graceful departure: hand keys to the nodes inheriting the range."""
-        for key_hash, holders in self.holders.items():
-            if node_id not in holders:
-                continue
-            item = self.items[key_hash]
-            members = [
-                m for m in self._ring_members(item.storage_domain) if m != node_id
-            ]
-            if not members:
-                self.holders[key_hash] = []
-                continue
-            start = predecessor_index(members, item.key_hash)
-            desired = [
-                members[(start - i) % len(members)]
-                for i in range(min(self.replicas, len(members)))
-            ]
-            for target in desired:
-                if target not in holders:
-                    self.net._count("transfer")
-            self.holders[key_hash] = desired
+        self._handoff(node_id)
 
     def node_crashed(self, node_id: int) -> None:
         """Silent failure: copies on surviving holders keep the data alive;
@@ -174,6 +160,19 @@ class DataLayer:
             for target in desired:
                 if target not in current:
                     self.net._count("replicate")
+            self.holders[key_hash] = desired
+
+    def _handoff(self, node_id: int) -> None:
+        """Move every key the leaver holds onto its holder run without the
+        leaver: one ``transfer`` per new holder not already in the key's
+        holder list (dead or not)."""
+        for key_hash, holders in self.holders.items():
+            if node_id not in holders:
+                continue
+            desired = self._desired_holders(self.items[key_hash], exclude=node_id)
+            for target in desired:
+                if target not in holders:
+                    self.net._count("transfer")
             self.holders[key_hash] = desired
 
     def lost_keys(self) -> List[object]:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set
 
 from ..core.hierarchy import DomainPath, Hierarchy
-from ..core.idspace import IdSpace, predecessor_index
+from ..core.idspace import IdSpace, predecessor_index, successor_index
 from ..core.routing import MAX_HOPS, LiveSet, Route
 from .events import ConstantLatency, MessageLayer, Simulator
 
@@ -126,6 +126,8 @@ class SimulatedCrescendo:
         self._suspended: Set[int] = set()
         #: observers implementing any of node_joined / node_leaving /
         #: node_crashed / stabilized (see repro.simulation.data.DataLayer).
+        #: suspend and revive notify none of them: a data layer reads ring
+        #: membership through live_members, which is current on both engines.
         self.listeners: List = []
         #: cached sorted live-id view (invalidated on membership changes).
         self._live_cache: Optional[List[int]] = None
@@ -258,16 +260,24 @@ class SimulatedCrescendo:
                 return n
         return None
 
-    def _nearest_live_peer(self, prefix: DomainPath, node_id: int) -> int:
-        """The live ring member (other than ``node_id``) closest clockwise."""
-        return min(
-            (
-                n
-                for n in self.hierarchy.members(prefix)
-                if n != node_id and self.nodes[n].alive
-            ),
-            key=lambda m: self.space.ring_distance(node_id, m),
+    def live_members(self, prefix: DomainPath) -> List[int]:
+        """Sorted ids of the live members of the ring at ``prefix``.
+
+        Read-only: the fast engine answers with its shared arena array,
+        valid only until the next membership change.
+        """
+        return sorted(
+            n for n in self.hierarchy.members(prefix) if self.nodes[n].alive
         )
+
+    def _nearest_live_peer(self, prefix: DomainPath, node_id: int) -> int:
+        """The live ring member (other than ``node_id``) closest clockwise.
+
+        That is the first member past ``node_id``; it is ``node_id`` itself
+        only when it is the ring's sole member, which callers rule out.
+        """
+        ring = self.live_members(prefix)
+        return ring[successor_index(ring, self.space.add(node_id, 1))]
 
     # ------------------------------------------------------------ navigation
 

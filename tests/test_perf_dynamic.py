@@ -115,8 +115,8 @@ PREFIXES.append(("z",))
 FAST_PRIMITIVES = {
     "_membership_added", "_membership_crashed", "_membership_revived",
     "_membership_removed", "_touch", "_observe_live", "_stabilize_ring",
-    "live_view", "_ring_has_live_peer", "_first_live_member",
-    "_nearest_live_peer", "_finger_hints", "_best_hop",
+    "live_view", "live_members", "_ring_has_live_peer", "_first_live_member",
+    "_finger_hints", "_best_hop",
     "static_links", "oracle_links",
 }
 
@@ -138,6 +138,7 @@ def _primitive_answers(net, keys):
     out = {}
     for prefix in PREFIXES:
         out[prefix] = net._first_live_member(prefix)
+        out[prefix, "live"] = list(net.live_members(prefix))
         for node_id in live:
             has_peer = net._ring_has_live_peer(prefix, node_id)
             out[prefix, node_id] = (

@@ -533,6 +533,11 @@ def data_schedule(net, rng, events=250):
 
 
 class TestFastDataLayer:
+    def test_redefines_only_the_repair_sweep(self):
+        assert issubclass(FastDataLayer, DataLayer)
+        own = {name for name in vars(FastDataLayer) if not name.startswith("__")}
+        assert own == {"_rebalance"}
+
     @pytest.mark.parametrize("engine", ["reference", "fast"])
     def test_equivalent_to_scalar_layer(self, engine):
         ref_net, ref_data, _ = grown(seed=5, engine=engine, layer=DataLayer)
@@ -548,6 +553,29 @@ class TestFastDataLayer:
         assert sorted(map(str, ref_data.lost_keys())) == sorted(
             map(str, fast_data.lost_keys())
         )
+
+    @pytest.mark.parametrize("engine", ["reference", "fast"])
+    def test_suspended_primary_holds_no_new_copy(self, engine):
+        ref_net, ref_data, _ = grown(seed=11, engine=engine, layer=DataLayer)
+        fast_net, fast_data, _ = grown(seed=11, engine=engine, layer=FastDataLayer)
+        origin = next(iter(ref_net.nodes))
+        primary = ref_data.put(origin, "k", "v")[0]
+        fast_data.put(origin, "k", "v")
+
+        def step(action):
+            for net, data in ((ref_net, ref_data), (fast_net, fast_data)):
+                action(net, data)
+            assert ref_data.holders == fast_data.holders
+            assert ref_net.msgs.stats.counts.get("replicate", 0) == (
+                fast_net.msgs.stats.counts.get("replicate", 0)
+            )
+            return ref_data.holders[ref_net.space.hash_key("k")]
+
+        step(lambda net, data: net.suspend(primary))
+        assert primary not in step(lambda net, data: data.put(origin, "k", "v"))
+        step(lambda net, data: net.revive(primary))
+        assert step(lambda net, data: data.put(origin, "k", "v"))[0] == primary
+        step(lambda net, data: net.stabilize())
 
     def test_repair_scan_matches_rebalance_counts(self):
         net, data, rng = grown(seed=6, replicas=3, layer=DataLayer)

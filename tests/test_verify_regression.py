@@ -30,6 +30,12 @@ FIXTURE = Path(__file__).parent / "fixtures" / "fuzz_counterexample.json"
 #: ``("b",)``, three joins into ``("b", "x")``, checkpoint, heal ``("b",)``,
 #: checkpoint.  Written with ``schedule_to_json``.
 LOOPS_FIXTURE = Path(__file__).parent / "fixtures" / "partition_heal_loops.json"
+#: Puts across a partition, both data layers in the lockstep: fuzz seed 1's
+#: bootstrap with ``data_replicas=2``, 20 puts, partition ``("b",)``, 20
+#: puts, heal ``("b",)``, 20 puts, checkpoint.  Written with
+#: ``schedule_to_json``.  A layer that places copies on dark nodes makes
+#: the engines disagree on ``replicate`` counts and final holders.
+DATA_FIXTURE = Path(__file__).parent / "fixtures" / "partition_data_puts.json"
 
 
 def test_counterexample_reproduces():
@@ -74,4 +80,18 @@ def test_partition_heal_engines_agree(loops_replay):
 )
 def test_partition_heal_merges_the_loops(loops_replay):
     _, findings = loops_replay
+    assert findings == []
+
+
+def test_partition_puts_replay_clean():
+    config, events, _ = schedule_from_json(DATA_FIXTURE.read_text())
+    assert config.data_replicas == 2
+    comparison, findings = lockstep(
+        lambda engine: bootstrap_network(config, engine),
+        events,
+        lambda net, index: [],
+        config.data_replicas,
+    )
+    assert comparison.fast_report.puts == 60
+    assert comparison.violations == []
     assert findings == []
