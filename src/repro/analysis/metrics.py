@@ -129,8 +129,8 @@ def _batch_compiled(
     The batch kernels replicate exactly ``route_ring`` on ring-metric
     networks and ``route_xor`` on XOR-metric ones; any other router (or a
     mismatched metric) runs scalar.  So does a network too wide to
-    compile: ``compile_network`` refuses id spaces whose augmented keys
-    need more than 64 bits.
+    compile: ``compile_network`` refuses id spaces whose ring table sort
+    keys ``(row << (bits + 1)) | distance`` need more than 64 bits.
     """
     eligible = (router is route_ring and network.metric == "ring") or (
         router is route_xor and network.metric == "xor"

@@ -4,8 +4,9 @@
 CSR (:meth:`~repro.core.network.DHTNetwork.link_csr`) as numpy arrays —
 sorted node ids, per-node offsets into the link arrays, the index of every
 neighbor back into the id array, and the neighbor ids themselves — plus
-two per-metric search structures that turn the greedy step of each
-scalar engine into a handful of vector ops over the whole active batch:
+one padded neighbor matrix per metric that turns the greedy step of each
+scalar engine into a gather, a compare and an ``argmax`` over the whole
+active batch:
 
 - ring metric: a per-node matrix of clockwise neighbor distances, sorted
   descending and left-aligned with zero padding (the last column is always
@@ -14,17 +15,16 @@ scalar engine into a handful of vector ops over the whole active batch:
   first column ``<= remaining``, found with one ``argmax`` per hop;
   "no valid step" falls out as a zero-distance self-step, so the hop has
   no wrap, empty-list or validity fixups at all.
-- XOR metric: one *augmented* key array that is globally strictly
-  increasing, built as ``(node_index << (bits + 1)) | (neighbor + 1)``
-  with two sentinel entries per node (a low key mapping to the node's
-  *last* neighbor, a high key to its *first*).  One ``np.searchsorted``
-  then yields the successor/predecessor pair bracketing the destination —
-  the two candidates of :func:`repro.core.routing._best_xor_step` — with
-  the wrapped cases correct by construction.
+- XOR metric: a per-node matrix of neighbor ids, ascending and
+  left-aligned, padded with the largest id of the space (pointing back at
+  the node).  The first column ``>= key`` and the one before it, each
+  wrapping round the row's real columns, are the successor/predecessor
+  pair of :func:`repro.core.routing._best_xor_step`.
 
-Both hot paths cost a few vector ops per hop over only the still-active
-routes, which is what makes the kernels an order of magnitude faster than
-the scalar engines (see ``docs/performance.md``).
+Both unfiltered hops cost a few vector ops per hop, and no binary search,
+over only the still-active routes, which is what makes the kernels an
+order of magnitude faster than the scalar engines (see
+``docs/performance.md``).
 
 Routing proceeds frontier-at-a-time, and there is one hop per metric:
 :meth:`CompiledNetwork.frontier_step`, the resumable single step the
@@ -37,10 +37,10 @@ filtered or not — there is no separate whole-route loop.
   hop, filtered or not, is the same gather / compare / ``argmax``
   (:func:`_ring_hop`, shared with the storage walk of
   :meth:`repro.perf.storage.CompiledStore.batch_get`).
-- XOR: unfiltered, the bracketing pair above.  Filtered, the scalar engine
-  scans every live neighbor, so the step expands the frontier's neighbor
-  lists flat and reduces per segment with ``np.minimum.reduceat``
-  (:meth:`CompiledNetwork._xor_step_alive`).
+- XOR: unfiltered, the successor/predecessor pair above.  Filtered, the
+  scalar engine scans every live neighbor, so the step expands the
+  frontier's neighbor lists flat and reduces per segment with
+  ``np.minimum.reduceat`` (:meth:`CompiledNetwork._xor_step_alive`).
 
 Every branch replicates the corresponding scalar branch exactly, so batch
 results are hop-for-hop identical to :func:`~repro.core.routing.route_ring`
@@ -157,8 +157,8 @@ class CompiledNetwork:
         n = network.size
         if bits + 1 + max(n - 1, 1).bit_length() > 64:
             raise ValueError(
-                f"augmented keys need {bits} + 1 id bits + "
-                f"{max(n - 1, 1).bit_length()} index bits > 64"
+                f"ring table sort keys need {bits} + 1 distance bits + "
+                f"{max(n - 1, 1).bit_length()} row bits > 64"
             )
         # The network's own CSR, adopted as it stands.  Its index arrays are
         # int32 whenever the population and edge count fit — half the
@@ -187,12 +187,10 @@ class CompiledNetwork:
         self.indptr = indptr
         self.neighbors = neighbors
         self.nbr_pos = nbr_pos
-        # One extra key bit so per-node sentinels can sort strictly below
-        # (key 0 -> last neighbor) and above (key mask+2 -> first neighbor)
-        # every real entry (neighbor + 1).
+        # The ring table sorts its links by ``(row << shift) | distance``.
         self.shift = np.uint64(self.bits + 1)
         self.mask = np.uint64((1 << self.bits) - 1)
-        self._xor_tables: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+        self._xor_tables: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._ring_tables: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._live_table: Optional[
             Tuple[np.ndarray, Tuple[np.ndarray, np.ndarray]]
@@ -200,55 +198,34 @@ class CompiledNetwork:
         self._carry: Optional[tuple] = None
         self._gaps: Optional[Tuple[Optional[np.ndarray], np.ndarray]] = None
 
-    def _xor_table(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(aug, cand_ids, cand_aug)``: the augmented search arrays (lazy).
+    def _xor_table(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(ids2d, posflat)``: neighbor ids as a padded matrix (lazy).
 
-        Per node, in key order: a low sentinel mapping to the node's last
-        neighbor (the wrapped clockwise / predecessor candidate), one entry
-        per neighbor at key ``neighbor + 1``, and a high sentinel mapping to
-        its first neighbor (the wrapped successor candidate).  ``aug`` is
-        globally strictly increasing; ``cand_ids``/``cand_aug`` give each
-        entry's candidate neighbor id and that candidate's own augmented
-        prefix (``position << shift``), which is exactly the state the
-        routing loops carry forward.  Nodes without neighbors get sentinels
-        pointing at themselves — distance zero, never a valid step.
+        Row ``i`` holds node ``i``'s neighbor ids in CSR order (ascending)
+        and left-aligned; the trailing padding slots (at least one per
+        row: the width is the longest CSR row plus one) hold the largest
+        id of the space, with their position entries pointing at the node
+        itself.  The first column ``>= key`` therefore exists in every row
+        — one ``argmax`` per hop — and is the successor of
+        :func:`repro.core.routing._best_xor_step`; the column before it is
+        the predecessor.  Dtypes follow :meth:`_build_ring_table`.
 
         Built on first use (the unfiltered XOR hop), so ring-metric
-        networks never pay the ``E + 2n`` allocations at all.
+        networks never pay for it.
         """
-        if self._xor_tables is not None:
-            return self._xor_tables
-        counts = np.diff(self.indptr).astype(np.int64)
-        n, E = self.n, int(self.neighbors.size)
-        idx = np.arange(n, dtype=_U64)
-        prefixes = idx << self.shift
-        aug = np.empty(E + 2 * n, dtype=_U64)
-        cand_ids = np.empty(E + 2 * n, dtype=_U64)
-        cand_pos = np.empty(E + 2 * n, dtype=np.int64)
-        offsets = 2 * np.arange(n, dtype=np.int64)
-        lead = self.indptr[:-1] + offsets
-        trail = self.indptr[1:] + offsets + 1
-        aug[lead] = prefixes
-        aug[trail] = prefixes | np.uint64(int(self.mask) + 2)
-        has = counts > 0
-        first = np.where(has, self.indptr[:-1], 0)
-        last = np.where(has, self.indptr[1:] - 1, 0)
-        if E:
-            seg = np.repeat(idx, counts)
-            real = np.arange(E, dtype=np.int64) + 2 * np.repeat(
-                np.arange(n, dtype=np.int64), counts
-            ) + 1
-            aug[real] = (seg << self.shift) | (self.neighbors + _ONE)
-            cand_ids[real] = self.neighbors
-            cand_pos[real] = self.nbr_pos
-            cand_ids[lead] = np.where(has, self.neighbors[last], self.ids)
-            cand_pos[lead] = np.where(has, self.nbr_pos[last], np.arange(n))
-            cand_ids[trail] = np.where(has, self.neighbors[first], self.ids)
-            cand_pos[trail] = np.where(has, self.nbr_pos[first], np.arange(n))
-        else:
-            cand_ids[lead] = cand_ids[trail] = self.ids
-            cand_pos[lead] = cand_pos[trail] = np.arange(n)
-        self._xor_tables = (aug, cand_ids, cand_pos.astype(_U64) << self.shift)
+        if self._xor_tables is None:
+            n = self.n
+            dt = np.uint32 if self.bits <= 32 else _U64
+            pos_dt = np.int32 if n < 2**31 else np.intp
+            counts = np.diff(self.indptr).astype(np.int64)
+            width = int(counts.max()) + 1
+            ids2d = np.full((n, width), self.mask, dtype=dt)
+            pos2d = np.repeat(np.arange(n, dtype=pos_dt)[:, None], width, axis=1)
+            own = np.repeat(np.arange(n, dtype=np.int64), counts)
+            cols = np.arange(own.size) - np.repeat(self.indptr[:-1], counts)
+            ids2d[own, cols] = self.neighbors
+            pos2d[own, cols] = self.nbr_pos
+            self._xor_tables = (ids2d, pos2d.ravel())
         return self._xor_tables
 
     def _build_ring_table(
@@ -673,17 +650,25 @@ class CompiledNetwork:
             cur_dist = cur_ids ^ dest
             at_dest = cur_dist == _ZERO
             if alive_arr is None:
-                aug, cand_ids, cand_aug = self._xor_table()
-                caug = pos.astype(_U64) << self.shift
-                p1 = np.searchsorted(aug, caug | (dest + _ONE), side="left")
-                d1 = cand_ids[p1] ^ dest
-                d2 = cand_ids[p1 - 1] ^ dest
+                ids2d, posflat = self._xor_table()
+                col = (ids2d[pos] >= dest.astype(ids2d.dtype)[:, None]).argmax(axis=1)
+                # Wrap both ways: past the last real column to column 0, and
+                # from column 0 to the last real one (a row with no
+                # neighbors keeps both on its own padding).
+                last = np.maximum(self.indptr[pos + 1] - self.indptr[pos] - 1, 0)
+                flat = pos * np.intp(ids2d.shape[1])
+                i1 = flat + np.where(col > last, 0, col)
+                i2 = flat + np.where(col == 0, last, col - 1)
+                idsflat = ids2d.ravel()
+                d1 = idsflat[i1] ^ dest
+                d2 = idsflat[i2] ^ dest
                 pick2 = d2 < np.minimum(d1, cur_dist)
-                moved = (d1 < cur_dist) | pick2
-                chosen = np.subtract(p1, pick2)
+                closer = (d1 < cur_dist) | pick2
                 nxtp = np.where(
-                    moved, (cand_aug[chosen] >> self.shift).astype(np.int64), pos
+                    closer, posflat[np.where(pick2, i2, i1)].astype(np.int64), pos
                 )
+                # Padding points back at its row: taking it is no move.
+                moved = nxtp != pos
             else:
                 nxt, ok = self._xor_step_alive(pos, dest, cur_dist, alive_arr)
                 nxtp = np.where(ok, nxt, pos)

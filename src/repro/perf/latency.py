@@ -20,7 +20,7 @@ strict left fold in hop order, so batch totals equal
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -58,9 +58,8 @@ class LatencyTable:
         self.host_ms = float(host_ms)
         #: The per-hop access-link term, widened once (``2 * HOST_STUB_MS``).
         self.hop2_ms = np.float64(2.0 * self.host_ms)
-        # aligned_routers cache: id(ids array) -> (the array itself, routers).
-        # Holding the array keeps its id from being recycled.
-        self._align_cache: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+        # aligned_routers holds one (ids array, routers) pair, by identity.
+        self._aligned: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     @classmethod
     def from_topology(
@@ -117,15 +116,14 @@ class LatencyTable:
         This is what the batch kernels call once per routing batch with
         their compiled ``ids`` array: the result is position-aligned, so
         the per-hop gather is ``routers[position]`` with no id lookups.
-        Cached per distinct array object.
+        The last array's result is held, keyed by the array's identity,
+        so batches over one network align once and a new network's array
+        replaces the old one's.
         """
-        key = id(ids)
-        cached = self._align_cache.get(key)
-        if cached is not None and cached[0] is ids:
-            return cached[1]
-        aligned = self.routers[self.positions(ids)]
-        self._align_cache[key] = (ids, aligned)
-        return aligned
+        held = self._aligned
+        if held is None or held[0] is not ids:
+            self._aligned = held = (ids, self.routers[self.positions(ids)])
+        return held[1]
 
     # ------------------------------------------------------------ latencies
 

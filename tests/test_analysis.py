@@ -141,13 +141,13 @@ class TestSampleRouting:
             stretch(net, random.Random(5), lambda a, b: 1.0, 0.0, samples=10)
 
     def test_network_too_wide_to_compile_routes_scalar(self):
-        """62 id bits + 1 + 5 index bits: the kernels' augmented keys would
-        need 68 bits, so compiling fails and the scalar engine routes."""
+        """62 id bits + 1 + 5 row bits: the kernels' ring table sort keys
+        would need 68 bits, so compiling fails and the scalar engine routes."""
         rng = random.Random(6)
         space = IdSpace(62)
         ids = space.random_ids(20, rng)
         wide = ChordNetwork(space, build_uniform_hierarchy(ids, 2, 1, rng)).build()
-        with pytest.raises(ValueError, match="augmented keys"):
+        with pytest.raises(ValueError, match="ring table sort keys"):
             compile_network(wide)
         stats = sample_routing(wide, random.Random(7), samples=40)
         assert stats.samples == 40

@@ -158,9 +158,18 @@ class TestCompiledLayout:
         for i, node in enumerate(network.node_ids):
             start, end = compiled.indptr[i], compiled.indptr[i + 1]
             assert compiled.neighbors[start:end].tolist() == network.links[node]
-        # Augmented keys are globally strictly increasing: one searchsorted
-        # performs every node's binary search at once.
-        assert np.all(np.diff(compiled._xor_table()[0]) > 0)
+        # The XOR table: each row is its CSR row, then padding (the largest
+        # id, pointing back at the row), at least one slot of it.
+        ids2d, posflat = compiled._xor_table()
+        counts = np.diff(compiled.indptr)
+        assert ids2d.shape == (compiled.n, int(counts.max()) + 1)
+        pos2d = posflat.reshape(ids2d.shape)
+        for i, count in enumerate(counts.tolist()):
+            start, end = compiled.indptr[i], compiled.indptr[i + 1]
+            assert ids2d[i, :count].tolist() == compiled.neighbors[start:end].tolist()
+            assert pos2d[i, :count].tolist() == compiled.nbr_pos[start:end].tolist()
+            assert np.all(ids2d[i, count:] == int(compiled.mask))
+            assert np.all(pos2d[i, count:] == i)
 
     def test_compile_is_memoized_per_network(self):
         network, _ = build_family("chord", 0)
@@ -370,6 +379,50 @@ def test_property_live_table_step_matches_scan(seed, metric, shares):
             pos = next_pos
     if metric == "ring" and alive is not None:
         assert compiled._live_table[0] is alive  # one table, the last view's
+
+
+def test_unfiltered_xor_step_at_the_padding_edges():
+    """Ids 0 and 2**bits - 1 beside the padding value: a node listing the
+    largest id, one with a single neighbor, one with none and two with a
+    self-link step and route as the scalar engine does, for every key.
+    Node 4 moves only by the successor's wrap (key 8 to 3) and node 9
+    only by the predecessor's (key 7 to 15)."""
+    bits = 4
+    top = (1 << bits) - 1
+    rows = {0: [3, top], 3: [9], 4: [3, 4], 8: [], 9: [8, top], top: [0, top]}
+    ids = np.array(sorted(rows), dtype=np.uint64)
+    neighbors = np.array([n for node in sorted(rows) for n in rows[node]], dtype=np.uint64)
+    indptr = np.zeros(ids.size + 1, dtype=np.int64)
+    np.cumsum([len(rows[node]) for node in sorted(rows)], out=indptr[1:])
+    compiled = CompiledNetwork.from_arrays(
+        metric="xor",
+        bits=bits,
+        ids=ids,
+        indptr=indptr,
+        neighbors=neighbors,
+        nbr_pos=np.searchsorted(ids, neighbors).astype(np.int64),
+    )
+    latency = LatencyTable(ids, np.arange(ids.size) % 3, np.full((3, 3), 5, np.float32))
+    lat_state = compiled._latency_state(latency)
+    net = scalar_view(compiled)
+    # Every key of the space: 0, the largest id and every node id among them.
+    keys = np.arange(1 << bits, dtype=np.uint64)
+    sources = np.repeat(ids, keys.size)
+    dest = np.tile(keys, ids.size)
+    pos = compiled._positions(sources)
+    for _ in range(ids.size + 1):
+        want = _scalar_step(net, "xor", compiled.ids[pos], dest, None, latency)
+        next_pos, *verdict = compiled.frontier_step(pos, dest, None, lat_state)
+        got = (compiled.ids[next_pos], *verdict)
+        for name, a, b in zip(("next_ids", "moved", "success", "hop_ms"), got, want):
+            assert np.array_equal(a, b), name
+        pos = next_pos
+    assert not np.any(verdict[0])  # every route has stopped
+    got = compiled.route_xor(sources, dest, paths=True)
+    for i, (src, key) in enumerate(zip(sources.tolist(), dest.tolist())):
+        want = route_xor(net, src, key)
+        assert got.paths[i] == want.path, (src, key)
+        assert bool(got.success[i]) == want.success, (src, key)
 
 
 @settings(max_examples=40, deadline=None)

@@ -205,6 +205,36 @@ def test_batch_latency_equals_scalar_route_fold(attached):
         assert slow.latency(topology.node_latency) == float(batch.latency_ms[idx])
 
 
+def test_one_table_holds_one_alignment_across_networks(attached):
+    """Five networks routed against one table: each batch aligns the
+    table to its network's ids, only the last alignment is held, and
+    every latency is still the scalar fold, the first network's included
+    when it comes back after the other four."""
+    topology, space, node_ids, net = attached
+    from repro.dhts.chord import ChordNetwork
+    from repro.dhts.kademlia import KademliaNetwork
+    from repro.dhts.kandy import KandyNetwork
+    from repro.perf.kernels import batch_route, compile_network
+
+    hierarchy = net.hierarchy
+    nets = [
+        net,
+        ChordNetwork(space, hierarchy).build(),
+        KademliaNetwork(space, hierarchy, None, 1).build(),
+        KandyNetwork(space, hierarchy, None, 1).build(),
+        CrescendoNetwork(space, hierarchy).build(),
+    ]
+    table = LatencyTable.from_topology(topology, node_ids)
+    rng = random.Random(8)
+    pairs = [(rng.choice(node_ids), rng.choice(node_ids)) for _ in range(40)]
+    for network in nets + nets[:1]:
+        batch = batch_route(network, pairs, latency=table)
+        assert table._aligned[0] is compile_network(network).ids
+        for idx, (src, key) in enumerate(pairs):
+            slow = route(network, src, key)
+            assert slow.latency(topology.node_latency) == float(batch.latency_ms[idx])
+
+
 def test_compare_protocols_latency_oracle():
     config = FuzzConfig(seed=21, events=40, population=32, checkpoints=1)
     schedule = generate_schedule(config)

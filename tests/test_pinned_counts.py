@@ -292,10 +292,10 @@ COMPILED_BYTES = {
     "ndcrescendo": 124924,
     "mixed": 561184,
     "naive": 209384,
-    "kademlia": 201832,
-    "kandy": 202480,
-    "can": 97444,
-    "cancan": 90388,
+    "kademlia": 116432,
+    "kandy": 124840,
+    "can": 55012,
+    "cancan": 48564,
 }
 #: The families above that build in bulk; the others build by reference.
 COMPILED_BULK = {"chord", "crescendo", "kademlia", "kandy"}
