@@ -6,6 +6,9 @@ of nodes in that domain.  At each higher level it draws ``floor(log2 n_level)``
 candidates by the same harmonic process over that level's ring, *retains only
 those closer than its successor at the lower level*, and additionally links
 to its successor at the new level.  The iteration continues to the root.
+That is the Canon merge, :func:`repro.dhts.crescendo.canon_rings`, with the
+harmonic draw as its rule; in the leaf ring the gap is the whole space, so
+every draw is kept.
 
 Like Symphony, Cacophony routes greedily clockwise and supports greedy
 routing with a one-step lookahead for O(log n / log log n) hops.
@@ -14,11 +17,12 @@ routing with a one-step lookahead for O(log n / log log n) hops.
 from __future__ import annotations
 
 import math
-from typing import Dict, Set
+from typing import Dict, List, Set
 
 from ..core.hierarchy import Hierarchy
 from ..core.idspace import IdSpace
 from ..core.network import DHTNetwork
+from .crescendo import canon_rings
 from .symphony import draw_long_links
 
 
@@ -35,37 +39,13 @@ class CacophonyNetwork(DHTNetwork):
         self.gap: Dict[int, int] = {}
 
     def _reference_link_sets(self) -> Dict[int, Set[int]]:
-        space = self.space
-        link_sets: Dict[int, Set[int]] = {node: set() for node in self.node_ids}
-        self.gap = {node: space.size for node in self.node_ids}
-        depth_of = {node: len(self.hierarchy.path_of(node)) for node in self.node_ids}
-
-        domains = sorted(self.hierarchy.domains(), key=lambda d: -d.depth)
-        for domain in domains:
-            members = self.hierarchy.sorted_members(domain.path)
-            if not members:
-                continue
-            population = len(members)
-            count = max(1, int(math.log2(population))) if population > 1 else 0
-            for pos, node in enumerate(members):
-                if depth_of[node] < domain.depth:
-                    continue  # node not in this domain's subtree chain
-                is_leaf_ring = depth_of[node] == domain.depth
-                drawn = draw_long_links(node, members, count, space, self.rng)
-                if is_leaf_ring:
-                    link_sets[node].update(drawn)
-                else:
-                    gap = self.gap[node]
-                    link_sets[node].update(
-                        link
-                        for link in drawn
-                        if space.ring_distance(node, link) < gap
-                    )
-                successor = members[(pos + 1) % population]
-                if successor != node:
-                    # Always link the successor at the new level (Section 3.1).
-                    link_sets[node].add(successor)
-                    self.gap[node] = space.ring_distance(node, successor)
-                else:
-                    self.gap[node] = space.size
+        link_sets, self.gap, _ = canon_rings(self, self._harmonic_links)
         return link_sets
+
+    def _harmonic_links(self, node: int, members: List[int], gap: int) -> Set[int]:
+        """Cacophony's rule: ``floor(log2 n_level)`` harmonic draws over the
+        ring, each kept only if closer than the node's own-ring gap."""
+        space = self.space
+        count = int(math.log2(len(members))) if len(members) > 1 else 0
+        drawn = draw_long_links(node, members, count, space, self.rng)
+        return {link for link in drawn if space.ring_distance(node, link) < gap}

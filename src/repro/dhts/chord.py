@@ -11,7 +11,7 @@ Both are validated empirically in ``tests/test_theorems.py``.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import Dict, List, Optional, Set
 
 import numpy as np
 
@@ -24,17 +24,27 @@ def ring_finger_targets(node_id: int, space: IdSpace) -> List[int]:
     return [space.add(node_id, 1 << k) for k in range(space.bits)]
 
 
-def finger_links(node_id: int, sorted_ids: List[int], space: IdSpace) -> Set[int]:
+def finger_links(
+    node_id: int, sorted_ids: List[int], space: IdSpace, gap: Optional[int] = None
+) -> Set[int]:
     """Distinct Chord links of ``node_id`` over the given sorted ring members.
 
     For each ``k``, the link target is the cyclic successor of
     ``node_id + 2**k`` among ``sorted_ids``; when that successor is the node
     itself no other node lies at distance >= 2**k, and no link is formed.
+
+    With ``gap`` (the Canon merge, Section 2.1), only fingers at clockwise
+    distance below ``gap`` are kept: the links a node may add over a merged
+    ring are those closer than its successor in its own ring, condition (b).
+    Flat Chord passes no gap, which keeps every finger.
     """
+    bound = space.size if gap is None else gap
     links: Set[int] = set()
-    for target in ring_finger_targets(node_id, space):
+    for k, target in enumerate(ring_finger_targets(node_id, space)):
+        if (1 << k) >= bound:
+            break  # no node at distance >= 2**k lies inside the gap
         succ = sorted_ids[successor_index(sorted_ids, target)]
-        if succ != node_id:
+        if succ != node_id and space.ring_distance(node_id, succ) < bound:
             links.add(succ)
     return links
 

@@ -13,7 +13,12 @@ node ``m'`` outside its own (child) ring if and only if
 Because condition (b) bounds new links by the clockwise distance to ``m``'s
 successor in its own ring, the links added at a merge are exactly the union
 fingers that land strictly inside that gap — nodes of ``m``'s own ring can
-never satisfy it, so no own-ring test is needed.
+never satisfy it, so no own-ring test is needed.  A leaf ring is a merge
+into nothing, whose gap is the whole space, so one rule builds every ring.
+
+The merge itself, :func:`canon_rings`, is family-neutral: Cacophony
+(§3.1), ND-Crescendo (§3.2) and LAN-Crescendo (§3.5) each build by it with
+their own rule in place of Chord's fingers.
 
 Routing is plain greedy clockwise routing (Section 2.2): it is *naturally
 hierarchical*, with two structural guarantees validated in the test suite:
@@ -32,21 +37,65 @@ of the hierarchy (empirically ~``0.5*log2 n + c``).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..core.hierarchy import DomainPath, Hierarchy
-from ..core.idspace import IdSpace, successor_index
+from ..core.idspace import IdSpace
 from ..core.network import DHTNetwork, Edges
+from .chord import finger_links
+
+#: ``rule(node, members, gap)``: a family's links for ``node`` among a
+#: ring's sorted ``members`` that lie closer than ``gap``.
+CanonRule = Callable[[int, List[int], int], Iterable[int]]
+
+
+def canon_rings(
+    network: DHTNetwork, rule: CanonRule, root: Optional[CanonRule] = None
+) -> Tuple[Dict[int, Set[int]], Dict[int, int], Dict[int, List[int]]]:
+    """Build every ring of ``network`` bottom-up by the Canon merge (§2.1).
+
+    Domains are visited deepest first and each ring's members in id order.
+    Each member adds ``rule(node, members, gap)``, where ``gap`` is the
+    clockwise distance to its successor in its own lower ring, then links
+    its successor in the new ring, whose distance becomes its ``gap``.  A
+    node's leaf ring is a merge into nothing: its ``gap`` is the whole space.
+    ``root``, when given, replaces ``rule`` in the root ring and links no
+    successor there (the proximity variant's group construction, §3.6).
+
+    Returns ``(link_sets, gap, level_successors)``: each node's links, its
+    final own-ring gap and its successor in each of its rings, leaf first.
+    """
+    space = network.space
+    hierarchy = network.hierarchy
+    link_sets: Dict[int, Set[int]] = {node: set() for node in network.node_ids}
+    gap = {node: space.size for node in network.node_ids}
+    level_successors: Dict[int, List[int]] = {node: [] for node in network.node_ids}
+    for domain in sorted(hierarchy.domains(), key=lambda d: -d.depth):
+        members = hierarchy.sorted_members(domain.path)
+        link_successor = root is None or domain.depth > 0
+        ring_rule = rule if link_successor else root
+        for pos, node in enumerate(members):
+            links = link_sets[node]
+            links.update(ring_rule(node, members, gap[node]))
+            succ = members[(pos + 1) % len(members)]
+            level_successors[node].append(succ)
+            if succ == node:
+                gap[node] = space.size
+                continue
+            if link_successor:
+                links.add(succ)
+            gap[node] = space.ring_distance(node, succ)
+    return link_sets, gap, level_successors
 
 
 class CrescendoNetwork(DHTNetwork):
     """Static (oracle) construction of a Crescendo ring.
 
-    The reference (:meth:`build_reference`) merges one domain's ring at a
-    time in pure Python; the bulk build sweeps each hierarchy depth's rings
-    in one array pass (:func:`repro.perf.build.canon_merge`).  The two are
-    cross-checked, side outputs included, by
-    :func:`repro.verify.oracles.compare_builders`.
+    The reference (:meth:`build_reference`) is :func:`canon_rings` with
+    Chord's finger rule bounded by the gap; the bulk build sweeps each
+    hierarchy depth's rings in one array pass
+    (:func:`repro.perf.build.canon_merge`).  The two are cross-checked, side
+    outputs included, by :func:`repro.verify.oracles.compare_builders`.
     """
 
     metric = "ring"
@@ -71,7 +120,12 @@ class CrescendoNetwork(DHTNetwork):
         )
 
     def _reference_link_sets(self) -> Dict[int, Set[int]]:
-        return self._merge_rings()
+        link_sets, self.gap, self.level_successors = canon_rings(self, self._fingers)
+        return link_sets
+
+    def _fingers(self, node: int, members: List[int], gap: int) -> Set[int]:
+        """Crescendo's rule: the union ring's Chord fingers inside the gap."""
+        return finger_links(node, members, self.space, gap)
 
     def _bulk_link_sets(self) -> Edges:
         return self._sweep_rings(floor=0)
@@ -85,75 +139,6 @@ class CrescendoNetwork(DHTNetwork):
             self.node_ids, self.space, self.hierarchy, floor
         )
         return edges
-
-    def _merge_rings(self) -> Dict[int, Set[int]]:
-        """Build every ring bottom-up, one domain at a time."""
-        link_sets: Dict[int, Set[int]] = {node: set() for node in self.node_ids}
-        self.gap = {node: self.space.size for node in self.node_ids}
-        self.level_successors = {node: [] for node in self.node_ids}
-        depth_of = {node: len(self.hierarchy.path_of(node)) for node in self.node_ids}
-
-        domains = sorted(self.hierarchy.domains(), key=lambda d: -d.depth)
-        for domain in domains:
-            members = self.hierarchy.sorted_members(domain.path)
-            if not members:
-                continue
-            if domain.depth == 0:
-                # Hook point: proximity-adapted variants replace the top-level
-                # merge with group-based construction (Section 3.6).
-                self._build_top_domain(members, link_sets)
-            else:
-                leaf_nodes = [m for m in members if depth_of[m] == domain.depth]
-                merge_nodes = [m for m in members if depth_of[m] > domain.depth]
-                self._build_domain_python(members, leaf_nodes, merge_nodes, link_sets)
-            self._record_level(members)
-        return link_sets
-
-    def _build_top_domain(
-        self, members: List[int], link_sets: Dict[int, Set[int]]
-    ) -> None:
-        """Top-level (root) merge; the default is the ordinary Canon merge."""
-        leaf_nodes = [m for m in members if not self.hierarchy.path_of(m)]
-        merge_nodes = [m for m in members if self.hierarchy.path_of(m)]
-        self._build_domain_python(members, leaf_nodes, merge_nodes, link_sets)
-
-    def _record_level(self, members: List[int]) -> None:
-        """Record each member's successor in this ring (its new leaf set)."""
-        count = len(members)
-        for pos, node in enumerate(members):
-            succ = members[(pos + 1) % count]
-            self.level_successors[node].append(succ)
-            self.gap[node] = (
-                self.space.ring_distance(node, succ) if succ != node else self.space.size
-            )
-
-    def _build_domain_python(
-        self,
-        members: List[int],
-        leaf_nodes: List[int],
-        merge_nodes: List[int],
-        link_sets: Dict[int, Set[int]],
-    ) -> None:
-        space = self.space
-        for node in leaf_nodes:
-            # First ring for this node: full Chord fingers within the domain.
-            for k in range(space.bits):
-                target = space.add(node, 1 << k)
-                succ = members[successor_index(members, target)]
-                if succ != node:
-                    link_sets[node].add(succ)
-        for node in merge_nodes:
-            # Merge: union fingers strictly inside the node's own-ring gap.
-            gap = self.gap[node]
-            k = 0
-            while (1 << k) < gap and k < space.bits:
-                target = space.add(node, 1 << k)
-                succ = members[successor_index(members, target)]
-                if succ != node:
-                    dist = space.ring_distance(node, succ)
-                    if dist < gap:
-                        link_sets[node].add(succ)
-                k += 1
 
     # -------------------------------------------------------------- queries
 

@@ -10,11 +10,13 @@ node in one hop; above it, greedy clockwise routing proceeds as usual.
 
 from __future__ import annotations
 
-from typing import Dict, Set
+from typing import Dict, List, Set
 
 from ..core.hierarchy import Hierarchy
-from ..core.idspace import IdSpace, successor_index
+from ..core.idspace import IdSpace
 from ..core.network import DHTNetwork
+from .chord import finger_links
+from .crescendo import canon_rings
 
 
 class LanCrescendoNetwork(DHTNetwork):
@@ -34,35 +36,18 @@ class LanCrescendoNetwork(DHTNetwork):
         self.gap: Dict[int, int] = {}
 
     def _reference_link_sets(self) -> Dict[int, Set[int]]:
-        space = self.space
-        link_sets: Dict[int, Set[int]] = {node: set() for node in self.node_ids}
-        self.gap = {node: space.size for node in self.node_ids}
-        depth_of = {node: len(self.hierarchy.path_of(node)) for node in self.node_ids}
-
-        domains = sorted(self.hierarchy.domains(), key=lambda d: -d.depth)
-        for domain in domains:
-            members = self.hierarchy.sorted_members(domain.path)
-            if not members:
-                continue
-            population = len(members)
-            for pos, node in enumerate(members):
-                if depth_of[node] == domain.depth:
-                    # LAN level: complete graph over the domain.
-                    link_sets[node].update(m for m in members if m != node)
-                else:
-                    # Crescendo merge: union fingers inside the own-ring gap.
-                    gap = self.gap[node]
-                    k = 0
-                    while (1 << k) < gap and k < space.bits:
-                        target = space.add(node, 1 << k)
-                        succ = members[successor_index(members, target)]
-                        if succ != node and space.ring_distance(node, succ) < gap:
-                            link_sets[node].add(succ)
-                        k += 1
-                successor = members[(pos + 1) % population]
-                self.gap[node] = (
-                    space.ring_distance(node, successor)
-                    if successor != node
-                    else space.size
-                )
+        link_sets, self.gap, _ = canon_rings(self, self._lan_then_fingers)
         return link_sets
+
+    def _lan_then_fingers(self, node: int, members: List[int], gap: int) -> Set[int]:
+        """The complete graph in the node's LAN, Crescendo's fingers inside
+        the gap above it.
+
+        A ring is the node's LAN when it has the LAN's member count (every
+        ring holding the node contains its LAN); a higher ring with exactly
+        the LAN's members adds nothing under either rule.
+        """
+        hierarchy = self.hierarchy
+        if len(members) == hierarchy.member_count(hierarchy.path_of(node)):
+            return {m for m in members if m != node}
+        return finger_links(node, members, self.space, gap)

@@ -12,6 +12,10 @@ any node in its own ring* — i.e. the candidate range for octave k shrinks to
 successor (the paper's example: with the closest own-ring node at distance
 12, the octave [8, 16) shrinks to [8, 12)).
 
+ND-Crescendo builds by the Canon merge,
+:func:`repro.dhts.crescendo.canon_rings`, with the cut octave draw as its
+rule; in the leaf ring the gap is the whole space, so no octave is cut.
+
 Both variants keep an explicit successor link per level (the k = 0 octave can
 be empty, and greedy clockwise routing needs the successor for guaranteed
 progress; flat ND-Chord deployments keep successor lists for the same
@@ -25,6 +29,7 @@ from typing import Dict, List, Optional, Set
 from ..core.hierarchy import Hierarchy
 from ..core.idspace import IdSpace, successor_index
 from ..core.network import DHTNetwork
+from .crescendo import canon_rings
 
 
 def annulus_choice(
@@ -101,38 +106,20 @@ class NDCrescendoNetwork(DHTNetwork):
         self.gap: Dict[int, int] = {}
 
     def _reference_link_sets(self) -> Dict[int, Set[int]]:
-        space = self.space
-        link_sets: Dict[int, Set[int]] = {node: set() for node in self.node_ids}
-        self.gap = {node: space.size for node in self.node_ids}
-        depth_of = {node: len(self.hierarchy.path_of(node)) for node in self.node_ids}
-
-        domains = sorted(self.hierarchy.domains(), key=lambda d: -d.depth)
-        for domain in domains:
-            members = self.hierarchy.sorted_members(domain.path)
-            if not members:
-                continue
-            population = len(members)
-            for pos, node in enumerate(members):
-                gap = self.gap[node]
-                is_leaf_ring = depth_of[node] == domain.depth
-                for k in range(space.bits):
-                    lo = 1 << k
-                    if not is_leaf_ring and lo >= gap:
-                        break
-                    hi = 1 << (k + 1)
-                    if not is_leaf_ring:
-                        # The nondeterministic choice is restricted to nodes
-                        # closer than any node in the node's own ring.
-                        hi = min(hi, gap)
-                    choice = annulus_choice(node, members, lo, hi, space, self.rng)
-                    if choice is not None:
-                        link_sets[node].add(choice)
-                successor = members[(pos + 1) % population]
-                if successor != node:
-                    new_gap = space.ring_distance(node, successor)
-                    if is_leaf_ring or new_gap < gap:
-                        link_sets[node].add(successor)
-                    self.gap[node] = new_gap
-                else:
-                    self.gap[node] = space.size
+        link_sets, self.gap, _ = canon_rings(self, self._octave_links)
         return link_sets
+
+    def _octave_links(self, node: int, members: List[int], gap: int) -> Set[int]:
+        """ND-Crescendo's rule: one random member per octave ``[2**k,
+        2**(k+1))``, the octaves cut at the node's own-ring gap."""
+        links: Set[int] = set()
+        for k in range(self.space.bits):
+            lo = 1 << k
+            if lo >= gap:
+                break
+            choice = annulus_choice(
+                node, members, lo, min(lo << 1, gap), self.space, self.rng
+            )
+            if choice is not None:
+                links.add(choice)
+        return links

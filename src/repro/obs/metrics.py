@@ -227,27 +227,14 @@ class MetricsRegistry:
             hist = snapshot.histograms.get(name)
             self.histogram(name).sample.absorb(values, hist["count"] if hist else 0)
 
-    def message_sink(self, prefix: str = "messages") -> Callable[[str], None]:
-        """A ``kind -> None`` callable counting into ``{prefix}.{kind}``.
-
-        Plug into :class:`repro.simulation.events.MessageStats` to mirror
-        per-type message counts into this registry.
-        """
-
-        def sink(kind: str) -> None:
-            self.counter(f"{prefix}.{kind}").inc()
-
-        return sink
-
     def message_sink_batch(
         self, prefix: str = "messages"
     ) -> Callable[[Mapping[str, int]], None]:
         """A ``{kind: n} -> None`` callable bulk-counting into ``{prefix}.{kind}``.
 
-        The batched counterpart of :meth:`message_sink`: plug into
-        :class:`repro.simulation.events.MessageStats` as ``batch_sink`` so
-        per-kind counts accumulate locally and land here once per flush
-        instead of once per message.
+        Plug into :class:`repro.simulation.events.MessageStats` as
+        ``batch_sink`` so per-kind counts accumulate locally and land here
+        once per flush instead of once per message.
         """
 
         def sink(pending: Mapping[str, int]) -> None:

@@ -30,7 +30,7 @@ from ..core.hierarchy import Hierarchy
 from ..core.idspace import IdSpace, predecessor_index, successor_index
 from ..core.network import DHTNetwork, Edges
 from ..core.routing import MAX_HOPS, Route, _traced
-from ..dhts.crescendo import CrescendoNetwork
+from ..dhts.crescendo import CrescendoNetwork, canon_rings
 from ..perf.latency import latency_table_of
 
 LatencyFn = Callable[[int, int], float]
@@ -210,46 +210,65 @@ class ProximityCrescendoNetwork(CrescendoNetwork):
         self.prefix_bits = group_prefix_bits(self.size, group_target)
         self.groups = _GroupIndex(space, self.node_ids, self.prefix_bits)
 
+    def _reference_link_sets(self) -> Dict[int, Set[int]]:
+        link_sets, self.gap, self.level_successors = canon_rings(
+            self, self._fingers, root=self._root_links
+        )
+        return link_sets
+
     def _bulk_link_sets(self) -> Edges:
         # The per-depth sweep builds every ring below the root; the root
         # merge is this family's own, and its links join the sweep's
         # before the one install.
         src, dst = self._sweep_rings(floor=1)
-        top: Dict[int, Set[int]] = {node: set() for node in self.node_ids}
-        self._build_top_domain(self.node_ids, top)
+        top = {
+            node: self._root_links(node, self.node_ids, self.gap[node])
+            for node in self.node_ids
+        }
         self._record_level(self.node_ids)
         top_src, top_dst = self._set_edges(top)
         return np.concatenate([src, top_src]), np.concatenate([dst, top_dst])
 
-    def _build_top_domain(self, members, link_sets) -> None:
+    def _record_level(self, members: List[int]) -> None:
+        """Record each member's successor in this ring (its new leaf set)."""
+        count = len(members)
+        for pos, node in enumerate(members):
+            succ = members[(pos + 1) % count]
+            self.level_successors[node].append(succ)
+            self.gap[node] = (
+                self.space.ring_distance(node, succ) if succ != node else self.space.size
+            )
+
+    def _root_links(self, node: int, members: List[int], gap: int) -> Set[int]:
+        """The root merge's rule: the node's whole group, then one nearby
+        member of each group ``g + 2**k`` closer than its own-ring gap."""
         groups = self.groups
         group_count = 1 << self.prefix_bits
-        for node in members:
-            own = groups.group_of(node)
-            link_sets[node].update(m for m in groups.members[own] if m != node)
-            # Condition (b) in group space: only link to groups closer than
-            # the group of the node's own-ring successor.
-            gap = self.gap[node]
-            if gap >= self.space.size:
-                group_gap = group_count
-            else:
-                successor = self.space.add(node, gap)
-                group_gap = groups.group_distance(own, groups.group_of(successor))
-                if group_gap == 0:
-                    continue  # own-ring successor in the same group: covered
-            k = 0
-            while (1 << k) < max(group_gap, 1) and k < self.prefix_bits:
-                target = groups.existing_group_at_or_after(
-                    (own + (1 << k)) % group_count
+        own = groups.group_of(node)
+        links = {m for m in groups.members[own] if m != node}
+        # Condition (b) in group space: only link to groups closer than
+        # the group of the node's own-ring successor.
+        if gap >= self.space.size:
+            group_gap = group_count
+        else:
+            successor = self.space.add(node, gap)
+            group_gap = groups.group_distance(own, groups.group_of(successor))
+            if group_gap == 0:
+                return links  # own-ring successor in the same group: covered
+        k = 0
+        while (1 << k) < max(group_gap, 1) and k < self.prefix_bits:
+            target = groups.existing_group_at_or_after(
+                (own + (1 << k)) % group_count
+            )
+            distance = groups.group_distance(own, target)
+            if 0 < distance < group_gap:
+                best = groups.best_member(
+                    node, target, self.latency_fn, self.rng, self.sample
                 )
-                distance = groups.group_distance(own, target)
-                if 0 < distance < group_gap:
-                    best = groups.best_member(
-                        node, target, self.latency_fn, self.rng, self.sample
-                    )
-                    if best is not None:
-                        link_sets[node].add(best)
-                k += 1
+                if best is not None:
+                    links.add(best)
+            k += 1
+        return links
 
 
 def route_grouped(network, src: int, dest_key: int, tracer=None) -> Route:

@@ -23,27 +23,26 @@ import time
 from pathlib import Path
 
 from ..obs import metrics as obs_metrics
-from ..verify.builders import EXTRA_FAMILIES, FAMILIES
+from ..verify.__main__ import _parse_families
 from ..verify.violations import summarize
 from .catalog import CATALOG, SCALES
 from .dsl import scenario_from_json, scenario_to_json
 from .runner import MATRIX_FAMILIES, run_matrix, run_scenario
 
-ALL_FAMILIES = FAMILIES + EXTRA_FAMILIES
-
-
-def _parse_families(raw: str):
-    families = tuple(f.strip() for f in raw.split(",") if f.strip())
-    unknown = [f for f in families if f not in ALL_FAMILIES]
-    if unknown:
-        raise argparse.ArgumentTypeError(
-            f"unknown families {unknown}; known: {', '.join(ALL_FAMILIES)}"
-        )
-    return families
+def _pair_count(raw: str) -> int:
+    count = int(raw)
+    if count < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {count}")
+    return count
 
 
 def _parse_scenarios(raw: str):
     names = [s.strip() for s in raw.split(",") if s.strip()]
+    if not names:
+        # An empty matrix would run nothing and exit 0.
+        raise argparse.ArgumentTypeError(
+            f"needs at least one scenario; known: {', '.join(CATALOG)}"
+        )
     unknown = [n for n in names if n not in CATALOG]
     if unknown:
         raise argparse.ArgumentTypeError(
@@ -61,7 +60,7 @@ def _common(sub: argparse.ArgumentParser) -> None:
         default=MATRIX_FAMILIES,
         help="families rebuilt and routed at every checkpoint",
     )
-    sub.add_argument("--routing-pairs", type=int, default=12)
+    sub.add_argument("--routing-pairs", type=_pair_count, default=12)
     sub.add_argument(
         "--no-latency",
         action="store_true",
@@ -115,6 +114,13 @@ def main(argv=None) -> int:
     matrix.add_argument("--out-md", metavar="OUT.md")
 
     args = parser.parse_args(argv)
+    if args.command == "replay":
+        # An unreadable or malformed fixture is a usage error (exit 2), not
+        # a traceback that exits 1 like an expectation that was not met.
+        try:
+            args.document = scenario_from_json(Path(args.fixture).read_text())
+        except (OSError, ValueError) as err:
+            rep.error(str(err))
     registry = obs_metrics.activate(obs_metrics.MetricsRegistry())
     try:
         code = _dispatch(args)
@@ -195,7 +201,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0 if result.ok else 1
 
     if args.command == "replay":
-        document = scenario_from_json(Path(args.fixture).read_text())
+        document = args.document
         result = run_scenario(
             document.spec,
             seed=document.seed,

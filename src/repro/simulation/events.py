@@ -5,12 +5,9 @@ a virtual clock; every inter-node message is delayed by a pluggable latency
 model and counted by type, so tests can verify the paper's O(log n) message
 bound for Crescendo joins and experiments can measure protocol traffic.
 
-Events run in one total order (virtual time, then scheduling sequence)
-off a single binary heap.  Two event representations share it: the
-classic zero-argument closure (:meth:`Simulator.schedule`) and a
-lightweight ``(kind, args)`` tuple (:meth:`Simulator.post`) dispatched
-through a handler table registered with :meth:`Simulator.on`, which avoids
-allocating a closure per message on hot paths.
+Events are zero-argument closures (:meth:`Simulator.schedule`) run in
+one total order (virtual time, then scheduling sequence) off a single
+binary heap.
 
 Observability (:mod:`repro.obs`): a :class:`Simulator` built while a tracer
 is active (or given one explicitly) emits one trace event per drained
@@ -27,19 +24,15 @@ import heapq
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional
+from typing import Callable, List, Mapping, Optional
 
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 
 
-def _action_name(label: object) -> str:
-    """A drained event's trace label: its ``post`` kind or closure name."""
-    return (
-        label
-        if isinstance(label, str)
-        else getattr(label, "__qualname__", repr(label))
-    )
+def _action_name(action: object) -> str:
+    """A drained event's trace label: its closure's name."""
+    return getattr(action, "__qualname__", repr(action))
 
 
 class Simulator:
@@ -55,7 +48,6 @@ class Simulator:
         self.now = 0.0
         self._queue: list = []
         self._seq = itertools.count()
-        self._handlers: Dict[str, Callable[..., None]] = {}
         self._drain_hooks: List[Callable[[], None]] = []
         self.events_run = 0
         self.tracer = tracer if tracer is not None else obs_trace.active_tracer()
@@ -71,23 +63,6 @@ class Simulator:
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
         heapq.heappush(self._queue, (self.now + delay, next(self._seq), action))
-
-    def on(self, kind: str, handler: Callable[..., None]) -> None:
-        """Register the handler dispatched for :meth:`post` events of ``kind``."""
-        self._handlers[kind] = handler
-
-    def post(self, delay: float, kind: str, *args) -> None:
-        """Schedule a lightweight ``(kind, args)`` event ``delay`` from now.
-
-        Equivalent to ``schedule(delay, lambda: handler(*args))`` but
-        without allocating a closure per event; the handler registered via
-        :meth:`on` is resolved at execution time.
-        """
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
-        heapq.heappush(
-            self._queue, (self.now + delay, next(self._seq), (kind, args))
-        )
 
     def add_drain_hook(self, hook: Callable[[], None]) -> None:
         """Run ``hook()`` at the end of every :meth:`run` call.
@@ -118,18 +93,12 @@ class Simulator:
                     f"time {self.now:g} reached, {self.pending} still "
                     f"queued: runaway protocol?"
                 )
-            _, _, payload = heapq.heappop(queue)
+            _, _, action = heapq.heappop(queue)
             self.now = when
-            if callable(payload):
-                payload()
-                label = payload if tracer is not None else None
-            else:
-                kind, args = payload
-                self._handlers[kind](*args)
-                label = kind
+            action()
             executed += 1
             if tracer is not None:
-                tracer.event("sim.event", t=when, action=_action_name(label))
+                tracer.event("sim.event", t=when, action=_action_name(action))
         self.events_run += executed
         self._flush_drain_hooks()
         return executed
@@ -153,31 +122,22 @@ class ConstantLatency:
 class MessageStats:
     """Per-type message counters, resettable between measurement windows.
 
-    Two mirroring hooks feed an external consumer such as a
-    :class:`repro.obs.metrics.MetricsRegistry`:
-
-    - ``sink`` is called with each recorded kind, per message (the
-      original immediate hook, see
-      :meth:`~repro.obs.metrics.MetricsRegistry.message_sink`);
-    - ``batch_sink`` receives a ``{kind: count}`` mapping on each
-      :meth:`flush` — counts accumulate locally in ``pending`` between
-      flushes, so the hot recording path is one Counter increment (see
-      :meth:`~repro.obs.metrics.MetricsRegistry.message_sink_batch`).
-
-    When both are set, ``sink`` wins (no double counting).
+    ``batch_sink`` mirrors them into an external consumer such as a
+    :class:`repro.obs.metrics.MetricsRegistry`: it receives a ``{kind:
+    count}`` mapping on each :meth:`flush` — counts accumulate locally in
+    ``pending`` between flushes, so the hot recording path is one Counter
+    increment (see
+    :meth:`~repro.obs.metrics.MetricsRegistry.message_sink_batch`).
     """
 
     counts: Counter = field(default_factory=Counter)
-    sink: Optional[Callable[[str], None]] = None
     batch_sink: Optional[Callable[[Mapping[str, int]], None]] = None
     pending: Counter = field(default_factory=Counter)
 
     def record(self, kind: str) -> None:
         """Count one message of the given type."""
         self.counts[kind] += 1
-        if self.sink is not None:
-            self.sink(kind)
-        elif self.batch_sink is not None:
+        if self.batch_sink is not None:
             self.pending[kind] += 1
 
     def record_many(self, kind: str, n: int) -> None:
@@ -185,10 +145,7 @@ class MessageStats:
         if n <= 0:
             return
         self.counts[kind] += n
-        if self.sink is not None:
-            for _ in range(n):
-                self.sink(kind)
-        elif self.batch_sink is not None:
+        if self.batch_sink is not None:
             self.pending[kind] += n
 
     @property

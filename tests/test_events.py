@@ -105,8 +105,8 @@ class TestSimulator:
 
     def test_sim_event_records(self):
         """One ``sim.event`` per drained event, in execution order: virtual
-        time ``t``, and the posted kind or the closure's qualified name as
-        ``action``, across closures, posts, nested schedules and drains."""
+        time ``t``, and the closure's qualified name as ``action``, across
+        closures, nested schedules and drains."""
         tracer = Tracer()
         sim = Simulator(tracer=tracer)
         log = []
@@ -119,23 +119,25 @@ class TestSimulator:
 
             return cascade
 
-        sim.on("ping", lambda i: log.append(("ping", i)))
+        def ping():
+            log.append("ping")
+
         for i in range(5):
-            sim.post(float(i % 3), "ping", i)
+            sim.schedule(float(i % 3), ping)
         sim.schedule(1.25, make_cascade(3))
         sim.run()
-        sim.post(0.0, "ping", 99)
+        sim.schedule(0.0, ping)
         sim.run()
         events = [
             (r["attrs"]["t"], r["attrs"]["action"])
             for r in tracer.records
             if r["name"] == "sim.event"
         ]
-        cascade = make_cascade(0).__qualname__
+        cascade, pinged = make_cascade(0).__qualname__, ping.__qualname__
         assert events == [
-            (0.0, "ping"), (0.0, "ping"), (1.0, "ping"), (1.0, "ping"),
-            (1.25, cascade), (1.75, cascade), (2.0, "ping"), (2.25, cascade),
-            (2.75, cascade), (2.75, "ping"),
+            (0.0, pinged), (0.0, pinged), (1.0, pinged), (1.0, pinged),
+            (1.25, cascade), (1.75, cascade), (2.0, pinged), (2.25, cascade),
+            (2.75, cascade), (2.75, pinged),
         ]
         assert len(events) == len(log)
 
@@ -184,14 +186,6 @@ class TestLatencyAndStats:
         assert log == [2.0]
         assert layer.stats.counts["ping"] == 1
 
-    def test_stats_sink_mirrors_counts(self):
-        seen = []
-        stats = MessageStats(sink=seen.append)
-        stats.record("join")
-        stats.record("join")
-        assert stats.counts["join"] == 2
-        assert seen == ["join", "join"]
-
     def test_message_layer_feeds_metrics_registry(self):
         from repro.obs.metrics import MetricsRegistry
 
@@ -207,7 +201,7 @@ class TestLatencyAndStats:
         sim.run()
         assert registry.counter("messages.join").value == 2
         assert registry.counter("messages.stabilize").value == 1
-        # The layer's own Counter keeps working alongside the sink.
+        # The layer's own Counter keeps working alongside the batch sink.
         assert layer.stats.total == 3
 
     def test_message_layer_captures_active_registry(self):
@@ -234,44 +228,6 @@ class TestLatencyAndStats:
 
 
 class TestLightweightEvents:
-    def test_post_dispatches_registered_handler(self):
-        sim = Simulator()
-        log = []
-        sim.on("deliver", lambda src, dst: log.append((sim.now, src, dst)))
-        sim.post(2, "deliver", 1, 9)
-        sim.post(1, "deliver", 4, 5)
-        assert sim.run() == 2
-        assert log == [(1, 4, 5), (2, 1, 9)]
-
-    def test_post_and_schedule_interleave_in_order(self):
-        sim = Simulator()
-        log = []
-        sim.on("tick", log.append)
-        sim.schedule(1, lambda: log.append("closure"))
-        sim.post(1, "tick", "tuple")
-        sim.run()
-        assert log == ["closure", "tuple"]
-
-    def test_post_negative_delay_rejected(self):
-        sim = Simulator()
-        sim.on("x", lambda: None)
-        with pytest.raises(ValueError):
-            sim.post(-1, "x")
-
-    def test_unregistered_kind_raises(self):
-        sim = Simulator()
-        sim.post(0, "nope")
-        with pytest.raises(KeyError):
-            sim.run()
-
-    def test_tracer_labels_posted_events_by_kind(self):
-        tracer = Tracer()
-        sim = Simulator(tracer=tracer)
-        sim.on("deliver", lambda: None)
-        sim.post(1, "deliver")
-        sim.run()
-        assert tracer.records[0]["attrs"]["action"] == "deliver"
-
     def test_drain_hook_runs_per_drain(self):
         sim = Simulator()
         calls = []

@@ -70,15 +70,6 @@ class TestInstruments:
         with pytest.raises(ValueError):
             registry.histogram("h", buckets=(1, 2, 3))
 
-    def test_message_sink_counts_by_kind(self):
-        registry = MetricsRegistry()
-        sink = registry.message_sink()
-        sink("join")
-        sink("join")
-        sink("stabilize")
-        assert registry.counter("messages.join").value == 2
-        assert registry.counter("messages.stabilize").value == 1
-
 
 class TestSnapshotOperations:
     def test_json_roundtrip_is_lossless(self):

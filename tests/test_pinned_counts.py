@@ -20,7 +20,7 @@ change to one is a change in behaviour.  Three groups:
 - **Builders.** A sha256 over the finalized link table and the side
   outputs (``gap``, ``level_successors``, ``contact_depth``) of the bulk
   builds the figure path runs, over one 1,024-node transit-stub
-  hierarchy.
+  hierarchy, and of the Canon ring families' reference builds over it.
 
 When a change moves a pin on purpose, say why in the change and re-pin.
 """
@@ -432,3 +432,32 @@ def test_build_digest(build_input, name):
     net = PINNED_BUILDS[name](*build_input).build()
     assert net.built_with == "numpy"
     assert build_digest(net) == BUILD_DIGESTS[name]
+
+
+#: The Canon ring families' reference (bottom-up merge) builds over the
+#: same input.  Crescendo and Crescendo (Prox.) must equal their bulk pins;
+#: the three families without a bulk form are pinned here on their own.
+REFERENCE_BUILDS = {
+    "crescendo": PINNED_BUILDS["crescendo"],
+    "crescendo-prox": PINNED_BUILDS["crescendo-prox"],
+    "cacophony": lambda s, h, t: CacophonyNetwork(s, h, random.Random("cacophony")),
+    "ndcrescendo": lambda s, h, t: NDCrescendoNetwork(
+        s, h, random.Random("ndcrescendo")
+    ),
+    "mixed": lambda s, h, t: LanCrescendoNetwork(s, h),
+}
+
+REFERENCE_DIGESTS = {
+    "crescendo": BUILD_DIGESTS["crescendo"],
+    "crescendo-prox": BUILD_DIGESTS["crescendo-prox"],
+    "cacophony": "af34bedb2e1dc933740be42b831222456ee97b416ec85cfe95ec1adbdceea814",
+    "ndcrescendo": "54524c37fb8aa6953a2357a6d1a67d5b349aaf8716567ce6ab59d7491d3df6b9",
+    "mixed": "c182c1bd75392a56786b03cd7b87097562d468e65ceb17bdbca1dd958b7f7a3c",
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_BUILDS))
+def test_reference_build_digest(build_input, name):
+    net = REFERENCE_BUILDS[name](*build_input).build_reference()
+    assert net.built_with == "python"
+    assert build_digest(net) == REFERENCE_DIGESTS[name]

@@ -141,3 +141,54 @@ def test_cli_replay_exits_zero(name, capsys):
     assert code == 0
     if name == "partition_noheal":
         assert "tripped as expected" in out
+
+
+class TestCliUsage:
+    """``python -m repro.scenarios`` refuses what ``python -m repro.verify``
+    refuses, as a usage error (exit 2) before it runs anything."""
+
+    def _rejects(self, monkeypatch, capsys, argv, message):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"ran {argv}")
+
+        monkeypatch.setattr(scenarios_cli, "run_scenario", refuse)
+        with pytest.raises(SystemExit) as exit_info:
+            scenarios_cli.main(argv)
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
+
+    def test_empty_family_list(self, monkeypatch, capsys):
+        self._rejects(
+            monkeypatch,
+            capsys,
+            ["run", "regional_failure", "--families", ""],
+            "needs at least one family",
+        )
+
+    def test_empty_scenario_list(self, monkeypatch, capsys):
+        self._rejects(
+            monkeypatch,
+            capsys,
+            ["matrix", "--scenarios", " , "],
+            "needs at least one scenario",
+        )
+
+    def test_negative_routing_pairs(self, monkeypatch, capsys):
+        self._rejects(
+            monkeypatch,
+            capsys,
+            ["run", "regional_failure", "--routing-pairs", "-5"],
+            "must be >= 0, got -5",
+        )
+
+    def test_replay_of_a_missing_fixture(self, monkeypatch, capsys, tmp_path):
+        self._rejects(
+            monkeypatch, capsys, ["replay", str(tmp_path / "absent.json")], "absent.json"
+        )
+
+    def test_replay_of_a_malformed_fixture(self, monkeypatch, capsys, tmp_path):
+        fixture = tmp_path / "malformed.json"
+        fixture.write_text('{"scenario": "x"}')
+        self._rejects(
+            monkeypatch, capsys, ["replay", str(fixture)], "missing required key"
+        )
